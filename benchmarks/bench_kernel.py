@@ -1,24 +1,18 @@
-"""Benchmark: the plane-packed batch kernel vs the per-pair scalar kernel.
+"""Benchmark: the plane-packed batch kernel vs the executable spec.
 
-Three gates, one parity sweep:
+Two gates, one parity sweep:
 
-1. **Single-core batch throughput** — emitting the dense nc/cf edge-block
-   bitsets of every pairwise block of Auction(N) (N=24 by default) via one
-   plane sweep (:func:`repro.summary.planes.dense_rows` over a packed
+1. **Single-core batch throughput** — computing the packed edge blocks of
+   every ordered program pair of Auction(N) (N=24 by default) in one plane
+   sweep (:func:`repro.summary.planes.sweep_blocks` over a packed
    :class:`~repro.summary.planes.PlaneArena`) must be
-   ``--kernel-threshold`` (default 10×) faster than the scalar per-pair
-   kernel (:func:`~repro.summary.pairwise._pair_block` looped over every
-   ordered pair of compiled profiles).  Plane packing is *not* inside the
-   timed region — it happens once per store lifetime and is recorded
-   separately as ``packing_seconds``.  The frozenset reference path is
-   timed too, for scale.
-2. **Process backend** — rebuilding every edge block with
-   ``backend="process"`` (zero-copy shared-memory planes fanned out over
-   ``--workers`` workers, warm pool) must beat the serial rebuild by
-   ``--process-threshold`` (default 1.3×).  The gate needs real cores: on
-   hosts with <= 2 CPUs (or with ``--parity-only``) the numbers are still
-   reported and recorded, but the speed gate is skipped, not failed.
-3. **Subset enumeration** — ``robust_subsets`` with the
+   ``--kernel-threshold`` (default 4×; measured 5–7× on one core) faster
+   than the frozenset reference
+   (:func:`~repro.summary.pairwise.pair_edges_reference` looped over every
+   ordered pair).  Plane packing is *not* inside the timed
+   region — it happens once per store lifetime and is recorded
+   separately as ``packing_seconds``.
+2. **Subset enumeration** — ``robust_subsets`` with the
    :class:`~repro.detection.subsets.PairMatrix` fast path must beat the
    plain block-store enumeration (PR 2's path, reproduced inline) by
    ``--subsets-threshold`` (default 1.2×) on SmallBank and Auction(5)
@@ -26,17 +20,16 @@ Three gates, one parity sweep:
 
 Parity is asserted throughout: store blocks (batch kernel) equal
 frozenset-reference blocks edge-for-edge on SmallBank, TPC-C and
-Auction(5) under all four Section 7.2 settings; the dense bitset planes
-carry exactly the edges the scalar kernel emits; process-backend graphs
-equal serial ones; and the matrix verdict grids equal the plain
-enumeration's.
+Auction(5) under all four Section 7.2 settings; the timed sweep carries
+exactly the reference's edges; and the matrix verdict grids equal the
+plain enumeration's.
 
 Numbers are recorded to ``BENCH_kernel.json`` (see
 :func:`conftest.record_benchmark`), including ``cpu_count`` and
 ``packing_seconds`` as separate fields.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_kernel.py [--scale N]
-           [--repetitions R] [--workers W] [--parity-only]
+           [--repetitions R] [--parity-only]
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import os
 import sys
 import time
 
-from conftest import multicore_gated, record_benchmark
+from conftest import record_benchmark
 
 from repro.btp.unfold import unfold
 from repro.detection.subsets import (
@@ -57,7 +50,6 @@ from repro.detection.subsets import (
 from repro.summary import planes
 from repro.summary.pairwise import (
     EdgeBlockStore,
-    _pair_block,
     compile_profile,
     pair_edges_reference,
 )
@@ -83,20 +75,11 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
     use_fk = ATTR_DEP_FK.use_foreign_keys
 
     def reference():
-        blocks = []
-        for a in ltps:
-            for b in ltps:
-                blocks.append(pair_edges_reference(a, b, schema, ATTR_DEP_FK))
-        return blocks
-
-    profiles = [compile_profile(l, schema, ATTR_DEP_FK) for l in ltps]
-
-    def legacy():
-        blocks = []
-        for pa in profiles:
-            for pb in profiles:
-                blocks.append(tuple(_pair_block(pa, pb, use_fk)))
-        return blocks
+        return {
+            (a.name, b.name): pair_edges_reference(a, b, schema, ATTR_DEP_FK)
+            for a in ltps
+            for b in ltps
+        }
 
     interner = schema.interner
     arena = planes.PlaneArena(
@@ -104,30 +87,24 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
             max(interner.attr_bit_count, interner.fk_bit_count, 1)
         )
     )
-    for profile in profiles:
-        arena.add(profile)
-    rows = list(range(arena.capacity))
-    view = planes.arena_view(arena)
-    kernel = planes.resolve_kernel(None)
+    for ltp in ltps:
+        arena.add(compile_profile(ltp, schema, ATTR_DEP_FK))
+    names = [ltp.name for ltp in ltps]
 
     def batch():
-        return planes.dense_rows(view, rows, rows, use_fk, kernel)
+        return planes.sweep_blocks(arena, names, names, use_fk)
 
-    # The dense planes must carry exactly the edges the scalar kernel
-    # emits: one nc bit per nc edge, one cf bit per cf edge.
-    nc_plane, cf_plane = batch()
-    dense_edges = (
-        int.from_bytes(nc_plane, "little").bit_count()
-        + int.from_bytes(cf_plane, "little").bit_count()
-    )
-    scalar_edges = sum(len(block) for block in legacy())
-    assert dense_edges == scalar_edges, (
-        f"dense bitsets carry {dense_edges} edges, scalar kernel emits "
-        f"{scalar_edges}"
-    )
+    # The sweep must carry exactly the reference's edges: one nc flag per
+    # nc edge, one cf flag per cf edge, block by block.
+    expected = reference()
+    grouped = batch()
+    for pair, edges in expected.items():
+        flags = sum(nc + cf for _, _, nc, cf in grouped[pair])
+        assert flags == len(edges), (
+            f"sweep carries {flags} edges for {pair}, reference emits {len(edges)}"
+        )
 
     reference_seconds = _best(reference, repetitions)
-    legacy_seconds = _best(legacy, repetitions)
     batch_seconds = _best(batch, repetitions)
     return {
         "workload": f"Auction({scale})",
@@ -135,58 +112,16 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
         "blocks": len(ltps) ** 2,
         "occurrence_rows": arena.capacity,
         "plane_words": arena.words,
-        "plane_kernel": kernel,
-        "edges": scalar_edges,
+        "plane_kernel": planes.resolve_kernel(),
+        "edges": sum(len(edges) for edges in expected.values()),
         "reference_seconds": reference_seconds,
-        "legacy_seconds": legacy_seconds,
         "batch_seconds": batch_seconds,
         "packing_seconds": arena.pack_seconds,
-        "speedup": legacy_seconds / batch_seconds,
-        "speedup_vs_reference": reference_seconds / batch_seconds,
+        "speedup": reference_seconds / batch_seconds,
     }
 
 
-# -- gate 2: process vs serial rebuild ---------------------------------------
-
-def bench_backends(scale: int, repetitions: int, workers: int) -> dict:
-    workload = auction_n(scale)
-    ltps = unfold(workload.programs, 2)
-    names = [ltp.name for ltp in ltps]
-
-    def store_for(backend: str, jobs: int | None) -> EdgeBlockStore:
-        store = EdgeBlockStore(
-            workload.schema, ATTR_DEP_FK, jobs=jobs, backend=backend
-        )
-        store.register(ltps)
-        store.ensure_blocks()  # warm: packs planes, spins up the pool
-        return store
-
-    def rebuild(store: EdgeBlockStore):
-        """Drop every block and arena row, then recompute them all."""
-        store.discard(names)
-        store.register(ltps)
-        store.ensure_blocks()
-
-    serial_store = store_for("thread", None)
-    process_store = store_for("process", workers)
-    serial_edges = serial_store.graph().edges
-    assert process_store.graph().edges == serial_edges, (
-        "process-backend parity violated"
-    )
-
-    serial_seconds = _best(lambda: rebuild(serial_store), repetitions)
-    process_seconds = _best(lambda: rebuild(process_store), repetitions)
-    process_store.clear()  # shut the persistent pool down
-    return {
-        "workload": f"Auction({scale})",
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "process_seconds": process_seconds,
-        "process_vs_serial": serial_seconds / process_seconds,
-    }
-
-
-# -- gate 3: pair-matrix subset enumeration ---------------------------------
+# -- gate 2: pair-matrix subset enumeration ---------------------------------
 
 def _plain_robust_subsets(programs, schema, settings):
     """PR 2's enumeration: block store, no pair matrix."""
@@ -263,14 +198,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=int, default=24, help="Auction(n) scale")
     parser.add_argument("--repetitions", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=4, help="pool size for gate 2")
-    parser.add_argument("--kernel-threshold", type=float, default=10.0)
-    parser.add_argument("--process-threshold", type=float, default=1.3)
+    parser.add_argument("--kernel-threshold", type=float, default=4.0)
     parser.add_argument("--subsets-threshold", type=float, default=1.2)
     parser.add_argument(
         "--parity-only",
         action="store_true",
-        help="assert parity (kernel, process backend, matrix) but gate no speedups",
+        help="assert parity (kernel, matrix) but gate no speedups",
     )
     args = parser.parse_args(argv)
 
@@ -285,7 +218,6 @@ def main(argv=None) -> int:
     print(
         f"single-core  {single['workload']}: {single['blocks']} blocks  "
         f"reference {single['reference_seconds'] * 1e3:8.1f} ms  "
-        f"scalar {single['legacy_seconds'] * 1e3:8.1f} ms  "
         f"batch[{single['plane_kernel']}] "
         f"{single['batch_seconds'] * 1e3:8.1f} ms  "
         f"(+pack {single['packing_seconds'] * 1e3:.1f} ms once)  "
@@ -294,28 +226,8 @@ def main(argv=None) -> int:
     if not args.parity_only and single["speedup"] < args.kernel_threshold:
         failures.append(
             f"batch kernel speedup {single['speedup']:.2f}x "
-            f"< {args.kernel_threshold:.1f}x over the scalar kernel"
+            f"< {args.kernel_threshold:.1f}x over the reference"
         )
-
-    backends = bench_backends(args.scale, args.repetitions, args.workers)
-    print(
-        f"backends     {backends['workload']}: serial rebuild "
-        f"{backends['serial_seconds'] * 1e3:8.1f} ms  "
-        f"process({args.workers}) {backends['process_seconds'] * 1e3:8.1f} ms  "
-        f"process/serial {backends['process_vs_serial']:.2f}x"
-    )
-    # The shared skip-not-fail multicore policy lives in conftest; a
-    # parity-only run skips the speed gate regardless of cores.
-    process_gated = not args.parity_only and multicore_gated(
-        "process backend gate"
-    )
-    if process_gated and backends["process_vs_serial"] < args.process_threshold:
-        failures.append(
-            f"process backend {backends['process_vs_serial']:.2f}x vs serial "
-            f"< {args.process_threshold:.1f}x"
-        )
-    if args.parity_only:
-        print("  (process gate skipped: parity-only run)")
 
     subsets = bench_subsets(max(2, args.repetitions // 2))
     for row in subsets:
@@ -339,11 +251,9 @@ def main(argv=None) -> int:
             "cpu_count": cores,
             "parity_blocks_checked": blocks_checked,
             "single_core": single,
-            "backends": {**backends, "gated": process_gated},
             "subset_enumeration": subsets,
             "thresholds": {
                 "kernel": args.kernel_threshold,
-                "process": args.process_threshold,
                 "subsets": args.subsets_threshold,
             },
             "failures": failures,
@@ -362,12 +272,7 @@ def main(argv=None) -> int:
             if args.parity_only
             else (
                 f"; batch kernel >= {args.kernel_threshold:.1f}x, "
-                + (
-                    f"process >= {args.process_threshold:.1f}x vs serial, "
-                    if process_gated
-                    else "process gate skipped, "
-                )
-                + f"matrix >= {args.subsets_threshold:.1f}x on non-robust grids"
+                f"matrix >= {args.subsets_threshold:.1f}x on non-robust grids"
             )
         )
     )

@@ -17,19 +17,19 @@ from repro.workloads import auction, smallbank, tpcc
 RECORD_DIR = Path(__file__).resolve().parent.parent
 
 #: Minimum host cores for speed gates that need real parallel hardware:
-#: on <= 2 cores fan-out (process sweeps, concurrent HTTP traffic) can
-#: only lose to serial, so those gates skip instead of failing.
+#: on <= 2 cores fan-out (concurrent HTTP traffic) can only lose to
+#: serial, so those gates skip instead of failing.
 MULTICORE_MIN_CORES = 3
 
 
 def multicore_gated(gate_name: str) -> bool:
     """Whether a multi-core-only speed gate should be *enforced* here.
 
-    The shared skip-not-fail policy (bench_kernel's process gate, the
-    service concurrency gate): returns ``False`` — printing the skip so
-    logs show the gate was considered, not forgotten — on hosts with
-    fewer than :data:`MULTICORE_MIN_CORES` cores, where the parallel
-    path degrades to serial by design and the gate cannot be meaningful.
+    The skip-not-fail policy of the service concurrency gate: returns
+    ``False`` — printing the skip so logs show the gate was considered,
+    not forgotten — on hosts with fewer than :data:`MULTICORE_MIN_CORES`
+    cores, where the parallel path degrades to serial by design and the
+    gate cannot be meaningful.
     """
     cores = os.cpu_count() or 1
     if cores >= MULTICORE_MIN_CORES:

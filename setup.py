@@ -5,6 +5,13 @@ Kept so that ``pip install -e .`` works without network access: with no
 into an isolated environment (this repository targets offline use).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.10.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["networkx", "numpy"],
+)

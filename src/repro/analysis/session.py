@@ -17,8 +17,7 @@ cost and depend only on (program subset, ``max_loop_iterations``, settings).
 The pairwise blocks are also what make the session **incremental**
 (:meth:`Analyzer.add_program` / :meth:`~Analyzer.remove_program` /
 :meth:`~Analyzer.replace_program` recompute only the blocks involving the
-changed program), **parallel** (``jobs=`` computes missing blocks
-concurrently) and **persistent** (:meth:`Analyzer.save_cache` /
+changed program) and **persistent** (:meth:`Analyzer.save_cache` /
 :meth:`~Analyzer.load_cache` carry unfoldings and blocks across
 processes).  This turns :meth:`Analyzer.robust_subsets` from exponentially
 many *full pipeline* runs into one pipeline run plus exponentially many
@@ -54,7 +53,7 @@ from repro.schema import Schema
 from repro.store.blockstore import BlockStore
 from repro.summary.fingerprint import schema_fingerprint, workload_fingerprint
 from repro.summary.graph import SummaryEdge, SummaryGraph
-from repro.summary.pairwise import EdgeBlockStore, ProcessDegradeGuard
+from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
 
@@ -147,17 +146,13 @@ class Analyzer:
     and :meth:`replace_program` keep every cached pairwise edge block that
     does not involve the changed program — and persistent:
     :meth:`save_cache`/:meth:`load_cache` carry unfoldings and edge blocks
-    across processes.  ``jobs=`` computes missing blocks concurrently;
-    ``backend="process"`` fans compiled statement profiles out to a
-    process pool (real multi-core construction), ``"thread"`` (default)
-    keeps the in-process pool.
+    across processes.
 
     Sessions are thread-safe: a reentrant lock serializes the memoized
     stages (unfold → blocks → reports) and the incremental edits, so
     concurrent callers — e.g. the :class:`repro.service.AnalysisService`
     answering parallel HTTP requests against one warm session — never
-    double-compute a stage or observe a half-evicted cache.  Parallelism
-    *within* a stage still comes from ``jobs=``/``backend=``.
+    double-compute a stage or observe a half-evicted cache.
     """
 
     def __init__(
@@ -167,15 +162,11 @@ class Analyzer:
         schema: Schema | None = None,
         name: str | None = None,
         max_loop_iterations: int = 2,
-        jobs: int | None = None,
-        backend: str = "thread",
         block_store: BlockStore | None = None,
     ):
         with span("resolve"):
             self.workload = Workload.resolve(source, schema=schema, name=name)
         self.max_loop_iterations = max_loop_iterations
-        self.jobs = jobs
-        self.backend = backend
         #: The cross-session content-addressed block cache every
         #: per-settings :class:`EdgeBlockStore` reads through and publishes
         #: into (``None`` → no sharing beyond this session's own lineage).
@@ -190,10 +181,6 @@ class Analyzer:
         elif isinstance(source, str) and "\n" not in source:
             self._source_hint = source
         self._ltps_by_program: dict[str, tuple[LTP, ...]] = {}
-        # One degrade guard shared by every per-settings store: the
-        # process→serial auto-degrade warns once per Analyzer, not once
-        # per settings row, and the cpu_count probe happens once.
-        self._degrade_guard = ProcessDegradeGuard()
         self._stores: dict[AnalysisSettings, EdgeBlockStore] = {}
         self._graphs: dict[tuple[AnalysisSettings, frozenset[str]], SummaryGraph] = {}
         self._reports: dict[tuple[AnalysisSettings, frozenset[str]], RobustnessReport] = {}
@@ -265,12 +252,7 @@ class Analyzer:
             store = self._stores.get(settings)
             if store is None:
                 store = EdgeBlockStore(
-                    self.schema,
-                    settings,
-                    jobs=self.jobs,
-                    backend=self.backend,
-                    degrade_guard=self._degrade_guard,
-                    block_store=self.block_store,
+                    self.schema, settings, block_store=self.block_store
                 )
                 self._stores[settings] = store
             return store
@@ -297,7 +279,7 @@ class Analyzer:
             ltps = self.unfolded(names)
             store.register(ltps)
             with span("assemble"):
-                graph = store.graph([ltp.name for ltp in ltps], jobs=self.jobs)
+                graph = store.graph([ltp.name for ltp in ltps])
             self._graphs[key] = graph
             return graph
 
@@ -506,8 +488,6 @@ class Analyzer:
             other = Analyzer(
                 self.workload,
                 max_loop_iterations=self.max_loop_iterations,
-                jobs=self.jobs,
-                backend=self.backend,
                 block_store=self.block_store,
             )
             other._source_hint = self._source_hint
@@ -693,27 +673,14 @@ class Analyzer:
                 "blocks_loaded": sum(store.cache_info()["loaded"] for store in stores),
             }
 
-    def fault_info(self) -> dict[str, object]:
-        """Aggregated process-backend fault counters across the session's
-        stores (kept separate from :meth:`cache_info`, whose exact key set
-        is a compatibility contract for tests and persisted artifacts):
-        sweep batches recovered after a worker/segment failure, and
-        whether the backend has degraded to the serial kernel."""
-        with self._lock:
-            infos = [store.fault_info() for store in self._stores.values()]
-        return {
-            "recoveries": sum(info["recoveries"] for info in infos),
-            "degraded": self._degrade_guard.fault_degraded,
-        }
-
     def store_info(self) -> dict[str, object]:
         """Cross-session block-store counters, aggregated over the
         session's per-settings stores (kept out of :meth:`cache_info`,
-        whose exact key set is a compatibility contract, following the
-        ``fault_info`` precedent): whether a :class:`repro.store.BlockStore`
-        is attached, how many of this session's blocks were adopted from
-        it instead of computed (``shared_hits``), how many it published,
-        and how many store entries it currently pins (``refs``)."""
+        whose exact key set is a compatibility contract): whether a
+        :class:`repro.store.BlockStore` is attached, how many of this
+        session's blocks were adopted from it instead of computed
+        (``shared_hits``), how many it published, and how many store
+        entries it currently pins (``refs``)."""
         with self._lock:
             infos = [store.store_info() for store in self._stores.values()]
         return {

@@ -99,12 +99,6 @@ class ChurnStep:
     blocks_recomputed: int
     elapsed_seconds: float = 0.0
     oracle: OracleCheck | None = None
-    #: Worker-pool failures the session recovered from *during this step*
-    #: (pool rebuilds or serial-kernel fallbacks — the verdict above is
-    #: unaffected either way).  Like timings, this is an operational fact
-    #: of one particular run, not part of the canonical replay contract:
-    #: it serializes only when nonzero and only with ``include_timings``.
-    faults_recovered: int = 0
 
     def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -118,8 +112,6 @@ class ChurnStep:
         }
         if include_timings:
             data["elapsed_seconds"] = round(self.elapsed_seconds, 6)
-            if self.faults_recovered:
-                data["faults_recovered"] = self.faults_recovered
         data["oracle"] = (
             None if self.oracle is None else self.oracle.to_dict(include_timings)
         )
@@ -138,7 +130,6 @@ class ChurnStep:
             blocks_recomputed=int(data["blocks_recomputed"]),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             oracle=None if oracle is None else OracleCheck.from_dict(oracle),
-            faults_recovered=int(data.get("faults_recovered", 0)),
         )
 
 
@@ -169,10 +160,6 @@ class ChurnTrace:
     @property
     def robust_steps(self) -> int:
         return sum(1 for step in self.steps if step.robust)
-
-    @property
-    def faults_recovered(self) -> int:
-        return sum(step.faults_recovered for step in self.steps)
 
     @property
     def oracle_checks(self) -> int:
@@ -206,8 +193,6 @@ class ChurnTrace:
                 if self.elapsed_seconds > 0
                 else None
             )
-            if self.faults_recovered:
-                data["faults_recovered"] = self.faults_recovered
         return data
 
     # -- serialization ------------------------------------------------------
@@ -329,8 +314,6 @@ class Monitor:
         setting: AnalysisSettings | str = ATTR_DEP_FK,
         seed: int = 0,
         max_loop_iterations: int = 2,
-        jobs: int | None = None,
-        backend: str = "thread",
         weights: Mapping[str, float] | None = None,
         burst: BurstConfig | None = None,
         source_hint: str | None = None,
@@ -338,12 +321,7 @@ class Monitor:
         if session is None:
             if source is None:
                 raise ProgramError("Monitor needs a workload source or a session")
-            session = Analyzer(
-                source,
-                max_loop_iterations=max_loop_iterations,
-                jobs=jobs,
-                backend=backend,
-            )
+            session = Analyzer(source, max_loop_iterations=max_loop_iterations)
         self.session = session
         self.settings = (
             AnalysisSettings.from_label(setting) if isinstance(setting, str) else setting
@@ -429,14 +407,12 @@ class Monitor:
         if mutations is None:
             mutations = self.engine.propose(self.session.workload, step)
         before = self.session.cache_info()["block_computations"]
-        faults_before = self.session.fault_info()["recoveries"]
         started = monotonic()
         for mutation in mutations:
             self.apply(mutation)
         report = self.session.analyze(self.settings)
         elapsed = monotonic() - started
         recomputed = self.session.cache_info()["block_computations"] - before
-        recovered = self.session.fault_info()["recoveries"] - faults_before
         oracle = self.check(report) if want_oracle else None
         return ChurnStep(
             step=step,
@@ -448,7 +424,6 @@ class Monitor:
             blocks_recomputed=recomputed,
             elapsed_seconds=elapsed,
             oracle=oracle,
-            faults_recovered=recovered,
         )
 
     def apply(self, mutation: Mutation) -> None:

@@ -43,11 +43,8 @@ Commands:
   service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks;
   ``--cell-jobs N`` executes independent grid cells on a worker pool).
 
-All commands accept any workload source :meth:`Workload.resolve` does, and
-the analysis commands accept ``--jobs N`` to compute pairwise edge blocks
-with ``N`` concurrent workers and ``--backend thread|process`` to pick the
-worker pool (``process`` fans compiled statement profiles out over real
-cores).  ``--json`` emits machine-readable reports
+All commands accept any workload source :meth:`Workload.resolve` does.
+``--json`` emits machine-readable reports
 (``RobustnessReport.to_dict`` shapes) for embedding in CI pipelines — the
 ``analyze``/``subsets``/``graph`` JSON paths dispatch through the same
 :meth:`AnalysisService.handle` as the HTTP routes, so CLI output and
@@ -84,7 +81,6 @@ from repro.service.requests import (
     SubsetsRequest,
     WatchRequest,
 )
-from repro.summary import planes
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, AnalysisSettings
 from repro.viz import to_dot, to_text
 
@@ -115,30 +111,8 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="compute pairwise edge blocks with N concurrent workers",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool for --jobs: 'thread' (default) or 'process' "
-        "(real multi-core fan-out over compiled statement profiles; "
-        "without --jobs, 'process' uses one worker per CPU core)",
-    )
-
-
-def _service_from(args: argparse.Namespace) -> AnalysisService:
-    """One-command service: same request layer as ``repro serve``."""
-    return AnalysisService(jobs=args.jobs, backend=args.backend)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     subset = _subset_from(args.subset)
     request = AnalyzeRequest(
         workload=args.workload,
@@ -181,7 +155,7 @@ def _print_spans(nodes: list, indent: int) -> None:
 
 
 def _cmd_subsets(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = SubsetsRequest(
         workload=args.workload, setting=args.setting, method=args.method
     )
@@ -193,7 +167,7 @@ def _cmd_subsets(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = GraphRequest(workload=args.workload, setting=args.setting)
     if args.json:
         print(json.dumps(request.payload(service), indent=2))
@@ -215,7 +189,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = AdviseRequest(
         workload=args.workload,
         setting=args.setting,
@@ -232,7 +206,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = WatchRequest(
         workload=args.workload,
         setting=args.setting,
@@ -251,7 +225,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_save(args: argparse.Namespace) -> int:
-    session = Analyzer(args.workload, jobs=args.jobs, backend=args.backend)
+    session = Analyzer(args.workload)
     settings_list = ALL_SETTINGS if args.all_settings else [_settings_from(args.setting)]
     for settings in settings_list:
         session.summary_graph(settings)
@@ -326,8 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # directory.  Runs once per worker process under --workers.
         service = AnalysisService(
             capacity=args.capacity,
-            jobs=args.jobs,
-            backend=args.backend,
             cache_dir=args.cache_dir,
             deadline_seconds=args.deadline,
             max_inflight=args.max_inflight,
@@ -343,13 +315,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def shutdown(service: AnalysisService) -> None:
         # Clean shutdown (Ctrl-C or SIGTERM): spill the warm pool so the
-        # next `repro serve --cache-dir` starts where this one stopped,
-        # and unlink any shared-memory segments a killed worker pool left
-        # behind.
+        # next `repro serve --cache-dir` starts where this one stopped.
         if args.cache_dir:
             saved = service.save_to_cache_dir(args.cache_dir)
             print(f"spilled {len(saved)} warm session(s) to {args.cache_dir}")
-        planes.cleanup_segments()
 
     if args.workers > 1:
         def announce(host: str, port: int, ready: int) -> None:
@@ -386,7 +355,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # reuses every block Figure 6 computed).  --cell-jobs fans independent
     # grid cells over a worker pool (timing grids like figure8 stay serial
     # so concurrent cells cannot skew their wall-clock samples).
-    service = AnalysisService(jobs=args.jobs, backend=args.backend)
+    service = AnalysisService()
     cell_jobs = args.cell_jobs
     runners = {
         "table2": lambda: run_table2(service=service, cell_jobs=cell_jobs).to_text(),
@@ -441,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(analyze)
     _add_json_argument(analyze)
-    _add_jobs_argument(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     subsets = subparsers.add_parser("subsets", help="maximal robust subsets")
@@ -449,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     subsets.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(subsets)
     _add_json_argument(subsets)
-    _add_jobs_argument(subsets)
     subsets.set_defaults(func=_cmd_subsets)
 
     graph = subparsers.add_parser("graph", help="render the summary graph")
@@ -462,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(graph)
     _add_json_argument(graph)
-    _add_jobs_argument(graph)
     graph.set_defaults(func=_cmd_graph)
 
     advise = subparsers.add_parser(
@@ -479,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(advise)
     _add_json_argument(advise)
-    _add_jobs_argument(advise)
     advise.set_defaults(func=_cmd_advise)
 
     watch = subparsers.add_parser(
@@ -512,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(watch)
     _add_json_argument(watch)
-    _add_jobs_argument(watch)
     watch.set_defaults(func=_cmd_watch)
 
     cache = subparsers.add_parser(
@@ -530,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache blocks for all four Section 7.2 settings",
     )
     _add_setting_argument(cache_save)
-    _add_jobs_argument(cache_save)
     cache_save.set_defaults(func=_cmd_cache_save)
     cache_load = cache_sub.add_parser(
         "load", help="restore a saved cache and analyze without recomputation"
@@ -606,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default from REPRO_LOG, else info) — one JSON object per line "
         "on stderr, including per-request access logs",
     )
-    _add_jobs_argument(serve)
     serve.set_defaults(func=_cmd_serve)
 
     experiments = subparsers.add_parser(
@@ -637,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="edit budget for the repairs experiment (default: 3)",
     )
-    _add_jobs_argument(experiments)
     experiments.set_defaults(func=_cmd_experiments)
     return parser
 

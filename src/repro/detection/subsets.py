@@ -61,12 +61,10 @@ def is_robust(
     settings: AnalysisSettings = AnalysisSettings(),
     method: str | Method = "type-II",
     max_loop_iterations: int = 2,
-    jobs: int | None = None,
-    backend: str = "thread",
 ) -> bool:
     """Unfold, build the summary graph, and run the chosen detection method."""
     ltps = unfold(programs, max_loop_iterations)
-    graph = construct_summary_graph(ltps, schema, settings, jobs=jobs, backend=backend)
+    graph = construct_summary_graph(ltps, schema, settings)
     return _resolve_method(method)(graph)
 
 
@@ -277,8 +275,6 @@ def robust_subsets(
     settings: AnalysisSettings = AnalysisSettings(),
     method: str | Method = "type-II",
     max_loop_iterations: int = 2,
-    jobs: int | None = None,
-    backend: str = "thread",
 ) -> dict[frozenset[str], bool]:
     """Robustness verdict for every non-empty subset of the programs.
 
@@ -290,11 +286,11 @@ def robust_subsets(
     ever computed twice — and for the built-in methods the
     :class:`PairMatrix` answers candidates containing a known non-robust
     pair (or screened robust by the interference flags) without assembling
-    a graph at all.  ``jobs``/``backend`` parallelize block computation.
+    a graph at all.
     """
     check = _resolve_method(method)
     ltps = unfold(programs, max_loop_iterations)
-    store = EdgeBlockStore(schema, settings, jobs=jobs, backend=backend)
+    store = EdgeBlockStore(schema, settings)
     store.register(ltps)
     ltps_by_origin: dict[str, list[str]] = {program.name: [] for program in programs}
     for ltp in ltps:
@@ -317,14 +313,10 @@ def maximal_robust_subsets(
     settings: AnalysisSettings = AnalysisSettings(),
     method: str | Method = "type-II",
     max_loop_iterations: int = 2,
-    jobs: int | None = None,
-    backend: str = "thread",
 ) -> tuple[frozenset[str], ...]:
     """The maximal robust subsets, largest first (as listed in Figures 6/7)."""
     return maximal_subsets(
-        robust_subsets(
-            programs, schema, settings, method, max_loop_iterations, jobs, backend
-        )
+        robust_subsets(programs, schema, settings, method, max_loop_iterations)
     )
 
 

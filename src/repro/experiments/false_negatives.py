@@ -116,8 +116,6 @@ def run_false_negatives(
     max_subset_size: int = 3,
     max_transactions: int = 4,
     *,
-    jobs: int | None = None,
-    backend: str = "thread",
     service: AnalysisService | None = None,
 ) -> FalseNegativeResult:
     """Run the SmallBank completeness check and the TPC-C Delivery probe.
@@ -132,7 +130,7 @@ def run_false_negatives(
     from ``repro experiments all``) answers it from warm block caches.
     """
     workload = smallbank()
-    service = service or AnalysisService(jobs=jobs, backend=backend)
+    service = service or AnalysisService()
     verdicts = []
     cell = service.grid(
         GridSpec(

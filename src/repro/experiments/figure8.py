@@ -11,9 +11,7 @@ matching the closed form — is what the reproduction checks.
 Each point is a cold (``warm=False``, ``task="detect"``)
 :class:`~repro.service.GridSpec` cell: every repetition builds a fresh
 session and times exactly unfold → Algorithm 1 → the type-II cycle check
-(not the type-I baseline, which ``task="analyze"`` would add), and the
-session inherits the service's ``jobs``/``backend`` — the PR 3 process
-backend now reaches the scalability sweep.
+(not the type-I baseline, which ``task="analyze"`` would add).
 """
 
 from __future__ import annotations
@@ -96,18 +94,15 @@ def measure_point(
     repetitions: int = 10,
     settings: AnalysisSettings = ATTR_DEP_FK,
     *,
-    jobs: int | None = None,
-    backend: str = "thread",
     service: AnalysisService | None = None,
 ) -> Figure8Point:
     """Time the full detection pipeline for Auction(n).
 
     A cold grid cell: each repetition runs unfold → Algorithm 1 → cycle
-    detection in a fresh session, with block construction parallelized per
-    ``jobs``/``backend`` (or the passed service's configuration).
+    detection in a fresh session.
     """
     workload = auction_n(n)
-    service = service or AnalysisService(jobs=jobs, backend=backend)
+    service = service or AnalysisService()
     cell = service.grid(
         GridSpec(
             workloads=(workload,),
@@ -134,12 +129,10 @@ def run_figure8(
     scales: Sequence[int] = (1, 2, 4, 8, 12, 16, 24, 32),
     repetitions: int = 10,
     *,
-    jobs: int | None = None,
-    backend: str = "thread",
     service: AnalysisService | None = None,
 ) -> Figure8Result:
     """Regenerate Figure 8 (both panels: time and edge counts)."""
-    service = service or AnalysisService(jobs=jobs, backend=backend)
+    service = service or AnalysisService()
     points = tuple(
         measure_point(n, repetitions, service=service) for n in scales
     )

@@ -122,13 +122,11 @@ def repair_cell(
 
 def run_repairs(
     *,
-    jobs: int | None = None,
-    backend: str = "thread",
     service: AnalysisService | None = None,
     max_edits: int = 3,
 ) -> RepairsResult:
     """Regenerate the repair tables for SmallBank and Auction."""
-    service = service or AnalysisService(jobs=jobs, backend=backend)
+    service = service or AnalysisService()
     cells = tuple(
         repair_cell(workload, settings, service, max_edits)
         for workload in (smallbank(), auction())

@@ -104,19 +104,16 @@ def _row_from_cell(workload: Workload, cell) -> Table2Row:
 def run_table2(
     auction_scale: int | None = 4,
     *,
-    jobs: int | None = None,
-    backend: str = "thread",
     service: AnalysisService | None = None,
     cell_jobs: int | None = None,
 ) -> Table2Result:
     """Regenerate Table 2 (optionally including one Auction(n) row).
 
-    ``jobs``/``backend`` configure block construction when no ``service``
-    is passed; a shared service reuses its pooled sessions.  All rows are
+    A shared ``service`` reuses its pooled sessions.  All rows are
     one multi-workload grid, so ``cell_jobs`` characterizes the
     benchmarks concurrently.
     """
-    service = service or AnalysisService(jobs=jobs, backend=backend)
+    service = service or AnalysisService()
     workloads = [smallbank(), tpcc(), auction()]
     if auction_scale is not None and auction_scale > 1:
         workloads.append(auction_n(auction_scale))

@@ -17,9 +17,8 @@ The package has three small parts:
   detection boundaries, surfaced as HTTP 504 by the service.
 
 The recovery contract under injection is **fail-closed, never
-fail-wrong**: a killed worker or lost shared-memory segment degrades the
-process backend to the serial kernel (same verdicts, bit-for-bit), a
-corrupt spill artifact is quarantined and recomputed, and every
+fail-wrong**: a corrupt spill artifact is quarantined and recomputed, a
+failed spill leaves the session to be rebuilt on demand, and every
 abandoned request answers a typed
 :class:`~repro.service.requests.ServiceError` envelope.
 """

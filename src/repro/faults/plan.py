@@ -29,10 +29,6 @@ from repro.errors import FaultError
 
 #: The injection sites the library consults.
 #:
-#: * ``worker.kill`` — a process-pool worker dies mid-sweep (the parent
-#:   observes ``BrokenProcessPool``);
-#: * ``shm.attach`` — creating/attaching a shared-memory segment fails
-#:   (``OSError``) before the sweep starts;
 #: * ``spill.corrupt`` — an eviction-time spill artifact is truncated
 #:   after being written (a later rehydrate finds it corrupt);
 #: * ``disk.full`` — ``save_cache`` fails with ``ENOSPC`` during spill;
@@ -41,8 +37,6 @@ from repro.errors import FaultError
 #: * ``handler.crash`` — the service raises an *unexpected* exception
 #:   (exercises the HTTP catch-alls and the poisoned-session breaker).
 SITES = (
-    "worker.kill",
-    "shm.attach",
     "spill.corrupt",
     "disk.full",
     "handler.stall",

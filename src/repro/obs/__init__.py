@@ -20,7 +20,6 @@ from repro.obs.spans import SpanCollector, profile_scope, span
 from repro.obs.trace import (
     current_trace_id,
     new_trace_id,
-    set_trace_id,
     trace_scope,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "SpanCollector",
     "current_trace_id",
     "new_trace_id",
-    "set_trace_id",
     "trace_scope",
 ]

@@ -1,9 +1,9 @@
 """A small in-process metrics registry with Prometheus text exposition.
 
 The service's runtime counters used to live scattered across
-``AnalysisService`` attributes, ``Analyzer.fault_info()``,
-``EdgeBlockStore.cache_info()`` and ``BlockStore.info()`` — each with its
-own snapshot shape, none scrapeable.  This module is the single sink
+``AnalysisService`` attributes, ``EdgeBlockStore.cache_info()`` and
+``BlockStore.info()`` — each with its own snapshot shape, none
+scrapeable.  This module is the single sink
 they feed: hot paths increment counters and observe histograms inline,
 while snapshot-style state (pool sizes, store bytes, fault totals) is
 pulled at scrape time through registered *collectors*, so the existing

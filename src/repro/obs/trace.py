@@ -4,9 +4,7 @@ One id stitches an HTTP request to every log record it caused: the
 handler opens a :func:`trace_scope` (honoring an inbound
 ``X-Repro-Trace-Id`` header, else minting one), the contextvar flows
 through ``AnalysisService.handle`` → ``Analyzer`` → ``EdgeBlockStore``
-on the same thread, and the process backend threads the id through its
-``(sweep, row-range)`` task descriptors so even records emitted about
-work done in a forked pool worker carry the originating request's id.
+on the same thread, so every record the request causes carries its id.
 
 The pattern mirrors ``repro.faults.inject``: with no scope open the fast
 path is a single contextvar read returning ``None``.
@@ -25,7 +23,6 @@ __all__ = [
     "current_trace_id",
     "new_trace_id",
     "trace_scope",
-    "set_trace_id",
 ]
 
 _TRACE: ContextVar[str | None] = ContextVar("repro_trace", default=None)
@@ -63,13 +60,3 @@ def trace_scope(trace_id: str | None = None) -> Iterator[str]:
         yield trace_id
     finally:
         _TRACE.reset(token)
-
-
-def set_trace_id(trace_id: str | None) -> None:
-    """Install ``trace_id`` with no scope to unwind.
-
-    Only for process-pool workers, which adopt the id shipped in their
-    task descriptor for the lifetime of that task; everything in the
-    request path proper uses :func:`trace_scope`.
-    """
-    _TRACE.set(trace_id)

@@ -19,9 +19,8 @@ attributes the schema does not declare (the frozenset conditions compare
 names without consulting the schema, and the analysis must behave the
 same), so unknown names are assigned fresh bits on first use instead of
 raising.  Masks are only meaningful relative to the interner that produced
-them, but they are plain ``int``s — picklable and comparable across
-processes, which is what lets compiled statement profiles ship to a
-``ProcessPoolExecutor`` without carrying the table along.
+them, but they are plain ``int``s — cheap to pack into the plane arena of
+:mod:`repro.summary.planes`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Three layers, each usable on its own:
 * the Grid API — :class:`GridSpec` sweeps (workload × settings × scale,
   per-cell timing, ``cell_jobs=`` worker-pool fan-out over independent
   cells) that the :mod:`repro.experiments` modules ride, so the paper's
-  evaluation grids share warm block caches and the process backend;
+  evaluation grids share warm block caches;
 * the stdlib HTTP frontend — ``repro serve`` /
   :func:`repro.service.http.serve`, exposing ``POST /v1/analyze`` /
   ``/v1/subsets`` / ``/v1/graph`` / ``/v1/advise`` / ``/v1/watch`` /

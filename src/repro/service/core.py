@@ -43,7 +43,6 @@ from repro.faults.deadline import check_deadline, deadline_scope
 from repro.schema import Schema
 from repro.service.grid import GridResult, GridSpec, run_grid
 from repro.service.requests import ServiceError, parse_request
-from repro.summary.pairwise import BACKENDS
 from repro.workloads.base import WorkloadSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,8 +100,7 @@ POOL_EVENTS = obs_metrics.REGISTRY.counter(
 )
 FAULT_EVENTS = obs_metrics.REGISTRY.counter(
     "repro_service_fault_events_total",
-    "Fault-path outcomes: process-pool recoveries, degraded sessions, "
-    "poisoned-session evictions, spill failures.",
+    "Fault-path outcomes: poisoned-session evictions, spill failures.",
     labelnames=("event",),
 )
 SESSIONS_WARM = obs_metrics.REGISTRY.gauge(
@@ -145,16 +143,7 @@ def _register_service_collector(service: "AnalysisService") -> None:
             FAULT_EVENTS.set(ref._spill_failures, "spill_failure")
             FAULT_EVENTS.set(ref._poisoned_evictions, "poisoned_eviction")
             SESSIONS_WARM.set(len(ref._pool))
-            pool = list(ref._pool.values())
             store = ref.block_store
-        recoveries = 0
-        degraded = 0
-        for session in pool:
-            info = session.fault_info()
-            recoveries += info["recoveries"]
-            degraded += 1 if info["degraded"] else 0
-        FAULT_EVENTS.set(recoveries, "pool_recovery")
-        FAULT_EVENTS.set(degraded, "degraded_session")
         if store is not None:
             info = store.info()
             STORE_COUNTERS.set(info["shared_hits"], "shared_hit")
@@ -174,13 +163,12 @@ class AnalysisService:
 
         from repro.service import AnalysisService, AnalyzeRequest
 
-        service = AnalysisService(jobs=4, backend="process")
+        service = AnalysisService(capacity=8)
         report = service.analyze(AnalyzeRequest(workload="auction(5)"))
         payload = service.handle("analyze", {"workload": "auction(5)"})
 
     ``capacity`` bounds the warm pool (least-recently-used sessions are
-    evicted); ``jobs``/``backend`` configure every pooled session's block
-    construction.  All entry points are thread-safe.
+    evicted).  All entry points are thread-safe.
 
     Failure-mode knobs (see the README's "Operating under failure"):
     ``deadline_seconds`` puts a cooperative deadline on every top-level
@@ -196,8 +184,6 @@ class AnalysisService:
         self,
         *,
         capacity: int = 8,
-        jobs: int | None = None,
-        backend: str = "thread",
         max_loop_iterations: int = 2,
         cache_dir: str | Path | None = None,
         deadline_seconds: float | None = None,
@@ -212,11 +198,6 @@ class AnalysisService:
             raise ProgramError(
                 f"service block_budget must be >= 0 bytes, got {block_budget}"
             )
-        if backend not in BACKENDS:
-            raise ProgramError(
-                f"unknown block-construction backend {backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ProgramError(
                 f"service deadline_seconds must be > 0, got {deadline_seconds}"
@@ -230,8 +211,6 @@ class AnalysisService:
                 f"service poison_threshold must be >= 1, got {poison_threshold}"
             )
         self.capacity = capacity
-        self.jobs = jobs
-        self.backend = backend
         self.max_loop_iterations = max_loop_iterations
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
@@ -303,8 +282,6 @@ class AnalysisService:
             schema=schema,
             name=name,
             max_loop_iterations=self.max_loop_iterations,
-            jobs=self.jobs,
-            backend=self.backend,
             block_store=self.block_store,
         )
 
@@ -733,18 +710,11 @@ class AnalysisService:
                 "poisoned_evictions": self._poisoned_evictions,
             }
             rehydrate_failures = self._rehydrate_failures
-        session_faults = [session.fault_info() for _, session in pool]
-        faults["recoveries"] = sum(info["recoveries"] for info in session_faults)
-        faults["degraded_sessions"] = sum(
-            1 for info in session_faults if info["degraded"]
-        )
         injector = _faults.current_injector()
         faults["injected"] = None if injector is None else injector.snapshot()
         payload: dict[str, Any] = {
             "version": __version__,
             "capacity": self.capacity,
-            "jobs": self.jobs,
-            "backend": self.backend,
             "max_loop_iterations": self.max_loop_iterations,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "deadline_seconds": self.deadline_seconds,
@@ -801,6 +771,5 @@ class AnalysisService:
 
     def __repr__(self) -> str:
         return (
-            f"AnalysisService(sessions={len(self._pool)}/{self.capacity}, "
-            f"jobs={self.jobs}, backend={self.backend!r})"
+            f"AnalysisService(sessions={len(self._pool)}/{self.capacity})"
         )

@@ -9,8 +9,8 @@ per-cell results with per-cell timing.  :class:`GridSpec` names that shape
 once; :func:`run_grid` executes it over an
 :class:`~repro.service.AnalysisService`, so every cell of every grid rides
 the service's warm-session pool (shared unfoldings and pairwise edge
-blocks) and its ``jobs``/``backend`` configuration instead of constructing
-ad-hoc :class:`~repro.analysis.Analyzer` sessions per cell.
+blocks) instead of constructing ad-hoc :class:`~repro.analysis.Analyzer`
+sessions per cell.
 
 Cells carry JSON-compatible values (``RobustnessReport.to_dict`` shapes for
 ``task="analyze"``, :class:`~repro.detection.subsets.SubsetsReport` shapes

@@ -19,7 +19,7 @@ just ``http.server``.  Routes:
 Every request runs under a :func:`repro.obs.trace_scope`: an inbound
 ``X-Repro-Trace-Id`` header is honored (else an id is minted), echoed on
 the response, and attached to every log record the request causes — all
-the way down into process-backend sweeps.  Completion emits one
+the way down into block sweeps.  Completion emits one
 structured access-log line (method, route, status, duration, shed and
 deadline flags) through ``repro.obs.log``.
 
@@ -194,9 +194,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if length is None:
             raise ServiceError("request body required (send Content-Length)")
         try:
-            raw = self.rfile.read(int(length))
+            size = int(length)
+            if size < 0:
+                # rfile.read(-1) would block until the client closes.
+                raise ValueError(length)
         except ValueError:
             raise ServiceError(f"invalid Content-Length {length!r}") from None
+        raw = self.rfile.read(size)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

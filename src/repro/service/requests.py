@@ -167,7 +167,7 @@ class AnalyzeRequest:
     ``profile=True`` additionally collects the per-stage span tree
     (:mod:`repro.obs.spans`) and echoes it under a ``"profile"`` key in
     the payload; without the flag the payload is byte-identical to what
-    it has always been (the opt-in-key precedent of ``fault_info``).
+    it has always been.
     """
 
     workload: str

@@ -11,8 +11,8 @@ attribute set of the relation first.
 The construction itself lives in :mod:`repro.summary.pairwise`: edges are
 computed per ordered pair of programs (:func:`~repro.summary.pairwise.pair_edges`)
 and concatenated, which is what lets the
-:class:`~repro.summary.pairwise.EdgeBlockStore` cache, parallelize, and
-incrementally recompute blocks.  Since the plane-packed batch kernel
+:class:`~repro.summary.pairwise.EdgeBlockStore` cache and incrementally
+recompute blocks.  Since the plane-packed batch kernel
 (:mod:`repro.summary.planes`), the store computes whole pair batches per
 sweep rather than looping pair by pair.  :func:`construct_summary_graph`
 is the classic monolithic entry point, kept as a thin wrapper with
@@ -40,21 +40,14 @@ def construct_summary_graph(
     programs: Sequence[LTP],
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
-    jobs: int | None = None,
-    backend: str = "thread",
 ) -> SummaryGraph:
-    """``constructSuG(𝒫)`` of Algorithm 1 over already-unfolded LTPs.
-
-    ``jobs`` computes the pairwise edge blocks with that many concurrent
-    workers (serial when ``None`` or ``1``); ``backend`` selects the
-    ``"thread"`` (default) or ``"process"`` worker pool.
-    """
+    """``constructSuG(𝒫)`` of Algorithm 1 over already-unfolded LTPs."""
     names = [program.name for program in programs]
     if len(set(names)) != len(names):
         raise ProgramError(f"duplicate LTP names: {names!r}")
-    store = EdgeBlockStore(schema, settings, backend=backend)
+    store = EdgeBlockStore(schema, settings)
     store.register(programs)
-    return store.graph(names, jobs=jobs)
+    return store.graph(names)
 
 
 def build_summary_graph(
@@ -62,9 +55,7 @@ def build_summary_graph(
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
     max_loop_iterations: int = 2,
-    jobs: int | None = None,
-    backend: str = "thread",
 ) -> SummaryGraph:
     """Unfold a set of BTPs (``Unfold≤2`` by default) and run Algorithm 1."""
     ltps = unfold(programs, max_loop_iterations)
-    return construct_summary_graph(ltps, schema, settings, jobs=jobs, backend=backend)
+    return construct_summary_graph(ltps, schema, settings)

@@ -72,11 +72,10 @@ class SummaryEdge(NamedTuple):
     occurrence inside the LTP; ``counterflow`` distinguishes the two edge
     colours of Section 6.2 (dashed edges in the paper's figures).
 
-    A named tuple rather than a dataclass: Algorithm 1's compiled kernel
-    constructs (and the process backend pickles) one of these per edge of
-    every block, and tuple allocation is several times cheaper than a
-    frozen dataclass ``__init__`` — field access, equality and hashing are
-    unchanged.
+    A named tuple rather than a dataclass: Algorithm 1's block store
+    materializes one of these per edge of every block, and tuple
+    allocation is several times cheaper than a frozen dataclass
+    ``__init__`` — field access, equality and hashing are unchanged.
     """
 
     source: str

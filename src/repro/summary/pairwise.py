@@ -22,34 +22,23 @@ The hot path runs on a **plane-packed batch kernel**
 * profiles' masks are packed into the store's contiguous
   :class:`~repro.summary.planes.PlaneArena`; missing blocks are grouped
   into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
-  evaluated for whole occurrence-pair batches at once — elementwise
-  AND/compare passes over the planes (numpy when importable, a stdlib
-  big-int path otherwise) that emit per-block packed coordinates instead
-  of per-pair edge tuples.  Blocks stay packed until something asks for
-  their :class:`~repro.summary.graph.SummaryEdge` tuples;
-* ``backend="process"`` fans sweep *row ranges* out to a persistent
-  ``ProcessPoolExecutor``: workers map the arena's planes zero-copy from
-  ``multiprocessing.shared_memory`` (no profile pickling) and write dense
-  bitset rows into a preallocated shared output plane, so results are
-  deterministic and edge-for-edge identical to serial construction.
-
-:func:`_pair_block` keeps the PR 3 scalar kernel — plain integer ANDs with
-the Table 1 dispatch pre-resolved per type-id pair — as the one-shot path
-of :func:`pair_edges` and the baseline `benchmarks/bench_kernel.py`
-measures the batch kernel against.
+  evaluated for whole occurrence-pair batches at once — numpy
+  AND/compare passes over the planes that emit per-block packed
+  coordinates instead of per-pair edge tuples.  Blocks stay packed until
+  something asks for their :class:`~repro.summary.graph.SummaryEdge`
+  tuples.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
-executable specification; parity between the two is property-tested on
-every built-in workload under all four Section 7.2 settings.
+executable specification; the plane sweep is property-tested against it
+edge-for-edge on every built-in workload under all four Section 7.2
+settings.  One-shot :func:`pair_edges` runs the sweep through a throwaway
+:class:`EdgeBlockStore`.
 
 The block structure is what enables
 
 * **incremental re-analysis** — replacing one program invalidates only the
   blocks whose source or target belongs to it (``≤ 2n − 1`` of the ``n²``
   program-pair blocks), everything else stays cached;
-* **parallel construction** — blocks are independent, so missing ones can
-  be computed concurrently (``jobs=`` workers on the ``"thread"`` or
-  ``"process"`` backend);
 * **persistence** — blocks are plain edge lists that serialize with
   :meth:`repro.summary.graph.SummaryEdge.to_dict` and can be seeded back
   via :meth:`EdgeBlockStore.load_block` (the substrate of
@@ -58,12 +47,7 @@ The block structure is what enables
 
 from __future__ import annotations
 
-import os
-import time
-import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, NamedTuple, Sequence
 
 from repro.btp.ltp import LTP
@@ -71,8 +55,6 @@ from repro.btp.statement import READ_TRIGGER_TYPES, Statement
 from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs import log as obs_log
-from repro.obs import metrics as obs_metrics
-from repro.obs.clock import monotonic
 from repro.obs.spans import span
 from repro.schema import Schema
 from repro.store.blockstore import BlockKey, BlockStore
@@ -81,102 +63,7 @@ from repro.summary.conditions import c_dep_conds, nc_dep_conds, protecting_fks
 from repro.summary.fingerprint import program_fingerprint, schema_fingerprint
 from repro.summary.graph import SummaryEdge, SummaryGraph
 from repro.summary.settings import AnalysisSettings, Granularity
-from repro.summary.tables import (
-    C_DEP_ROWS,
-    C_DEP_TABLE,
-    NC_DEP_ROWS,
-    NC_DEP_TABLE,
-    TYPE_INDEX,
-)
-
-#: The supported block-construction backends (``jobs > 1`` fan-out).
-BACKENDS = ("thread", "process")
-
-#: Kernel sweep-batch latency, labeled by the backend that ran it (the
-#: per-stage ``repro_stage_seconds{stage="sweep"}`` histogram aggregates
-#: the same durations without the backend split).
-SWEEP_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_sweep_seconds",
-    "Wall-clock seconds per sweep batch of the plane-packed kernel, "
-    "by backend.",
-    labelnames=("backend",),
-)
-
-#: Pool-rebuild budget after a process-backend fault: one rebuild with
-#: capped exponential backoff, then degrade to the serial kernel for the
-#: store's lifetime (fail-closed — the serial sweep is bit-identical).
-POOL_REBUILD_ATTEMPTS = 1
-_REBUILD_BACKOFF_BASE = 0.05
-_REBUILD_BACKOFF_MAX = 0.5
-
-
-class ProcessDegradeGuard:
-    """Per-owner state for the process→serial auto-degrade.
-
-    Process fan-out loses to serial without real cores to fan out over, so
-    ``backend="process"`` degrades on hosts with ≤ 2 cores.  The guard
-    caches the ``os.cpu_count()`` probe and rate-limits the degrade
-    warning to **one per owner**: an :class:`~repro.analysis.Analyzer`
-    shares a single guard across all its per-settings stores, a standalone
-    store owns its own — repeated block builds must not spam stderr.
-    """
-
-    __slots__ = ("_cpu_count", "_warned", "_fault_warned", "fault_degraded")
-
-    def __init__(self) -> None:
-        self._cpu_count: int | None = None
-        self._warned = False
-        self._fault_warned = False
-        #: Set once the process backend exhausted its pool-rebuild budget:
-        #: every later build under this guard goes straight to the serial
-        #: kernel (fail-closed — identical verdicts, no fan-out).
-        self.fault_degraded = False
-
-    def cpu_count(self) -> int:
-        """The machine's core count, probed once per guard."""
-        if self._cpu_count is None:
-            self._cpu_count = os.cpu_count() or 1
-        return self._cpu_count
-
-    def warn_degraded(self) -> None:
-        if self._warned:
-            return
-        self._warned = True
-        obs_log.warning(
-            "backend.degraded",
-            reason="cpu_count",
-            cpu_count=self.cpu_count(),
-        )
-        warnings.warn(
-            f"backend='process' degraded to serial block "
-            f"construction: only {self.cpu_count()} CPU core(s) "
-            "available",
-            RuntimeWarning,
-            stacklevel=5,
-        )
-
-    def degrade_for_faults(self) -> None:
-        """Degrade process→serial permanently after repeated pool faults.
-
-        One warning per guard owner, same policy as the core-count
-        degrade; the flag is also surfaced through ``fault_info()`` so
-        operators see the degrade in ``/v1/stats``, not just stderr.
-        """
-        self.fault_degraded = True
-        if self._fault_warned:
-            return
-        self._fault_warned = True
-        obs_log.warning("backend.degraded", reason="pool_faults")
-        warnings.warn(
-            "backend='process' degraded to serial block construction "
-            "after repeated worker-pool failures; verdicts are unaffected",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-
-def _shutdown_executor(pool: ProcessPoolExecutor) -> None:
-    pool.shutdown(wait=False, cancel_futures=True)
+from repro.summary.tables import C_DEP_TABLE, NC_DEP_TABLE, TYPE_INDEX
 
 
 def _release_store_refs(store: BlockStore, refs: dict) -> None:
@@ -235,17 +122,11 @@ OccurrenceRow = tuple[str, int, int, int, int, int, int, int]
 
 
 class ProgramProfile(NamedTuple):
-    """One LTP compiled for the kernel: flat, immutable, and picklable.
-
-    ``occurrences`` preserves program order; ``by_relation`` groups the same
-    rows by interned relation id (order-preserving), which lets the pair
-    loop skip non-matching relations wholesale without perturbing the edge
-    sequence.
-    """
+    """One LTP compiled for the kernel: flat and immutable; ``occurrences``
+    preserves program order."""
 
     name: str
     occurrences: tuple[OccurrenceRow, ...]
-    by_relation: dict[int, tuple[OccurrenceRow, ...]]
 
 
 def compile_profile(
@@ -275,65 +156,7 @@ def compile_profile(
                 interner.fk_mask(protecting_fks(program, occurrence.position)),
             )
         )
-    by_relation: dict[int, list[OccurrenceRow]] = {}
-    for row in rows:
-        by_relation.setdefault(row[2], []).append(row)
-    return ProgramProfile(
-        program.name,
-        tuple(rows),
-        {relation: tuple(group) for relation, group in by_relation.items()},
-    )
-
-
-def _pair_block(
-    profile_i: ProgramProfile,
-    profile_j: ProgramProfile,
-    use_foreign_keys: bool,
-) -> list[SummaryEdge]:
-    """The edge block of one ordered pair, over compiled profiles.
-
-    This is the kernel of Algorithm 1: per occurrence pair, two tuple
-    indexings resolve the Table 1 entries and the ⊥ entries are decided by
-    bitwise ANDs (``ncDepConds``/``cDepConds`` over interned masks, with
-    the protecting-FK masks precomputed per position).  Iterating the outer
-    occurrences in program order against the inner profile's per-relation
-    groups (which preserve program order) reproduces the monolithic loop's
-    edge sequence exactly — the original loop skips non-matching relations
-    one pair at a time, this one skips them wholesale.  ``SummaryEdge`` is
-    a named tuple, so both the construction here and the pickling on the
-    process backend run at tuple speed.
-    """
-    edges: list[SummaryEdge] = []
-    append = edges.append
-    edge = SummaryEdge
-    name_i = profile_i.name
-    name_j = profile_j.name
-    by_relation_j = profile_j.by_relation
-    for source_stmt, source_pos, relation, ti, wi, ri, pi, fki in profile_i.occurrences:
-        targets = by_relation_j.get(relation)
-        if targets is None:
-            continue
-        nc_row = NC_DEP_ROWS[ti]
-        c_row = C_DEP_ROWS[ti]
-        for target_stmt, target_pos, _, tj, wj, rj, pj, fkj in targets:
-            nc = nc_row[tj]
-            if nc is True or (
-                nc is None
-                and (wi & wj or wi & rj or wi & pj or ri & wj or pi & wj)
-            ):
-                append(edge(name_i, source_stmt, source_pos, False,
-                            target_stmt, target_pos, name_j))
-            c = c_row[tj]
-            if c is True or (
-                c is None
-                and (
-                    pi & wj
-                    or (ri & wj and not (use_foreign_keys and fki & fkj))
-                )
-            ):
-                append(edge(name_i, source_stmt, source_pos, True,
-                            target_stmt, target_pos, name_j))
-    return edges
+    return ProgramProfile(program.name, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +172,10 @@ def _pair_edges_reference(
 ) -> tuple[SummaryEdge, ...]:
     """The pre-kernel edge block of one ordered pair, over statement objects.
 
-    Kept verbatim as the executable specification of :func:`_pair_block`:
-    the occurrence loops and the non-counterflow/counterflow interleaving
-    reproduce the monolithic Algorithm 1 loop exactly, and the compiled
-    kernel is property-tested edge-for-edge against this path.
+    Kept verbatim as the executable specification of the plane sweep: the
+    occurrence loops and the non-counterflow/counterflow interleaving
+    reproduce the monolithic Algorithm 1 loop exactly, and the sweep is
+    property-tested edge-for-edge against this path.
     """
     edges: list[SummaryEdge] = []
     for occ_i in program_i:
@@ -399,7 +222,7 @@ def pair_edges_reference(
 ) -> tuple[SummaryEdge, ...]:
     """:func:`pair_edges` via the original frozenset statement conditions.
 
-    Slower than the compiled kernel (it rebuilds ``protecting_fks`` per
+    Slower than the plane sweep (it rebuilds ``protecting_fks`` per
     occurrence pair and intersects frozensets); kept as the parity baseline
     for tests and :mod:`benchmarks.bench_kernel`.
     """
@@ -423,16 +246,13 @@ def pair_edges(
 
     Looks only at the two programs involved (self-pairs included):
     ``SuG(𝒫)`` is exactly the concatenation of ``pair_edges(P_i, P_j)``
-    over all ordered pairs of ``𝒫``.  Runs on the compiled kernel; inside
-    an :class:`EdgeBlockStore` the profile compilation happens once per
-    program instead of once per call.
+    over all ordered pairs of ``𝒫``.  Runs the plane sweep on a throwaway
+    :class:`EdgeBlockStore`; a long-lived store compiles and packs each
+    program once instead of once per call.
     """
-    profile_i = compile_profile(program_i, schema, settings)
-    if program_j is program_i:
-        profile_j = profile_i
-    else:
-        profile_j = compile_profile(program_j, schema, settings)
-    return tuple(_pair_block(profile_i, profile_j, settings.use_foreign_keys))
+    store = EdgeBlockStore(schema, settings)
+    store.register([program_i, program_j])
+    return store.block(program_i.name, program_j.name)
 
 
 class EdgeBlockStore:
@@ -453,44 +273,18 @@ class EdgeBlockStore:
     into cross-product sweeps, and keeps the results as *packed blocks*
     (per-pair occurrence coordinates) that materialize to
     :class:`~repro.summary.graph.SummaryEdge` tuples lazily, on first
-    access.  ``backend`` selects how sweeps run: ``"thread"`` (the
-    default; the batch kernel saturates a core, so the label is a
-    compatibility alias for the serial sweep whatever ``jobs`` says) or
-    ``"process"``, which fans sweep row ranges out to a persistent
-    ``ProcessPoolExecutor`` over ``multiprocessing.shared_memory`` —
-    workers map the planes zero-copy and write into a preallocated output
-    plane, so both backends install identical blocks in deterministic
-    pair order.  Stores are not thread-safe; parallelism is internal
-    (missing blocks of one :meth:`graph`/:meth:`ensure_blocks` call are
-    computed concurrently, then installed from the calling thread).
+    access, in deterministic pair order.  Stores are not thread-safe.
     """
 
     def __init__(
         self,
         schema: Schema,
         settings: AnalysisSettings = AnalysisSettings(),
-        jobs: int | None = None,
-        backend: str = "thread",
-        degrade_guard: ProcessDegradeGuard | None = None,
-        plane_kernel: str | None = None,
         block_store: BlockStore | None = None,
     ):
-        if backend not in BACKENDS:
-            raise ProgramError(
-                f"unknown block-construction backend {backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
         self.schema = schema
         self.settings = settings
-        self.jobs = jobs
-        self.backend = backend
-        #: Sweep kernel override ("numpy"/"stdlib"; None → auto).
-        self.plane_kernel = plane_kernel
-        self._guard = degrade_guard if degrade_guard is not None else ProcessDegradeGuard()
         self._arena: planes.PlaneArena | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers = 0
-        self._pool_finalizer = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
         self._blocks: dict[tuple[str, str], tuple[SummaryEdge, ...]] = {}
@@ -514,17 +308,6 @@ class EdgeBlockStore:
         self._computed = 0
         self._loaded = 0
         self._hits = 0
-        #: Process-backend fault bookkeeping: how many sweep batches hit a
-        #: broken pool / lost segment and were retried or degraded, plus
-        #: the last failure's description (diagnostics only).
-        self._fault_recoveries = 0
-        self._last_fault: str | None = None
-        #: Ownership token for the shared-memory segment registry — lets
-        #: this store's finalizer unlink only its own orphans.
-        self._owner_token = object()
-        self._segment_finalizer = weakref.finalize(
-            self, planes.cleanup_segments, self._owner_token
-        )
         #: The cross-session content-addressed cache this store reads
         #: through and publishes into (``None`` → no sharing; see
         #: :mod:`repro.store.blockstore`).  Adopted blocks still count
@@ -651,7 +434,7 @@ class EdgeBlockStore:
 
         Coordinates are ``(source occurrence, target occurrence)`` indexes
         in program order, so emitting the non-counterflow edge before the
-        counterflow edge per coordinate reproduces the scalar kernel's
+        counterflow edge per coordinate reproduces the reference loop's
         edge sequence exactly.
         """
         coords = self._packed.pop(pair)
@@ -687,7 +470,7 @@ class EdgeBlockStore:
         for name in pair:
             if name not in self._ltps:
                 raise ProgramError(f"edge-block store: unknown program {name!r}")
-        self._ensure_pairs([pair], jobs=1, backend="thread")
+        self._ensure_pairs([pair])
         return self._materialize(pair)
 
     def block_flags(self, source: str, target: str) -> tuple[bool, bool]:
@@ -849,16 +632,10 @@ class EdgeBlockStore:
                 if pair not in self._store_refs and self.block_store.retain(key):
                     self._store_refs[pair] = key
 
-    def ensure_blocks(
-        self,
-        names: Sequence[str] | None = None,
-        jobs: int | None = None,
-        backend: str | None = None,
-    ) -> int:
+    def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when
-        ``None``) with the batch plane kernel, fanning sweep row ranges out
-        over the process backend when ``jobs`` (or the store default) asks
-        for more than one worker.  Returns the number of blocks computed."""
+        ``None``) with the batch plane kernel.  Returns the number of
+        blocks computed."""
         if names is None:
             names = self.ltp_names
         missing = [
@@ -876,7 +653,7 @@ class EdgeBlockStore:
                     raise ProgramError(
                         f"edge-block store: unknown program {name!r}"
                     )
-        return self._ensure_pairs(missing, jobs, backend)
+        return self._ensure_pairs(missing)
 
     # -- batch kernel plumbing ---------------------------------------------
     def _required_words(self) -> int:
@@ -902,74 +679,6 @@ class EdgeBlockStore:
             if name not in arena:
                 arena.add(self._profiles[name])
         return arena
-
-    def _process_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The store's persistent worker pool (rebuilt if ``workers``
-        changes); spawning processes per build would dwarf sweep time."""
-        if self._pool is not None and self._pool_workers != workers:
-            self._shutdown_pool()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._pool_workers = workers
-            self._pool_finalizer = weakref.finalize(
-                self, _shutdown_executor, self._pool
-            )
-        return self._pool
-
-    def _shutdown_pool(self) -> None:
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._pool_workers = 0
-
-    def _process_sweeps(self, arena, plans, use_fk, workers):
-        """The process-backend sweep batch, with crash recovery.
-
-        A dead worker (``BrokenProcessPool``) or a lost/failed
-        shared-memory segment (``OSError``) tears the whole batch down: we
-        unlink this store's orphaned segments, rebuild the pool once with
-        capped exponential backoff and retry.  A second failure degrades
-        the guard to the serial kernel permanently and returns ``None`` —
-        the caller reruns the batch serially, so the installed blocks (and
-        every verdict derived from them) are identical either way.
-        """
-        for attempt in range(POOL_REBUILD_ATTEMPTS + 1):
-            if attempt:
-                time.sleep(
-                    min(
-                        _REBUILD_BACKOFF_BASE * 2 ** (attempt - 1),
-                        _REBUILD_BACKOFF_MAX,
-                    )
-                )
-            try:
-                return planes.process_sweep_blocks(
-                    arena,
-                    plans,
-                    use_fk,
-                    self._process_pool(workers),
-                    workers,
-                    self.plane_kernel,
-                    self._owner_token,
-                )
-            except (BrokenProcessPool, OSError) as error:
-                self._fault_recoveries += 1
-                self._last_fault = f"{type(error).__name__}: {error}"
-                # Carries the originating request's trace id (the sweep
-                # runs on the request thread): one id stitches the HTTP
-                # request to the pool crash it survived.
-                obs_log.warning(
-                    "sweep.pool_fault",
-                    attempt=attempt,
-                    retries_left=POOL_REBUILD_ATTEMPTS - attempt,
-                    error=self._last_fault,
-                )
-                self._shutdown_pool()
-                planes.cleanup_segments(self._owner_token)
-        self._guard.degrade_for_faults()
-        return None
 
     # -- cross-session block store ------------------------------------------
     def _store_key(self, pair: tuple[str, str]) -> BlockKey:
@@ -1002,11 +711,10 @@ class EdgeBlockStore:
 
     def store_info(self) -> dict[str, object]:
         """Cross-session sharing counters (kept out of :meth:`cache_info`,
-        whose exact shape is a compatibility contract, following the
-        ``fault_info`` precedent): whether a block store is attached, how
-        many of this store's blocks were adopted from it instead of
-        computed, how many were published into it, and how many entries
-        this store currently pins."""
+        whose exact shape is a compatibility contract): whether a block
+        store is attached, how many of this store's blocks were adopted
+        from it instead of computed, how many were published into it, and
+        how many entries this store currently pins."""
         return {
             "attached": self.block_store is not None,
             "shared_hits": self._shared_hits,
@@ -1014,14 +722,9 @@ class EdgeBlockStore:
             "refs": len(self._store_refs),
         }
 
-    def _ensure_pairs(
-        self,
-        missing: Sequence[tuple[str, str]],
-        jobs: int | None,
-        backend: str | None,
-    ) -> int:
-        """Batch-compute the given pairs: plan sweeps, run them (serially
-        or across the shared-memory process pool), install packed blocks.
+    def _ensure_pairs(self, missing: Sequence[tuple[str, str]]) -> int:
+        """Batch-compute the given pairs: plan sweeps, run them, install
+        packed blocks.
 
         With a :class:`~repro.store.BlockStore` attached, each missing
         pair is first looked up by content address — a hit adopts the
@@ -1046,58 +749,19 @@ class EdgeBlockStore:
             missing = unshared
             if not missing:
                 return requested
-        workers = self.jobs if jobs is None else jobs
-        backend = self.backend if backend is None else backend
-        if backend not in BACKENDS:
-            raise ProgramError(
-                f"unknown block-construction backend {backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
-        if backend == "process" and self._guard.cpu_count() <= 2:
-            # Process fan-out loses to serial without real cores to fan
-            # out over, so degrade rather than honor a configuration that
-            # can only be slower.  One warning per guard owner.
-            self._guard.warn_degraded()
-            backend = "thread"
-            workers = 1
-        if backend == "process" and self._guard.fault_degraded:
-            # A previous batch exhausted the pool-rebuild budget; stay on
-            # the serial kernel (identical verdicts) for the store's life.
-            backend = "thread"
-            workers = 1
-        if workers is None and backend == "process":
-            # Asking for the process backend *is* asking for multi-core
-            # fan-out; without an explicit jobs= it would otherwise fall
-            # through to the serial path and silently never fork.
-            workers = self._guard.cpu_count()
         involved = {name for pair in missing for name in pair}
         with span("pack"):
             arena = self._arena_for(involved)
         use_fk = self.settings.use_foreign_keys
         plans = planes.plan_sweeps(missing)
-        grouped_list = None
+        grouped_list = []
         with span("sweep"):
-            started = monotonic()
-            if backend == "process" and workers > 1 and len(missing) > 1:
-                grouped_list = self._process_sweeps(arena, plans, use_fk, workers)
-            if grouped_list is None:
-                grouped_list = []
-                for plan in plans:
-                    check_deadline("block construction")
-                    grouped_list.append(
-                        planes.sweep_blocks(
-                            arena, plan.sources, plan.targets, use_fk, self.plane_kernel
-                        )
-                    )
-            if obs_metrics.enabled():
-                SWEEP_SECONDS.observe(monotonic() - started, backend)
-        obs_log.debug(
-            "sweep.batch",
-            pairs=len(missing),
-            sweeps=len(plans),
-            backend=backend,
-            workers=workers,
-        )
+            for plan in plans:
+                check_deadline("block construction")
+                grouped_list.append(
+                    planes.sweep_blocks(arena, plan.sources, plan.targets, use_fk)
+                )
+        obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
         for plan, grouped in zip(plans, grouped_list):
             for source in plan.sources:
                 for target in plan.targets:
@@ -1116,12 +780,7 @@ class EdgeBlockStore:
         return requested
 
     # -- assembly -----------------------------------------------------------
-    def graph(
-        self,
-        names: Sequence[str] | None = None,
-        jobs: int | None = None,
-        backend: str | None = None,
-    ) -> SummaryGraph:
+    def graph(self, names: Sequence[str] | None = None) -> SummaryGraph:
         """``SuG`` over ``names`` (all registered programs when ``None``),
         assembled by concatenating blocks in ordered-pair order — the edge
         sequence is identical to the monolithic Algorithm 1 loop."""
@@ -1131,7 +790,7 @@ class EdgeBlockStore:
             names = list(names)
             if len(set(names)) != len(names):
                 raise ProgramError(f"duplicate LTP names: {names!r}")
-        freshly_computed = self.ensure_blocks(names, jobs=jobs, backend=backend)
+        freshly_computed = self.ensure_blocks(names)
         blocks = self._blocks
         edges: list[SummaryEdge] = []
         for source in names:
@@ -1157,17 +816,6 @@ class EdgeBlockStore:
             "computed": self._computed,
             "loaded": self._loaded,
             "hits": self._hits,
-        }
-
-    def fault_info(self) -> dict[str, object]:
-        """Process-backend fault counters (kept out of :meth:`cache_info`,
-        whose exact shape is a compatibility contract): batches recovered
-        or degraded after a worker/segment failure, whether the guard has
-        degraded to serial, and the last failure seen."""
-        return {
-            "recoveries": self._fault_recoveries,
-            "degraded": self._guard.fault_degraded,
-            "last_fault": self._last_fault,
         }
 
     def plane_info(self) -> dict[str, int]:
@@ -1208,7 +856,6 @@ class EdgeBlockStore:
         self._store_refs.clear()
         self._ltp_fps.clear()
         self._arena = None
-        self._shutdown_pool()
         self._computed = 0
         self._loaded = 0
         self._hits = 0
@@ -1219,6 +866,5 @@ class EdgeBlockStore:
         return (
             f"EdgeBlockStore(settings={self.settings.label!r}, "
             f"programs={len(self._ltps)}, "
-            f"blocks={len(self._blocks) + len(self._packed)}, "
-            f"backend={self.backend!r})"
+            f"blocks={len(self._blocks) + len(self._packed)})"
         )

@@ -1,8 +1,8 @@
 """Plane-packed batch evaluation of Algorithm 1's interference conditions.
 
-The per-pair kernel of :mod:`repro.summary.pairwise` decides
-``ncDepConds``/``cDepConds`` one occurrence pair at a time.  This module
-evaluates them for *entire occurrence-pair batches*:
+:func:`~repro.summary.pairwise.pair_edges_reference` decides
+``ncDepConds``/``cDepConds`` one occurrence pair at a time over frozensets.
+This module evaluates them for *entire occurrence-pair batches*:
 
 * a :class:`PlaneArena` packs every compiled occurrence row of every
   registered program into contiguous integer **planes** — one
@@ -14,108 +14,58 @@ evaluates them for *entire occurrence-pair batches*:
   registrations reuse, so an incremental ``replace_program`` repacks only
   the edited program's rows;
 * :func:`sweep_blocks` then evaluates the conditions for the full cross
-  product of a source row set × target row set in one **sweep**, as
-  elementwise AND/compare passes over the planes, and returns per-block
-  *packed coordinates* ``(source_row, target_row, has_nc, has_cf)`` —
-  edge-block bitsets instead of per-pair Python tuples.
+  product of a source row set × target row set in one **sweep** and
+  returns per-block *packed coordinates* ``(source_row, target_row,
+  has_nc, has_cf)`` — edge-block bitsets instead of per-pair Python
+  tuples.
 
-Two sweep kernels produce bit-identical results:
+The sweep runs on numpy: the rows a sweep needs are gathered out of the
+planes, the five mask tests of ``ncDepConds`` fold into two broadcast AND
+sweeps over precombined planes (``wi ∧ (wj|rj|pj)`` and ``(ri|pi) ∧ wj``),
+Table 1 dispatch is an ``int8`` gather over
+:data:`~repro.summary.tables.NC_CODE_ROWS` /
+:data:`~repro.summary.tables.C_CODE_ROWS`, and edges fall out of one
+``nonzero`` per row chunk.
 
-* **numpy** (used when importable): planes are viewed zero-copy via
-  ``np.frombuffer``, the five mask tests of ``ncDepConds`` fold into two
-  broadcast AND sweeps over precombined planes (``wi ∧ (wj|rj|pj)`` and
-  ``(ri|pi) ∧ wj``), Table 1 dispatch is an ``int8`` gather over
-  :data:`~repro.summary.tables.NC_CODE_ROWS` /
-  :data:`~repro.summary.tables.C_CODE_ROWS`, and edges fall out of one
-  ``nonzero`` per row chunk;
-* **stdlib** (the baseline — no third-party imports): each sweep packs the
-  target rows into one big Python integer per plane (``k`` bits per
-  target slot) and decides a whole source row against *all* targets with
-  ~10 big-int operations, using the carry trick ``((x + F) & HIGH)`` to
-  collapse each ``k``-bit slot to its "mask test is non-zero" indicator
-  bit.  The arena's word sizing always leaves the top bit of each slot
-  free, so the additions never carry across slots.
-
-Condition algebra (shared by both kernels and property-tested against the
-frozenset originals): with ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
+Condition algebra (property-tested against the frozenset originals): with
+``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
 
 * ``ncDepConds``'s five tests collapse to ``(wi ∧ any_j) ∨ (rp_i ∧ wj)``;
 * ``cDepConds`` is ``(pi ∧ wj) ∨ (ri ∧ wj ∧ ¬blocked)`` which, writing
   ``rpw = (rp_i ∧ wj)``, equals ``(rpw ∧ ¬blocked) ∨ ((pi ∧ wj) ∧
   blocked)`` — two mask tests plus the FK test instead of three.
-
-The ``backend="process"`` fan-out of
-:class:`~repro.summary.pairwise.EdgeBlockStore` builds on the same planes
-via ``multiprocessing.shared_memory``: the parent copies the plane buffers
-into one read-only shared segment, workers **map them zero-copy** (no
-profile pickling — a work item is just ``(sweep id, row range)``), run the
-same sweep kernels over their row slice, and write dense nc/cf bitset rows
-into a preallocated shared output plane; the parent extracts coordinates
-from the output plane exactly as the serial path does, so results are
-deterministic whatever order tasks complete in.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import os
 import threading
 import time
 from array import array
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import ProgramError
-from repro.faults import inject as _faults
-from repro.obs import log as obs_log
-from repro.obs.trace import current_trace_id, set_trace_id
 from repro.summary.tables import C_CODE_ROWS, ENTRY_COND, ENTRY_TRUE, NC_CODE_ROWS
 
-try:  # pragma: no cover - exercised via both kernel paths in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less hosts use the stdlib path
-    _np = None
-
-#: Sweep kernels: ``"auto"`` resolves to numpy when importable, else stdlib.
-KERNELS = ("auto", "numpy", "stdlib")
-
-#: Process-wide default, overridable per call; ``REPRO_PLANES_KERNEL`` lets
-#: CI pin the stdlib path on hosts that do have numpy.
-DEFAULT_KERNEL = os.environ.get("REPRO_PLANES_KERNEL", "auto")
-
-#: Rows per numpy sweep chunk are sized so one boolean/uint64 intermediate
+#: Rows per sweep chunk are sized so one boolean/uint64 intermediate
 #: stays ~16 MB whatever the target count.
 _CHUNK_CELLS = 2_000_000
 
-_NC_CODE_NP = None
-_C_CODE_NP = None
+#: Table 1 as flat ``int8`` code tables indexed by ``type_i * 7 + type_j``.
+_NC_CODES = np.array(NC_CODE_ROWS, dtype=np.int8).reshape(-1)
+_C_CODES = np.array(C_CODE_ROWS, dtype=np.int8).reshape(-1)
 
 
-def numpy_available() -> bool:
-    """Whether the numpy fast path can be used in this process."""
-    return _np is not None
+def resolve_kernel(kernel: str | None = None) -> str:
+    """The sweep kernel's name — always ``"numpy"``, the only kernel.
 
-
-def resolve_kernel(kernel: str | None) -> str:
-    """``"numpy"`` or ``"stdlib"`` from a requested kernel name."""
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
-    if kernel not in KERNELS:
-        raise ProgramError(
-            f"unknown plane kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if kernel == "auto":
-        return "numpy" if numpy_available() else "stdlib"
-    if kernel == "numpy" and not numpy_available():
-        raise ProgramError("plane kernel 'numpy' requested but numpy is not importable")
-    return kernel
+    Kept for callers that record the kernel as host context."""
+    return "numpy"
 
 
 def words_for_bits(bits: int) -> int:
-    """64-bit words per mask slot, always leaving the top slot bit free.
-
-    The stdlib kernel's carry trick adds ``2**(k-1) - 1`` to every slot and
-    needs the result to stay inside the slot; a free top bit guarantees it.
-    """
+    """64-bit words per mask slot, always leaving the top slot bit free."""
     return bits // 64 + 1
 
 
@@ -126,11 +76,12 @@ class PlaneArena:
     every registered program's occurrence rows live at a contiguous
     ``(start, count)`` row range, all planes share the same ``words``-wide
     mask slots (attribute and FK masks alike — the wider of the two
-    requirements, so the sweep kernels need a single slot geometry).
+    requirements, so the sweep needs a single slot geometry).
 
-    The arena is the **source of truth** the sweep kernels read; numpy
-    views are taken zero-copy via ``np.frombuffer`` and never cached across
-    mutations (``array`` refuses to grow while a view exports its buffer).
+    The arena is the **source of truth** the sweep reads through
+    :meth:`gather`; numpy views are taken zero-copy via ``np.frombuffer``
+    and never kept across mutations (``array`` refuses to grow while a
+    view exports its buffer).
     """
 
     __slots__ = (
@@ -246,77 +197,37 @@ class PlaneArena:
         if span is not None and span[1]:
             self._free.append(span)
 
-    # -- raw buffers --------------------------------------------------------
-    def buffers(self) -> dict[str, memoryview]:
-        """The plane buffers as flat byte views (little-endian words)."""
-        return {
-            "writes": memoryview(self._writes).cast("B"),
-            "preads": memoryview(self._preads).cast("B"),
-            "anyrw": memoryview(self._anyrw).cast("B"),
-            "rp": memoryview(self._rp).cast("B"),
-            "fks": memoryview(self._fks).cast("B"),
-            "rels": memoryview(self._rels).cast("B"),
-            "types": memoryview(self._types).cast("B"),
-        }
+    # -- sweep input ------------------------------------------------------
+    def gather(self, rows: Sequence[int]):
+        """Copies of the given rows of every plane: ``(writes, preads,
+        anyrw, rp, fks, rels, types)``.
 
+        Mask planes come back as ``(len(rows),)`` ``uint64`` arrays when
+        one word holds a slot, else ``(len(rows), words)``.  Fancy
+        indexing copies, so no view keeps the arena's buffers exported
+        afterwards.
+        """
+        index = np.asarray(rows, dtype=np.intp)
+        words = self.words
 
-class PlaneView(NamedTuple):
-    """One sweep kernel's read-only view of packed planes.
+        def take(plane: array, dtype, width: int):
+            flat = np.frombuffer(plane, dtype=dtype)
+            return (flat.reshape(-1, width) if width > 1 else flat)[index]
 
-    ``writes``/``preads``/``anyrw``/``rp``/``fks`` are flat little-endian
-    64-bit word buffers with ``words`` words per row; ``rels``/``types``
-    are flat signed-64 buffers, one word per row.  Built either from a
-    :class:`PlaneArena` (serial path) or from a mapped shared-memory
-    segment (process workers) — the kernels cannot tell the difference.
-    """
-
-    words: int
-    writes: memoryview
-    preads: memoryview
-    anyrw: memoryview
-    rp: memoryview
-    fks: memoryview
-    rels: memoryview
-    types: memoryview
-
-
-def arena_view(arena: PlaneArena) -> PlaneView:
-    buffers = arena.buffers()
-    return PlaneView(arena.words, *(buffers[key] for key in PlaneView._fields[1:]))
+        return (
+            take(self._writes, np.uint64, words),
+            take(self._preads, np.uint64, words),
+            take(self._anyrw, np.uint64, words),
+            take(self._rp, np.uint64, words),
+            take(self._fks, np.uint64, words),
+            take(self._rels, np.int64, 1),
+            take(self._types, np.int64, 1),
+        )
 
 
 # ---------------------------------------------------------------------------
-# numpy sweep kernel
+# the sweep kernel
 # ---------------------------------------------------------------------------
-
-def _np_tables():
-    global _NC_CODE_NP, _C_CODE_NP
-    if _NC_CODE_NP is None:
-        _NC_CODE_NP = _np.array(NC_CODE_ROWS, dtype=_np.int8)
-        _C_CODE_NP = _np.array(C_CODE_ROWS, dtype=_np.int8)
-    return _NC_CODE_NP, _C_CODE_NP
-
-
-def _np_rows(buffer: memoryview, dtype, words: int):
-    plane = _np.frombuffer(buffer, dtype=dtype)
-    return plane.reshape(-1, words) if words > 1 else plane
-
-
-def _np_gather(view: PlaneView, rows):
-    """Copy the sweep's rows out of the planes (fancy indexing copies, so
-    no view keeps the arena's buffers exported afterwards)."""
-    words = view.words
-    index = _np.asarray(rows, dtype=_np.intp)
-    return (
-        _np_rows(view.writes, _np.uint64, words)[index],
-        _np_rows(view.preads, _np.uint64, words)[index],
-        _np_rows(view.anyrw, _np.uint64, words)[index],
-        _np_rows(view.rp, _np.uint64, words)[index],
-        _np_rows(view.fks, _np.uint64, words)[index],
-        _np_rows(view.rels, _np.int64, 1)[index],
-        _np_rows(view.types, _np.int64, 1)[index],
-    )
-
 
 #: Per-thread sweep scratch buffers, reused across np_sweep calls: fresh
 #: chunk-sized uint64/intp temporaries land in mmap'd allocations whose
@@ -333,18 +244,18 @@ def _scratch(name: str, shape, dtype):
     cells = shape[0] * shape[1]
     buffer = buffers.get(name)
     if buffer is None or buffer.size < cells or buffer.dtype != dtype:
-        buffer = buffers[name] = _np.empty(cells, dtype=dtype)
+        buffer = buffers[name] = np.empty(cells, dtype=dtype)
     return buffer[:cells].reshape(shape)
 
 
-def _np_test(lhs, rhs):
+def _intersects(lhs, rhs):
     """Per-pair "masks intersect" over gathered rows: broadcast AND."""
     if lhs.ndim == 1:
         return (lhs[:, None] & rhs[None, :]) != 0
     return ((lhs[:, None, :] & rhs[None, :, :]) != 0).any(axis=2)
 
 
-def np_sweep(view: PlaneView, rows, cols, use_foreign_keys: bool):
+def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
     """Dense nc/cf boolean matrices for a row set × column set, chunked.
 
     Yields ``(row_offset, nc, cf)`` per row chunk; matrices are
@@ -355,32 +266,30 @@ def np_sweep(view: PlaneView, rows, cols, use_foreign_keys: bool):
     temporaries otherwise land in mmap'd allocations whose page faults
     dominate the sweep at typical scales.
     """
-    nc_code_t, c_code_t = _np_tables()
-    nc_flat, c_flat = nc_code_t.reshape(-1), c_code_t.reshape(-1)
-    w_i, p_i, _, rp_i, fk_i, rel_i, type_i = _np_gather(view, rows)
-    w_j, _, any_j, _, fk_j, rel_j, type_j = _np_gather(view, cols)
+    w_i, p_i, _, rp_i, fk_i, rel_i, type_i = arena.gather(rows)
+    w_j, _, any_j, _, fk_j, rel_j, type_j = arena.gather(cols)
     type_i7 = type_i * 7
     total = len(rows)
     columns = len(cols)
     chunk = max(1, _CHUNK_CELLS // max(columns, 1))
-    if view.words > 1:
+    if arena.words > 1:
         # Wide masks: the generic broadcast path ("intersect" needs a
         # reduction over the word axis, which has no in-place form).
         for offset in range(0, total, chunk):
             stop = min(offset + chunk, total)
             sl = slice(offset, stop)
-            w_any = _np_test(w_i[sl], any_j)
-            rpw = _np_test(rp_i[sl], w_j)
+            w_any = _intersects(w_i[sl], any_j)
+            rpw = _intersects(rp_i[sl], w_j)
             nc_cond = w_any | rpw
             if use_foreign_keys:
-                pw = _np_test(p_i[sl], w_j)
-                blocked = _np_test(fk_i[sl], fk_j)
+                pw = _intersects(p_i[sl], w_j)
+                blocked = _intersects(fk_i[sl], fk_j)
                 c_cond = (rpw & ~blocked) | (pw & blocked)
             else:
                 c_cond = rpw
             type_pairs = type_i7[sl][:, None] + type_j[None, :]
-            nc_code = nc_flat[type_pairs]
-            c_code = c_flat[type_pairs]
+            nc_code = _NC_CODES[type_pairs]
+            c_code = _C_CODES[type_pairs]
             same_relation = rel_i[sl][:, None] == rel_j[None, :]
             nc = ((nc_code == ENTRY_TRUE) | ((nc_code == ENTRY_COND) & nc_cond))
             nc &= same_relation
@@ -389,18 +298,18 @@ def np_sweep(view: PlaneView, rows, cols, use_foreign_keys: bool):
             yield offset, nc, cf
         return
     shape = (min(chunk, total), columns)
-    work = _scratch("work", shape, _np.uint64)
-    pairs = _scratch("pairs", shape, _np.intp)  # intp: take() copies others
-    nc_code = _scratch("nc_code", shape, _np.int8)
-    c_code = _scratch("c_code", shape, _np.int8)
+    work = _scratch("work", shape, np.uint64)
+    pairs = _scratch("pairs", shape, np.intp)  # intp: take() copies others
+    nc_code = _scratch("nc_code", shape, np.int8)
+    c_code = _scratch("c_code", shape, np.int8)
     nc_cond, c_cond, pw, blocked, same, tmp, nc, cf = (
         _scratch(name, shape, bool)
         for name in ("nc_cond", "c_cond", "pw", "blocked", "same", "tmp", "nc", "cf")
     )
 
     def test_into(lhs, rhs, out):
-        _np.bitwise_and(lhs[:, None], rhs[None, :], out=work[: len(lhs)])
-        return _np.not_equal(work[: len(lhs)], 0, out=out)
+        np.bitwise_and(lhs[:, None], rhs[None, :], out=work[: len(lhs)])
+        return np.not_equal(work[: len(lhs)], 0, out=out)
 
     for offset in range(0, total, chunk):
         stop = min(offset + chunk, total)
@@ -410,35 +319,35 @@ def np_sweep(view: PlaneView, rows, cols, use_foreign_keys: bool):
         # also cDepConds' unblocked term, so it lands in c_cond first.
         test_into(w_i[sl], any_j, nc_cond[:n])
         test_into(rp_i[sl], w_j, c_cond[:n])
-        _np.logical_or(nc_cond[:n], c_cond[:n], out=nc_cond[:n])
+        np.logical_or(nc_cond[:n], c_cond[:n], out=nc_cond[:n])
         if use_foreign_keys:
             # c_cond = (rpw ∧ ¬blocked) ∨ (pw ∧ blocked), folded in place.
             test_into(p_i[sl], w_j, pw[:n])
             test_into(fk_i[sl], fk_j, blocked[:n])
-            _np.logical_and(pw[:n], blocked[:n], out=pw[:n])
-            _np.logical_not(blocked[:n], out=blocked[:n])
-            _np.logical_and(c_cond[:n], blocked[:n], out=c_cond[:n])
-            _np.logical_or(c_cond[:n], pw[:n], out=c_cond[:n])
-        _np.add(type_i7[sl][:, None], type_j[None, :], out=pairs[:n])
-        _np.take(nc_flat, pairs[:n], out=nc_code[:n])
-        _np.take(c_flat, pairs[:n], out=c_code[:n])
-        _np.equal(rel_i[sl][:, None], rel_j[None, :], out=same[:n])
-        _np.equal(nc_code[:n], ENTRY_COND, out=tmp[:n])
-        _np.logical_and(tmp[:n], nc_cond[:n], out=tmp[:n])
-        _np.equal(nc_code[:n], ENTRY_TRUE, out=nc[:n])
-        _np.logical_or(nc[:n], tmp[:n], out=nc[:n])
-        _np.logical_and(nc[:n], same[:n], out=nc[:n])
-        _np.equal(c_code[:n], ENTRY_COND, out=tmp[:n])
-        _np.logical_and(tmp[:n], c_cond[:n], out=tmp[:n])
-        _np.equal(c_code[:n], ENTRY_TRUE, out=cf[:n])
-        _np.logical_or(cf[:n], tmp[:n], out=cf[:n])
-        _np.logical_and(cf[:n], same[:n], out=cf[:n])
+            np.logical_and(pw[:n], blocked[:n], out=pw[:n])
+            np.logical_not(blocked[:n], out=blocked[:n])
+            np.logical_and(c_cond[:n], blocked[:n], out=c_cond[:n])
+            np.logical_or(c_cond[:n], pw[:n], out=c_cond[:n])
+        np.add(type_i7[sl][:, None], type_j[None, :], out=pairs[:n])
+        np.take(_NC_CODES, pairs[:n], out=nc_code[:n])
+        np.take(_C_CODES, pairs[:n], out=c_code[:n])
+        np.equal(rel_i[sl][:, None], rel_j[None, :], out=same[:n])
+        np.equal(nc_code[:n], ENTRY_COND, out=tmp[:n])
+        np.logical_and(tmp[:n], nc_cond[:n], out=tmp[:n])
+        np.equal(nc_code[:n], ENTRY_TRUE, out=nc[:n])
+        np.logical_or(nc[:n], tmp[:n], out=nc[:n])
+        np.logical_and(nc[:n], same[:n], out=nc[:n])
+        np.equal(c_code[:n], ENTRY_COND, out=tmp[:n])
+        np.logical_and(tmp[:n], c_cond[:n], out=tmp[:n])
+        np.equal(c_code[:n], ENTRY_TRUE, out=cf[:n])
+        np.logical_or(cf[:n], tmp[:n], out=cf[:n])
+        np.logical_and(cf[:n], same[:n], out=cf[:n])
         yield offset, nc[:n], cf[:n]
 
 
-def _np_coords(view, rows, cols, use_foreign_keys):
+def _sweep_coords(arena, rows, cols, use_foreign_keys):
     coords: list[tuple[int, int, bool, bool]] = []
-    for offset, nc, cf in np_sweep(view, rows, cols, use_foreign_keys):
+    for offset, nc, cf in np_sweep(arena, rows, cols, use_foreign_keys):
         either = nc | cf
         if not either.any():
             continue
@@ -448,153 +357,6 @@ def _np_coords(view, rows, cols, use_foreign_keys):
         s_list = (s_idx + offset).tolist()
         t_list = t_idx.tolist()
         coords.extend(zip(s_list, t_list, nc_hits, cf_hits))
-    return coords
-
-
-# ---------------------------------------------------------------------------
-# stdlib big-int (SWAR) sweep kernel
-# ---------------------------------------------------------------------------
-
-def _row_int(buffer: memoryview, row: int, words: int) -> int:
-    stride = words * 8
-    return int.from_bytes(buffer[row * stride : (row + 1) * stride], "little")
-
-
-def _swar_plane(buffer: memoryview, words: int, cols) -> int:
-    """All target rows of one plane joined into a single big integer,
-    ``words * 64`` bits per target slot."""
-    stride = words * 8
-    return int.from_bytes(
-        b"".join(
-            buffer[col * stride : (col + 1) * stride].tobytes() for col in cols
-        ),
-        "little",
-    )
-
-
-class _SwarConstants(NamedTuple):
-    k: int  # bits per target slot
-    high: int  # the top bit of every slot
-    fill: int  # 2**(k-1) - 1 replicated into every slot
-    t_writes: int
-    t_anyrw: int
-    t_fks: int
-    rel_ind: dict[int, int]  # relation id -> HIGH bits of matching slots
-    nc_true: tuple[int, ...]  # per source type id: HIGH bits of True columns
-    nc_cond: tuple[int, ...]
-    c_true: tuple[int, ...]
-    c_cond: tuple[int, ...]
-
-
-def _swar_setup(view: PlaneView, cols) -> _SwarConstants:
-    words = view.words
-    k = words * 64
-    columns = len(cols)
-    ones = ((1 << (k * columns)) - 1) // ((1 << k) - 1) if columns else 0
-    high = ones << (k - 1)
-    fill = high - ones
-    rel_ind: dict[int, int] = {}
-    type_ind = [0] * 7
-    rels = view.rels.cast("q")
-    types = view.types.cast("q")
-    bit = 1 << (k - 1)
-    for slot, col in enumerate(cols):
-        slot_bit = bit << (slot * k)
-        relation = rels[col]
-        rel_ind[relation] = rel_ind.get(relation, 0) | slot_bit
-        type_ind[types[col]] |= slot_bit
-    def table_rows(code_rows, wanted):
-        return tuple(
-            _or_all(type_ind[tj] for tj in range(7) if row[tj] == wanted)
-            for row in code_rows
-        )
-    return _SwarConstants(
-        k,
-        high,
-        fill,
-        _swar_plane(view.writes, words, cols),
-        _swar_plane(view.anyrw, words, cols),
-        _swar_plane(view.fks, words, cols),
-        rel_ind,
-        table_rows(NC_CODE_ROWS, ENTRY_TRUE),
-        table_rows(NC_CODE_ROWS, ENTRY_COND),
-        table_rows(C_CODE_ROWS, ENTRY_TRUE),
-        table_rows(C_CODE_ROWS, ENTRY_COND),
-    )
-
-
-def _or_all(values: Iterable[int]) -> int:
-    result = 0
-    for value in values:
-        result |= value
-    return result
-
-
-def swar_row(view: PlaneView, consts: _SwarConstants, row: int,
-             use_foreign_keys: bool) -> tuple[int, int]:
-    """One source row against every target slot: ``(nc, cf)`` indicator
-    integers with the top bit of each matching slot set."""
-    rels = view.rels.cast("q")
-    match = consts.rel_ind.get(rels[row], 0)
-    if not match:
-        return 0, 0
-    type_id = view.types.cast("q")[row]
-    nc_true = consts.nc_true[type_id] & match
-    nc_cond = consts.nc_cond[type_id] & match
-    c_true = consts.c_true[type_id] & match
-    c_cond = consts.c_cond[type_id] & match
-    if not (nc_cond or c_cond):
-        return nc_true, c_true
-    words = view.words
-    high, fill = consts.high, consts.fill
-    # Replicate the source mask into every slot (one multiply), AND against
-    # the joined target plane, then collapse each slot to its "non-zero"
-    # indicator bit: the fill addition carries into the free top bit of any
-    # slot whose AND result is non-zero.
-    ones = consts.high >> (consts.k - 1)
-    nc_hits = 0
-    if nc_cond:
-        w_i = _row_int(view.writes, row, words)
-        rp_i = _row_int(view.rp, row, words)
-        cond = 0
-        if w_i:
-            cond = ((w_i * ones) & consts.t_anyrw) + fill & high
-        if rp_i:
-            cond |= ((rp_i * ones) & consts.t_writes) + fill & high
-        nc_hits = nc_cond & cond
-    c_hits = 0
-    if c_cond:
-        rp_i = _row_int(view.rp, row, words)
-        rpw = ((rp_i * ones) & consts.t_writes) + fill & high if rp_i else 0
-        if use_foreign_keys:
-            fk_i = _row_int(view.fks, row, words)
-            blocked = ((fk_i * ones) & consts.t_fks) + fill & high if fk_i else 0
-            if blocked:
-                p_i = _row_int(view.preads, row, words)
-                pw = ((p_i * ones) & consts.t_writes) + fill & high if p_i else 0
-                cond = (rpw & (high ^ blocked)) | (pw & blocked)
-            else:
-                cond = rpw
-        else:
-            cond = rpw
-        c_hits = c_cond & cond
-    return nc_true | nc_hits, c_true | c_hits
-
-
-def _swar_coords(view, rows, cols, use_foreign_keys):
-    coords: list[tuple[int, int, bool, bool]] = []
-    if not cols:
-        return coords
-    consts = _swar_setup(view, cols)
-    k = consts.k
-    for s, row in enumerate(rows):
-        nc, cf = swar_row(view, consts, row, use_foreign_keys)
-        merged = nc | cf
-        while merged:
-            low = merged & -merged
-            t = (low.bit_length() - 1) // k
-            coords.append((s, t, bool(nc & low), bool(cf & low)))
-            merged ^= low
     return coords
 
 
@@ -648,8 +410,8 @@ def group_coords(
 
     Every pair of the sweep gets an entry (empty blocks included — they
     are cache entries too); within a block, coordinates keep the
-    ``(source occurrence, target occurrence)`` program order the scalar
-    kernel emits edges in.
+    ``(source occurrence, target occurrence)`` program order Algorithm 1
+    emits edges in.
     """
     src_of: list[int] = []
     src_local: list[int] = []
@@ -680,355 +442,10 @@ def sweep_blocks(
     sources: Sequence[str],
     targets: Sequence[str],
     use_foreign_keys: bool,
-    kernel: str | None = None,
 ) -> dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]:
-    """Packed blocks for every ordered pair in ``sources × targets``.
-
-    The serial entry point: one plane sweep, then per-pair grouping.  The
-    resolved kernel ("numpy" or "stdlib") decides how the sweep runs; the
-    results are bit-identical.
-    """
+    """Packed blocks for every ordered pair in ``sources × targets``:
+    one plane sweep, then per-pair grouping."""
     rows, src_meta = _sweep_rows(arena, sources)
     cols, dst_meta = _sweep_rows(arena, targets)
-    view = arena_view(arena)
-    if resolve_kernel(kernel) == "numpy":
-        coords = _np_coords(view, rows, cols, use_foreign_keys)
-    else:
-        coords = _swar_coords(view, rows, cols, use_foreign_keys)
+    coords = _sweep_coords(arena, rows, cols, use_foreign_keys)
     return group_coords(coords, src_meta, dst_meta)
-
-
-# ---------------------------------------------------------------------------
-# dense bitset emission (bench + process-backend wire format)
-# ---------------------------------------------------------------------------
-
-def dense_rows(
-    view: PlaneView,
-    rows: Sequence[int],
-    cols: Sequence[int],
-    use_foreign_keys: bool,
-    kernel: str | None = None,
-) -> tuple[bytes, bytes]:
-    """The sweep as two dense bitset planes (nc, cf).
-
-    Row ``s`` of each plane is ``ceil(len(cols)/8)`` bytes; bit ``t``
-    (little-endian within the row) is set when the ordered occurrence pair
-    ``(rows[s], cols[t])`` admits that dependency.  This is the
-    preallocated-output-plane format process workers write.
-    """
-    stride = (len(cols) + 7) // 8
-    if resolve_kernel(kernel) == "numpy":
-        nc_parts: list[bytes] = []
-        cf_parts: list[bytes] = []
-        for _, nc, cf in np_sweep(view, rows, cols, use_foreign_keys):
-            nc_parts.append(
-                _np.packbits(nc, axis=1, bitorder="little").tobytes()
-            )
-            cf_parts.append(
-                _np.packbits(cf, axis=1, bitorder="little").tobytes()
-            )
-        return b"".join(nc_parts), b"".join(cf_parts)
-    if not cols:
-        return b"", b""
-    consts = _swar_setup(view, cols)
-    k = consts.k
-    nc_rows: list[bytes] = []
-    cf_rows: list[bytes] = []
-    for row in rows:
-        nc, cf = swar_row(view, consts, row, use_foreign_keys)
-        nc_rows.append(_indicator_bytes(nc, k, stride))
-        cf_rows.append(_indicator_bytes(cf, k, stride))
-    return b"".join(nc_rows), b"".join(cf_rows)
-
-
-def _indicator_bytes(indicator: int, k: int, stride: int) -> bytes:
-    dense = 0
-    while indicator:
-        low = indicator & -indicator
-        dense |= 1 << ((low.bit_length() - 1) // k)
-        indicator ^= low
-    return dense.to_bytes(stride, "little")
-
-
-def coords_from_dense(
-    nc_plane: bytes, cf_plane: bytes, row_count: int, col_count: int
-) -> list[tuple[int, int, bool, bool]]:
-    """Sweep coordinates back out of dense bitset planes."""
-    stride = (col_count + 7) // 8
-    coords: list[tuple[int, int, bool, bool]] = []
-    for s in range(row_count):
-        nc = int.from_bytes(nc_plane[s * stride : (s + 1) * stride], "little")
-        cf = int.from_bytes(cf_plane[s * stride : (s + 1) * stride], "little")
-        merged = nc | cf
-        while merged:
-            low = merged & -merged
-            t = low.bit_length() - 1
-            coords.append((s, t, bool(nc & low), bool(cf & low)))
-            merged ^= low
-    return coords
-
-
-# ---------------------------------------------------------------------------
-# shared-memory process fan-out
-# ---------------------------------------------------------------------------
-
-#: Parent-side registry of live (created, not yet unlinked) segments, so
-#: abnormal exits can best-effort unlink instead of leaking ``/dev/shm``
-#: entries.  Keyed by segment name; the value carries the mapped object
-#: (unlinking needs one) and an owner token, letting one store's finalizer
-#: clean up after itself without unlinking a concurrent store's batch.
-_LIVE_SEGMENTS: dict[str, tuple[object, object | None]] = {}
-_LIVE_LOCK = threading.Lock()
-_SEGMENT_IDS = itertools.count()
-
-
-def _create_segment(size: int, owner: object | None = None):
-    """A named shared-memory segment, registered for leak cleanup.
-
-    Names are ``repro_<pid>_<n>`` so a test (or an operator) can audit
-    ``/dev/shm`` for this library's residue specifically.
-    """
-    from multiprocessing import shared_memory
-
-    if _faults.fire("shm.attach") is not None:
-        raise OSError("injected fault: shared-memory segment creation failed")
-    name = f"repro_{os.getpid()}_{next(_SEGMENT_IDS)}"
-    segment = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS[segment.name] = (segment, owner)
-    return segment
-
-
-def _release_segment(segment) -> None:
-    """Close and unlink one segment, dropping it from the live registry."""
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS.pop(segment.name, None)
-    try:
-        segment.close()
-        segment.unlink()
-    except OSError:  # pragma: no cover - already gone (cleanup raced us)
-        pass
-
-
-def live_segments() -> tuple[str, ...]:
-    """Names of segments created but not yet unlinked (leak diagnostics)."""
-    with _LIVE_LOCK:
-        return tuple(sorted(_LIVE_SEGMENTS))
-
-
-def cleanup_segments(owner: object | None = None) -> int:
-    """Best-effort unlink of registered segments; returns how many.
-
-    With ``owner`` only that owner's segments go (a store finalizer
-    cleaning up after itself); without, everything does (the ``repro
-    serve`` SIGTERM path and the :mod:`atexit` hook).  Safe to call any
-    time: normally the sweep's ``finally`` has already emptied the
-    registry and this is a no-op.
-    """
-    with _LIVE_LOCK:
-        doomed = [
-            segment
-            for segment, seg_owner in _LIVE_SEGMENTS.values()
-            if owner is None or seg_owner is owner
-        ]
-    for segment in doomed:
-        _release_segment(segment)
-    return len(doomed)
-
-
-atexit.register(cleanup_segments)
-
-
-#: Worker-side cache of attached segments, keyed by shm name; entries not
-#: referenced by the current task generation are closed (the parent unlinks
-#: segments after every batch, so stale attachments only waste mappings).
-_WORKER_SEGMENTS: dict = {}
-
-
-def _attach_segment(name: str):
-    from multiprocessing import shared_memory
-
-    segment = _WORKER_SEGMENTS.get(name)
-    if segment is None:
-        # Attaching re-registers the name with the process tree's (shared)
-        # resource tracker, which is an idempotent set-add; the parent's
-        # unlink() performs the single matching unregister.  Do NOT
-        # unregister here — that would double-unregister and make the
-        # tracker log a KeyError at interpreter exit.
-        segment = shared_memory.SharedMemory(name=name)
-        _WORKER_SEGMENTS[name] = segment
-    return segment
-
-
-def _prune_segments(keep: set) -> None:
-    for name in list(_WORKER_SEGMENTS):
-        if name not in keep:
-            try:
-                _WORKER_SEGMENTS.pop(name).close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-
-
-_PLANE_ORDER = ("writes", "preads", "anyrw", "rp", "fks", "rels", "types")
-
-
-def pack_shared_input(arena: PlaneArena, owner: object | None = None):
-    """Copy the arena's planes into one read-only shared-memory segment.
-
-    Returns ``(segment, layout)`` where the layout carries the per-plane
-    byte offsets and the slot width — everything a worker needs to rebuild
-    a :class:`PlaneView` zero-copy from the mapped buffer.
-    """
-    buffers = arena.buffers()
-    offsets: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for key in _PLANE_ORDER:
-        size = buffers[key].nbytes
-        offsets[key] = (cursor, size)
-        cursor += size
-    segment = _create_segment(cursor, owner)
-    for key in _PLANE_ORDER:
-        offset, size = offsets[key]
-        if size:
-            segment.buf[offset : offset + size] = buffers[key]
-    return segment, {"words": arena.words, "offsets": offsets}
-
-
-def view_from_shared(buffer: memoryview, layout: dict) -> PlaneView:
-    planes = {}
-    for key in _PLANE_ORDER:
-        offset, size = layout["offsets"][key]
-        planes[key] = buffer[offset : offset + size]
-    return PlaneView(layout["words"], *(planes[key] for key in _PLANE_ORDER))
-
-
-def _plane_worker(task: dict) -> int:
-    """Compute one row slice of one sweep into the shared output plane."""
-    if task.get("kill"):
-        # Injected worker.kill fault: die the way a real OOM-killed or
-        # segfaulting worker does — no exception, no cleanup — so the
-        # parent observes a genuine BrokenProcessPool and the pool is
-        # genuinely unusable afterwards.
-        os._exit(1)
-    # Adopt the originating request's trace id (shipped in the task
-    # descriptor) so anything this worker logs or raises is attributable
-    # to the HTTP request that caused the sweep.
-    set_trace_id(task.get("trace_id"))
-    _prune_segments({task["input_name"], task["output_name"]})
-    input_segment = _attach_segment(task["input_name"])
-    output_segment = _attach_segment(task["output_name"])
-    view = view_from_shared(input_segment.buf, task["layout"])
-    lo, hi = task["row_lo"], task["row_hi"]
-    cols = task["cols"]
-    nc_bytes, cf_bytes = dense_rows(
-        view, task["rows"][lo:hi], cols, task["use_foreign_keys"], task["kernel"]
-    )
-    stride = (len(cols) + 7) // 8
-    nc_offset = task["nc_offset"] + lo * stride
-    cf_offset = task["cf_offset"] + lo * stride
-    output_segment.buf[nc_offset : nc_offset + len(nc_bytes)] = nc_bytes
-    output_segment.buf[cf_offset : cf_offset + len(cf_bytes)] = cf_bytes
-    return hi - lo
-
-
-def process_sweep_blocks(
-    arena: PlaneArena,
-    plans: Sequence[SweepPlan],
-    use_foreign_keys: bool,
-    pool,
-    workers: int,
-    kernel: str | None = None,
-    owner: object | None = None,
-) -> list[dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]]:
-    """Run several sweeps across a process pool, zero-copy via shared memory.
-
-    The input planes ship once per batch (one segment all workers map);
-    each work item is a ``(sweep, row range)`` descriptor; workers write
-    dense nc/cf bitset rows into a preallocated output segment at
-    positional offsets, so extraction order — and therefore every block —
-    is deterministic regardless of scheduling.  Returns one grouped-block
-    dict per plan, aligned with ``plans``.
-    """
-    kernel = resolve_kernel(kernel)
-    input_segment, layout = pack_shared_input(arena, owner)
-    sweeps = []
-    cursor = 0
-    for plan in plans:
-        rows, src_meta = _sweep_rows(arena, plan.sources)
-        cols, dst_meta = _sweep_rows(arena, plan.targets)
-        stride = (len(cols) + 7) // 8
-        size = len(rows) * stride
-        sweeps.append(
-            {
-                "rows": rows,
-                "cols": cols,
-                "src_meta": src_meta,
-                "dst_meta": dst_meta,
-                "stride": stride,
-                "nc_offset": cursor,
-                "cf_offset": cursor + size,
-            }
-        )
-        cursor += 2 * size
-    try:
-        output_segment = _create_segment(cursor, owner)
-    except OSError:
-        _release_segment(input_segment)
-        raise
-    try:
-        tasks = []
-        trace_id = current_trace_id()
-        total_rows = sum(len(sweep["rows"]) for sweep in sweeps) or 1
-        for sweep in sweeps:
-            rows = sweep["rows"]
-            if not rows or not sweep["cols"]:
-                continue
-            # ~4 slices per worker across the whole batch amortizes dispatch
-            # while keeping the pool fed; slices stay row-aligned.
-            share = max(1, round(len(rows) * workers * 4 / total_rows))
-            step = max(1, len(rows) // share)
-            for lo in range(0, len(rows), step):
-                tasks.append(
-                    {
-                        "input_name": input_segment.name,
-                        "output_name": output_segment.name,
-                        "layout": layout,
-                        "rows": rows,
-                        "cols": sweep["cols"],
-                        "row_lo": lo,
-                        "row_hi": min(lo + step, len(rows)),
-                        "nc_offset": sweep["nc_offset"],
-                        "cf_offset": sweep["cf_offset"],
-                        "use_foreign_keys": use_foreign_keys,
-                        "kernel": kernel,
-                        "trace_id": trace_id,
-                    }
-                )
-        if tasks and _faults.fire("worker.kill") is not None:
-            # One poison task per batch: the worker that picks it up dies
-            # abruptly (os._exit), breaking the pool for real.
-            tasks.insert(0, {"kill": True})
-        if tasks:
-            obs_log.debug(
-                "sweep.dispatch",
-                tasks=len(tasks),
-                sweeps=len(sweeps),
-                workers=workers,
-            )
-            list(pool.map(_plane_worker, tasks))
-        results = []
-        output = bytes(output_segment.buf)
-        for sweep in sweeps:
-            rows, cols = sweep["rows"], sweep["cols"]
-            size = len(rows) * sweep["stride"]
-            coords = coords_from_dense(
-                output[sweep["nc_offset"] : sweep["nc_offset"] + size],
-                output[sweep["cf_offset"] : sweep["cf_offset"] + size],
-                len(rows),
-                len(cols),
-            )
-            results.append(group_coords(coords, sweep["src_meta"], sweep["dst_meta"]))
-        return results
-    finally:
-        _release_segment(input_segment)
-        _release_segment(output_segment)

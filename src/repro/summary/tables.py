@@ -56,9 +56,9 @@ NC_DEP_TABLE = _table(
     }
 )
 
-#: Dense statement-type ids in Table 1 column order; the compiled kernel
-#: stores these in statement profiles so the table dispatch of Algorithm 1
-#: becomes two tuple indexings per occurrence pair.
+#: Dense statement-type ids in Table 1 column order; compiled statement
+#: profiles store these so the table dispatch of Algorithm 1 becomes a
+#: gather over the coded tables below.
 TYPE_INDEX: dict[StatementType, int] = {
     stype: index for index, stype in enumerate(TYPE_ORDER)
 }
@@ -101,8 +101,7 @@ C_DEP_ROWS: tuple[tuple[TableEntry, ...], ...] = _rows(C_DEP_TABLE)
 
 #: Table-entry codes for the batch plane kernel
 #: (:mod:`repro.summary.planes`): ``False`` → 0, ``True`` → 1, ⊥ → 2.
-#: Integer codes index directly into numpy ``int8`` tables and into the
-#: per-sweep indicator constants of the stdlib big-int path, where the
+#: Integer codes index directly into numpy ``int8`` tables, where the
 #: three-valued ``True``/``False``/``None`` objects cannot.
 ENTRY_FALSE, ENTRY_TRUE, ENTRY_COND = 0, 1, 2
 

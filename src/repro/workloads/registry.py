@@ -19,15 +19,19 @@ WORKLOADS: dict[str, Callable[[], Workload]] = {
 
 def get_workload(name: str) -> Workload:
     """Resolve a workload by name; ``auction(n)`` scales the Auction benchmark."""
-    key = name.strip().lower().replace("-", "")
-    if key in WORKLOADS:
-        return WORKLOADS[key]()
+    key = name.strip().lower()
     if key.startswith("auction(") and key.endswith(")"):
+        # Parsed before hyphens are stripped, so ``auction(-1)`` is rejected
+        # rather than read as Auction(1).
         inner = key[len("auction("):-1]
         try:
-            return auction_n(int(inner))
+            items = int(inner)
         except ValueError:
             raise ValueError(f"bad Auction scaling factor {inner!r}") from None
+        return auction_n(items)
+    key = key.replace("-", "")
+    if key in WORKLOADS:
+        return WORKLOADS[key]()
     raise ValueError(
         f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)} or 'auction(N)'"
     )

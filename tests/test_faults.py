@@ -1,9 +1,7 @@
 """Tests for deterministic fault injection, deadlines and crash recovery.
 
 Covers the :mod:`repro.faults` package (plans, the injector registry, the
-cooperative deadline), the process-backend recovery ladder (pool rebuild →
-serial degrade, verdicts bit-identical throughout, no leaked shared-memory
-segments), the service's failure-mode gauntlet (deadline 504, shed 503 +
+cooperative deadline), the service's failure-mode gauntlet (deadline 504, shed 503 +
 ``Retry-After``, spill quarantine, the poisoned-session circuit breaker)
 and the de-pragma'd HTTP catch-alls (typed 500 envelopes for injected
 crashes on both the POST and GET paths).
@@ -11,7 +9,6 @@ crashes on both the POST and GET paths).
 
 from __future__ import annotations
 
-import glob
 import json
 import threading
 import time
@@ -39,7 +36,6 @@ from repro.faults import (
 )
 from repro.faults import inject as inject_module
 from repro.service import AnalysisService, ServiceError, make_server
-from repro.summary import planes
 from repro.summary.settings import ATTR_DEP_FK
 
 
@@ -60,23 +56,6 @@ def _isolate_global_injector():
         inject_module._ENV_PENDING = saved_pending
 
 
-def _kill_plan(times: int = 1) -> FaultPlan:
-    return FaultPlan(
-        seed=11, rules=(FaultRule(site="worker.kill", every=1, times=times),)
-    )
-
-
-def _force_process(session: Analyzer) -> Analyzer:
-    """Pretend the host has enough cores for the process backend (the test
-    container has one, which would silently degrade before any fault)."""
-    session._degrade_guard._cpu_count = 8
-    return session
-
-
-def _shm_residue() -> list[str]:
-    return glob.glob("/dev/shm/repro_*")
-
-
 # ---------------------------------------------------------------------------
 # fault plans
 # ---------------------------------------------------------------------------
@@ -86,7 +65,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=3,
             rules=(
-                FaultRule(site="worker.kill", rate=0.25),
+                FaultRule(site="disk.full", rate=0.25),
                 FaultRule(site="handler.stall", every=5, delay_seconds=0.01),
                 FaultRule(site="spill.corrupt", every=2, times=4),
             ),
@@ -111,11 +90,12 @@ class TestFaultPlan:
         "kwargs",
         [
             {"site": "warp.core"},
-            {"site": "worker.kill", "rate": 1.5},
-            {"site": "worker.kill", "rate": -0.1},
-            {"site": "worker.kill", "every": -1},
-            {"site": "worker.kill", "every": 1, "times": -2},
-            {"site": "worker.kill"},  # neither rate nor every
+            {"site": "disk.full", "rate": 1.5},
+            {"site": "disk.full", "rate": -0.1},
+            {"site": "disk.full", "every": -1},
+            {"site": "disk.full", "every": 1, "times": -2},
+            {"site": "disk.full"},  # neither rate nor every
+            {"site": "worker.kill"},  # a retired site
         ],
     )
     def test_invalid_rules_rejected(self, kwargs):
@@ -126,22 +106,22 @@ class TestFaultPlan:
         with pytest.raises(FaultError, match="unknown field"):
             FaultPlan.from_dict({"seed": 0, "chaos": True})
         with pytest.raises(FaultError, match="unknown field"):
-            FaultRule.from_dict({"site": "worker.kill", "every": 1, "oops": 2})
+            FaultRule.from_dict({"site": "disk.full", "every": 1, "oops": 2})
 
     def test_decide_is_deterministic_and_seeded(self):
-        plan = FaultPlan(seed=5, rules=(FaultRule(site="worker.kill", rate=0.5),))
-        first = [plan.decide("worker.kill", n) is not None for n in range(1, 60)]
-        again = [plan.decide("worker.kill", n) is not None for n in range(1, 60)]
+        plan = FaultPlan(seed=5, rules=(FaultRule(site="disk.full", rate=0.5),))
+        first = [plan.decide("disk.full", n) is not None for n in range(1, 60)]
+        again = [plan.decide("disk.full", n) is not None for n in range(1, 60)]
         assert first == again
         assert any(first) and not all(first)
-        other = FaultPlan(seed=6, rules=(FaultRule(site="worker.kill", rate=0.5),))
+        other = FaultPlan(seed=6, rules=(FaultRule(site="disk.full", rate=0.5),))
         assert first != [
-            other.decide("worker.kill", n) is not None for n in range(1, 60)
+            other.decide("disk.full", n) is not None for n in range(1, 60)
         ]
 
     def test_every_schedule(self):
-        plan = FaultPlan(rules=(FaultRule(site="shm.attach", every=3),))
-        fired = [plan.decide("shm.attach", n) is not None for n in range(1, 10)]
+        plan = FaultPlan(rules=(FaultRule(site="spill.corrupt", every=3),))
+        fired = [plan.decide("spill.corrupt", n) is not None for n in range(1, 10)]
         assert fired == [False, False, True] * 3
 
 
@@ -152,7 +132,7 @@ class TestFaultPlan:
 class TestInjector:
     def test_no_plan_means_no_fire(self):
         assert current_injector() is None
-        assert fire("worker.kill") is None
+        assert fire("disk.full") is None
         maybe_crash()  # must be a no-op, not a raise
         maybe_stall()
 
@@ -161,7 +141,7 @@ class TestInjector:
         with active_plan(plan) as injector:
             assert fire("disk.full") is None
             assert fire("disk.full") is not None
-            assert fire("worker.kill") is None  # unruled site: not counted
+            assert fire("spill.corrupt") is None  # unruled site: not counted
             snap = injector.snapshot()
         assert snap["consults"] == {"disk.full": 2}
         assert snap["fired"] == {"disk.full": 1}
@@ -251,65 +231,6 @@ class TestDeadline:
             Deadline(0)
         with pytest.raises(ProgramError):
             Deadline(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# process-backend crash recovery
-# ---------------------------------------------------------------------------
-
-class TestProcessRecovery:
-    def _reference(self, source: str):
-        return Analyzer(source).analyze(ATTR_DEP_FK).to_dict()
-
-    def test_killed_worker_recovers_bit_identically(self):
-        reference = self._reference("auction(3)")
-        session = _force_process(Analyzer("auction(3)", backend="process"))
-        with active_plan(_kill_plan(times=1)) as injector:
-            report = session.analyze(ATTR_DEP_FK).to_dict()
-        assert report == reference
-        assert injector.snapshot()["fired"] == {"worker.kill": 1}
-        info = session.fault_info()
-        assert info["recoveries"] == 1
-        assert info["degraded"] is False  # the rebuilt pool finished the job
-        assert planes.live_segments() == ()
-        assert _shm_residue() == []
-
-    def test_permanent_kill_degrades_to_serial_with_one_warning(self):
-        reference = self._reference("auction(3)")
-        session = _force_process(Analyzer("auction(3)", backend="process"))
-        with active_plan(_kill_plan(times=0)):  # unlimited: every batch dies
-            with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                report = session.analyze(ATTR_DEP_FK).to_dict()
-        assert report == reference
-        info = session.fault_info()
-        assert info["degraded"] is True
-        assert info["recoveries"] >= 1
-        assert planes.live_segments() == ()
-        assert _shm_residue() == []
-        # Degraded is sticky and silent: later analyses reroute to the
-        # serial kernel without a second warning.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            session.analyze(ATTR_DEP_FK)
-        assert not [w for w in caught if "degraded" in str(w.message)]
-
-    def test_shm_attach_failure_recovers_too(self):
-        reference = self._reference("auction(3)")
-        session = _force_process(Analyzer("auction(3)", backend="process"))
-        plan = FaultPlan(rules=(FaultRule(site="shm.attach", every=1, times=1),))
-        with active_plan(plan):
-            report = session.analyze(ATTR_DEP_FK).to_dict()
-        assert report == reference
-        assert session.fault_info()["recoveries"] == 1
-        assert planes.live_segments() == ()
-        assert _shm_residue() == []
-
-    def test_fault_info_stays_out_of_cache_info(self):
-        session = Analyzer("smallbank")
-        assert "recoveries" not in session.cache_info()
-        assert session.fault_info() == {"recoveries": 0, "degraded": False}
 
 
 # ---------------------------------------------------------------------------
@@ -609,45 +530,13 @@ class TestHTTPFaults:
 # ---------------------------------------------------------------------------
 
 class TestChurnUnderFaults:
-    def test_monitor_survives_worker_kills_and_records_them(self):
+    def test_clean_traces_serialize_without_the_counter(self):
         from repro.churn import ChurnStep, Monitor
 
-        # Fault-free reference trace.
-        clean = Monitor("auction(2)", seed=4).run(steps=2)
-        # Same churn with every process-backend sweep batch killed once:
-        # warm the session first so the injected kills land inside the
-        # monitored steps, not the warm-up analysis.
-        session = _force_process(Analyzer("auction(2)", backend="process"))
-        session.analyze(ATTR_DEP_FK)
-        monitor = Monitor(session=session, seed=4, source_hint="auction(2)")
-        with active_plan(_kill_plan(times=0)):
-            with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                faulted = monitor.run(steps=2)
-        # Verdict-for-verdict identical to the fault-free run ...
-        assert faulted.canonical_json() == clean.canonical_json()
-        # ... with the recoveries recorded on the steps that hit them.
-        assert faulted.faults_recovered >= 1
-        assert faulted.summary()["faults_recovered"] == faulted.faults_recovered
-        recovered_step = next(
-            step for step in faulted.steps if step.faults_recovered
-        )
-        data = recovered_step.to_dict()
-        assert data["faults_recovered"] == recovered_step.faults_recovered
-        assert ChurnStep.from_dict(data).faults_recovered == (
-            recovered_step.faults_recovered
-        )
-        # Canonical serialization (the replay contract) omits the counter.
-        assert "faults_recovered" not in recovered_step.to_dict(
-            include_timings=False
-        )
-        assert planes.live_segments() == ()
-        assert _shm_residue() == []
-
-    def test_clean_traces_serialize_without_the_counter(self):
-        from repro.churn import Monitor
-
         trace = Monitor("smallbank", seed=1).run(steps=1)
-        assert trace.faults_recovered == 0
         (step,) = trace.steps
-        assert "faults_recovered" not in step.to_dict()
+        data = step.to_dict()
+        assert "faults_recovered" not in data
         assert "faults_recovered" not in trace.summary()
+        # Traces recorded before the counter was retired still load.
+        assert ChurnStep.from_dict({**data, "faults_recovered": 2}).to_dict() == data

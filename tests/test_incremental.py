@@ -171,18 +171,6 @@ class TestIncremental:
         with pytest.raises(ReproError):
             session.replace_program(alien)
 
-    def test_parallel_session_matches_serial(self, auction_workload):
-        serial = Analyzer(auction_workload)
-        parallel = Analyzer(auction_workload, jobs=4)
-        for settings in ALL_SETTINGS:
-            assert (
-                parallel.analyze(settings).to_dict()
-                == serial.analyze(settings).to_dict()
-            )
-        assert parallel.robust_subsets(ATTR_DEP_FK) == serial.robust_subsets(
-            ATTR_DEP_FK
-        )
-
 
 class TestPersistence:
     def test_save_load_round_trip_zero_recomputation(
@@ -356,11 +344,6 @@ class TestCacheCli:
         assert main(["cache", "load", str(path), "--workload", "tpcc"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_cache_save_with_jobs(self, tmp_path, capsys):
-        path = tmp_path / "sb.cache"
-        assert main(["cache", "save", "smallbank", str(path), "--jobs", "2"]) == 0
-        assert path.is_file()
-
 
 class TestOneShotPlumbing:
     def test_max_loop_iterations_forwarded(self, tpcc_workload):
@@ -382,14 +365,3 @@ class TestOneShotPlumbing:
                 ATTR_DEP_FK,
                 max_loop_iterations=k,
             )
-
-    def test_jobs_forwarded(self, auction_workload):
-        from repro.detection.subsets import robust_subsets
-
-        serial = robust_subsets(
-            auction_workload.programs, auction_workload.schema, TPL_DEP
-        )
-        parallel = robust_subsets(
-            auction_workload.programs, auction_workload.schema, TPL_DEP, jobs=4
-        )
-        assert serial == parallel

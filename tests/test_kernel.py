@@ -1,9 +1,8 @@
 """Property tests for the compiled interference kernel.
 
 The kernel replaces frozenset intersections with bitwise ANDs over interned
-masks, precomputes ``protecting_fks`` per occurrence position, and ships
-picklable statement profiles to process pools.  Every layer is tested for
-*equivalence* with the original formulation:
+masks and precomputes ``protecting_fks`` per occurrence position.  Every
+layer is tested for *equivalence* with the original formulation:
 
 * bitmask ``ncDepConds``/``cDepConds`` agree with the frozenset originals
   on arbitrary Figure-5-valid statements (including ⊥ sets and foreign-key
@@ -11,7 +10,6 @@ picklable statement profiles to process pools.  Every layer is tested for
 * compiled ``pair_edges`` blocks equal ``pair_edges_reference`` blocks
   edge-for-edge on arbitrary generated LTP pairs and on every built-in
   workload under all four Section 7.2 settings;
-* ``backend="process"`` graphs are edge-for-edge identical to serial ones;
 * the :class:`~repro.detection.subsets.PairMatrix` fast path yields verdict
   grids identical to the plain block-store enumeration;
 * the size-bucketed ``maximal_subsets`` equals the naive quadratic scan on
@@ -35,7 +33,6 @@ from repro.detection.subsets import (
     maximal_subsets,
     robust_subsets,
 )
-from repro.errors import ProgramError
 from repro.schema import ForeignKey, Relation, Schema
 from repro.summary.conditions import (
     c_dep_conds,
@@ -212,49 +209,6 @@ class TestKernelParity:
         assert pickle.loads(pickle.dumps(profile)) == profile
 
 
-class TestProcessBackend:
-    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_process_graph_identical_to_serial(self, settings):
-        workload = smallbank()
-        ltps_ = unfold(workload.programs, 2)
-        serial = EdgeBlockStore(workload.schema, settings)
-        serial.register(ltps_)
-        process = EdgeBlockStore(
-            workload.schema, settings, jobs=2, backend="process"
-        )
-        process.register(ltps_)
-        assert process.graph().edges == serial.graph().edges
-        assert process.cache_info()["computed"] == len(ltps_) ** 2
-
-    def test_process_backend_without_jobs_defaults_to_core_count(self):
-        # backend="process" must not silently fall through to the serial
-        # path when jobs is omitted: it defaults to the machine's cores
-        # (which may be 1, in which case serial *is* the fan-out).
-        workload = smallbank()
-        ltps_ = unfold(workload.programs, 2)
-        serial = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        serial.register(ltps_)
-        process = EdgeBlockStore(workload.schema, ATTR_DEP_FK, backend="process")
-        process.register(ltps_)
-        assert process.graph().edges == serial.graph().edges
-
-    def test_unknown_backend_rejected(self):
-        workload = smallbank()
-        with pytest.raises(ProgramError, match="backend"):
-            EdgeBlockStore(workload.schema, ATTR_DEP_FK, backend="gpu")
-        store = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        store.register(unfold(workload.programs, 2))
-        with pytest.raises(ProgramError, match="backend"):
-            store.ensure_blocks(backend="gpu")
-
-    def test_analyzer_process_backend_report_matches(self):
-        from repro.analysis import Analyzer
-
-        serial = Analyzer("smallbank").analyze()
-        process = Analyzer("smallbank", jobs=2, backend="process").analyze()
-        assert process.to_dict() == serial.to_dict()
-
-
 def _plain_robust_subsets(programs, schema, settings, method):
     """The pre-matrix enumeration: graph assembly + check per candidate."""
     check = _resolve_method(method)
@@ -384,102 +338,3 @@ class TestDiscardIndex:
             cold.load_block(source, target, edges)
         cold.discard([ltps_[0].name])
         assert cold.cache_info()["blocks"] == (len(ltps_) - 1) ** 2
-
-
-class TestProcessBackendDegrade:
-    """backend='process' degrades to serial on hosts with <= 2 cores, with
-    exactly one RuntimeWarning per guard owner (store or Analyzer) and a
-    single cached cpu_count probe."""
-
-    def _store_with_cores(self, monkeypatch, cores: int) -> EdgeBlockStore:
-        import repro.summary.pairwise as pairwise
-
-        monkeypatch.setattr(pairwise.os, "cpu_count", lambda: cores)
-        workload = smallbank()
-        store = EdgeBlockStore(
-            workload.schema, ATTR_DEP_FK, jobs=2, backend="process"
-        )
-        return store, unfold(workload.programs, 2)
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_few_cores_degrade_with_one_warning(self, monkeypatch, cores):
-        import warnings as warnings_module
-
-        store, ltps_ = self._store_with_cores(monkeypatch, cores)
-        store.register(ltps_)
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            store.ensure_blocks()  # blocks build lazily; trigger them here
-        degrade = [
-            w for w in caught if "degraded to serial" in str(w.message)
-        ]
-        assert len(degrade) == 1
-        assert issubclass(degrade[0].category, RuntimeWarning)
-        # Degraded blocks are the serial blocks.
-        workload = smallbank()
-        serial = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        serial.register(unfold(workload.programs, 2))
-        assert store.graph().edges == serial.graph().edges
-
-    def test_warning_fires_once_per_store(self, monkeypatch):
-        import warnings as warnings_module
-
-        store, ltps_ = self._store_with_cores(monkeypatch, 1)
-        store.register(ltps_)
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            store.ensure_blocks()
-            store.discard([ltps_[0].name])
-            store.register(unfold(smallbank().programs, 2)[:1])
-            store.ensure_blocks()  # second build, no repeat warning
-        degrade = [
-            w for w in caught if "degraded to serial" in str(w.message)
-        ]
-        assert len(degrade) == 1
-
-    def test_cpu_probe_cached_per_guard(self, monkeypatch):
-        import repro.summary.pairwise as pairwise
-
-        calls = []
-
-        def probe():
-            calls.append(1)
-            return 1
-
-        monkeypatch.setattr(pairwise.os, "cpu_count", probe)
-        guard = pairwise.ProcessDegradeGuard()
-        assert guard.cpu_count() == 1
-        assert guard.cpu_count() == 1
-        assert len(calls) == 1
-
-    def test_analyzer_shares_one_guard_across_settings(self, monkeypatch):
-        import warnings as warnings_module
-
-        import repro.summary.pairwise as pairwise
-        from repro.analysis import Analyzer
-
-        monkeypatch.setattr(pairwise.os, "cpu_count", lambda: 1)
-        session = Analyzer("smallbank", jobs=2, backend="process")
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            session.analyze_matrix()  # four settings -> four stores
-        degrade = [
-            w for w in caught if "degraded to serial" in str(w.message)
-        ]
-        assert len(degrade) == 1
-
-    def test_enough_cores_do_not_degrade(self, monkeypatch):
-        import warnings as warnings_module
-
-        store, ltps_ = self._store_with_cores(monkeypatch, 4)
-        store.register(ltps_)
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            store.ensure_blocks()
-        assert not [
-            w for w in caught if "degraded to serial" in str(w.message)
-        ]
-        workload = smallbank()
-        serial = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        serial.register(unfold(workload.programs, 2))
-        assert store.graph().edges == serial.graph().edges

@@ -3,9 +3,9 @@
 Covers the metrics registry and its Prometheus text exposition (parsed
 with the same stdlib parser the CI scrape uses), the ``/v1/metrics``
 route, trace-id propagation from an ``X-Repro-Trace-Id`` header through
-the access log, a process-backend sweep and a seeded ``worker.kill``
-recovery, the ``profile`` span tree (and the byte-identity of payloads
-without it), worker tagging, and the monotonic clock helper.
+the access log and the block sweep it causes, the ``profile`` span tree
+(and the byte-identity of payloads without it), worker tagging, and the
+monotonic clock helper.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 import prom_parser
 from repro import obs
 from repro.analysis.session import Analyzer
-from repro.faults import FaultPlan, FaultRule, install_plan
+from repro.faults import install_plan
 from repro.faults import inject as inject_module
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import worker_index
@@ -167,7 +167,6 @@ class TestMetricsEndpoint:
             "repro_http_request_seconds_bucket",
             "repro_http_responses_total",
             "repro_stage_seconds_bucket",
-            "repro_sweep_seconds_bucket",
         } <= names
         assert (
             samples[
@@ -246,56 +245,21 @@ class TestTracePropagation:
             for r in _records(caplog, "http.request")
         )
 
-    def test_trace_flows_through_process_sweep_and_kill_recovery(
-        self, caplog
-    ):
+    def test_trace_flows_through_block_sweep(self, http_server, caplog):
         caplog.set_level(logging.DEBUG, logger="repro.obs")
-        service = AnalysisService(capacity=4, jobs=4, backend="process")
-        # Pre-resolve the pooled session so the degrade guard can be told
-        # the host has real cores (the test container has one, which
-        # would degrade to serial before any sweep or fault).
-        session = service.session("auction(3)")
-        session._degrade_guard._cpu_count = 8
-        install_plan(
-            FaultPlan(
-                seed=11,
-                rules=(FaultRule(site="worker.kill", every=1, times=1),),
-            )
+        status, _, _ = _request(
+            http_server,
+            "/v1/analyze",
+            {"workload": "auction(3)"},
+            headers={"X-Repro-Trace-Id": "trace-sweep-7"},
         )
-        server = make_server(service, port=0, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, _, _ = _request(
-                server,
-                "/v1/analyze",
-                {"workload": "auction(3)"},
-                headers={"X-Repro-Trace-Id": "trace-kill-7"},
+        assert status == 200
+        # One id stitches the access log to the sweep the request caused.
+        for event in ("http.request", "sweep.batch"):
+            assert any(
+                r.get("trace_id") == "trace-sweep-7"
+                for r in _records(caplog, event)
             )
-            assert status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        # One id stitches the whole causal chain: the access log, the
-        # sweep the request triggered, and the pool crash it survived.
-        assert any(
-            r.get("trace_id") == "trace-kill-7"
-            for r in _records(caplog, "http.request")
-        )
-        sweeps = [
-            r
-            for r in _records(caplog, "sweep.batch")
-            if r.get("trace_id") == "trace-kill-7"
-        ]
-        assert sweeps and sweeps[0]["backend"] == "process"
-        recoveries = [
-            r
-            for r in _records(caplog, "sweep.pool_fault")
-            if r.get("trace_id") == "trace-kill-7"
-        ]
-        assert recoveries and "BrokenProcessPool" in recoveries[0]["error"]
-        assert session.fault_info()["recoveries"] == 1
 
     def test_no_scope_means_no_trace(self):
         assert obs.current_trace_id() is None

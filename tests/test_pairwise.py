@@ -135,14 +135,6 @@ class TestStoreParity:
         assert assembled.edges == monolithic.edges
         assert set(store.graph(shuffled).edges) == set(monolithic.edges)
 
-    def test_parallel_jobs_parity(self, tpcc_workload):
-        ltps = _ltps(tpcc_workload)
-        serial = construct_summary_graph(ltps, tpcc_workload.schema, ATTR_DEP_FK)
-        parallel = construct_summary_graph(
-            ltps, tpcc_workload.schema, ATTR_DEP_FK, jobs=4
-        )
-        assert parallel.edges == serial.edges
-
 
 class TestStoreBehaviour:
     def test_blocks_computed_once(self, auction_workload):

@@ -1,10 +1,9 @@
 """Tests for the plane-packed batch kernel (``repro.summary.planes``).
 
-The load-bearing property: the batch sweep — stdlib SWAR and numpy alike —
-must reproduce ``pair_edges_reference`` edge for edge for every ordered
-program pair, across all four Section 7.2 settings.  On top of that the
-two kernels must agree *bit for bit* on the dense bitset planes the
-process backend ships over shared memory.
+The load-bearing property: the batch sweep must reproduce
+``pair_edges_reference`` edge for edge for every ordered program pair,
+across all four Section 7.2 settings — through the block store, through
+:func:`sweep_blocks`, and on the dense matrices :func:`np_sweep` yields.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from repro.summary.pairwise import (
 )
 from repro.summary.planes import (
     PlaneArena,
-    arena_view,
-    coords_from_dense,
-    dense_rows,
+    np_sweep,
     plan_sweeps,
     resolve_kernel,
     sweep_blocks,
@@ -33,7 +30,8 @@ from repro.summary.planes import (
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction_n, smallbank
 
-KERNELS = ["stdlib"] + (["numpy"] if planes.numpy_available() else [])
+#: The sweep kernel under test, named in the parity tests' ids.
+KERNELS = [resolve_kernel()]
 
 WORKLOADS = {
     "smallbank": smallbank,
@@ -77,7 +75,7 @@ class TestBatchKernelParity:
     def test_store_blocks_match_reference(self, kernel, workload_name, settings):
         workload = WORKLOADS[workload_name]()
         ltps = _ltps(workload)
-        store = EdgeBlockStore(workload.schema, settings, plane_kernel=kernel)
+        store = EdgeBlockStore(workload.schema, settings)
         store.register(ltps)
         store.ensure_blocks()
         reference = _reference_blocks(ltps, workload.schema, settings)
@@ -104,9 +102,8 @@ class TestBatchKernelParity:
             )
         )
         settings = data.draw(st.sampled_from(ALL_SETTINGS))
-        kernel = data.draw(st.sampled_from(KERNELS))
         ltps = unfold(subset, 2)
-        store = EdgeBlockStore(workload.schema, settings, plane_kernel=kernel)
+        store = EdgeBlockStore(workload.schema, settings)
         store.register(ltps)
         store.ensure_blocks()
         for pair, expected in _reference_blocks(
@@ -115,24 +112,51 @@ class TestBatchKernelParity:
             assert store.block(*pair) == expected
 
 
-@pytest.mark.skipif(
-    not planes.numpy_available(), reason="numpy fast path not importable"
-)
+def _reference_coords(ltps, schema, settings):
+    """Arena-row coordinates ``(row, col, has_nc, has_cf)`` of every
+    reference edge, for LTPs packed back to back from row 0."""
+    starts = {}
+    row = 0
+    for ltp in ltps:
+        starts[ltp.name] = row
+        row += len(ltp.occurrences)
+    position = {
+        (ltp.name, occurrence.position): index
+        for ltp in ltps
+        for index, occurrence in enumerate(ltp.occurrences)
+    }
+    coords = {}
+    for edge in _reference_blocks(ltps, schema, settings).values():
+        for e in edge:
+            key = (
+                starts[e.source] + position[(e.source, e.source_pos)],
+                starts[e.target] + position[(e.target, e.target_pos)],
+            )
+            nc, cf = coords.get(key, (False, False))
+            coords[key] = (nc or not e.counterflow, cf or e.counterflow)
+    return coords
+
+
 class TestKernelAgreement:
-    """stdlib SWAR and numpy sweeps are interchangeable, bit for bit."""
+    """The planes-level entry points agree with the executable spec."""
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_dense_planes_bit_for_bit(self, settings):
+    def test_dense_planes_bit_for_bit(self, settings, monkeypatch):
+        # A tiny chunk size makes np_sweep yield many row chunks, so the
+        # chunk offsets are exercised too.
+        monkeypatch.setattr(planes, "_CHUNK_CELLS", 64)
         workload = auction_n(5)
         ltps = _ltps(workload)
         arena = _packed_arena(ltps, workload.schema, settings)
         rows = list(range(arena.capacity))
-        view = arena_view(arena)
-        use_fk = settings.use_foreign_keys
-        np_nc, np_cf = dense_rows(view, rows, rows, use_fk, kernel="numpy")
-        sw_nc, sw_cf = dense_rows(view, rows, rows, use_fk, kernel="stdlib")
-        assert np_nc == sw_nc
-        assert np_cf == sw_cf
+        expected = _reference_coords(ltps, workload.schema, settings)
+        seen = {}
+        for offset, nc, cf in np_sweep(
+            arena, rows, rows, settings.use_foreign_keys
+        ):
+            for s, t in zip(*(nc | cf).nonzero()):
+                seen[(offset + int(s), int(t))] = (bool(nc[s, t]), bool(cf[s, t]))
+        assert seen == expected
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
     def test_sweep_blocks_identical(self, settings):
@@ -140,33 +164,30 @@ class TestKernelAgreement:
         ltps = _ltps(workload)
         arena = _packed_arena(ltps, workload.schema, settings)
         names = [ltp.name for ltp in ltps]
-        use_fk = settings.use_foreign_keys
-        assert sweep_blocks(
-            arena, names, names, use_fk, kernel="numpy"
-        ) == sweep_blocks(arena, names, names, use_fk, kernel="stdlib")
-
-
-class TestDenseRoundTrip:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_coords_survive_dense_encoding(self, kernel):
-        workload = smallbank()
-        ltps = _ltps(workload)
-        arena = _packed_arena(ltps, workload.schema, ATTR_DEP_FK)
-        rows = list(range(arena.capacity))
-        view = arena_view(arena)
-        nc_plane, cf_plane = dense_rows(view, rows, rows, True, kernel=kernel)
-        decoded = coords_from_dense(nc_plane, cf_plane, len(rows), len(rows))
-        if kernel == "numpy":
-            direct = planes._np_coords(view, rows, rows, True)
-        else:
-            direct = planes._swar_coords(view, rows, rows, True)
-        assert decoded == sorted(direct)
+        grouped = sweep_blocks(arena, names, names, settings.use_foreign_keys)
+        by_name = {ltp.name: ltp for ltp in ltps}
+        for (source, target), coords in grouped.items():
+            program_i, program_j = by_name[source], by_name[target]
+            edges = [
+                (
+                    program_i.occurrences[s].position,
+                    counterflow,
+                    program_j.occurrences[t].position,
+                )
+                for s, t, nc, cf in coords
+                for flag, counterflow in ((nc, False), (cf, True))
+                if flag
+            ]
+            reference = pair_edges_reference(
+                program_i, program_j, workload.schema, settings
+            )
+            assert edges == [
+                (e.source_pos, e.counterflow, e.target_pos) for e in reference
+            ]
 
 
 class TestPlaneArena:
     def test_words_always_leave_top_slot_bit_free(self):
-        # The SWAR carry trick adds 2**(k-1) - 1 per slot; the top bit of
-        # every slot must start free or the carry corrupts the neighbour.
         for bits in range(0, 200):
             assert words_for_bits(bits) * 64 > bits
 
@@ -228,16 +249,9 @@ class TestSweepPlanning:
 
 
 class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ProgramError):
-            resolve_kernel("simd")
-
     def test_auto_prefers_numpy_when_available(self):
-        resolved = resolve_kernel("auto")
-        if planes.numpy_available():
-            assert resolved == "numpy"
-        else:
-            assert resolved == "stdlib"
+        # numpy is the only sweep kernel; host-context reporters ask with None.
+        assert resolve_kernel(None) == "numpy"
 
     def test_store_reports_plane_occupancy(self, smallbank_workload):
         store = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)

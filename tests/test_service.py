@@ -10,6 +10,7 @@ warm start, thread safety of one hammered session, and — through a live
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -93,16 +94,16 @@ class TestSessionPool:
         assert pooled == {"SmallBank", "Auction"}
 
     def test_fresh_session_is_unpooled(self):
-        service = AnalysisService(jobs=2, backend="thread")
+        service = AnalysisService(max_loop_iterations=1)
         session = service.fresh_session("auction")
-        assert session.jobs == 2
+        assert session.max_loop_iterations == 1
         assert service.sessions() == {}
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ProgramError):
             AnalysisService(capacity=0)
         with pytest.raises(ProgramError):
-            AnalysisService(backend="quantum")
+            AnalysisService(block_budget=-1)
 
     def test_stats_surface_cache_info(self):
         service = AnalysisService()
@@ -528,6 +529,32 @@ class TestHTTP:
         )
         assert status == 400
         assert json.loads(body)["error"]["type"] == "invalid_request"
+
+    def test_negative_auction_scale_gets_the_envelope(self, http_server):
+        status, body = _post(http_server, "/v1/analyze", {"workload": "auction(-1)"})
+        assert status == 400
+        envelope = json.loads(body)["error"]
+        assert envelope["type"] == "analysis_error"
+        assert envelope["exit_code"] == 2
+        assert "Auction(n) requires n >= 1" in envelope["message"]
+
+    def test_negative_content_length_is_rejected_promptly(self, http_server):
+        # A negative length must not make the handler read until EOF.
+        port = http_server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+            )
+            response = b""
+            while b"invalid Content-Length" not in response:
+                chunk = sock.recv(65536)  # times out if the handler hangs
+                if not chunk:
+                    break
+                response += chunk
+        status_line, _, rest = response.decode("latin-1").partition("\r\n")
+        assert status_line.split()[1] == "400"
+        assert "invalid Content-Length" in rest
 
     def test_unknown_route_is_404(self, http_server):
         status, body = _post(http_server, "/v1/frobnicate", {})

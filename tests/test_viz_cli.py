@@ -93,6 +93,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown workload" in err
 
+    @pytest.mark.parametrize("workload", ["auction(-1)", "auction(-3)", "auction(0)"])
+    def test_non_positive_auction_scale_exits_nonzero(self, capsys, workload):
+        # The sign must survive parsing: auction(-1) is not Auction(1).
+        assert main(["analyze", workload]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "Auction(n) requires n >= 1" in err
+
     def test_missing_workload_file_exits_nonzero(self, capsys):
         assert main(["analyze", "no_such.workload"]) == 2
         assert "not found" in capsys.readouterr().err
