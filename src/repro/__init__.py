@@ -121,7 +121,7 @@ from repro.summary import (
 )
 from repro.workloads import Workload
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

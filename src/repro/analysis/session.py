@@ -63,10 +63,6 @@ CACHE_FORMAT = "repro-analyzer-cache"
 #: version-1 files without one still load via the per-program checks).
 CACHE_VERSION = 2
 
-# Backwards-compatible alias; the helper now lives in repro.summary.fingerprint.
-_schema_fingerprint = schema_fingerprint
-
-
 @dataclass(frozen=True)
 class AnalysisMatrix:
     """One :class:`RobustnessReport` per analysis setting (a Figure 6/7 row
@@ -474,10 +470,11 @@ class Analyzer:
         """An independent session over the same workload, seeded with this
         session's warm caches.
 
-        The fork shares no mutable state: unfoldings, summary graphs and
-        reports are copied by reference (they are immutable), and every
-        cached pairwise edge block is seeded into fresh per-settings stores
-        via :meth:`EdgeBlockStore.load_block` — so the fork's
+        Unfoldings, summary graphs and reports are copied by reference
+        (they are immutable), and every cached pairwise edge block record
+        is shared into fresh per-settings stores via
+        :meth:`EdgeBlockStore.seed_from` (a record's lazily filled edges
+        and summary are safe to fill from either session) — so the fork's
         :meth:`cache_info` counts them under ``blocks_loaded`` and only
         blocks invalidated by *its own* edits show up as computations.
         This is what :meth:`advise` verifies repair candidates on: apply an
@@ -550,7 +547,7 @@ class Analyzer:
                 "version": CACHE_VERSION,
                 "workload": self.workload.name,
                 "source": self._source_hint,
-                "schema": _schema_fingerprint(self.schema),
+                "schema": schema_fingerprint(self.schema),
                 "fingerprint": self.fingerprint(),
                 "max_loop_iterations": self.max_loop_iterations,
                 "program_names": list(self.program_names),
@@ -616,7 +613,7 @@ class Analyzer:
                     f"{path}: cache covers programs {sorted(unknown)!r} that are not "
                     f"in workload {self.workload.name!r}"
                 )
-            if data["schema"] != _schema_fingerprint(self.schema):
+            if data["schema"] != schema_fingerprint(self.schema):
                 raise ProgramError(
                     f"{path}: cache was built against a different schema than "
                     f"workload {self.workload.name!r}"

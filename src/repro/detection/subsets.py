@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.btp.program import BTP
-from repro.btp.unfold import unfold
 from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
 from repro.schema import Schema
-from repro.summary.construct import construct_summary_graph
 from repro.summary.graph import SummaryGraph
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import AnalysisSettings
@@ -55,6 +53,13 @@ def _resolve_method(method: str | Method) -> Method:
         ) from None
 
 
+def _session(programs: Sequence[BTP], schema: Schema, max_loop_iterations: int):
+    """A throwaway :class:`repro.analysis.Analyzer` over ``programs``."""
+    from repro.analysis.session import Analyzer  # deferred: avoids an import cycle
+
+    return Analyzer(programs, schema=schema, max_loop_iterations=max_loop_iterations)
+
+
 def is_robust(
     programs: Sequence[BTP],
     schema: Schema,
@@ -63,9 +68,9 @@ def is_robust(
     max_loop_iterations: int = 2,
 ) -> bool:
     """Unfold, build the summary graph, and run the chosen detection method."""
-    ltps = unfold(programs, max_loop_iterations)
-    graph = construct_summary_graph(ltps, schema, settings)
-    return _resolve_method(method)(graph)
+    return _session(programs, schema, max_loop_iterations).is_robust(
+        settings, method=method
+    )
 
 
 class PairMatrix:
@@ -141,26 +146,13 @@ class PairMatrix:
         if not ltp_names:
             return True
         self._store.ensure_blocks(ltp_names)
-        flags = self._store.block_flags
-        any_counterflow = False
-        any_non_counterflow = False
-        has_incoming: set[str] = set()
-        has_counterflow_out: set[str] = set()
-        for source in ltp_names:
-            for target in ltp_names:
-                non_counterflow, counterflow = flags(source, target)
-                if counterflow:
-                    any_counterflow = True
-                    has_counterflow_out.add(source)
-                if non_counterflow:
-                    any_non_counterflow = True
-                if counterflow or non_counterflow:
-                    has_incoming.add(target)
-        if not any_counterflow:
+        adjacency, nc_blocks, cf_blocks = self._store.subset_index(ltp_names)
+        if not cf_blocks:
             return True
-        if self._needs_non_counterflow and not any_non_counterflow:
+        if self._needs_non_counterflow and not nc_blocks:
             return True
-        return not (has_incoming & has_counterflow_out)
+        has_incoming = {target for targets in adjacency.values() for target in targets}
+        return has_incoming.isdisjoint(source for source, _ in cf_blocks)
 
     def pair_verdict(self, subset: frozenset[str]) -> bool:
         """The verdict of a 1- or 2-program subset, memoized."""
@@ -215,14 +207,14 @@ def enumerate_robust_subsets(
     names: Iterable[str],
     check_combo: Callable[[tuple[str, ...]], bool],
 ) -> dict[frozenset[str], bool]:
-    """The anti-monotone enumeration shared by the one-shot path and the
-    :class:`repro.analysis.Analyzer` session.
+    """The anti-monotone enumeration behind
+    :meth:`repro.analysis.Analyzer.robust_subsets`.
 
     Walks subsets of ``names`` in decreasing size; subsets of attested-robust
     sets inherit robustness without calling ``check_combo`` (Proposition
     5.2).  ``check_combo`` decides robustness for one candidate combination
-    — via :meth:`PairMatrix.verdict` (both library paths) or by running the
-    full pipeline per candidate (arbitrary method callables).
+    — via :meth:`PairMatrix.verdict` (the built-in methods) or by running
+    the method on an assembled graph (arbitrary method callables).
     """
     ordered = sorted(names)
     verdicts: dict[frozenset[str], bool] = {}
@@ -278,33 +270,15 @@ def robust_subsets(
 ) -> dict[frozenset[str], bool]:
     """Robustness verdict for every non-empty subset of the programs.
 
-    Subsets are keyed by the frozenset of program (BTP) names.  Unfolding
-    happens once and the enumeration is driven off a shared
-    :class:`~repro.summary.pairwise.EdgeBlockStore`: each candidate subset's
-    ``SuG`` is assembled from cached pairwise edge blocks (exact, because
-    Algorithm 1 adds edges per ordered pair of programs), so no block is
-    ever computed twice — and for the built-in methods the
-    :class:`PairMatrix` answers candidates containing a known non-robust
-    pair (or screened robust by the interference flags) without assembling
-    a graph at all.
+    Subsets are keyed by the frozenset of program (BTP) names.  A
+    one-shot wrapper over :meth:`repro.analysis.Analyzer.robust_subsets`:
+    unfolding happens once, each candidate's ``SuG`` is assembled from
+    cached pairwise edge blocks, and for the built-in methods the
+    :class:`PairMatrix` answers most candidates without assembling a graph.
     """
-    check = _resolve_method(method)
-    ltps = unfold(programs, max_loop_iterations)
-    store = EdgeBlockStore(schema, settings)
-    store.register(ltps)
-    ltps_by_origin: dict[str, list[str]] = {program.name: [] for program in programs}
-    for ltp in ltps:
-        ltps_by_origin[ltp.origin].append(ltp.name)
-
-    matrix = PairMatrix.for_method(store, ltps_by_origin, check)
-    if matrix is not None:
-        return enumerate_robust_subsets(ltps_by_origin, matrix.verdict)
-
-    def check_combo(combo: tuple[str, ...]) -> bool:
-        keep = [name for origin in combo for name in ltps_by_origin[origin]]
-        return check(store.graph(keep))
-
-    return enumerate_robust_subsets(ltps_by_origin, check_combo)
+    return _session(programs, schema, max_loop_iterations).robust_subsets(
+        settings, method
+    )
 
 
 def maximal_robust_subsets(

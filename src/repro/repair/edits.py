@@ -77,10 +77,6 @@ def map_statement(node: ProgramNode, name: str, transform) -> ProgramNode:
     raise ProgramError(f"unknown node type {type(node).__name__}")
 
 
-#: Backwards-compatible alias (the helper predates the public name).
-_map_statement = map_statement
-
-
 @dataclass(frozen=True)
 class Repair:
     """Base class of all repair edits; ``program`` names the edited BTP."""

@@ -29,11 +29,8 @@ from repro.btp.unfold import unfold
 from repro.errors import ProgramError
 from repro.schema import Schema
 from repro.summary.graph import SummaryGraph
-from repro.summary.pairwise import EdgeBlockStore, effective_statements
+from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import AnalysisSettings
-
-# Re-exported for backward compatibility (pre-pairwise import path).
-_effective_statements = effective_statements
 
 
 def construct_summary_graph(

@@ -24,9 +24,13 @@ The hot path runs on a **plane-packed batch kernel**
   into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
   evaluated for whole occurrence-pair batches at once — numpy
   AND/compare passes over the planes that emit per-block packed
-  coordinates instead of per-pair edge tuples.  Blocks stay packed until
-  something asks for their :class:`~repro.summary.graph.SummaryEdge`
-  tuples.
+  coordinates instead of per-pair edge tuples.
+
+The store keeps each cached block as **one record** (:class:`_Block`) in
+its source program's row: the packed coordinates until something asks for
+the :class:`~repro.summary.graph.SummaryEdge` tuples, the block's
+non-counterflow/counterflow flags, and its :class:`BlockSummary` once the
+block-index detectors ask for it.  Forks share the records by reference.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
 executable specification; the plane sweep is property-tested against it
@@ -37,8 +41,9 @@ settings.  One-shot :func:`pair_edges` runs the sweep through a throwaway
 The block structure is what enables
 
 * **incremental re-analysis** — replacing one program invalidates only the
-  blocks whose source or target belongs to it (``≤ 2n − 1`` of the ``n²``
-  program-pair blocks), everything else stays cached;
+  blocks whose source or target belongs to it (its row and its column:
+  ``≤ 2n − 1`` of the ``n²`` program-pair blocks), everything else stays
+  cached;
 * **persistence** — blocks are plain edge lists that serialize with
   :meth:`repro.summary.graph.SummaryEdge.to_dict` and can be seeded back
   via :meth:`EdgeBlockStore.load_block` (the substrate of
@@ -255,6 +260,63 @@ def pair_edges(
     return store.block(program_i.name, program_j.name)
 
 
+#: One packed block: ``(source occurrence, target occurrence,
+#: non-counterflow?, counterflow?)`` per interfering occurrence pair.
+Coords = tuple[tuple[int, int, bool, bool], ...]
+
+
+class _Block:
+    """One cached edge block of an ordered pair — the store's only record.
+
+    ``coords`` holds the sweep's packed coordinates until the first read
+    turns them into the :class:`~repro.summary.graph.SummaryEdge` tuple
+    ``edges`` (loaded blocks start out materialized); ``has_nc`` /
+    ``has_cf`` are set at install; ``summary`` is the
+    :class:`BlockSummary`, memoized on the first
+    :meth:`EdgeBlockStore.block_summary` call.
+
+    Records are shared by reference between a store and its
+    :meth:`~EdgeBlockStore.seed_from` forks, which may run on different
+    threads.  The lazily filled fields stay safe for concurrent readers
+    because every reader loads ``coords`` before ``edges`` and every
+    writer stores ``edges`` before clearing ``coords`` — a reader that
+    sees ``coords is None`` always finds ``edges`` set — and because two
+    racing fills compute equal values, so the last write wins harmlessly.
+    """
+
+    __slots__ = ("coords", "edges", "has_nc", "has_cf", "summary")
+
+    def __init__(
+        self,
+        coords: Coords | None,
+        edges: tuple[SummaryEdge, ...] | None,
+        has_nc: bool,
+        has_cf: bool,
+    ):
+        self.coords = coords
+        self.edges = edges
+        self.has_nc = has_nc
+        self.has_cf = has_cf
+        self.summary: BlockSummary | None = None
+
+    @classmethod
+    def packed(cls, coords: Coords) -> "_Block":
+        has_nc = has_cf = False
+        for _, _, nc, cf in coords:
+            has_nc |= nc
+            has_cf |= cf
+        return cls(coords, None, has_nc, has_cf)
+
+    @classmethod
+    def materialized(cls, edges: tuple[SummaryEdge, ...]) -> "_Block":
+        return cls(
+            None,
+            edges,
+            any(not edge.counterflow for edge in edges),
+            any(edge.counterflow for edge in edges),
+        )
+
+
 class EdgeBlockStore:
     """A cache of pairwise edge blocks for one ``(schema, settings)``.
 
@@ -262,18 +324,19 @@ class EdgeBlockStore:
     kernel profile), then :meth:`graph` assembles ``SuG`` over any subset
     of them from cached blocks, computing only the blocks not seen before.
     :meth:`discard` drops a program together with every block it
-    participates in (the incremental-re-analysis primitive, indexed so an
-    eviction touches only the ``≤ 2n − 1`` involved blocks), and
-    :meth:`load_block` seeds blocks from persisted edge lists without
-    recomputation.
+    participates in (its own row plus its column, the ``≤ 2n − 1``
+    involved blocks), and :meth:`load_block` seeds blocks from persisted
+    edge lists without recomputation.
 
-    Missing blocks are computed by the **batch plane kernel**
-    (:mod:`repro.summary.planes`): the store packs registered profiles
-    into a :class:`~repro.summary.planes.PlaneArena`, groups missing pairs
-    into cross-product sweeps, and keeps the results as *packed blocks*
-    (per-pair occurrence coordinates) that materialize to
+    Each cached block is one :class:`_Block` record in a per-program row
+    (``rows[source][target]``).  Missing blocks are computed by the
+    **batch plane kernel** (:mod:`repro.summary.planes`): the store packs
+    registered profiles into a :class:`~repro.summary.planes.PlaneArena`,
+    groups missing pairs into cross-product sweeps, and keeps the results
+    as packed coordinates that materialize to
     :class:`~repro.summary.graph.SummaryEdge` tuples lazily, on first
-    access, in deterministic pair order.  Stores are not thread-safe.
+    access, in deterministic pair order.  Stores are not thread-safe;
+    only the records they share with forks are (see :class:`_Block`).
     """
 
     def __init__(
@@ -287,24 +350,8 @@ class EdgeBlockStore:
         self._arena: planes.PlaneArena | None = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
-        self._blocks: dict[tuple[str, str], tuple[SummaryEdge, ...]] = {}
-        #: Blocks still in packed (coordinate) form — computed by the batch
-        #: kernel, not yet materialized to edge tuples.  A pair lives in
-        #: exactly one of ``_packed`` / ``_blocks``.
-        self._packed: dict[
-            tuple[str, str], tuple[tuple[int, int, bool, bool], ...]
-        ] = {}
-        #: Per-program index of the block pairs it participates in — the
-        #: incremental-replace primitive: :meth:`discard` deletes exactly
-        #: these instead of rebuilding the whole block dict.
-        self._pairs_by_name: dict[str, set[tuple[str, str]]] = {}
-        #: Per-block ``(has_non_counterflow, has_counterflow)`` flags,
-        #: computed lazily — the substrate of the pair-matrix fast path of
-        #: :class:`repro.detection.subsets.PairMatrix`.
-        self._flags: dict[tuple[str, str], tuple[bool, bool]] = {}
-        #: Per-block :class:`BlockSummary` aggregates, computed lazily —
-        #: the substrate of the block-index detection path.
-        self._summaries: dict[tuple[str, str], BlockSummary] = {}
+        #: One row per registered LTP: target name → cached block record.
+        self._rows: dict[str, dict[str, _Block]] = {}
         self._computed = 0
         self._loaded = 0
         self._hits = 0
@@ -346,7 +393,7 @@ class EdgeBlockStore:
                 self._profiles[ltp.name] = compile_profile(
                     ltp, self.schema, self.settings
                 )
-                self._pairs_by_name[ltp.name] = set()
+                self._rows[ltp.name] = {}
             elif known is not ltp and known != ltp:
                 raise ProgramError(
                     f"edge-block store already holds a different program named "
@@ -354,10 +401,9 @@ class EdgeBlockStore:
                 )
 
     def discard(self, names: Iterable[str]) -> None:
-        """Drop programs and every cached block they participate in.
-
-        Indexed per program: only the dropped programs' own blocks are
-        touched (``≤ 2n − 1`` each), not the whole block dict."""
+        """Drop programs and every cached block they participate in: the
+        program's own row and its entry in every other row (``≤ 2n − 1``
+        blocks each), never the whole cache."""
         for name in names:
             if name not in self._ltps:
                 continue
@@ -366,16 +412,11 @@ class EdgeBlockStore:
             self._ltp_fps.pop(name, None)
             if self._arena is not None:
                 self._arena.remove(name)
-            for pair in self._pairs_by_name.pop(name):
-                if pair in self._blocks or pair in self._packed:
-                    self._blocks.pop(pair, None)
-                    self._packed.pop(pair, None)
-                    self._flags.pop(pair, None)
-                    self._summaries.pop(pair, None)
-                    self._release_ref(pair)
-                    other = pair[1] if pair[0] == name else pair[0]
-                    if other != name and other in self._pairs_by_name:
-                        self._pairs_by_name[other].discard(pair)
+            for target in self._rows.pop(name):
+                self._release_ref((name, target))
+            for source, row in self._rows.items():
+                if row.pop(name, None) is not None:
+                    self._release_ref((source, name))
 
     @property
     def ltp_names(self) -> tuple[str, ...]:
@@ -391,54 +432,37 @@ class EdgeBlockStore:
     def __contains__(self, name: str) -> bool:
         return name in self._ltps
 
+    def _require(self, names: Iterable[str]) -> None:
+        for name in names:
+            if name not in self._ltps:
+                raise ProgramError(f"edge-block store: unknown program {name!r}")
+
     # -- blocks -------------------------------------------------------------
-    def _install(
-        self, pair: tuple[str, str], block: tuple[SummaryEdge, ...], *, loaded: bool
-    ) -> None:
-        if pair not in self._blocks and pair not in self._packed:
+    def _put(self, source: str, target: str, block: _Block, *, loaded: bool) -> None:
+        """Install one block record.  A new pair counts under ``loaded`` or
+        ``computed``; recomputing a present pair counts under ``computed``;
+        loading or seeding over a present pair counts nothing."""
+        row = self._rows[source]
+        if target not in row:
             if loaded:
                 self._loaded += 1
             else:
                 self._computed += 1
         elif not loaded:
             self._computed += 1
-        self._packed.pop(pair, None)
-        self._blocks[pair] = block
-        self._flags.pop(pair, None)
-        self._summaries.pop(pair, None)
-        self._pairs_by_name[pair[0]].add(pair)
-        self._pairs_by_name[pair[1]].add(pair)
+        row[target] = block
 
-    def _install_packed(
-        self,
-        pair: tuple[str, str],
-        coords: tuple[tuple[int, int, bool, bool], ...],
-    ) -> None:
-        """Adopt one batch-kernel result as this pair's (packed) block."""
-        self._computed += 1
-        self._blocks.pop(pair, None)
-        self._packed[pair] = coords
-        # Flags fall out of the packed coordinates for free — the subset
-        # screen never has to materialize edge tuples to read them.
-        has_nc = has_cf = False
-        for _, _, nc, cf in coords:
-            has_nc |= nc
-            has_cf |= cf
-        self._flags[pair] = (has_nc, has_cf)
-        self._summaries.pop(pair, None)
-        self._pairs_by_name[pair[0]].add(pair)
-        self._pairs_by_name[pair[1]].add(pair)
-
-    def _materialize(self, pair: tuple[str, str]) -> tuple[SummaryEdge, ...]:
-        """One packed block to its edge tuples (memoized into ``_blocks``).
+    def _edges(self, source: str, target: str, block: _Block) -> tuple[SummaryEdge, ...]:
+        """One block's edge tuples, materializing packed coordinates once.
 
         Coordinates are ``(source occurrence, target occurrence)`` indexes
         in program order, so emitting the non-counterflow edge before the
         counterflow edge per coordinate reproduces the reference loop's
         edge sequence exactly.
         """
-        coords = self._packed.pop(pair)
-        source, target = pair
+        coords = block.coords
+        if coords is None:
+            return block.edges
         occurrences_i = self._profiles[source].occurrences
         occurrences_j = self._profiles[target].occurrences
         edges: list[SummaryEdge] = []
@@ -453,39 +477,19 @@ class EdgeBlockStore:
             if cf:
                 append(edge(source, source_stmt, source_pos, True,
                             target_stmt, target_pos, target))
-        block = tuple(edges)
-        self._blocks[pair] = block
-        return block
+        block.edges = materialized = tuple(edges)
+        block.coords = None
+        return materialized
 
     def block(self, source: str, target: str) -> tuple[SummaryEdge, ...]:
         """The edge block of one ordered pair, from cache or computed now."""
-        pair = (source, target)
-        cached = self._blocks.get(pair)
+        self._require((source, target))
+        cached = self._rows[source].get(target)
         if cached is not None:
             self._hits += 1
-            return cached
-        if pair in self._packed:
-            self._hits += 1
-            return self._materialize(pair)
-        for name in pair:
-            if name not in self._ltps:
-                raise ProgramError(f"edge-block store: unknown program {name!r}")
-        self._ensure_pairs([pair])
-        return self._materialize(pair)
-
-    def block_flags(self, source: str, target: str) -> tuple[bool, bool]:
-        """``(has_non_counterflow, has_counterflow)`` of one cached block.
-
-        Requires the block to be cached (``ensure_blocks`` first); the scan
-        happens once per block and is memoized."""
-        pair = (source, target)
-        flags = self._flags.get(pair)
-        if flags is None:
-            block = self._blocks[pair]
-            has_counterflow = any(edge.counterflow for edge in block)
-            has_non_counterflow = any(not edge.counterflow for edge in block)
-            flags = self._flags[pair] = (has_non_counterflow, has_counterflow)
-        return flags
+            return self._edges(source, target, cached)
+        self._ensure_pairs([(source, target)])
+        return self._edges(source, target, self._rows[source][target])
 
     def subset_index(
         self, names: Sequence[str]
@@ -496,34 +500,24 @@ class EdgeBlockStore:
     ]:
         """``(adjacency, nc_blocks, cf_blocks)`` over cached blocks.
 
-        One pass over the subset's ordered pairs with direct access to the
-        flag memo (computing missing flags inline), so the block-index
-        detectors pay ~n² dictionary probes instead of 3·n² method calls.
-        Requires every pair's block to be cached (``ensure_blocks``
-        first).
+        One pass over the subset's ordered pairs reading the flags each
+        record carries from install.  Requires every pair's block to be
+        cached (``ensure_blocks`` first).
         """
-        flags = self._flags
-        blocks = self._blocks
+        rows = self._rows
         nc_blocks: list[tuple[str, str]] = []
         cf_blocks: list[tuple[str, str]] = []
         adjacency: dict[str, tuple[str, ...]] = {}
         for source in names:
+            row = rows[source]
             successors: list[str] = []
             for target in names:
-                pair = (source, target)
-                pair_flags = flags.get(pair)
-                if pair_flags is None:
-                    block = blocks[pair]
-                    pair_flags = flags[pair] = (
-                        any(not edge.counterflow for edge in block),
-                        any(edge.counterflow for edge in block),
-                    )
-                has_nc, has_cf = pair_flags
-                if has_nc:
-                    nc_blocks.append(pair)
-                if has_cf:
-                    cf_blocks.append(pair)
-                if has_nc or has_cf:
+                block = row[target]
+                if block.has_nc:
+                    nc_blocks.append((source, target))
+                if block.has_cf:
+                    cf_blocks.append((source, target))
+                if block.has_nc or block.has_cf:
                     successors.append(target)
             adjacency[source] = tuple(successors)
         return adjacency, nc_blocks, cf_blocks
@@ -532,25 +526,21 @@ class EdgeBlockStore:
         """The :class:`BlockSummary` aggregates of one cached block.
 
         Requires the block to be cached (``ensure_blocks`` first); the
-        scan happens once per block and is memoized (and carried across
-        :meth:`seed_from`, so a forked session never re-aggregates
-        baseline blocks).  The trigger test resolves each edge's source
-        statement through the registered LTP — statement *types* are
-        unaffected by tuple-granularity widening, so the aggregate is
-        exact for every settings row.
+        scan happens once per block record and is memoized on it (so a
+        forked session, which shares its parent's records, never
+        re-aggregates baseline blocks).  The trigger test resolves each
+        edge's source statement through the registered LTP — statement
+        *types* are unaffected by tuple-granularity widening, so the
+        aggregate is exact for every settings row.
         """
-        pair = (source, target)
-        summary = self._summaries.get(pair)
+        block = self._rows[source][target]
+        summary = block.summary
         if summary is not None:
             return summary
-        if pair in self._packed:
-            block = self._materialize(pair)
-        else:
-            block = self._blocks[pair]
         nc_rep = cf_rep = trigger_rep = None
         max_target_pos_rep = min_cf_source_pos_rep = None
         source_ltp = self._ltps[source]
-        for edge in block:
+        for edge in self._edges(source, target, block):
             if edge.counterflow:
                 if cf_rep is None:
                     cf_rep = edge
@@ -570,29 +560,26 @@ class EdgeBlockStore:
                 or edge.target_pos > max_target_pos_rep.target_pos
             ):
                 max_target_pos_rep = edge
-        summary = BlockSummary(
+        block.summary = summary = BlockSummary(
             nc_rep, cf_rep, trigger_rep, max_target_pos_rep, min_cf_source_pos_rep
         )
-        self._summaries[pair] = summary
         return summary
 
     def load_block(
         self, source: str, target: str, edges: Iterable[SummaryEdge]
     ) -> None:
         """Seed one block from persisted edges (no recomputation)."""
-        for name in (source, target):
-            if name not in self._ltps:
-                raise ProgramError(f"edge-block store: unknown program {name!r}")
-        self._install((source, target), tuple(edges), loaded=True)
+        self._require((source, target))
+        self._put(source, target, _Block.materialized(tuple(edges)), loaded=True)
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
 
         The in-process counterpart of :meth:`load_block`: programs carry
         their already-compiled kernel profiles over (no recompilation),
-        and every cached block is shared by reference (blocks are
-        immutable tuples) and counted under ``loaded``.  Both stores must
-        describe the same schema and settings — this is what
+        and every block record is shared by reference — packed or not,
+        summarized or not — and counted under ``loaded``.  Both stores
+        must describe the same schema and settings — this is what
         :meth:`repro.analysis.Analyzer.fork` builds a candidate-verifying
         session from without paying per-block install overhead.
         """
@@ -610,20 +597,10 @@ class EdgeBlockStore:
                 )
         self._ltps.update(other._ltps)
         self._profiles.update(other._profiles)
-        for name, pairs in other._pairs_by_name.items():
-            self._pairs_by_name.setdefault(name, set()).update(pairs)
-        for pair, block in other._blocks.items():
-            if pair not in self._blocks and pair not in self._packed:
-                self._loaded += 1
-            self._packed.pop(pair, None)
-            self._blocks[pair] = block
-        for pair, coords in other._packed.items():
-            if pair not in self._blocks and pair not in self._packed:
-                self._loaded += 1
-            self._blocks.pop(pair, None)
-            self._packed[pair] = coords
-        self._flags.update(other._flags)
-        self._summaries.update(other._summaries)
+        for source, row in other._rows.items():
+            self._rows.setdefault(source, {})
+            for target, block in row.items():
+                self._put(source, target, block, loaded=True)
         self._ltp_fps.update(other._ltp_fps)
         if self.block_store is not None and self.block_store is other.block_store:
             # Forks pin the same cross-session entries as their parent, so
@@ -638,21 +615,14 @@ class EdgeBlockStore:
         blocks computed."""
         if names is None:
             names = self.ltp_names
-        missing = [
-            (source, target)
-            for source in names
-            for target in names
-            if (source, target) not in self._blocks
-            and (source, target) not in self._packed
-        ]
+        rows = self._rows
+        missing = []
+        for source in names:
+            row = rows.get(source, {})
+            missing.extend((source, target) for target in names if target not in row)
         if not missing:
             return 0
-        for source, target in missing:
-            for name in (source, target):
-                if name not in self._ltps:
-                    raise ProgramError(
-                        f"edge-block store: unknown program {name!r}"
-                    )
+        self._require(names)
         return self._ensure_pairs(missing)
 
     # -- batch kernel plumbing ---------------------------------------------
@@ -724,7 +694,7 @@ class EdgeBlockStore:
 
     def _ensure_pairs(self, missing: Sequence[tuple[str, str]]) -> int:
         """Batch-compute the given pairs: plan sweeps, run them, install
-        packed blocks.
+        packed block records.
 
         With a :class:`~repro.store.BlockStore` attached, each missing
         pair is first looked up by content address — a hit adopts the
@@ -743,7 +713,7 @@ class EdgeBlockStore:
                 if coords is None:
                     unshared.append(pair)
                 else:
-                    self._install_packed(pair, coords)
+                    self._put(*pair, _Block.packed(coords), loaded=False)
                     self._adopt_ref(pair, key)
                     self._shared_hits += 1
             missing = unshared
@@ -762,23 +732,19 @@ class EdgeBlockStore:
                     planes.sweep_blocks(arena, plan.sources, plan.targets, use_fk)
                 )
         obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
-        for plan, grouped in zip(plans, grouped_list):
-            for source in plan.sources:
-                for target in plan.targets:
-                    pair = (source, target)
-                    coords = grouped[pair]
-                    if store is not None:
-                        key = self._store_key(pair)
-                        # publish() returns the canonical tuple, so
-                        # concurrent sessions converge on one shared object.
-                        coords = store.publish(key, coords)
-                        self._install_packed(pair, coords)
-                        self._adopt_ref(pair, key)
-                        self._published += 1
-                    else:
-                        self._install_packed(pair, coords)
+        for grouped in grouped_list:
+            for pair, coords in grouped.items():
+                if store is not None:
+                    key = self._store_key(pair)
+                    # publish() returns the canonical tuple, so concurrent
+                    # sessions converge on one shared object.
+                    coords = store.publish(key, coords)
+                    self._adopt_ref(pair, key)
+                    self._published += 1
+                self._put(*pair, _Block.packed(coords), loaded=False)
         return requested
 
+    # -- assembly -----------------------------------------------------------
     # -- assembly -----------------------------------------------------------
     def graph(self, names: Sequence[str] | None = None) -> SummaryGraph:
         """``SuG`` over ``names`` (all registered programs when ``None``),
@@ -791,20 +757,21 @@ class EdgeBlockStore:
             if len(set(names)) != len(names):
                 raise ProgramError(f"duplicate LTP names: {names!r}")
         freshly_computed = self.ensure_blocks(names)
-        blocks = self._blocks
+        materialize = self._edges
         edges: list[SummaryEdge] = []
         for source in names:
+            row = self._rows[source]
             for target in names:
-                block = blocks.get((source, target))
-                if block is None:
-                    block = self._materialize((source, target))
-                edges.extend(block)
+                edges.extend(materialize(source, target, row[target]))
         self._hits += len(names) * len(names) - freshly_computed
         return SummaryGraph._assembled(
             {name: self.ltp(name) for name in names}, tuple(edges)
         )
 
     # -- diagnostics --------------------------------------------------------
+    def _block_count(self) -> int:
+        return sum(len(row) for row in self._rows.values())
+
     def cache_info(self) -> dict[str, int]:
         """Block-cache counters: size, computations, loads, and hits.
 
@@ -812,7 +779,7 @@ class EdgeBlockStore:
         is a representation detail, not a cache state."""
         return {
             "programs": len(self._ltps),
-            "blocks": len(self._blocks) + len(self._packed),
+            "blocks": self._block_count(),
             "computed": self._computed,
             "loaded": self._loaded,
             "hits": self._hits,
@@ -837,20 +804,18 @@ class EdgeBlockStore:
 
     def blocks(self) -> dict[tuple[str, str], tuple[SummaryEdge, ...]]:
         """A snapshot of all cached blocks, materialized (for persistence)."""
-        for pair in list(self._packed):
-            self._materialize(pair)
-        return dict(self._blocks)
+        return {
+            (source, target): self._edges(source, target, block)
+            for source, row in self._rows.items()
+            for target, block in row.items()
+        }
 
     def clear(self) -> None:
         """Drop all programs, profiles, blocks, planes, and counters
         (releasing every cross-session store reference)."""
         self._ltps.clear()
         self._profiles.clear()
-        self._blocks.clear()
-        self._packed.clear()
-        self._pairs_by_name.clear()
-        self._flags.clear()
-        self._summaries.clear()
+        self._rows.clear()
         if self.block_store is not None:
             _release_store_refs(self.block_store, self._store_refs)
         self._store_refs.clear()
@@ -865,6 +830,5 @@ class EdgeBlockStore:
     def __repr__(self) -> str:
         return (
             f"EdgeBlockStore(settings={self.settings.label!r}, "
-            f"programs={len(self._ltps)}, "
-            f"blocks={len(self._blocks) + len(self._packed)})"
+            f"programs={len(self._ltps)}, blocks={self._block_count()})"
         )

@@ -9,11 +9,18 @@ not depend on the order blocks were computed in.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
+from repro.analysis import Analyzer
+from repro.btp.program import BTP, seq
+from repro.btp.statement import Statement
 from repro.btp.unfold import unfold
 from repro.errors import ProgramError
+from repro.store import BlockStore
 from repro.summary.construct import construct_summary_graph
 from repro.summary.graph import SummaryGraph
 from repro.summary.pairwise import EdgeBlockStore, pair_edges, pair_edges_reference
@@ -205,6 +212,191 @@ class TestStoreBehaviour:
         store.register(ltps)
         with pytest.raises(ProgramError, match="duplicate"):
             store.graph([ltps[0].name, ltps[0].name])
+
+
+def _packed_session(source: str) -> Analyzer:
+    """A session whose blocks are computed for every settings row but not
+    yet materialized to edge tuples (no graph assembled)."""
+    session = Analyzer(source)
+    ltps = session.unfolded()
+    for settings in ALL_SETTINGS:
+        store = session.edge_block_store(settings)
+        store.register(ltps)
+        store.ensure_blocks()
+    return session
+
+
+def _snapshot(store: EdgeBlockStore):
+    """Every block and block summary of a store, then its counters."""
+    names = store.ltp_names
+    blocks = {
+        (source, target): (
+            store.block(source, target),
+            store.block_summary(source, target),
+        )
+        for source in names
+        for target in names
+    }
+    return blocks, store.cache_info()
+
+
+class TestSharedRecords:
+    """Forks share block records with their parent by reference."""
+
+    def test_packed_blocks_materialize_once_across_a_fork(self, auction_workload):
+        parent = EdgeBlockStore(auction_workload.schema, ATTR_DEP_FK)
+        parent.register(_ltps(auction_workload))
+        parent.ensure_blocks()
+        info = parent.cache_info()
+        fork = EdgeBlockStore(auction_workload.schema, ATTR_DEP_FK)
+        fork.seed_from(parent)
+        forked = fork.graph()
+        assert parent.cache_info() == info
+        assert parent.graph().edges == forked.edges
+        names = parent.ltp_names
+        # The parent reads the tuples the fork materialized.
+        assert all(
+            parent.block(source, target) is fork.block(source, target)
+            for source in names
+            for target in names
+        )
+
+    def test_fork_edits_leave_the_parent_untouched(self, smallbank_workload):
+        parent = Analyzer(smallbank_workload)
+        parent.analyze()
+        store = parent.edge_block_store(ATTR_DEP_FK)
+        before = _snapshot(store)
+        fork = parent.fork()
+        checking = smallbank_workload.schema.relation("Checking")
+        fork.replace_program(
+            BTP(
+                "Balance",
+                seq(Statement.key_select("q8", checking, reads=["Balance"])),
+            )
+        )
+        fork.analyze()
+        assert fork.edge_block_store(ATTR_DEP_FK).cache_info()["computed"] > 0
+        assert store.cache_info() == before[1]
+        assert _snapshot(store)[0] == before[0]
+
+    def test_concurrent_parent_and_forks_match_a_serial_run(self):
+        """The parent analyzes while two forks run ``advise``; all three
+        materialize and summarize the same shared packed records."""
+
+        def jobs(session: Analyzer):
+            forks = (session.fork(), session.fork())
+            return [lambda: session.analyze_matrix().to_dict()] + [
+                lambda fork=fork: [
+                    fork.advise(settings).to_dict() for settings in ALL_SETTINGS
+                ]
+                for fork in forks
+            ]
+
+        expected = [job() for job in jobs(_packed_session("smallbank"))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for _ in range(3):
+                pending = jobs(_packed_session("smallbank"))
+                results: dict[int, object] = {}
+                threads = [
+                    threading.Thread(
+                        target=lambda i=i, job=job: results.__setitem__(i, job())
+                    )
+                    for i, job in enumerate(pending)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert [results.get(i) for i in range(len(pending))] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class _Steps:
+    """The store under test for the install-counter contract: SmallBank's
+    five LTPs with a cross-session block store attached; the last LTP is
+    held back for the load and seed steps."""
+
+    def __init__(self, workload):
+        self.schema = workload.schema
+        self.ltps = _ltps(workload)
+        self.shared = BlockStore()
+        self.store = EdgeBlockStore(self.schema, ATTR_DEP_FK, block_store=self.shared)
+
+    def load(self, source: str, target: str) -> None:
+        by_name = {ltp.name: ltp for ltp in self.ltps}
+        edges = pair_edges(by_name[source], by_name[target], self.schema, ATTR_DEP_FK)
+        self.store.load_block(source, target, edges)
+
+    def load_new_pair(self) -> None:
+        self.store.register(self.ltps[-1:])
+        self.load(LAST, LAST)
+
+    def seed_from_warm(self) -> None:
+        # A warm store over all five programs adopts the (n-1)² published
+        # blocks and computes the 2n-1 blocks of the last program.
+        warm = EdgeBlockStore(self.schema, ATTR_DEP_FK, block_store=self.shared)
+        warm.register(self.ltps)
+        warm.ensure_blocks()
+        self.store.seed_from(warm)
+
+
+FIRST, LAST = "Amalgamate", "WriteCheck"
+N = 5
+KEPT = (N - 1) ** 2
+
+
+def _info(programs, blocks, computed=0, loaded=0, hits=0):
+    return {
+        "programs": programs,
+        "blocks": blocks,
+        "computed": computed,
+        "loaded": loaded,
+        "hits": hits,
+    }
+
+
+def _shared(published=0, refs=0):
+    return {"attached": True, "shared_hits": 0, "published": published, "refs": refs}
+
+
+#: ``(step, action, cache_info after it, store_info after it)``.
+COUNTER_STEPS = [
+    ("register", lambda s: s.store.register(s.ltps[:-1]), _info(N - 1, 0), _shared()),
+    ("ensure", lambda s: s.store.ensure_blocks(),
+     _info(N - 1, KEPT, computed=KEPT), _shared(KEPT, KEPT)),
+    ("block", lambda s: s.store.block(FIRST, FIRST),
+     _info(N - 1, KEPT, computed=KEPT, hits=1), _shared(KEPT, KEPT)),
+    # A new pair counts under ``loaded``...
+    ("load-new-pair", _Steps.load_new_pair,
+     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1), _shared(KEPT, KEPT)),
+    # ...loading over a present pair counts nothing...
+    ("load-present-pair", lambda s: s.load(FIRST, FIRST),
+     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1), _shared(KEPT, KEPT)),
+    # ...and seeding counts only the 2n-2 pairs this store lacked, while
+    # pinning every block-store entry the warm store pins.
+    ("seed_from", _Steps.seed_from_warm,
+     _info(N, N * N, computed=KEPT, loaded=2 * N - 1, hits=1), _shared(KEPT, N * N)),
+    ("discard", lambda s: s.store.discard([LAST]),
+     _info(N - 1, KEPT, computed=KEPT, loaded=2 * N - 1, hits=1), _shared(KEPT, KEPT)),
+    ("clear", lambda s: s.store.clear(), _info(0, 0), _shared()),
+]
+
+
+@pytest.mark.parametrize(
+    "upto", range(len(COUNTER_STEPS)), ids=[step[0] for step in COUNTER_STEPS]
+)
+def test_install_counters_step_by_step(smallbank_workload, upto):
+    steps = _Steps(smallbank_workload)
+    assert (steps.ltps[0].name, steps.ltps[-1].name) == (FIRST, LAST)
+    for _, action, _, _ in COUNTER_STEPS[: upto + 1]:
+        action(steps)
+    _, _, cache_info, store_info = COUNTER_STEPS[upto]
+    assert steps.store.cache_info() == cache_info
+    assert steps.store.store_info() == store_info
 
 
 class TestGraphSerialization:
