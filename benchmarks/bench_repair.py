@@ -24,9 +24,9 @@ Gate calibration: the original PR 5 target was 5×, assuming block
 construction dominates a fresh analyzer.  It no longer does — the PR 3
 compiled kernel builds all of Auction(5)'s 225 blocks in under a
 millisecond, so per-candidate cost on *both* paths is dominated by the
-Θ(n²) flag/adjacency scans and the cycle check, which the block-index
-detectors (:mod:`repro.detection.blockindex`) already cut to per-block
-aggregate lookups.  Measured speedup is ~2× across Auction(5..16); the
+Θ(n²) flag/adjacency scans and the cycle check, which the matrix
+detector (:mod:`repro.detection.blockindex`) runs over the store's
+aggregate planes.  Measured speedup is ~2× across Auction(5..16); the
 gate is set at 1.5× to stay a regression gate without flaking (same
 recalibration precedent as ``bench_incremental``, 5× → 3× in PR 3).
 Sub-quadratic per-candidate verification (incrementally maintained
@@ -77,10 +77,9 @@ def _run_cold(workload, candidates) -> tuple[float, list[bool]]:
 
 
 def _run_incremental(base: Analyzer, candidates) -> tuple[float, list[bool], int]:
-    """The advisor's verification path: fork, replace, block-index check."""
+    """The advisor's verification path: fork, replace, matrix check."""
     verdicts = []
     max_recomputed = 0
-    reach_cache: dict = {}
     started = time.perf_counter()
     for edits in candidates:
         scratch = base.fork()
@@ -92,9 +91,7 @@ def _run_incremental(base: Analyzer, candidates) -> tuple[float, list[bool], int
         ltps = scratch.unfolded()
         store = scratch.edge_block_store(ATTR_DEP)
         store.register(ltps)
-        witness = find_type2_violation_blocks(
-            store, [ltp.name for ltp in ltps], reach_cache=reach_cache
-        )
+        witness = find_type2_violation_blocks(store, [ltp.name for ltp in ltps])
         verdicts.append(witness is None)
         max_recomputed = max(
             max_recomputed, scratch.cache_info()["block_computations"]

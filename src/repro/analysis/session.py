@@ -37,15 +37,16 @@ from repro.btp.ltp import LTP
 from repro.btp.program import BTP
 from repro.btp.unfold import unfold_program
 from repro.detection.api import RobustnessReport
+from repro.detection.blockindex import find_violations_blocks, is_robust_blocks
 from repro.detection.subsets import (
+    METHODS,
     Method,
     PairMatrix,
+    _method_name,
     _resolve_method,
     enumerate_robust_subsets,
     maximal_subsets,
 )
-from repro.detection.typei import find_type1_violation
-from repro.detection.typeii import find_type2_violation
 from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
@@ -285,7 +286,8 @@ class Analyzer:
         settings: AnalysisSettings = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> RobustnessReport:
-        """Both detection methods over the (cached) summary graph."""
+        """Both detection methods over the cached blocks' aggregate planes
+        (the report still carries the assembled summary graph)."""
         with self._lock:
             names = self._subset_names(subset)
             key = (settings, frozenset(names))
@@ -295,8 +297,9 @@ class Analyzer:
             graph = self.summary_graph(settings, names)
             check_deadline("analysis")
             with span("detect"):
-                witness = find_type2_violation(graph)
-                type1_witness = find_type1_violation(graph)
+                witness, type1_witness = find_violations_blocks(
+                    self.edge_block_store(settings), graph.program_names
+                )
             report = RobustnessReport(
                 settings=settings,
                 graph=graph,
@@ -323,8 +326,18 @@ class Analyzer:
         subset: Iterable[str] | None = None,
         method: str | Method = "type-II",
     ) -> bool:
-        """The bare verdict of one detection method (cache-backed)."""
-        return _resolve_method(method)(self.summary_graph(settings, subset))
+        """The bare verdict of one detection method (cache-backed; the
+        built-in methods assemble no graph)."""
+        check = _resolve_method(method)
+        if check not in METHODS.values():
+            return check(self.summary_graph(settings, subset))
+        with self._lock:
+            store = self.edge_block_store(settings)
+            ltps = self.unfolded(subset)
+            store.register(ltps)
+            return is_robust_blocks(
+                store, [ltp.name for ltp in ltps], _method_name(check)
+            )
 
     # -- subset enumeration -------------------------------------------------
     def robust_subsets(
@@ -336,28 +349,26 @@ class Analyzer:
 
         Same contract as :func:`repro.detection.subsets.robust_subsets`, but
         unfolding and pairwise edge blocks are computed at most once per
-        settings: each candidate subset's graph is assembled from the cached
-        blocks of the session's :class:`EdgeBlockStore` plus a cycle check —
-        and for the built-in methods the
-        :class:`~repro.detection.subsets.PairMatrix` answers candidates
-        containing a known non-robust 1-/2-program core (or screened robust
-        by the per-pair interference flags) without assembling a graph.
-        Subsets of attested-robust sets still inherit robustness without
-        testing (Proposition 5.2).
+        settings.  For the built-in methods the
+        :class:`~repro.detection.subsets.PairMatrix` decides every candidate
+        from the store's aggregate planes (no graph is assembled); an
+        arbitrary method callable gets each candidate's graph assembled from
+        the cached blocks.  Subsets of attested-robust sets still inherit
+        robustness without testing (Proposition 5.2).
         """
         with self._lock:
             check = _resolve_method(method)
-            full = self.summary_graph(settings)  # registers LTPs, fills all blocks
             store = self.edge_block_store(settings)
+            store.register(self.unfolded())
             ltp_names = {
                 name: tuple(ltp.name for ltp in self._ltps_by_program[name])
                 for name in self.program_names
             }
-            all_names = frozenset(self.program_names)
-
-            matrix = PairMatrix.for_method(store, ltp_names, check, full_graph=full)
+            matrix = PairMatrix.for_method(store, ltp_names, check)
             if matrix is not None:
                 return enumerate_robust_subsets(self.program_names, matrix.verdict)
+            full = self.summary_graph(settings)
+            all_names = frozenset(self.program_names)
 
             def check_combo(combo: tuple[str, ...]) -> bool:
                 if frozenset(combo) == all_names:
@@ -474,13 +485,18 @@ class Analyzer:
         (they are immutable), and every cached pairwise edge block record
         is shared into fresh per-settings stores via
         :meth:`EdgeBlockStore.seed_from` (a record's lazily filled edges
-        and summary are safe to fill from either session) — so the fork's
+        are safe to fill from either session, and the aggregate planes are
+        shared copy-on-write) — so the fork's
         :meth:`cache_info` counts them under ``blocks_loaded`` and only
         blocks invalidated by *its own* edits show up as computations.
         This is what :meth:`advise` verifies repair candidates on: apply an
         edit set to a fork, recompute the ``≤ 2n − 1`` touched blocks, and
         throw the fork away.
         """
+        return self._fork(self._stores)
+
+    def _fork(self, settings_rows: Iterable[AnalysisSettings]) -> "Analyzer":
+        """:meth:`fork`, seeding only the stores of ``settings_rows``."""
         with self._lock:
             other = Analyzer(
                 self.workload,
@@ -489,8 +505,8 @@ class Analyzer:
             )
             other._source_hint = self._source_hint
             other._ltps_by_program = dict(self._ltps_by_program)
-            for settings, store in self._stores.items():
-                other.edge_block_store(settings).seed_from(store)
+            for settings in settings_rows:
+                other.edge_block_store(settings).seed_from(self._stores[settings])
             other._graphs = dict(self._graphs)
             other._reports = dict(self._reports)
             return other

@@ -10,6 +10,16 @@ sound but incomplete (Proposition 6.5): ``True`` guarantees robustness.
 attested iff no cycle contains a counterflow edge at all (a *type-I cycle*).
 Every type-II cycle is a type-I cycle, so Algorithm 2 accepts strictly more
 workloads (Section 7.2).
+
+Both tests exist twice.  The graph detectors (``find_type2_violation``,
+``find_type1_violation``, ``is_robust_type2_naive`` — a verbatim
+transcription of the paper's triple loop) scan an assembled summary graph
+and are the executable specification.  The matrix detector of
+:mod:`repro.detection.blockindex` (``find_type2_violation_blocks``,
+``find_type1_violation_blocks``) decides the same cycles as boolean
+matrix products over an edge-block store's aggregate planes; it is the
+fast path that ``Analyzer.analyze``, ``Analyzer.is_robust``, subset
+verdicts and the repair advisor run.
 """
 
 from repro.detection.api import RobustnessReport, analyze

@@ -1,4 +1,4 @@
-"""Reachability helpers for the cycle tests.
+"""Reachability for the graph detectors (the executable specification).
 
 Both detection algorithms only need program-level reachability in the
 summary graph.  Reachability here is *reflexive*: a program reaches itself
@@ -8,12 +8,11 @@ connected components: within an SCC everything reaches everything, and
 between SCCs reachability follows the condensation DAG.
 
 The index is built directly over :attr:`SummaryGraph.program_adjacency`
-with a Floyd–Warshall bitmask transitive closure: program counts are
-small (tens), so ``n²`` big-int word operations beat a stack-managed
-Tarjan pass by a wide margin in Python — and the detection algorithms
-build one index per assembled (subset) graph or per repair candidate,
-making this a hot path for subset enumeration and incremental
-re-analysis.
+with a Floyd–Warshall bitmask transitive closure: ``n²`` big-int word
+operations, one index per assembled graph.  That is fine for the
+specification tier, but N reaches 192 LTPs at Auction(64), so the fast
+path (:mod:`repro.detection.blockindex`) computes its closure as
+bit-packed boolean matrix products instead.
 """
 
 from __future__ import annotations
@@ -22,18 +21,10 @@ from repro.summary.graph import SummaryGraph
 
 
 class ReachabilityIndex:
-    """Precomputed reflexive reachability over a summary graph's programs.
+    """Precomputed reflexive reachability over a summary graph's programs."""
 
-    Accepts either a :class:`SummaryGraph` or a bare program-level
-    adjacency mapping (successor tuples per node) — the latter is what the
-    block-index detection path of :mod:`repro.detection.blockindex` builds
-    straight from cached edge-block flags, without assembling a graph.
-    """
-
-    def __init__(self, graph: "SummaryGraph | dict[str, tuple[str, ...]]"):
-        adjacency = (
-            graph if isinstance(graph, dict) else graph.program_adjacency
-        )
+    def __init__(self, graph: SummaryGraph):
+        adjacency = graph.program_adjacency
         names = list(adjacency)
         position = {name: index for index, name in enumerate(names)}
         count = len(names)

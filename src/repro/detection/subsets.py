@@ -10,12 +10,12 @@ contrapositive fast path: both built-in detection methods decide robustness
 by the *absence* of a bad cycle, so a violation found in ``SuG(𝒫')``
 persists in every superset's graph (``SuG(𝒫')`` is an induced subgraph of
 ``SuG(𝒫'')`` for ``𝒫' ⊆ 𝒫''``).  Once a 1- or 2-program core is known
-non-robust, every candidate containing it is non-robust without assembling
-a summary graph; per-pair interference flags derived from the cached edge
-blocks (any non-counterflow edge / any counterflow edge / any program with
-both an incoming edge and an outgoing counterflow edge) answer many of the
-remaining candidates as robust, again without graph assembly.  Only the
-*ambiguous* subsets pay for assembly plus Algorithm 2.
+non-robust, every candidate containing it is non-robust.  Every other
+candidate runs the matrix detector of :mod:`repro.detection.blockindex`
+over the store's aggregate planes, whose first screen (no program with
+both an incoming edge and an outgoing counterflow edge) answers many
+candidates robust without a single product — no candidate assembles a
+summary graph.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.btp.program import BTP
+from repro.detection.blockindex import is_robust_blocks
 from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
 from repro.schema import Schema
@@ -53,6 +54,11 @@ def _resolve_method(method: str | Method) -> Method:
         ) from None
 
 
+def _method_name(check: Method) -> str:
+    """The name of a built-in detection method."""
+    return next(name for name, method in METHODS.items() if method is check)
+
+
 def _session(programs: Sequence[BTP], schema: Schema, max_loop_iterations: int):
     """A throwaway :class:`repro.analysis.Analyzer` over ``programs``."""
     from repro.analysis.session import Analyzer  # deferred: avoids an import cycle
@@ -78,20 +84,16 @@ class PairMatrix:
 
     ``members`` maps each program (BTP) name to the LTP names of its
     unfoldings; ``check`` is one of the two built-in detection methods.
-    :meth:`verdict` decides one candidate combination with three fast
-    paths before falling back to graph assembly:
+    :meth:`verdict` decides one candidate combination with two fast
+    paths before falling back to the matrix detector
+    (:func:`~repro.detection.blockindex.is_robust_blocks`, whose planes
+    screen many candidates robust before any product):
 
     1. **non-robust cores** — a candidate containing a known non-robust
        1-/2-program core is non-robust (contrapositive of Proposition 5.2;
        exact because both methods detect a bad cycle that persists in every
        supergraph);
-    2. **interference flags** — from the cached blocks' per-pair
-       ``(has_non_counterflow, has_counterflow)`` flags: no counterflow
-       edge at all ⇒ robust (both methods); no non-counterflow edge ⇒
-       robust (type-II needs one); no program with both an incoming edge
-       and an outgoing counterflow edge ⇒ robust (no dangerous adjacent
-       pair can form, and no counterflow edge can close a cycle);
-    3. **2-subset memo** — 1- and 2-program verdicts are answered from the
+    2. **2-subset memo** — 1- and 2-program verdicts are answered from the
        matrix directly once computed.
 
     The matrix *materializes* (computes all 1-/2-program verdicts) the
@@ -106,13 +108,10 @@ class PairMatrix:
         store: EdgeBlockStore,
         members: Mapping[str, Sequence[str]],
         check: Method,
-        full_graph: SummaryGraph | None = None,
     ):
         self._store = store
         self._members = {name: tuple(ltps) for name, ltps in members.items()}
-        self._check = check
-        self._needs_non_counterflow = check is is_robust_type2
-        self._full_graph = full_graph
+        self._method = _method_name(check)
         self._universe = frozenset(self._members)
         self._pair_verdicts: dict[frozenset[str], bool] = {}
         self._nonrobust_cores: list[frozenset[str]] = []
@@ -124,45 +123,26 @@ class PairMatrix:
         store: EdgeBlockStore,
         members: Mapping[str, Sequence[str]],
         check: Method,
-        full_graph: SummaryGraph | None = None,
     ) -> "PairMatrix | None":
         """A matrix when ``check`` is a known cycle-absence method, else
         ``None`` (arbitrary callables get no anti-monotonicity guarantee)."""
         if check is is_robust_type2 or check is is_robust_type1:
-            return cls(store, members, check, full_graph)
+            return cls(store, members, check)
         return None
 
     # -- internals ----------------------------------------------------------
     def _ltp_names(self, subset: Iterable[str]) -> list[str]:
         return [ltp for name in sorted(subset) for ltp in self._members[name]]
 
-    def _graph(self, subset: frozenset[str], ltp_names: Sequence[str]) -> SummaryGraph:
-        if subset == self._universe and self._full_graph is not None:
-            return self._full_graph
-        return self._store.graph(ltp_names)
-
-    def _screen(self, ltp_names: Sequence[str]) -> bool:
-        """True when the flags alone prove the subset robust."""
-        if not ltp_names:
-            return True
-        self._store.ensure_blocks(ltp_names)
-        adjacency, nc_blocks, cf_blocks = self._store.subset_index(ltp_names)
-        if not cf_blocks:
-            return True
-        if self._needs_non_counterflow and not nc_blocks:
-            return True
-        has_incoming = {target for targets in adjacency.values() for target in targets}
-        return has_incoming.isdisjoint(source for source, _ in cf_blocks)
+    def _robust(self, subset: frozenset[str]) -> bool:
+        return is_robust_blocks(self._store, self._ltp_names(subset), self._method)
 
     def pair_verdict(self, subset: frozenset[str]) -> bool:
         """The verdict of a 1- or 2-program subset, memoized."""
         cached = self._pair_verdicts.get(subset)
         if cached is not None:
             return cached
-        ltp_names = self._ltp_names(subset)
-        robust = self._screen(ltp_names) or self._check(
-            self._graph(subset, ltp_names)
-        )
+        robust = self._robust(subset)
         self._pair_verdicts[subset] = robust
         if not robust:
             self._nonrobust_cores.append(subset)
@@ -190,12 +170,7 @@ class PairMatrix:
             return self.pair_verdict(subset)
         if self._contains_nonrobust_core(subset):
             return False
-        ltp_names = self._ltp_names(subset)
-        # The full set is checked exactly once (and its graph is usually
-        # prebuilt), so the flag screen would be pure overhead there.
-        if subset != self._universe and self._screen(ltp_names):
-            return True
-        robust = self._check(self._graph(subset, ltp_names))
+        robust = self._robust(subset)
         if not robust and not self._materialized:
             # The grid has entered non-robust territory: pay the cheap
             # pair sweep once so the remaining supersets short-circuit.

@@ -13,6 +13,10 @@ order or ``q3`` instantiates to an R- or PR-operation (``type(q3) ∈
 per strongly-connected-component pair, whether some non-counterflow edge
 ``e1`` closes the walk ``P1 →e1 P2 ⇝ P3 →e2 P4 →e3 P5 ⇝ P1``.  Both return
 ``True`` only when the workload is robust against MVRC (Proposition 6.5).
+
+These graph detectors are the specification tier: the sessions run the
+matrix detector of :mod:`repro.detection.blockindex`, which decides the
+same condition from per-block aggregates and is tested against both.
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 import networkx as nx
 
+from repro.btp.ltp import LTP
 from repro.summary.graph import SummaryEdge, SummaryGraph
 
 
@@ -71,15 +72,17 @@ class WitnessAnchor(NamedTuple):
 
 
 def anchor_edges(
-    graph: SummaryGraph, edges: Iterable[SummaryEdge]
+    graph: "SummaryGraph | Callable[[str], LTP]", edges: Iterable[SummaryEdge]
 ) -> tuple[WitnessAnchor, ...]:
-    """Resolve witness edges to BTP-level statement anchors via the graph."""
+    """Resolve witness edges to BTP-level statement anchors via the graph
+    (or any LTP lookup by name, such as an edge-block store's ``ltp``)."""
+    program = graph.program if isinstance(graph, SummaryGraph) else graph
     return tuple(
         WitnessAnchor(
-            source_program=graph.program(edge.source).origin,
+            source_program=program(edge.source).origin,
             source_stmt=edge.source_stmt,
             source_occurrence=edge.source_pos,
-            target_program=graph.program(edge.target).origin,
+            target_program=program(edge.target).origin,
             target_stmt=edge.target_stmt,
             target_occurrence=edge.target_pos,
         )
@@ -195,25 +198,11 @@ def connecting_edges(graph: SummaryGraph, source: str, target: str) -> list[Summ
     """
     if source == target:
         return []
-    # Plain BFS over the successor lists: witnesses are built on the hot
-    # incremental/subset path, where a networkx graph per call is too dear.
-    adjacency = graph.program_adjacency
-    predecessor: dict[str, str] = {source: source}
-    frontier = [source]
-    while frontier and target not in predecessor:
-        next_frontier: list[str] = []
-        for here in frontier:
-            for there in adjacency[here]:
-                if there not in predecessor:
-                    predecessor[there] = here
-                    next_frontier.append(there)
-        frontier = next_frontier
-    if target not in predecessor:
+    # Plain BFS over the successor lists: a networkx graph per call is too
+    # dear for witnesses.
+    path = shortest_path(graph.program_adjacency.__getitem__, source, target)
+    if path is None:
         raise nx.NetworkXNoPath(f"no path from {source!r} to {target!r}")
-    path = [target]
-    while path[-1] != source:
-        path.append(predecessor[path[-1]])
-    path.reverse()
     # Not edges_between: that materializes the full (source, target) index,
     # and witnesses are built on freshly assembled graphs (incremental and
     # subset paths) whose index would be populated for this one lookup.  A
@@ -225,3 +214,29 @@ def connecting_edges(graph: SummaryGraph, source: str, target: str) -> list[Summ
         if pair in wanted and wanted[pair] is None:
             wanted[pair] = edge
     return [wanted[pair] for pair in zip(path, path[1:])]
+
+
+def shortest_path(
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    source: Hashable,
+    target: Hashable,
+) -> list | None:
+    """The nodes of a shortest path ``source ⇝ target``, breadth-first
+    with ``successors(node)`` visited in order; None when unreachable."""
+    predecessor = {source: source}
+    frontier = [source]
+    while frontier and target not in predecessor:
+        next_frontier = []
+        for here in frontier:
+            for there in successors(here):
+                if there not in predecessor:
+                    predecessor[there] = here
+                    next_frontier.append(there)
+        frontier = next_frontier
+    if target not in predecessor:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(predecessor[path[-1]])
+    path.reverse()
+    return path

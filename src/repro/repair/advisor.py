@@ -15,11 +15,11 @@ candidate, seeds every cached pairwise edge block into the fork
 :meth:`~repro.analysis.Analyzer.replace_program` /
 :meth:`~repro.analysis.Analyzer.add_program` — which evicts only the
 ``≤ 2n − 1`` blocks touching edited programs — and runs the cycle check
-through the block-index detectors of
-:mod:`repro.detection.blockindex`, so no summary graph is ever assembled
-and the dangerous-pair scan reuses per-block aggregates carried across
-forks.  ``RepairSet.blocks_recomputed`` records exactly how many blocks
-each verification had to recompute (``benchmarks/bench_repair.py`` gates
+through the matrix detector of :mod:`repro.detection.blockindex`, so
+no summary graph is ever assembled: the check reads the fork's aggregate
+planes, which it shares copy-on-write with the base.
+``RepairSet.blocks_recomputed`` records exactly how many blocks each
+verification had to recompute (``benchmarks/bench_repair.py`` gates
 this path ≥5× over a fresh analyzer per candidate).
 """
 
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Graph-based witness finder per detection-method name (kept for
 #: callers holding an assembled graph; the advisor itself runs the
-#: block-index finders of :data:`BLOCK_WITNESS_FINDERS`).
+#: matrix-detector finders of :data:`BLOCK_WITNESS_FINDERS`).
 WITNESS_FINDERS = {
     "type-II": find_type2_violation,
     "type-I": find_type1_violation,
@@ -230,25 +230,19 @@ class RepairAdvisor:
         self.max_states = max_states
         self.max_results = max_results
         #: The advisor-private base session every candidate forks from:
-        #: taken once (under the session lock), it accumulates the block
-        #: flags and aggregates the block-index detectors memoize, which
-        #: then ride :meth:`~repro.analysis.Analyzer.fork` into every
-        #: candidate — the user's session is never mutated.
+        #: taken once (under the session lock) with only the advised
+        #: settings' store, it accumulates the block summaries witnesses
+        #: memoize, which then ride :meth:`~repro.analysis.Analyzer.fork`
+        #: into every candidate — the user's session is never mutated.
         self._base: "Analyzer | None" = None
-        #: Reachability indexes shared across candidate verifications
-        #: (keyed by frozen program-level adjacency — most edits do not
-        #: change which programs conflict, only how).
-        self._reach_cache: dict = {}
 
     # -- verification ---------------------------------------------------------
     def _check(self, session: "Analyzer") -> CycleWitness | None:
-        """Run the block-index cycle check over one session's store."""
+        """Run the matrix-detector cycle check over one session's store."""
         ltps = session.unfolded()
         store = session.edge_block_store(self.settings)
         store.register(ltps)
-        return self.finder(
-            store, [ltp.name for ltp in ltps], reach_cache=self._reach_cache
-        )
+        return self.finder(store, [ltp.name for ltp in ltps])
 
     def _verify(
         self, edits: Iterable[Repair]
@@ -260,7 +254,7 @@ class RepairAdvisor:
         edited programs are recomputed: the fork starts with every
         baseline block loaded, the
         :meth:`~repro.analysis.Analyzer.replace_program` eviction is
-        per-program, and detection runs block-indexed (no graph
+        per-program, and detection reads the aggregate planes (no graph
         assembly).
         """
         with span("repair-candidate"):
@@ -307,7 +301,7 @@ class RepairAdvisor:
         # Warm the user session's blocks once (locked, memoized), then take
         # the advisor's private fork; everything after runs on forks.
         self.session.summary_graph(self.settings)
-        self._base = self.session.fork()
+        self._base = self.session._fork([self.settings])
         base_witness = self._check(self._base)
         report = dict(
             workload=self.session.workload.name,

@@ -16,7 +16,7 @@ evidence*:
   independently committed transactions.
 
 Candidates resolve through the witness's statement anchors alone (no
-summary graph needed — the advisor's block-index verification never
+summary graph needed — the advisor's matrix-detector verification never
 assembles one), and are recomputed per search state from *that state's*
 witness, so the lattice search composes edits naturally: once a predicate
 read is promoted to a key-based read, the next round's witness (if any)

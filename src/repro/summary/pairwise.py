@@ -28,9 +28,10 @@ The hot path runs on a **plane-packed batch kernel**
 
 The store keeps each cached block as **one record** (:class:`_Block`) in
 its source program's row: the packed coordinates until something asks for
-the :class:`~repro.summary.graph.SummaryEdge` tuples, the block's
-non-counterflow/counterflow flags, and its :class:`BlockSummary` once the
-block-index detectors ask for it.  Forks share the records by reference.
+the :class:`~repro.summary.graph.SummaryEdge` tuples.  Forks share the
+records by reference.  The per-block facts Algorithm 2 reads live in the store's
+:class:`_AggregatePlanes` (N×N arrays over LTP slots), which the sweep
+fills in the same pass that groups coordinates into blocks.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
 executable specification; the plane sweep is property-tested against it
@@ -55,8 +56,10 @@ from __future__ import annotations
 import weakref
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.btp.ltp import LTP
-from repro.btp.statement import READ_TRIGGER_TYPES, Statement
+from repro.btp.statement import Statement
 from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs import log as obs_log
@@ -76,31 +79,6 @@ def _release_store_refs(store: BlockStore, refs: dict) -> None:
     for key in refs.values():
         store.release(key)
     refs.clear()
-
-
-class BlockSummary(NamedTuple):
-    """Per-block aggregates for the block-index detection path.
-
-    One representative edge per role Algorithm 2's dangerous-pair scan
-    needs, so the scan becomes O(1) per *block pair* instead of per edge
-    pair (see :mod:`repro.detection.blockindex`):
-
-    * ``nc_rep`` / ``cf_rep`` — first non-counterflow / counterflow edge;
-    * ``trigger_rep`` — first edge whose source statement is an R- or
-      PR-operation (the Theorem 6.4 trigger set), eligible as the ``e2``
-      of a dangerous pair regardless of positions;
-    * ``max_target_pos_rep`` — the edge entering at the latest occurrence
-      position (the best possible ``e2`` for the ``q'4 <_P q4`` order
-      test);
-    * ``min_cf_source_pos_rep`` — the counterflow edge leaving from the
-      earliest position (the best possible ``e3``).
-    """
-
-    nc_rep: "SummaryEdge | None"
-    cf_rep: "SummaryEdge | None"
-    trigger_rep: "SummaryEdge | None"
-    max_target_pos_rep: "SummaryEdge | None"
-    min_cf_source_pos_rep: "SummaryEdge | None"
 
 
 def effective_statements(
@@ -128,10 +106,12 @@ OccurrenceRow = tuple[str, int, int, int, int, int, int, int]
 
 class ProgramProfile(NamedTuple):
     """One LTP compiled for the kernel: flat and immutable; ``occurrences``
-    preserves program order."""
+    preserves program order, and ``triggers`` flags the occurrences that
+    are R- or PR-operations."""
 
     name: str
     occurrences: tuple[OccurrenceRow, ...]
+    triggers: tuple[bool, ...]
 
 
 def compile_profile(
@@ -161,7 +141,11 @@ def compile_profile(
                 interner.fk_mask(protecting_fks(program, occurrence.position)),
             )
         )
-    return ProgramProfile(program.name, tuple(rows))
+    return ProgramProfile(
+        program.name,
+        tuple(rows),
+        tuple(row[3] in planes.TRIGGER_TYPE_IDS for row in rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +254,9 @@ class _Block:
 
     ``coords`` holds the sweep's packed coordinates until the first read
     turns them into the :class:`~repro.summary.graph.SummaryEdge` tuple
-    ``edges`` (loaded blocks start out materialized); ``has_nc`` /
-    ``has_cf`` are set at install; ``summary`` is the
-    :class:`BlockSummary`, memoized on the first
-    :meth:`EdgeBlockStore.block_summary` call.
+    ``edges`` (loaded blocks start out materialized).  The block's
+    aggregate facts live in the store's planes, not here (see
+    :class:`_AggregatePlanes`).
 
     Records are shared by reference between a store and its
     :meth:`~EdgeBlockStore.seed_from` forks, which may run on different
@@ -284,37 +267,58 @@ class _Block:
     racing fills compute equal values, so the last write wins harmlessly.
     """
 
-    __slots__ = ("coords", "edges", "has_nc", "has_cf", "summary")
+    __slots__ = ("coords", "edges")
 
     def __init__(
-        self,
-        coords: Coords | None,
-        edges: tuple[SummaryEdge, ...] | None,
-        has_nc: bool,
-        has_cf: bool,
+        self, coords: Coords | None, edges: tuple[SummaryEdge, ...] | None = None
     ):
         self.coords = coords
         self.edges = edges
-        self.has_nc = has_nc
-        self.has_cf = has_cf
-        self.summary: BlockSummary | None = None
 
-    @classmethod
-    def packed(cls, coords: Coords) -> "_Block":
-        has_nc = has_cf = False
-        for _, _, nc, cf in coords:
-            has_nc |= nc
-            has_cf |= cf
-        return cls(coords, None, has_nc, has_cf)
 
-    @classmethod
-    def materialized(cls, edges: tuple[SummaryEdge, ...]) -> "_Block":
-        return cls(
-            None,
-            edges,
-            any(not edge.counterflow for edge in edges),
-            any(edge.counterflow for edge in edges),
-        )
+class _AggregatePlanes:
+    """The per-block facts Algorithm 2 reads, as five N×N planes indexed
+    by LTP slot (one :func:`~repro.summary.planes.aggregate` per cell):
+    ``NC`` / ``CF`` (the block has a non-counterflow / counterflow edge),
+    ``TRIG`` (some edge leaves an R- or PR-operation), ``MAXT`` (largest
+    target position) and ``MINCF`` (smallest counterflow source
+    position).  :mod:`repro.detection.blockindex` runs Algorithm 2 as
+    boolean matrix algebra over them.  The planes share one ``int32``
+    array, so a batch write or a gather is one numpy call for all five.
+    """
+
+    __slots__ = ("cells",)
+
+    #: Cell value of a slot pair without a block (an empty aggregate).
+    EMPTY = (0, 0, 0, -1, planes.NO_CF)
+
+    def __init__(self, capacity: int, old: "_AggregatePlanes | None" = None):
+        self.cells = np.empty((5, capacity, capacity), dtype=np.int32)
+        self.cells[:] = np.array(self.EMPTY, dtype=np.int32)[:, None, None]
+        if old is not None:
+            size = min(old.capacity, capacity)
+            self.cells[:, :size, :size] = old.cells[:, :size, :size]
+
+    @property
+    def capacity(self) -> int:
+        return self.cells.shape[1]
+
+    def write(self, sources: list[int], targets: list[int], aggregates) -> None:
+        """Set the cells ``(sources[i], targets[i])`` to ``aggregates[i]``."""
+        self.cells[:, sources, targets] = np.array(aggregates, dtype=np.int32).T
+
+    def write_grid(self, sources: list[int], targets: list[int], columns) -> None:
+        """Set the ``sources × targets`` cells from five row-major lists."""
+        rows = np.array(sources, dtype=np.intp)[:, None]
+        values = np.array(columns, dtype=np.int32)
+        self.cells[:, rows, targets] = values.reshape(5, len(sources), len(targets))
+
+    def gather(self, slots: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """``(NC, CF, TRIG, MAXT, MINCF)`` restricted to ``slots × slots``."""
+        index = np.array(slots, dtype=np.intp)
+        sub = self.cells[:, index[:, None], index]
+        nc, cf, trigger = sub[:3] != 0
+        return nc, cf, trigger, sub[3], sub[4]
 
 
 class EdgeBlockStore:
@@ -352,6 +356,14 @@ class EdgeBlockStore:
         self._profiles: dict[str, ProgramProfile] = {}
         #: One row per registered LTP: target name → cached block record.
         self._rows: dict[str, dict[str, _Block]] = {}
+        #: Aggregate-plane slot per registered LTP, and the slots that
+        #: :meth:`discard` freed for reuse.
+        self._slots: dict[str, int] = {}
+        self._free_slots: list[int] = []
+        self._planes: _AggregatePlanes | None = None
+        #: True while ``_planes`` may be shared with a :meth:`seed_from`
+        #: parent or fork: the next write copies first.
+        self._planes_shared = False
         self._computed = 0
         self._loaded = 0
         self._hits = 0
@@ -394,6 +406,7 @@ class EdgeBlockStore:
                     ltp, self.schema, self.settings
                 )
                 self._rows[ltp.name] = {}
+                self._take_slot(ltp.name)
             elif known is not ltp and known != ltp:
                 raise ProgramError(
                     f"edge-block store already holds a different program named "
@@ -410,6 +423,10 @@ class EdgeBlockStore:
             del self._ltps[name]
             del self._profiles[name]
             self._ltp_fps.pop(name, None)
+            # Only the slot is freed: a reused slot's row and column are
+            # rewritten by ensure_blocks (every pair of a newly registered
+            # program is missing) before any detector reads them.
+            self._free_slots.append(self._slots.pop(name))
             if self._arena is not None:
                 self._arena.remove(name)
             for target in self._rows.pop(name):
@@ -491,95 +508,24 @@ class EdgeBlockStore:
         self._ensure_pairs([(source, target)])
         return self._edges(source, target, self._rows[source][target])
 
-    def subset_index(
-        self, names: Sequence[str]
-    ) -> tuple[
-        dict[str, tuple[str, ...]],
-        list[tuple[str, str]],
-        list[tuple[str, str]],
-    ]:
-        """``(adjacency, nc_blocks, cf_blocks)`` over cached blocks.
-
-        One pass over the subset's ordered pairs reading the flags each
-        record carries from install.  Requires every pair's block to be
-        cached (``ensure_blocks`` first).
-        """
-        rows = self._rows
-        nc_blocks: list[tuple[str, str]] = []
-        cf_blocks: list[tuple[str, str]] = []
-        adjacency: dict[str, tuple[str, ...]] = {}
-        for source in names:
-            row = rows[source]
-            successors: list[str] = []
-            for target in names:
-                block = row[target]
-                if block.has_nc:
-                    nc_blocks.append((source, target))
-                if block.has_cf:
-                    cf_blocks.append((source, target))
-                if block.has_nc or block.has_cf:
-                    successors.append(target)
-            adjacency[source] = tuple(successors)
-        return adjacency, nc_blocks, cf_blocks
-
-    def block_summary(self, source: str, target: str) -> BlockSummary:
-        """The :class:`BlockSummary` aggregates of one cached block.
-
-        Requires the block to be cached (``ensure_blocks`` first); the
-        scan happens once per block record and is memoized on it (so a
-        forked session, which shares its parent's records, never
-        re-aggregates baseline blocks).  The trigger test resolves each
-        edge's source statement through the registered LTP — statement
-        *types* are unaffected by tuple-granularity widening, so the
-        aggregate is exact for every settings row.
-        """
-        block = self._rows[source][target]
-        summary = block.summary
-        if summary is not None:
-            return summary
-        nc_rep = cf_rep = trigger_rep = None
-        max_target_pos_rep = min_cf_source_pos_rep = None
-        source_ltp = self._ltps[source]
-        for edge in self._edges(source, target, block):
-            if edge.counterflow:
-                if cf_rep is None:
-                    cf_rep = edge
-                if (
-                    min_cf_source_pos_rep is None
-                    or edge.source_pos < min_cf_source_pos_rep.source_pos
-                ):
-                    min_cf_source_pos_rep = edge
-            elif nc_rep is None:
-                nc_rep = edge
-            if trigger_rep is None and (
-                source_ltp.statement_at(edge.source_pos).stype in READ_TRIGGER_TYPES
-            ):
-                trigger_rep = edge
-            if (
-                max_target_pos_rep is None
-                or edge.target_pos > max_target_pos_rep.target_pos
-            ):
-                max_target_pos_rep = edge
-        block.summary = summary = BlockSummary(
-            nc_rep, cf_rep, trigger_rep, max_target_pos_rep, min_cf_source_pos_rep
-        )
-        return summary
-
     def load_block(
         self, source: str, target: str, edges: Iterable[SummaryEdge]
     ) -> None:
         """Seed one block from persisted edges (no recomputation)."""
         self._require((source, target))
-        self._put(source, target, _Block.materialized(tuple(edges)), loaded=True)
+        block = _Block(None, tuple(edges))
+        self._put(source, target, block, loaded=True)
+        self._write_cells([(source, target)], [self._aggregate(source, block)])
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
 
         The in-process counterpart of :meth:`load_block`: programs carry
         their already-compiled kernel profiles over (no recompilation),
-        and every block record is shared by reference — packed or not,
-        summarized or not — and counted under ``loaded``.  Both stores
-        must describe the same schema and settings — this is what
+        and every block record is shared by reference — packed or not —
+        and counted under ``loaded``.  A fresh store also shares the
+        other's aggregate planes copy-on-write.  Both stores must describe
+        the same schema and settings — this is what
         :meth:`repro.analysis.Analyzer.fork` builds a candidate-verifying
         session from without paying per-block install overhead.
         """
@@ -595,6 +541,7 @@ class EdgeBlockStore:
                     f"edge-block store already holds a different program named "
                     f"{name!r}; discard it before seeding"
                 )
+        share_planes = not self._ltps
         self._ltps.update(other._ltps)
         self._profiles.update(other._profiles)
         for source, row in other._rows.items():
@@ -602,6 +549,22 @@ class EdgeBlockStore:
             for target, block in row.items():
                 self._put(source, target, block, loaded=True)
         self._ltp_fps.update(other._ltp_fps)
+        if share_planes:
+            # A fresh store takes the other's slots and shares its planes
+            # copy-on-write: forks copy nothing until they write.
+            self._slots = dict(other._slots)
+            self._free_slots = list(other._free_slots)
+            self._planes = other._planes
+            self._planes_shared = other._planes_shared = True
+        else:
+            for name in other._ltps:
+                if name not in self._slots:
+                    self._take_slot(name)
+            pairs = [(s, t) for s, row in other._rows.items() for t in row]
+            if pairs:
+                self._write_cells(
+                    pairs, [self._aggregate(s, other._rows[s][t]) for s, t in pairs]
+                )
         if self.block_store is not None and self.block_store is other.block_store:
             # Forks pin the same cross-session entries as their parent, so
             # a shared block stays pinned as long as *any* lineage uses it.
@@ -707,33 +670,44 @@ class EdgeBlockStore:
         store = self.block_store
         if store is not None:
             unshared: list[tuple[str, str]] = []
+            adopted: list[tuple[str, str]] = []
+            aggregates: list[tuple] = []
             for pair in missing:
                 key = self._store_key(pair)
                 coords = store.get(key)
                 if coords is None:
                     unshared.append(pair)
                 else:
-                    self._put(*pair, _Block.packed(coords), loaded=False)
+                    block = _Block(coords)
+                    self._put(*pair, block, loaded=False)
                     self._adopt_ref(pair, key)
                     self._shared_hits += 1
+                    adopted.append(pair)
+                    aggregates.append(self._aggregate(pair[0], block))
+            if adopted:
+                self._write_cells(adopted, aggregates)
             missing = unshared
-            if not missing:
-                return requested
+        if missing:
+            self._sweep(missing)
+        return requested
+
+    def _sweep(self, missing: Sequence[tuple[str, str]]) -> None:
+        """Sweep the missing pairs, install their records and write their
+        aggregates, one plane write per sweep."""
+        store = self.block_store
         involved = {name for pair in missing for name in pair}
         with span("pack"):
             arena = self._arena_for(involved)
         use_fk = self.settings.use_foreign_keys
         plans = planes.plan_sweeps(missing)
-        grouped_list = []
+        swept = []
         with span("sweep"):
             for plan in plans:
                 check_deadline("block construction")
-                grouped_list.append(
-                    planes.sweep_blocks(arena, plan.sources, plan.targets, use_fk)
-                )
+                swept.append(planes.sweep(arena, plan.sources, plan.targets, use_fk))
         obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
-        for grouped in grouped_list:
-            for pair, coords in grouped.items():
+        for plan, (blocks, columns) in zip(plans, swept):
+            for pair, coords in blocks.items():
                 if store is not None:
                     key = self._store_key(pair)
                     # publish() returns the canonical tuple, so concurrent
@@ -741,10 +715,62 @@ class EdgeBlockStore:
                     coords = store.publish(key, coords)
                     self._adopt_ref(pair, key)
                     self._published += 1
-                self._put(*pair, _Block.packed(coords), loaded=False)
-        return requested
+                self._put(*pair, _Block(coords), loaded=False)
+            slots = self._slots
+            self._writable_planes().write_grid(
+                [slots[name] for name in plan.sources],
+                [slots[name] for name in plan.targets],
+                columns,
+            )
 
-    # -- assembly -----------------------------------------------------------
+    # -- aggregate planes ---------------------------------------------------
+    def _take_slot(self, name: str) -> None:
+        free = self._free_slots
+        self._slots[name] = free.pop() if free else len(self._slots)
+
+    def _aggregate(self, source: str, block: _Block) -> tuple:
+        """One record's :func:`~repro.summary.planes.aggregate`, from its
+        coordinates or (read after them, see :class:`_Block`) its edges."""
+        coords = block.coords
+        if coords is None:
+            coords = [
+                (e.source_pos, e.target_pos, not e.counterflow, e.counterflow)
+                for e in block.edges
+            ]
+        return planes.aggregate(coords, self._profiles[source].triggers)
+
+    def _writable_planes(self) -> _AggregatePlanes:
+        """The planes, grown to every allocated slot and no longer shared
+        with a fork."""
+        needed = len(self._slots) + len(self._free_slots)
+        current = self._planes
+        if current is None or current.capacity < needed:
+            capacity = max(needed, 2 * current.capacity if current else 8)
+            self._planes = _AggregatePlanes(capacity, current)
+        elif self._planes_shared:
+            self._planes = _AggregatePlanes(current.capacity, current)
+        self._planes_shared = False
+        return self._planes
+
+    def _write_cells(self, pairs, aggregates) -> None:
+        """Write one batch of block aggregates, one per pair."""
+        slots = self._slots
+        self._writable_planes().write(
+            [slots[source] for source, _ in pairs],
+            [slots[target] for _, target in pairs],
+            aggregates,
+        )
+
+    def aggregate_planes(self, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+        """``(nc, cf, trigger, max_target, min_cf_source)`` over ``names ×
+        names`` in ``names`` order, computing missing blocks first (see
+        :class:`_AggregatePlanes`)."""
+        self.ensure_blocks(names)
+        slots = [self._slots[name] for name in names]
+        if self._planes is None:  # nothing written yet, so names is empty
+            return _AggregatePlanes(0).gather(slots)
+        return self._planes.gather(slots)
+
     # -- assembly -----------------------------------------------------------
     def graph(self, names: Sequence[str] | None = None) -> SummaryGraph:
         """``SuG`` over ``names`` (all registered programs when ``None``),
@@ -821,6 +847,10 @@ class EdgeBlockStore:
         self._store_refs.clear()
         self._ltp_fps.clear()
         self._arena = None
+        self._slots = {}
+        self._free_slots = []
+        self._planes = None
+        self._planes_shared = False
         self._computed = 0
         self._loaded = 0
         self._hits = 0

@@ -17,7 +17,8 @@ This module evaluates them for *entire occurrence-pair batches*:
   product of a source row set × target row set in one **sweep** and
   returns per-block *packed coordinates* ``(source_row, target_row,
   has_nc, has_cf)`` — edge-block bitsets instead of per-pair Python
-  tuples.
+  tuples.  :func:`sweep` also folds each block's :func:`aggregate` —
+  the per-block facts Algorithm 2 reads — in the same grouping pass.
 
 The sweep runs on numpy: the rows a sweep needs are gathered out of the
 planes, the five mask tests of ``ncDepConds`` fold into two broadcast AND
@@ -45,8 +46,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.btp.statement import READ_TRIGGER_TYPES
 from repro.errors import ProgramError
-from repro.summary.tables import C_CODE_ROWS, ENTRY_COND, ENTRY_TRUE, NC_CODE_ROWS
+from repro.summary.tables import (
+    C_CODE_ROWS,
+    ENTRY_COND,
+    ENTRY_TRUE,
+    NC_CODE_ROWS,
+    TYPE_INDEX,
+)
 
 #: Rows per sweep chunk are sized so one boolean/uint64 intermediate
 #: stays ~16 MB whatever the target count.
@@ -55,6 +63,39 @@ _CHUNK_CELLS = 2_000_000
 #: Table 1 as flat ``int8`` code tables indexed by ``type_i * 7 + type_j``.
 _NC_CODES = np.array(NC_CODE_ROWS, dtype=np.int8).reshape(-1)
 _C_CODES = np.array(C_CODE_ROWS, dtype=np.int8).reshape(-1)
+
+#: Dense type ids of the R- and PR-operations (Theorem 6.4's trigger set).
+TRIGGER_TYPE_IDS = frozenset(TYPE_INDEX[stype] for stype in READ_TRIGGER_TYPES)
+
+#: Packed blocks of one sweep, keyed by ordered pair (see :func:`group_coords`).
+Blocks = dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]
+
+#: ``min_cf_source`` of a block without counterflow edges: larger than any
+#: occurrence position, so ``max_target > min_cf_source`` never holds.
+NO_CF = 1 << 30
+
+
+def aggregate(coords, trigger: Sequence[bool]) -> tuple[bool, bool, bool, int, int]:
+    """The per-block facts Algorithm 2 reads, for one packed block:
+    ``(has_nc, has_cf, trigger, max_target, min_cf_source)`` — some
+    non-counterflow edge, some counterflow edge, some edge leaving an R-
+    or PR-operation (``trigger[s]`` flags source occurrence ``s``), the
+    largest target position (-1 when empty) and the smallest counterflow
+    source position (:data:`NO_CF` without one).  Occurrence positions
+    equal occurrence indexes in an LTP, so coordinates are positions."""
+    has_nc = has_cf = trig = False
+    max_target = -1
+    min_cf_source = NO_CF
+    for s, t, nc, cf in coords:
+        has_nc = has_nc or nc
+        if cf:
+            has_cf = True
+            if s < min_cf_source:
+                min_cf_source = s
+        trig = trig or trigger[s]
+        if t > max_target:
+            max_target = t
+    return has_nc, has_cf, trig, max_target, min_cf_source
 
 
 def resolve_kernel(kernel: str | None = None) -> str:
@@ -196,6 +237,11 @@ class PlaneArena:
         span = self._rows.pop(name, None)
         if span is not None and span[1]:
             self._free.append(span)
+
+    def triggers(self, rows: Sequence[int]) -> list[bool]:
+        """Per row: is the occurrence an R- or PR-operation?"""
+        types = self._types
+        return [types[row] in TRIGGER_TYPE_IDS for row in rows]
 
     # -- sweep input ------------------------------------------------------
     def gather(self, rows: Sequence[int]):
@@ -405,36 +451,75 @@ def group_coords(
     coords: Sequence[tuple[int, int, bool, bool]],
     src_meta: Sequence[tuple[str, int, int]],
     dst_meta: Sequence[tuple[str, int, int]],
-) -> dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]:
-    """Split sweep-local coordinates into per-ordered-pair blocks.
+    src_trigger: Sequence[bool],
+) -> tuple[Blocks, tuple[list, ...]]:
+    """Split sweep-local coordinates into per-ordered-pair blocks, folding
+    the blocks' aggregates in the same pass.
 
     Every pair of the sweep gets an entry (empty blocks included — they
     are cache entries too); within a block, coordinates keep the
     ``(source occurrence, target occurrence)`` program order Algorithm 1
-    emits edges in.
+    emits edges in.  ``src_trigger`` flags the R-/PR-operation rows of
+    the sweep's sources.  The aggregates come back as five lists in
+    :func:`aggregate` order, one cell per pair in ``sources × targets``
+    row-major order.
     """
-    src_of: list[int] = []
+    src_base: list[int] = []
     src_local: list[int] = []
+    width = len(dst_meta)
     for ordinal, (_, _, count) in enumerate(src_meta):
-        src_of.extend([ordinal] * count)
+        src_base.extend([ordinal * width] * count)
         src_local.extend(range(count))
     dst_of: list[int] = []
     dst_local: list[int] = []
     for ordinal, (_, _, count) in enumerate(dst_meta):
         dst_of.extend([ordinal] * count)
         dst_local.extend(range(count))
-    buckets: list[list[list[tuple[int, int, bool, bool]]]] = [
-        [[] for _ in dst_meta] for _ in src_meta
-    ]
+    cells = len(src_meta) * width
+    buckets: list[list[tuple[int, int, bool, bool]]] = [[] for _ in range(cells)]
+    has_nc = [False] * cells
+    has_cf = [False] * cells
+    trigger = [False] * cells
+    max_target = [-1] * cells
+    min_cf_source = [NO_CF] * cells
     for s, t, nc, cf in coords:
-        buckets[src_of[s]][dst_of[t]].append(
-            (src_local[s], dst_local[t], bool(nc), bool(cf))
-        )
-    return {
-        (src_name, dst_name): tuple(buckets[si][ti])
-        for si, (src_name, _, _) in enumerate(src_meta)
-        for ti, (dst_name, _, _) in enumerate(dst_meta)
-    }
+        b = src_base[s] + dst_of[t]
+        local_s = src_local[s]
+        local_t = dst_local[t]
+        buckets[b].append((local_s, local_t, nc, cf))
+        if nc:
+            has_nc[b] = True
+        if cf and not has_cf[b]:
+            # Sweeps emit coordinates in source-row order, so a block's
+            # first counterflow coordinate has its smallest source.
+            has_cf[b] = True
+            min_cf_source[b] = local_s
+        if src_trigger[s]:
+            trigger[b] = True
+        if local_t > max_target[b]:
+            max_target[b] = local_t
+    blocks = {}
+    b = 0
+    for src_name, _, _ in src_meta:
+        for dst_name, _, _ in dst_meta:
+            blocks[(src_name, dst_name)] = tuple(buckets[b])
+            b += 1
+    return blocks, (has_nc, has_cf, trigger, max_target, min_cf_source)
+
+
+def sweep(
+    arena: PlaneArena,
+    sources: Sequence[str],
+    targets: Sequence[str],
+    use_foreign_keys: bool,
+) -> tuple[Blocks, tuple[list, ...]]:
+    """Packed blocks for every ordered pair in ``sources × targets`` plus
+    their aggregates (see :func:`group_coords`): one plane sweep, then
+    per-pair grouping."""
+    rows, src_meta = _sweep_rows(arena, sources)
+    cols, dst_meta = _sweep_rows(arena, targets)
+    coords = _sweep_coords(arena, rows, cols, use_foreign_keys)
+    return group_coords(coords, src_meta, dst_meta, arena.triggers(rows))
 
 
 def sweep_blocks(
@@ -442,10 +527,6 @@ def sweep_blocks(
     sources: Sequence[str],
     targets: Sequence[str],
     use_foreign_keys: bool,
-) -> dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]:
-    """Packed blocks for every ordered pair in ``sources × targets``:
-    one plane sweep, then per-pair grouping."""
-    rows, src_meta = _sweep_rows(arena, sources)
-    cols, dst_meta = _sweep_rows(arena, targets)
-    coords = _sweep_coords(arena, rows, cols, use_foreign_keys)
-    return group_coords(coords, src_meta, dst_meta)
+) -> Blocks:
+    """Packed blocks for every ordered pair in ``sources × targets``."""
+    return sweep(arena, sources, targets, use_foreign_keys)[0]

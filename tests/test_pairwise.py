@@ -227,17 +227,15 @@ def _packed_session(source: str) -> Analyzer:
 
 
 def _snapshot(store: EdgeBlockStore):
-    """Every block and block summary of a store, then its counters."""
+    """Every block and the aggregate planes of a store, then its counters."""
     names = store.ltp_names
     blocks = {
-        (source, target): (
-            store.block(source, target),
-            store.block_summary(source, target),
-        )
+        (source, target): store.block(source, target)
         for source in names
         for target in names
     }
-    return blocks, store.cache_info()
+    planes = [plane.tolist() for plane in store.aggregate_planes(names)]
+    return (blocks, planes), store.cache_info()
 
 
 class TestSharedRecords:

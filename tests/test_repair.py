@@ -297,18 +297,6 @@ class TestBlockIndexDetection:
         assert len(witness.anchors) == len(witness.edges)
         assert len(witness.highlighted) == 3
 
-    def test_reach_cache_is_reused(self):
-        session = Analyzer("smallbank")
-        session.summary_graph(ATTR_DEP_FK)
-        store = session.edge_block_store(ATTR_DEP_FK)
-        names = [ltp.name for ltp in session.unfolded()]
-        cache: dict = {}
-        first = find_type2_violation_blocks(store, names, reach_cache=cache)
-        assert len(cache) == 1
-        second = find_type2_violation_blocks(store, names, reach_cache=cache)
-        assert len(cache) == 1
-        assert first == second
-
 
 # ---------------------------------------------------------------------------
 # Analyzer.fork
