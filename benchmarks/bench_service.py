@@ -1,6 +1,6 @@
-"""Benchmark: warm-pool throughput, cross-tenant block sharing, concurrency.
+"""Benchmark: warm-pool throughput and concurrency.
 
-Three gated phases over the analysis service:
+Two gated phases over the analysis service:
 
 1. **Warm vs cold** (the PR 6 gate, kept): the same serial ``analyze``
    stream replayed against a fresh :class:`Analyzer` per request vs
@@ -8,15 +8,7 @@ Three gated phases over the analysis service:
    sustain >= ``--threshold`` (default 5x) the cold throughput with
    byte-identical payloads.
 
-2. **Cross-tenant sharing**: two tenants whose workloads differ in exactly
-   one program (same schema) are analyzed on one service with the
-   content-addressed :class:`repro.store.BlockStore` and on one with the
-   store disabled.  The gate requires ``shared_hits > 0`` (the second
-   tenant adopts every block not involving the differing program) *and*
-   payloads bit-identical to the store-disabled service — sharing is a
-   pure optimization, never a verdict channel.
-
-3. **Concurrent mixed traffic**: a live :class:`ServiceHTTPServer` on an
+2. **Concurrent mixed traffic**: a live :class:`ServiceHTTPServer` on an
    ephemeral port is driven with a mixed ``POST /v1/analyze`` / ``subsets``
    / ``graph`` + ``GET /v1/stats`` stream, serially and then by a
    ``--concurrency``-thread fan-out client.  Per-request latencies give
@@ -27,8 +19,8 @@ Three gated phases over the analysis service:
    latency percentiles and per-request payload identity are always
    checked and recorded.
 
-Numbers (including ``p50_seconds``/``p99_seconds``/``concurrency`` and
-the store counters) are recorded to ``BENCH_service.json`` via
+Numbers (including ``p50_seconds``/``p99_seconds``/``concurrency``) are
+recorded to ``BENCH_service.json`` via
 :func:`conftest.record_benchmark`.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_service.py [--scale N]
@@ -57,9 +49,7 @@ from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads import auction_n
 
 #: Two tenant workloads over ONE schema, differing in exactly one program
-#: (TenantB's ListAvailability projects one fewer column, so only that
-#: program's content fingerprint changes).  Content addressing therefore
-#: shares exactly (3-1)^2 = 4 of the 9 pair blocks per settings row.
+#: (TenantB's ListAvailability projects one fewer column).
 _TENANT_TEMPLATE = """\
 WORKLOAD Tenant
 
@@ -134,40 +124,7 @@ def _run_warm(service: AnalysisService, stream: list[dict]) -> tuple[float, list
     return time.perf_counter() - started, payloads
 
 
-# -- phase 2: cross-tenant block sharing -------------------------------------
-def _tenant_payloads(service: AnalysisService) -> list[dict]:
-    """Both tenants across all four settings against one service."""
-    tenant_a, tenant_b = tenant_sources()
-    payloads = []
-    for source in (tenant_a, tenant_b):
-        for settings in ALL_SETTINGS:
-            payloads.append(
-                service.handle(
-                    "analyze", {"workload": source, "setting": settings.label}
-                )
-            )
-    return payloads
-
-
-def bench_sharing() -> dict:
-    shared = AnalysisService()
-    unshared = AnalysisService(block_budget=0)
-    shared_payloads = _tenant_payloads(shared)
-    unshared_payloads = _tenant_payloads(unshared)
-    identical = shared_payloads == unshared_payloads
-    info = shared.block_store.info()
-    probes = info["shared_hits"] + info["misses"]
-    return {
-        "shared_hits": info["shared_hits"],
-        "hit_rate": info["shared_hits"] / probes if probes else 0.0,
-        "unique_blocks": info["unique_blocks"],
-        "bytes": info["bytes"],
-        "evictions": info["evictions"],
-        "payloads_identical": identical,
-    }
-
-
-# -- phase 3: concurrent mixed HTTP traffic ----------------------------------
+# -- phase 2: concurrent mixed HTTP traffic ----------------------------------
 def _mixed_stream(scale: int, requests: int) -> list[tuple[str, str, dict | None]]:
     """(method, path, body) per request: mixed kinds, two tenants."""
     tenant_a, tenant_b = tenant_sources()
@@ -250,7 +207,6 @@ def bench_concurrent(scale: int, requests: int, concurrency: int) -> dict:
         )
         if method == "POST"
     )
-    info = service.block_store.info()
     return {
         "requests": requests,
         "concurrency": concurrency,
@@ -262,7 +218,6 @@ def bench_concurrent(scale: int, requests: int, concurrency: int) -> dict:
         "p99_seconds": _percentile(latencies, 0.99),
         "mean_seconds": statistics.fmean(latencies),
         "payloads_identical": identical,
-        "store_shared_hits": info["shared_hits"],
     }
 
 
@@ -329,21 +284,7 @@ def main(argv=None) -> int:
     if speedup < args.threshold:
         failures.append(f"warm speedup {speedup:.1f}x < {args.threshold:.1f}x")
 
-    # -- phase 2: cross-tenant block sharing ---------------------------------
-    sharing = bench_sharing()
-    print(
-        f"cross-tenant sharing: {sharing['shared_hits']} shared hits "
-        f"(hit rate {sharing['hit_rate']:.0%}), "
-        f"{sharing['unique_blocks']} unique blocks, "
-        f"{sharing['bytes']} bytes, "
-        f"payloads identical to store-disabled: {sharing['payloads_identical']}\n"
-    )
-    if sharing["shared_hits"] <= 0:
-        failures.append("cross-tenant warm-block hit rate is 0")
-    if not sharing["payloads_identical"]:
-        failures.append("store-enabled payloads differ from store-disabled")
-
-    # -- phase 3: concurrent mixed HTTP traffic ------------------------------
+    # -- phase 2: concurrent mixed HTTP traffic ------------------------------
     concurrent = bench_concurrent(args.scale, args.requests, args.concurrency)
     print(
         f"mixed /v1/* HTTP stream ({concurrent['requests']} requests): "
@@ -378,7 +319,6 @@ def main(argv=None) -> int:
             "warm_requests_per_second": warm_rps,
             "speedup": speedup,
             "threshold": args.threshold,
-            "sharing": sharing,
             "concurrency": concurrent["concurrency"],
             "p50_seconds": concurrent["p50_seconds"],
             "p99_seconds": concurrent["p99_seconds"],
@@ -397,9 +337,8 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}")
         return 1
     print(
-        f"\nPASS: warm pool >= {args.threshold:.1f}x cold, cross-tenant "
-        f"sharing exact ({sharing['shared_hits']} hits, bit-identical "
-        "verdicts), concurrent payloads identical"
+        f"\nPASS: warm pool >= {args.threshold:.1f}x cold, "
+        "concurrent payloads identical"
         + (
             f", concurrent >= {args.concurrent_threshold:.1f}x serial"
             if concurrent_gated

@@ -89,7 +89,6 @@ from repro.errors import (
 )
 from repro.faults import Deadline, FaultPlan, FaultRule
 from repro.schema import ForeignKey, Relation, Schema
-from repro.store import BlockStore
 from repro.service import (
     AdviseRequest,
     AnalysisService,
@@ -121,7 +120,7 @@ from repro.summary import (
 )
 from repro.workloads import Workload
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",
@@ -204,7 +203,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "Deadline",
-    "BlockStore",
     # errors
     "ReproError",
     "SchemaError",

@@ -51,7 +51,6 @@ from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
 from repro.schema import Schema
-from repro.store.blockstore import BlockStore
 from repro.summary.fingerprint import schema_fingerprint, workload_fingerprint
 from repro.summary.graph import SummaryEdge, SummaryGraph
 from repro.summary.pairwise import EdgeBlockStore
@@ -159,17 +158,10 @@ class Analyzer:
         schema: Schema | None = None,
         name: str | None = None,
         max_loop_iterations: int = 2,
-        block_store: BlockStore | None = None,
     ):
         with span("resolve"):
             self.workload = Workload.resolve(source, schema=schema, name=name)
         self.max_loop_iterations = max_loop_iterations
-        #: The cross-session content-addressed block cache every
-        #: per-settings :class:`EdgeBlockStore` reads through and publishes
-        #: into (``None`` → no sharing beyond this session's own lineage).
-        #: Attaching a store never changes a verdict or a
-        #: :meth:`cache_info` counter — see :mod:`repro.store.blockstore`.
-        self.block_store = block_store
         # Remembered for `repro cache load`: a resolvable source string
         # (built-in name or file path), when that is what we were given.
         self._source_hint: str | None = None
@@ -248,9 +240,7 @@ class Analyzer:
         with self._lock:
             store = self._stores.get(settings)
             if store is None:
-                store = EdgeBlockStore(
-                    self.schema, settings, block_store=self.block_store
-                )
+                store = EdgeBlockStore(self.schema, settings)
                 self._stores[settings] = store
             return store
 
@@ -501,7 +491,6 @@ class Analyzer:
             other = Analyzer(
                 self.workload,
                 max_loop_iterations=self.max_loop_iterations,
-                block_store=self.block_store,
             )
             other._source_hint = self._source_hint
             other._ltps_by_program = dict(self._ltps_by_program)
@@ -685,23 +674,6 @@ class Analyzer:
                 ),
                 "blocks_loaded": sum(store.cache_info()["loaded"] for store in stores),
             }
-
-    def store_info(self) -> dict[str, object]:
-        """Cross-session block-store counters, aggregated over the
-        session's per-settings stores (kept out of :meth:`cache_info`,
-        whose exact key set is a compatibility contract): whether a
-        :class:`repro.store.BlockStore` is attached, how many of this
-        session's blocks were adopted from it instead of computed
-        (``shared_hits``), how many it published, and how many store
-        entries it currently pins (``refs``)."""
-        with self._lock:
-            infos = [store.store_info() for store in self._stores.values()]
-        return {
-            "attached": self.block_store is not None,
-            "shared_hits": sum(info["shared_hits"] for info in infos),
-            "published": sum(info["published"] for info in infos),
-            "refs": sum(info["refs"] for info in infos),
-        }
 
     def clear_cache(self) -> None:
         """Drop all memoized stages (results are recomputed on demand)."""

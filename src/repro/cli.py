@@ -281,8 +281,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     obs_log.configure(args.log_level)
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.block_budget < 0:
-        raise ReproError(f"--block-budget must be >= 0 MiB, got {args.block_budget}")
     if args.workers > 1 and not reuseport_supported():
         raise ReproError(
             "--workers needs SO_REUSEPORT, which this platform lacks; "
@@ -303,7 +301,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             deadline_seconds=args.deadline,
             max_inflight=args.max_inflight,
-            block_budget=args.block_budget * 1024 * 1024,
         )
         if args.cache_dir and Path(args.cache_dir).is_dir():
             warmed = service.warm_from_cache_dir(args.cache_dir)
@@ -552,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fork N SO_REUSEPORT worker processes sharing the bind address "
         "(each with its own session pool and fault injector; SIGTERM "
         "drains all of them)",
-    )
-    serve.add_argument(
-        "--block-budget",
-        type=int,
-        default=64,
-        metavar="MIB",
-        help="byte budget of the content-addressed cross-session block "
-        "store, in MiB (0 disables cross-session block sharing)",
     )
     serve.add_argument(
         "--log-level",

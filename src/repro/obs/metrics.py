@@ -1,13 +1,13 @@
 """A small in-process metrics registry with Prometheus text exposition.
 
 The service's runtime counters used to live scattered across
-``AnalysisService`` attributes, ``EdgeBlockStore.cache_info()`` and
-``BlockStore.info()`` — each with its own snapshot shape, none
-scrapeable.  This module is the single sink
-they feed: hot paths increment counters and observe histograms inline,
-while snapshot-style state (pool sizes, store bytes, fault totals) is
-pulled at scrape time through registered *collectors*, so the existing
-``/v1/stats`` surfaces stay the source of truth and stay byte-identical.
+``AnalysisService`` attributes and ``EdgeBlockStore.cache_info()`` —
+each with its own snapshot shape, none scrapeable.  This module is the
+single sink they feed: hot paths increment counters and observe
+histograms inline, while snapshot-style state (pool sizes, fault
+totals) is pulled at scrape time through registered *collectors*, so the
+existing ``/v1/stats`` surfaces stay the source of truth and stay
+byte-identical.
 
 The registry is deliberately tiny — counters, gauges and fixed-bucket
 histograms with label support, rendered in the Prometheus text format —

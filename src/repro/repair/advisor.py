@@ -231,9 +231,9 @@ class RepairAdvisor:
         self.max_results = max_results
         #: The advisor-private base session every candidate forks from:
         #: taken once (under the session lock) with only the advised
-        #: settings' store, it accumulates the block summaries witnesses
-        #: memoize, which then ride :meth:`~repro.analysis.Analyzer.fork`
-        #: into every candidate — the user's session is never mutated.
+        #: settings' store, its block records ride
+        #: :meth:`~repro.analysis.Analyzer.fork` into every candidate —
+        #: the user's session is never mutated.
         self._base: "Analyzer | None" = None
 
     # -- verification ---------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import monotonic
 from repro.errors import DeadlineExceeded, ProgramError, ReproError
-from repro.store.blockstore import DEFAULT_BUDGET_BYTES, BlockStore
 from repro.faults import inject as _faults
 from repro.faults.deadline import check_deadline, deadline_scope
 from repro.schema import Schema
@@ -107,20 +106,6 @@ SESSIONS_WARM = obs_metrics.REGISTRY.gauge(
     "repro_service_sessions_warm",
     "Analyzer sessions currently warm in the LRU pool.",
 )
-STORE_COUNTERS = obs_metrics.REGISTRY.counter(
-    "repro_store_events_total",
-    "Cross-session BlockStore events: shared hits, misses, publishes, "
-    "evictions.",
-    labelnames=("event",),
-)
-STORE_BYTES = obs_metrics.REGISTRY.gauge(
-    "repro_store_bytes",
-    "Bytes resident in the cross-session BlockStore.",
-)
-STORE_BLOCKS = obs_metrics.REGISTRY.gauge(
-    "repro_store_blocks",
-    "Unique blocks resident in the cross-session BlockStore.",
-)
 
 
 def _register_service_collector(service: "AnalysisService") -> None:
@@ -143,15 +128,6 @@ def _register_service_collector(service: "AnalysisService") -> None:
             FAULT_EVENTS.set(ref._spill_failures, "spill_failure")
             FAULT_EVENTS.set(ref._poisoned_evictions, "poisoned_eviction")
             SESSIONS_WARM.set(len(ref._pool))
-            store = ref.block_store
-        if store is not None:
-            info = store.info()
-            STORE_COUNTERS.set(info["shared_hits"], "shared_hit")
-            STORE_COUNTERS.set(info["misses"], "miss")
-            STORE_COUNTERS.set(info["publishes"], "publish")
-            STORE_COUNTERS.set(info["evictions"], "eviction")
-            STORE_BYTES.set(info["bytes"])
-            STORE_BLOCKS.set(info["unique_blocks"])
 
     obs_metrics.REGISTRY.register_collector(_collect)
 
@@ -189,15 +165,9 @@ class AnalysisService:
         deadline_seconds: float | None = None,
         max_inflight: int | None = None,
         poison_threshold: int = DEFAULT_POISON_THRESHOLD,
-        block_budget: int = DEFAULT_BUDGET_BYTES,
-        block_store: BlockStore | None = None,
     ):
         if capacity < 1:
             raise ProgramError(f"service capacity must be >= 1, got {capacity}")
-        if block_budget < 0:
-            raise ProgramError(
-                f"service block_budget must be >= 0 bytes, got {block_budget}"
-            )
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ProgramError(
                 f"service deadline_seconds must be > 0, got {deadline_seconds}"
@@ -215,19 +185,6 @@ class AnalysisService:
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
         self.poison_threshold = poison_threshold
-        #: The content-addressed cross-session block cache every session
-        #: this service builds reads through and publishes into — pooled
-        #: sessions, watch/advise forks and grid cells all share warm
-        #: blocks through it (bit-identical verdicts by the content
-        #: addressing contract; see :mod:`repro.store.blockstore`).
-        #: ``block_budget=0`` disables sharing; an explicit ``block_store``
-        #: overrides the budget (e.g. ``BlockStore(None)`` for unbounded).
-        if block_store is not None:
-            self.block_store: BlockStore | None = block_store
-        elif block_budget > 0:
-            self.block_store = BlockStore(block_budget)
-        else:
-            self.block_store = None
         self._inflight = (
             threading.Semaphore(max_inflight) if max_inflight is not None else None
         )
@@ -282,7 +239,6 @@ class AnalysisService:
             schema=schema,
             name=name,
             max_loop_iterations=self.max_loop_iterations,
-            block_store=self.block_store,
         )
 
     @staticmethod
@@ -727,9 +683,9 @@ class AnalysisService:
             "rehydrate_failures": rehydrate_failures,
             "watch": watch,
             "faults": faults,
-            "store": (
-                None if self.block_store is None else self.block_store.info()
-            ),
+            # Deprecated; kept only because perfbench's traced runs read
+            # store.shared_hits.
+            "store": {"shared_hits": 0},
             "sessions": [
                 {
                     "fingerprint": fingerprint,

@@ -11,13 +11,13 @@ scales past that with the classic ``SO_REUSEPORT`` pre-fork model:
   bound, non-listening member keeps the reuseport group alive without
   receiving connections, which only listening sockets do);
 * each forked worker builds its **own** :class:`AnalysisService` — its own
-  session pool, block store and fault injector — and binds a listening
+  session pool and fault injector — and binds a listening
   ``SO_REUSEPORT`` socket on the same address; the kernel distributes
   accepted connections among the workers;
 * workers share only what is on disk: the ``--cache-dir`` spill tier
   (spills are atomic pid-suffixed renames, so concurrent workers never
-  corrupt an artifact) — the in-memory block store is per-process, which
-  keeps sharing lock-local and the failure domain per worker;
+  corrupt an artifact) — warm sessions are per-process, which keeps the
+  failure domain per worker;
 * SIGTERM/SIGINT to the parent fans out as SIGTERM to every worker; each
   worker drains in flight requests and spills exactly like a
   single-process ``repro serve``, and the parent exits 0 iff every worker

@@ -53,7 +53,6 @@ The block structure is what enables
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,20 +64,11 @@ from repro.faults.deadline import check_deadline
 from repro.obs import log as obs_log
 from repro.obs.spans import span
 from repro.schema import Schema
-from repro.store.blockstore import BlockKey, BlockStore
 from repro.summary import planes
 from repro.summary.conditions import c_dep_conds, nc_dep_conds, protecting_fks
-from repro.summary.fingerprint import program_fingerprint, schema_fingerprint
 from repro.summary.graph import SummaryEdge, SummaryGraph
 from repro.summary.settings import AnalysisSettings, Granularity
 from repro.summary.tables import C_DEP_TABLE, NC_DEP_TABLE, TYPE_INDEX
-
-
-def _release_store_refs(store: BlockStore, refs: dict) -> None:
-    """Finalizer body: release every store reference a dead session held."""
-    for key in refs.values():
-        store.release(key)
-    refs.clear()
 
 
 def effective_statements(
@@ -347,7 +337,6 @@ class EdgeBlockStore:
         self,
         schema: Schema,
         settings: AnalysisSettings = AnalysisSettings(),
-        block_store: BlockStore | None = None,
     ):
         self.schema = schema
         self.settings = settings
@@ -367,28 +356,6 @@ class EdgeBlockStore:
         self._computed = 0
         self._loaded = 0
         self._hits = 0
-        #: The cross-session content-addressed cache this store reads
-        #: through and publishes into (``None`` → no sharing; see
-        #: :mod:`repro.store.blockstore`).  Adopted blocks still count
-        #: under ``computed`` in :meth:`cache_info` — the counter means
-        #: "blocks made present by this store", so churn traces and every
-        #: counter-shaped contract stay bit-identical with or without a
-        #: block store attached; sharing is observable via
-        #: :meth:`store_info` only.
-        self.block_store = block_store
-        #: Store reference per cached pair (released on discard/clear/GC).
-        self._store_refs: dict[tuple[str, str], BlockKey] = {}
-        #: Per-program content fingerprints (key components), memoized —
-        #: dropped on :meth:`discard` so a replacement re-hashes.
-        self._ltp_fps: dict[str, str] = {}
-        self._schema_fp: str | None = None
-        self._shared_hits = 0
-        self._published = 0
-        self._store_finalizer = None
-        if block_store is not None:
-            self._store_finalizer = weakref.finalize(
-                self, _release_store_refs, block_store, self._store_refs
-            )
 
     # -- program registration ----------------------------------------------
     def register(self, ltps: Iterable[LTP]) -> None:
@@ -422,18 +389,15 @@ class EdgeBlockStore:
                 continue
             del self._ltps[name]
             del self._profiles[name]
-            self._ltp_fps.pop(name, None)
             # Only the slot is freed: a reused slot's row and column are
             # rewritten by ensure_blocks (every pair of a newly registered
             # program is missing) before any detector reads them.
             self._free_slots.append(self._slots.pop(name))
             if self._arena is not None:
                 self._arena.remove(name)
-            for target in self._rows.pop(name):
-                self._release_ref((name, target))
-            for source, row in self._rows.items():
-                if row.pop(name, None) is not None:
-                    self._release_ref((source, name))
+            del self._rows[name]
+            for row in self._rows.values():
+                row.pop(name, None)
 
     @property
     def ltp_names(self) -> tuple[str, ...]:
@@ -505,7 +469,7 @@ class EdgeBlockStore:
         if cached is not None:
             self._hits += 1
             return self._edges(source, target, cached)
-        self._ensure_pairs([(source, target)])
+        self._sweep([(source, target)])
         return self._edges(source, target, self._rows[source][target])
 
     def load_block(
@@ -548,7 +512,6 @@ class EdgeBlockStore:
             self._rows.setdefault(source, {})
             for target, block in row.items():
                 self._put(source, target, block, loaded=True)
-        self._ltp_fps.update(other._ltp_fps)
         if share_planes:
             # A fresh store takes the other's slots and shares its planes
             # copy-on-write: forks copy nothing until they write.
@@ -565,12 +528,6 @@ class EdgeBlockStore:
                 self._write_cells(
                     pairs, [self._aggregate(s, other._rows[s][t]) for s, t in pairs]
                 )
-        if self.block_store is not None and self.block_store is other.block_store:
-            # Forks pin the same cross-session entries as their parent, so
-            # a shared block stays pinned as long as *any* lineage uses it.
-            for pair, key in other._store_refs.items():
-                if pair not in self._store_refs and self.block_store.retain(key):
-                    self._store_refs[pair] = key
 
     def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when
@@ -586,7 +543,8 @@ class EdgeBlockStore:
         if not missing:
             return 0
         self._require(names)
-        return self._ensure_pairs(missing)
+        self._sweep(missing)
+        return len(missing)
 
     # -- batch kernel plumbing ---------------------------------------------
     def _required_words(self) -> int:
@@ -613,88 +571,11 @@ class EdgeBlockStore:
                 arena.add(self._profiles[name])
         return arena
 
-    # -- cross-session block store ------------------------------------------
-    def _store_key(self, pair: tuple[str, str]) -> BlockKey:
-        """The content address of one pair's block: ``(schema fp, settings
-        label, program fp i, program fp j)``.  The unfold depth ``k``
-        needs no component — program fingerprints hash post-unfold LTP
-        content (see :mod:`repro.store.blockstore`)."""
-        if self._schema_fp is None:
-            self._schema_fp = schema_fingerprint(self.schema)
-        fps = self._ltp_fps
-        parts: list[str] = []
-        for name in pair:
-            fp = fps.get(name)
-            if fp is None:
-                fp = fps[name] = program_fingerprint([self._ltps[name]])
-            parts.append(fp)
-        return (self._schema_fp, self.settings.label, parts[0], parts[1])
-
-    def _adopt_ref(self, pair: tuple[str, str], key: BlockKey) -> None:
-        """Record one already-taken store reference for ``pair``."""
-        old = self._store_refs.get(pair)
-        if old is not None and old != key:
-            self.block_store.release(old)
-        self._store_refs[pair] = key
-
-    def _release_ref(self, pair: tuple[str, str]) -> None:
-        key = self._store_refs.pop(pair, None)
-        if key is not None and self.block_store is not None:
-            self.block_store.release(key)
-
-    def store_info(self) -> dict[str, object]:
-        """Cross-session sharing counters (kept out of :meth:`cache_info`,
-        whose exact shape is a compatibility contract): whether a block
-        store is attached, how many of this store's blocks were adopted
-        from it instead of computed, how many were published into it, and
-        how many entries this store currently pins."""
-        return {
-            "attached": self.block_store is not None,
-            "shared_hits": self._shared_hits,
-            "published": self._published,
-            "refs": len(self._store_refs),
-        }
-
-    def _ensure_pairs(self, missing: Sequence[tuple[str, str]]) -> int:
-        """Batch-compute the given pairs: plan sweeps, run them, install
-        packed block records.
-
-        With a :class:`~repro.store.BlockStore` attached, each missing
-        pair is first looked up by content address — a hit adopts the
-        stored coordinates (bit-identical to recomputation by the
-        exactness contract) and skips the kernel; the pairs actually
-        computed are published back.  Returns the number of blocks made
-        present either way, so callers' hit accounting is unchanged."""
-        check_deadline("block construction")
-        requested = len(missing)
-        store = self.block_store
-        if store is not None:
-            unshared: list[tuple[str, str]] = []
-            adopted: list[tuple[str, str]] = []
-            aggregates: list[tuple] = []
-            for pair in missing:
-                key = self._store_key(pair)
-                coords = store.get(key)
-                if coords is None:
-                    unshared.append(pair)
-                else:
-                    block = _Block(coords)
-                    self._put(*pair, block, loaded=False)
-                    self._adopt_ref(pair, key)
-                    self._shared_hits += 1
-                    adopted.append(pair)
-                    aggregates.append(self._aggregate(pair[0], block))
-            if adopted:
-                self._write_cells(adopted, aggregates)
-            missing = unshared
-        if missing:
-            self._sweep(missing)
-        return requested
-
     def _sweep(self, missing: Sequence[tuple[str, str]]) -> None:
-        """Sweep the missing pairs, install their records and write their
-        aggregates, one plane write per sweep."""
-        store = self.block_store
+        """Batch-compute the missing pairs: plan sweeps, run them, install
+        packed block records and write their aggregates, one plane write
+        per sweep."""
+        check_deadline("block construction")
         involved = {name for pair in missing for name in pair}
         with span("pack"):
             arena = self._arena_for(involved)
@@ -708,13 +589,6 @@ class EdgeBlockStore:
         obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
         for plan, (blocks, columns) in zip(plans, swept):
             for pair, coords in blocks.items():
-                if store is not None:
-                    key = self._store_key(pair)
-                    # publish() returns the canonical tuple, so concurrent
-                    # sessions converge on one shared object.
-                    coords = store.publish(key, coords)
-                    self._adopt_ref(pair, key)
-                    self._published += 1
                 self._put(*pair, _Block(coords), loaded=False)
             slots = self._slots
             self._writable_planes().write_grid(
@@ -837,15 +711,10 @@ class EdgeBlockStore:
         }
 
     def clear(self) -> None:
-        """Drop all programs, profiles, blocks, planes, and counters
-        (releasing every cross-session store reference)."""
+        """Drop all programs, profiles, blocks, planes, and counters."""
         self._ltps.clear()
         self._profiles.clear()
         self._rows.clear()
-        if self.block_store is not None:
-            _release_store_refs(self.block_store, self._store_refs)
-        self._store_refs.clear()
-        self._ltp_fps.clear()
         self._arena = None
         self._slots = {}
         self._free_slots = []
@@ -854,8 +723,6 @@ class EdgeBlockStore:
         self._computed = 0
         self._loaded = 0
         self._hits = 0
-        self._shared_hits = 0
-        self._published = 0
 
     def __repr__(self) -> str:
         return (

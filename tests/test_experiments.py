@@ -8,6 +8,9 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import measure_point
 from repro.experiments.reporting import render_table
 from repro.experiments.table2 import characterize, run_table2
+from repro.service import AnalysisService, GridSpec
+from repro.summary import planes
+from repro.summary.settings import ATTR_DEP_FK
 from repro.workloads import auction_n
 
 
@@ -92,6 +95,28 @@ class TestFigure8:
         assert point.nodes == 6
         assert point.edges_match_closed_form
         assert point.mean_seconds > 0
+
+    def test_cold_cells_sweep_every_repetition(self, monkeypatch):
+        """A cold cell shares no blocks with earlier repetitions: each one
+        runs Algorithm 1's plane sweep again."""
+        calls = []
+        sweep = planes.sweep
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(planes, "sweep", counting_sweep)
+        AnalysisService().grid(
+            GridSpec(
+                workloads=("auction(4)",),
+                settings=(ATTR_DEP_FK,),
+                task="detect",
+                repetitions=3,
+                warm=False,
+            )
+        )
+        assert len(calls) >= 3
 
     def test_closed_form_helpers(self):
         assert expected.auction_n_edges(1) == 17

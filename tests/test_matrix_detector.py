@@ -29,7 +29,6 @@ from repro.detection import (
     is_robust_type2_naive,
 )
 from repro.detection.blockindex import find_violations_blocks, is_robust_blocks
-from repro.store import BlockStore
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.planes import NO_CF
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
@@ -156,13 +155,8 @@ def _assert_planes(store):
             assert got == _expected(store, source, target), (source, target)
 
 
-@pytest.fixture
-def sessions():
-    return Analyzer("smallbank"), Analyzer("auction(3)")
-
-
-def test_planes_after_every_store_operation(sessions):
-    small, auction = sessions
+def test_planes_after_every_store_operation():
+    small = Analyzer("smallbank")
     ltps = small.unfolded()
     store = EdgeBlockStore(small.schema, ATTR_DEP_FK)
     store.register(ltps[:3])
@@ -209,17 +203,6 @@ def test_planes_after_every_store_operation(sessions):
     store.clear()
     store.register(ltps)
     _assert_planes(store)
-
-    # BlockStore adoption writes the adopted cells
-    shared = BlockStore()
-    auction_ltps = auction.unfolded()
-    publisher = EdgeBlockStore(auction.schema, TPL_DEP, block_store=shared)
-    publisher.register(auction_ltps)
-    publisher.ensure_blocks()
-    adopter = EdgeBlockStore(auction.schema, TPL_DEP, block_store=shared)
-    adopter.register(auction_ltps)
-    _assert_planes(adopter)
-    assert adopter.store_info()["shared_hits"] == len(auction_ltps) ** 2
 
 
 def test_planes_after_session_replace():

@@ -162,8 +162,6 @@ class TestMetricsEndpoint:
             "repro_service_deadline_exceeded_total",
             "repro_service_pool_events_total",
             "repro_service_fault_events_total",
-            "repro_store_events_total",
-            "repro_store_bytes",
             "repro_http_request_seconds_bucket",
             "repro_http_responses_total",
             "repro_stage_seconds_bucket",

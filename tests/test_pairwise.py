@@ -20,7 +20,6 @@ from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.btp.unfold import unfold
 from repro.errors import ProgramError
-from repro.store import BlockStore
 from repro.summary.construct import construct_summary_graph
 from repro.summary.graph import SummaryGraph
 from repro.summary.pairwise import EdgeBlockStore, pair_edges, pair_edges_reference
@@ -315,14 +314,12 @@ class TestSharedRecords:
 
 class _Steps:
     """The store under test for the install-counter contract: SmallBank's
-    five LTPs with a cross-session block store attached; the last LTP is
-    held back for the load and seed steps."""
+    five LTPs; the last LTP is held back for the load and seed steps."""
 
     def __init__(self, workload):
         self.schema = workload.schema
         self.ltps = _ltps(workload)
-        self.shared = BlockStore()
-        self.store = EdgeBlockStore(self.schema, ATTR_DEP_FK, block_store=self.shared)
+        self.store = EdgeBlockStore(self.schema, ATTR_DEP_FK)
 
     def load(self, source: str, target: str) -> None:
         by_name = {ltp.name: ltp for ltp in self.ltps}
@@ -334,9 +331,7 @@ class _Steps:
         self.load(LAST, LAST)
 
     def seed_from_warm(self) -> None:
-        # A warm store over all five programs adopts the (n-1)² published
-        # blocks and computes the 2n-1 blocks of the last program.
-        warm = EdgeBlockStore(self.schema, ATTR_DEP_FK, block_store=self.shared)
+        warm = EdgeBlockStore(self.schema, ATTR_DEP_FK)
         warm.register(self.ltps)
         warm.ensure_blocks()
         self.store.seed_from(warm)
@@ -357,30 +352,24 @@ def _info(programs, blocks, computed=0, loaded=0, hits=0):
     }
 
 
-def _shared(published=0, refs=0):
-    return {"attached": True, "shared_hits": 0, "published": published, "refs": refs}
-
-
-#: ``(step, action, cache_info after it, store_info after it)``.
+#: ``(step, action, cache_info after it)``.
 COUNTER_STEPS = [
-    ("register", lambda s: s.store.register(s.ltps[:-1]), _info(N - 1, 0), _shared()),
-    ("ensure", lambda s: s.store.ensure_blocks(),
-     _info(N - 1, KEPT, computed=KEPT), _shared(KEPT, KEPT)),
+    ("register", lambda s: s.store.register(s.ltps[:-1]), _info(N - 1, 0)),
+    ("ensure", lambda s: s.store.ensure_blocks(), _info(N - 1, KEPT, computed=KEPT)),
     ("block", lambda s: s.store.block(FIRST, FIRST),
-     _info(N - 1, KEPT, computed=KEPT, hits=1), _shared(KEPT, KEPT)),
+     _info(N - 1, KEPT, computed=KEPT, hits=1)),
     # A new pair counts under ``loaded``...
     ("load-new-pair", _Steps.load_new_pair,
-     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1), _shared(KEPT, KEPT)),
+     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1)),
     # ...loading over a present pair counts nothing...
     ("load-present-pair", lambda s: s.load(FIRST, FIRST),
-     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1), _shared(KEPT, KEPT)),
-    # ...and seeding counts only the 2n-2 pairs this store lacked, while
-    # pinning every block-store entry the warm store pins.
+     _info(N, KEPT + 1, computed=KEPT, loaded=1, hits=1)),
+    # ...and seeding counts only the 2n-2 pairs this store lacked.
     ("seed_from", _Steps.seed_from_warm,
-     _info(N, N * N, computed=KEPT, loaded=2 * N - 1, hits=1), _shared(KEPT, N * N)),
+     _info(N, N * N, computed=KEPT, loaded=2 * N - 1, hits=1)),
     ("discard", lambda s: s.store.discard([LAST]),
-     _info(N - 1, KEPT, computed=KEPT, loaded=2 * N - 1, hits=1), _shared(KEPT, KEPT)),
-    ("clear", lambda s: s.store.clear(), _info(0, 0), _shared()),
+     _info(N - 1, KEPT, computed=KEPT, loaded=2 * N - 1, hits=1)),
+    ("clear", lambda s: s.store.clear(), _info(0, 0)),
 ]
 
 
@@ -390,11 +379,10 @@ COUNTER_STEPS = [
 def test_install_counters_step_by_step(smallbank_workload, upto):
     steps = _Steps(smallbank_workload)
     assert (steps.ltps[0].name, steps.ltps[-1].name) == (FIRST, LAST)
-    for _, action, _, _ in COUNTER_STEPS[: upto + 1]:
+    for _, action, _ in COUNTER_STEPS[: upto + 1]:
         action(steps)
-    _, _, cache_info, store_info = COUNTER_STEPS[upto]
+    _, _, cache_info = COUNTER_STEPS[upto]
     assert steps.store.cache_info() == cache_info
-    assert steps.store.store_info() == store_info
 
 
 class TestGraphSerialization:

@@ -102,8 +102,6 @@ class TestSessionPool:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ProgramError):
             AnalysisService(capacity=0)
-        with pytest.raises(ProgramError):
-            AnalysisService(block_budget=-1)
 
     def test_stats_surface_cache_info(self):
         service = AnalysisService()
@@ -1008,63 +1006,15 @@ class TestServeShutdown:
 
 
 # ---------------------------------------------------------------------------
-# the cross-session block store in the service
+# the deprecated /v1/stats store block
 # ---------------------------------------------------------------------------
 
 class TestServiceBlockStore:
     def test_stats_surface_store_counters(self):
         service = AnalysisService()
         service.handle("analyze", {"workload": "smallbank"})
-        store = service.stats()["store"]
-        assert store is not None
-        for key in ("shared_hits", "evictions", "bytes", "unique_blocks",
-                    "publishes", "budget_bytes"):
-            assert key in store
-        assert store["publishes"] > 0
-        json.dumps(service.stats())  # still JSON-serializable as-is
-
-    def test_zero_budget_disables_the_store(self):
-        service = AnalysisService(block_budget=0)
         service.handle("analyze", {"workload": "smallbank"})
-        assert service.block_store is None
-        assert service.stats()["store"] is None
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ProgramError):
-            AnalysisService(block_budget=-1)
-
-    def test_pooled_sessions_share_blocks_across_workloads(self):
-        """Two pool entries over the same schema adopt each other's blocks
-        (the cross-tenant case the bench gates on), with payloads identical
-        to a store-disabled service."""
-        template = """\
-WORKLOAD Tenant
-TABLE Account (account_id*, balance)
-PROGRAM Deposit
-UPDATE Account SET balance = balance + :n WHERE account_id = :a;
-COMMIT;
-END
-PROGRAM Audit
-{audit}
-COMMIT;
-END
-"""
-        tenant_a = template.format(
-            audit="SELECT account_id, balance FROM Account WHERE balance < 0;"
-        )
-        tenant_b = template.format(
-            audit="SELECT account_id FROM Account WHERE balance < 0;"
-        )
-        shared = AnalysisService()
-        unshared = AnalysisService(block_budget=0)
-        payloads = [
-            service.handle("analyze", {"workload": source})
-            for service in (shared, unshared)
-            for source in (tenant_a, tenant_b)
-        ]
-        assert payloads[:2] == payloads[2:]
-        assert shared.block_store.info()["shared_hits"] > 0
-        assert unshared.stats()["store"] is None
+        assert service.stats()["store"] == {"shared_hits": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -1075,8 +1025,6 @@ class TestServeWorkers:
     def test_workers_flag_validation(self, capsys):
         assert cli_main(["serve", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert cli_main(["serve", "--block-budget", "-1"]) == 2
-        assert "--block-budget" in capsys.readouterr().err
 
     def test_sigterm_under_load_drains_every_worker_to_exit_zero(self, tmp_path):
         """SIGTERM to the parent while a request stalls in a worker: the

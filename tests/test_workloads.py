@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis import Analyzer
 from repro.errors import ProgramError
-from repro.workloads import auction, auction_n, get_workload, smallbank, tpcc
+from repro.workloads import WORKLOADS, auction, auction_n, get_workload, smallbank, tpcc
 from repro.workloads.base import Workload
 
 
@@ -141,3 +142,7 @@ class TestRegistry:
             get_workload("nope")
         with pytest.raises(ValueError):
             get_workload("auction(x)")
+
+    def test_builtin_workloads_registry_matches_get_workload(self):
+        for name in WORKLOADS:
+            assert get_workload(name).name == Analyzer(name).workload.name
