@@ -27,11 +27,8 @@ import time
 
 from repro.analysis import Analyzer
 from repro.btp.unfold import unfold
-from repro.detection.subsets import (
-    _resolve_method,
-    enumerate_robust_subsets,
-    robust_subsets,
-)
+from repro.detection.subsets import enumerate_robust_subsets, robust_subsets
+from repro.detection.typeii import is_robust_type2
 from repro.summary.construct import construct_summary_graph
 from repro.summary.settings import ALL_SETTINGS
 from repro.workloads import auction_n
@@ -39,14 +36,13 @@ from repro.workloads import auction_n
 
 def seed_robust_subsets(programs, schema, settings):
     """The pre-block-store enumeration: a full pipeline per tested subset."""
-    check = _resolve_method("type-II")
     by_name = {program.name: program for program in programs}
 
     def check_combo(combo):
         graph = construct_summary_graph(
             unfold([by_name[name] for name in combo]), schema, settings
         )
-        return check(graph)
+        return is_robust_type2(graph)
 
     return enumerate_robust_subsets(by_name, check_combo)
 

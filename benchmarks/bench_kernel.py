@@ -42,11 +42,8 @@ import time
 from conftest import record_benchmark
 
 from repro.btp.unfold import unfold
-from repro.detection.subsets import (
-    _resolve_method,
-    enumerate_robust_subsets,
-    robust_subsets,
-)
+from repro.detection.subsets import enumerate_robust_subsets, robust_subsets
+from repro.detection.typeii import is_robust_type2
 from repro.summary import planes
 from repro.summary.pairwise import (
     EdgeBlockStore,
@@ -125,7 +122,6 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
 
 def _plain_robust_subsets(programs, schema, settings):
     """PR 2's enumeration: block store, no pair matrix."""
-    check = _resolve_method("type-II")
     ltps = unfold(programs, 2)
     store = EdgeBlockStore(schema, settings)
     store.register(ltps)
@@ -135,7 +131,7 @@ def _plain_robust_subsets(programs, schema, settings):
 
     def check_combo(combo):
         keep = [name for origin in combo for name in by_origin[origin]]
-        return check(store.graph(keep))
+        return is_robust_type2(store.graph(keep))
 
     return enumerate_robust_subsets(by_origin, check_combo)
 

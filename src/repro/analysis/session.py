@@ -9,10 +9,14 @@ cost and depend only on (program subset, ``max_loop_iterations``, settings).
 * each BTP is unfolded **once** per session, whatever subsets it appears in;
 * Algorithm 1 runs per *ordered pair* of programs: each pair's edge block
   is computed once and cached in a per-settings
-  :class:`~repro.summary.pairwise.EdgeBlockStore`, and every (subset)
-  summary graph is assembled by concatenating cached blocks (exact, because
-  Algorithm 1 looks only at the two programs of a pair);
-* reports are cached per (settings, subset).
+  :class:`~repro.summary.pairwise.EdgeBlockStore` as packed coordinates
+  plus per-block aggregates (exact, because Algorithm 1 looks only at the
+  two programs of a pair);
+* reports are cached per (settings, subset).  Verdicts, witnesses and the
+  Table 2 counts are read from the store's aggregate planes alone; no
+  analysis assembles a summary graph.  :meth:`Analyzer.summary_graph`
+  (and a report's :attr:`~repro.detection.api.RobustnessReport.graph`)
+  builds one only when asked.
 
 The pairwise blocks are also what make the session **incremental**
 (:meth:`Analyzer.add_program` / :meth:`~Analyzer.remove_program` /
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -39,11 +44,8 @@ from repro.btp.unfold import unfold_program
 from repro.detection.api import RobustnessReport
 from repro.detection.blockindex import find_violations_blocks, is_robust_blocks
 from repro.detection.subsets import (
-    METHODS,
-    Method,
     PairMatrix,
-    _method_name,
-    _resolve_method,
+    check_method,
     enumerate_robust_subsets,
     maximal_subsets,
 )
@@ -51,8 +53,9 @@ from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
 from repro.schema import Schema
+from repro.summary.construct import construct_summary_graph
 from repro.summary.fingerprint import schema_fingerprint, workload_fingerprint
-from repro.summary.graph import SummaryEdge, SummaryGraph
+from repro.summary.graph import SummaryEdge, SummaryGraph, SummaryStats
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
@@ -136,7 +139,7 @@ class Analyzer:
 
         report = session.analyze()                    # 'attr dep + FK'
         matrix = session.analyze_matrix()             # all four settings
-        maximal = session.maximal_robust_subsets()    # reuses the graph
+        maximal = session.maximal_robust_subsets()    # reuses the blocks
 
     Sessions are incremental — :meth:`add_program`, :meth:`remove_program`
     and :meth:`replace_program` keep every cached pairwise edge block that
@@ -174,7 +177,7 @@ class Analyzer:
         self._graphs: dict[tuple[AnalysisSettings, frozenset[str]], SummaryGraph] = {}
         self._reports: dict[tuple[AnalysisSettings, frozenset[str]], RobustnessReport] = {}
         # One reentrant lock over every memoized stage and incremental edit:
-        # analyze → summary_graph → edge_block_store nest, and a coarse lock
+        # analyze → edge_block_store → unfolded nest, and a coarse lock
         # is what guarantees a stage is computed exactly once under
         # concurrent requests (finer locking could only double-compute).
         self._lock = threading.RLock()
@@ -244,6 +247,38 @@ class Analyzer:
                 self._stores[settings] = store
             return store
 
+    def _registered(
+        self, settings: AnalysisSettings, subset: Iterable[str] | None
+    ) -> tuple[EdgeBlockStore, list[str]]:
+        """The settings' store with the subset's LTPs registered, and their
+        names (callers hold the lock)."""
+        store = self.edge_block_store(settings)
+        ltps = self.unfolded(subset)
+        store.register(ltps)
+        return store, [ltp.name for ltp in ltps]
+
+    def ensure_blocks(
+        self,
+        settings: AnalysisSettings = AnalysisSettings(),
+        subset: Iterable[str] | None = None,
+    ) -> int:
+        """Compute every missing edge block among the subset's LTPs (all
+        programs when ``None``); returns how many were computed."""
+        with self._lock:
+            store, names = self._registered(settings, subset)
+            return store.ensure_blocks(names)
+
+    def summary_stats(
+        self,
+        settings: AnalysisSettings = AnalysisSettings(),
+        subset: Iterable[str] | None = None,
+    ) -> SummaryStats:
+        """The Table 2 counts of the subset's summary graph, summed from the
+        store's aggregate planes (no graph is assembled)."""
+        with self._lock:
+            store, names = self._registered(settings, subset)
+            return store.stats(names)
+
     def summary_graph(
         self,
         settings: AnalysisSettings = AnalysisSettings(),
@@ -254,7 +289,8 @@ class Analyzer:
         Only the blocks among the subset's own LTPs are (lazily) computed,
         so a one-shot subset query never pays for programs outside it, and
         any blocks shared with previous queries — full-set or subset — are
-        reused as-is.
+        reused as-is.  Analyses never call this; it serves graph requests
+        and :attr:`RobustnessReport.graph`.
         """
         with self._lock:
             names = self._subset_names(subset)
@@ -262,13 +298,31 @@ class Analyzer:
             cached = self._graphs.get(key)
             if cached is not None:
                 return cached
-            store = self.edge_block_store(settings)
-            ltps = self.unfolded(names)
-            store.register(ltps)
+            store, ltp_names = self._registered(settings, names)
             with span("assemble"):
-                graph = store.graph([ltp.name for ltp in ltps])
+                graph = store.graph(ltp_names)
             self._graphs[key] = graph
             return graph
+
+    def _graph_source(self, settings: AnalysisSettings, names: tuple[str, ...]):
+        """What builds a report's graph on first access: this session's
+        :meth:`summary_graph` while it still holds the report's unfoldings,
+        else a cold construction over them — never the graph of an edited
+        workload.  Holds the session weakly."""
+        held = tuple(self._ltps_by_program[name] for name in names)
+        session = weakref.ref(self)
+        schema = self.schema
+
+        def build() -> SummaryGraph:
+            live = session()
+            if live is not None:
+                with live._lock:
+                    if tuple(map(live._ltps_by_program.get, names)) == held:
+                        return live.summary_graph(settings, names)
+            ltps = [ltp for unfolded in held for ltp in unfolded]
+            return construct_summary_graph(ltps, schema, settings)
+
+        return build
 
     # -- stage 3: cycle detection -------------------------------------------
     def analyze(
@@ -276,28 +330,31 @@ class Analyzer:
         settings: AnalysisSettings = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> RobustnessReport:
-        """Both detection methods over the cached blocks' aggregate planes
-        (the report still carries the assembled summary graph)."""
+        """Both detection methods and the Table 2 counts, all read from the
+        cached blocks' aggregate planes; the report's graph is built only
+        when read."""
         with self._lock:
             names = self._subset_names(subset)
             key = (settings, frozenset(names))
             cached = self._reports.get(key)
             if cached is not None:
                 return cached
-            graph = self.summary_graph(settings, names)
+            store, ltp_names = self._registered(settings, names)
+            stats = store.stats(ltp_names)  # computes any missing blocks
             check_deadline("analysis")
             with span("detect"):
-                witness, type1_witness = find_violations_blocks(
-                    self.edge_block_store(settings), graph.program_names
-                )
+                witness, type1_witness = find_violations_blocks(store, ltp_names)
             report = RobustnessReport(
                 settings=settings,
-                graph=graph,
+                stats=stats,
                 robust=witness is None,
                 type1_robust=type1_witness is None,
                 witness=witness,
                 type1_witness=type1_witness,
                 workload=self._label(names),
+            )
+            object.__setattr__(
+                report, "_graph_source", self._graph_source(settings, names)
             )
             self._reports[key] = report
             return report
@@ -314,64 +371,43 @@ class Analyzer:
         self,
         settings: AnalysisSettings = AnalysisSettings(),
         subset: Iterable[str] | None = None,
-        method: str | Method = "type-II",
+        method: str = "type-II",
     ) -> bool:
-        """The bare verdict of one detection method (cache-backed; the
-        built-in methods assemble no graph)."""
-        check = _resolve_method(method)
-        if check not in METHODS.values():
-            return check(self.summary_graph(settings, subset))
+        """The bare verdict of one detection method (``"type-II"`` or
+        ``"type-I"``), from the cached blocks' aggregate planes."""
+        check_method(method)
         with self._lock:
-            store = self.edge_block_store(settings)
-            ltps = self.unfolded(subset)
-            store.register(ltps)
-            return is_robust_blocks(
-                store, [ltp.name for ltp in ltps], _method_name(check)
-            )
+            store, names = self._registered(settings, subset)
+            return is_robust_blocks(store, names, method)
 
     # -- subset enumeration -------------------------------------------------
     def robust_subsets(
         self,
         settings: AnalysisSettings = AnalysisSettings(),
-        method: str | Method = "type-II",
+        method: str = "type-II",
     ) -> dict[frozenset[str], bool]:
         """Robustness verdict for every non-empty subset of the programs.
 
         Same contract as :func:`repro.detection.subsets.robust_subsets`, but
         unfolding and pairwise edge blocks are computed at most once per
-        settings.  For the built-in methods the
-        :class:`~repro.detection.subsets.PairMatrix` decides every candidate
-        from the store's aggregate planes (no graph is assembled); an
-        arbitrary method callable gets each candidate's graph assembled from
-        the cached blocks.  Subsets of attested-robust sets still inherit
-        robustness without testing (Proposition 5.2).
+        settings.  The :class:`~repro.detection.subsets.PairMatrix` decides
+        every candidate from the store's aggregate planes (no graph is
+        assembled); subsets of attested-robust sets inherit robustness
+        without testing (Proposition 5.2).
         """
         with self._lock:
-            check = _resolve_method(method)
-            store = self.edge_block_store(settings)
-            store.register(self.unfolded())
+            store, _ = self._registered(settings, None)
             ltp_names = {
                 name: tuple(ltp.name for ltp in self._ltps_by_program[name])
                 for name in self.program_names
             }
-            matrix = PairMatrix.for_method(store, ltp_names, check)
-            if matrix is not None:
-                return enumerate_robust_subsets(self.program_names, matrix.verdict)
-            full = self.summary_graph(settings)
-            all_names = frozenset(self.program_names)
-
-            def check_combo(combo: tuple[str, ...]) -> bool:
-                if frozenset(combo) == all_names:
-                    return check(full)
-                keep = [ltp for name in combo for ltp in ltp_names[name]]
-                return check(store.graph(keep))
-
-            return enumerate_robust_subsets(self.program_names, check_combo)
+            matrix = PairMatrix(store, ltp_names, method)
+            return enumerate_robust_subsets(self.program_names, matrix.verdict)
 
     def maximal_robust_subsets(
         self,
         settings: AnalysisSettings = AnalysisSettings(),
-        method: str | Method = "type-II",
+        method: str = "type-II",
     ) -> tuple[frozenset[str], ...]:
         """The maximal robust subsets, largest first (as in Figures 6/7)."""
         return maximal_subsets(self.robust_subsets(settings, method))
@@ -472,11 +508,10 @@ class Analyzer:
         session's warm caches.
 
         Unfoldings, summary graphs and reports are copied by reference
-        (they are immutable), and every cached pairwise edge block record
-        is shared into fresh per-settings stores via
-        :meth:`EdgeBlockStore.seed_from` (a record's lazily filled edges
-        are safe to fill from either session, and the aggregate planes are
-        shared copy-on-write) — so the fork's
+        (they are immutable), and every cached pairwise edge block's
+        coordinate tuple is shared into fresh per-settings stores via
+        :meth:`EdgeBlockStore.seed_from` (the aggregate planes are shared
+        copy-on-write) — so the fork's
         :meth:`cache_info` counts them under ``blocks_loaded`` and only
         blocks invalidated by *its own* edits show up as computations.
         This is what :meth:`advise` verifies repair candidates on: apply an

@@ -228,7 +228,7 @@ def _cmd_cache_save(args: argparse.Namespace) -> int:
     session = Analyzer(args.workload)
     settings_list = ALL_SETTINGS if args.all_settings else [_settings_from(args.setting)]
     for settings in settings_list:
-        session.summary_graph(settings)
+        session.ensure_blocks(settings)
     session.save_cache(args.path)
     info = session.cache_info()
     print(

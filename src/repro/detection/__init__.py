@@ -11,15 +11,19 @@ attested iff no cycle contains a counterflow edge at all (a *type-I cycle*).
 Every type-II cycle is a type-I cycle, so Algorithm 2 accepts strictly more
 workloads (Section 7.2).
 
-Both tests exist twice.  The graph detectors (``find_type2_violation``,
-``find_type1_violation``, ``is_robust_type2_naive`` — a verbatim
-transcription of the paper's triple loop) scan an assembled summary graph
-and are the executable specification.  The matrix detector of
+Both tests exist twice.  The matrix detector of
 :mod:`repro.detection.blockindex` (``find_type2_violation_blocks``,
-``find_type1_violation_blocks``) decides the same cycles as boolean
-matrix products over an edge-block store's aggregate planes; it is the
-fast path that ``Analyzer.analyze``, ``Analyzer.is_robust``, subset
-verdicts and the repair advisor run.
+``find_type1_violation_blocks``) decides them as boolean matrix products
+over an edge-block store's aggregate planes; it is the one production
+path, which ``Analyzer.analyze``, ``Analyzer.is_robust``, subset
+verdicts, the Grid API and the repair advisor run.  Everywhere, a
+detection method is one of the names ``"type-II"`` and ``"type-I"``.
+The graph detectors (``find_type2_violation``, ``is_robust_type2``,
+``find_type1_violation``, ``is_robust_type1``, and
+``is_robust_type2_naive`` — a verbatim transcription of the paper's
+triple loop) scan an assembled summary graph.  They are the executable
+specification: only tests and benchmarks run them, and this package is
+the only place in the library that imports them.
 """
 
 from repro.detection.api import RobustnessReport, analyze

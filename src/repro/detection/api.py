@@ -5,15 +5,19 @@ plus their schema, runs both detection methods under the chosen settings,
 and returns a :class:`RobustnessReport`.  It is a thin wrapper over the
 staged, cache-aware :class:`repro.analysis.Analyzer` session — use the
 session directly when analysing the same programs under several settings
-or enumerating subsets, so unfolding and summary-graph construction are
-paid only once.
+or enumerating subsets, so unfolding and Algorithm 1 are paid only once.
+
+A report carries verdicts, witnesses and the summary graph's Table 2
+counts, all read from the session's edge-block planes.  Its
+:attr:`RobustnessReport.graph` is assembled only when first read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.btp.program import BTP
 from repro.detection.witness import CycleWitness
@@ -26,26 +30,29 @@ from repro.summary.settings import AnalysisSettings
 class RobustnessReport:
     """The result of analysing a workload for robustness against MVRC.
 
-    ``graph`` carries the full :class:`SummaryGraph` when the report was
-    produced by an analysis run; it is ``None`` on reports deserialized via
-    :meth:`from_dict` (the graph's LTP nodes are not serialized — only the
-    ``stats`` are, which is all :meth:`describe` needs).
+    ``stats`` are the summary graph's Table 2 counts, which is all
+    :meth:`describe` and :meth:`to_dict` need.  The graph itself is built
+    only when :attr:`graph` is read.
     """
 
     settings: AnalysisSettings
-    graph: SummaryGraph | None
+    stats: SummaryStats
     robust: bool
     type1_robust: bool
     witness: CycleWitness | None
     type1_witness: CycleWitness | None
     workload: str | None = None
-    stats: SummaryStats | None = None
+    #: Builds :attr:`graph`; set by the analysis run that made the report.
+    _graph_source: Callable[[], SummaryGraph] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
-        if self.stats is None:
-            if self.graph is None:
-                raise ValueError("a report needs a summary graph or its stats")
-            object.__setattr__(self, "stats", self.graph.stats)
+    @cached_property
+    def graph(self) -> SummaryGraph | None:
+        """The analysed summary graph, built on first access from the
+        report's own LTPs; ``None`` on reports rebuilt by :meth:`from_dict`
+        (LTP nodes are not serialized)."""
+        return None if self._graph_source is None else self._graph_source()
 
     @property
     def program_count(self) -> int:
@@ -90,7 +97,7 @@ class RobustnessReport:
         """Rebuild a report from :meth:`to_dict` output (``graph`` is ``None``)."""
         return cls(
             settings=AnalysisSettings.from_label(data["settings"]),
-            graph=None,
+            stats=SummaryStats.from_dict(data["graph"]),
             robust=bool(data["robust"]),
             type1_robust=bool(data["type1_robust"]),
             witness=CycleWitness.from_dict(data["witness"]) if data.get("witness") else None,
@@ -100,7 +107,6 @@ class RobustnessReport:
                 else None
             ),
             workload=data.get("workload"),
-            stats=SummaryStats.from_dict(data["graph"]),
         )
 
     @classmethod

@@ -2,12 +2,15 @@
 
 The graph detectors (:mod:`repro.detection.typeii`,
 :mod:`repro.detection.typei`) are the executable specification: they scan
-the assembled :class:`~repro.summary.graph.SummaryGraph` edge by edge.
-This module is the fast path that :meth:`~repro.analysis.Analyzer.analyze`,
-:meth:`~repro.analysis.Analyzer.is_robust`, subset verdicts and
-:mod:`repro.repair` run.  It reads only the five aggregate planes of an
-:class:`~repro.summary.pairwise.EdgeBlockStore`: N×N arrays over the
-LTPs of the analysed set (``NC``, ``CF``, ``TRIG``, ``MAXT``, ``MINCF``).
+the assembled :class:`~repro.summary.graph.SummaryGraph` edge by edge,
+and only tests and benchmarks run them.  This module is the one
+production detector: :meth:`~repro.analysis.Analyzer.analyze`,
+:meth:`~repro.analysis.Analyzer.is_robust`, subset verdicts, the Grid
+API and :mod:`repro.repair` run it.  Verdicts read only the five
+aggregate planes of an :class:`~repro.summary.pairwise.EdgeBlockStore`:
+N×N arrays over the LTPs of the analysed set (``NC``, ``CF``, ``TRIG``,
+``MAXT``, ``MINCF``).  Witnesses also read the edges of the few blocks
+they pass through, built from the blocks' packed coordinates on demand.
 
 The Theorem 6.4 condition depends only on per-block facts, so it reduces
 exactly to boolean products.  With ``R`` the reflexive transitive closure

@@ -5,8 +5,9 @@ of programs is robust.  The enumeration exploits this by walking subsets in
 decreasing size and skipping subsets of already-attested robust sets; the
 *maximal* robust subsets are those without a robust strict superset.
 
-On top of the attested-superset pruning, :class:`PairMatrix` adds the
-contrapositive fast path: both built-in detection methods decide robustness
+Detection methods are the names in :data:`METHODS`.  On top of the
+attested-superset pruning, :class:`PairMatrix` adds the contrapositive
+fast path: both detection methods decide robustness
 by the *absence* of a bad cycle, so a violation found in ``SuG(𝒫')``
 persists in every superset's graph (``SuG(𝒫')`` is an induced subgraph of
 ``SuG(𝒫'')`` for ``𝒫' ⊆ 𝒫''``).  Once a 1- or 2-program core is known
@@ -27,36 +28,21 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.btp.program import BTP
 from repro.detection.blockindex import is_robust_blocks
-from repro.detection.typei import is_robust_type1
-from repro.detection.typeii import is_robust_type2
 from repro.schema import Schema
-from repro.summary.graph import SummaryGraph
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import AnalysisSettings
 
-Method = Callable[[SummaryGraph], bool]
-
-#: The two detection methods by name.
-METHODS: dict[str, Method] = {
-    "type-II": is_robust_type2,
-    "type-I": is_robust_type1,
-}
+#: The two detection methods: Algorithm 2 and the type-I baseline.
+METHODS = ("type-II", "type-I")
 
 
-def _resolve_method(method: str | Method) -> Method:
-    if callable(method):
-        return method
-    try:
-        return METHODS[method]
-    except KeyError:
+def check_method(method: str) -> str:
+    """``method`` itself when it names a detection method, else ValueError."""
+    if method not in METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(METHODS)}"
-        ) from None
-
-
-def _method_name(check: Method) -> str:
-    """The name of a built-in detection method."""
-    return next(name for name, method in METHODS.items() if method is check)
+        )
+    return method
 
 
 def _session(programs: Sequence[BTP], schema: Schema, max_loop_iterations: int):
@@ -70,7 +56,7 @@ def is_robust(
     programs: Sequence[BTP],
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
-    method: str | Method = "type-II",
+    method: str = "type-II",
     max_loop_iterations: int = 2,
 ) -> bool:
     """Unfold, build the summary graph, and run the chosen detection method."""
@@ -83,7 +69,7 @@ class PairMatrix:
     """Per-pair interference summary over an :class:`EdgeBlockStore`.
 
     ``members`` maps each program (BTP) name to the LTP names of its
-    unfoldings; ``check`` is one of the two built-in detection methods.
+    unfoldings; ``method`` names one of the two detection methods.
     :meth:`verdict` decides one candidate combination with two fast
     paths before falling back to the matrix detector
     (:func:`~repro.detection.blockindex.is_robust_blocks`, whose planes
@@ -107,28 +93,15 @@ class PairMatrix:
         self,
         store: EdgeBlockStore,
         members: Mapping[str, Sequence[str]],
-        check: Method,
+        method: str,
     ):
         self._store = store
         self._members = {name: tuple(ltps) for name, ltps in members.items()}
-        self._method = _method_name(check)
+        self._method = check_method(method)
         self._universe = frozenset(self._members)
         self._pair_verdicts: dict[frozenset[str], bool] = {}
         self._nonrobust_cores: list[frozenset[str]] = []
         self._materialized = False
-
-    @classmethod
-    def for_method(
-        cls,
-        store: EdgeBlockStore,
-        members: Mapping[str, Sequence[str]],
-        check: Method,
-    ) -> "PairMatrix | None":
-        """A matrix when ``check`` is a known cycle-absence method, else
-        ``None`` (arbitrary callables get no anti-monotonicity guarantee)."""
-        if check is is_robust_type2 or check is is_robust_type1:
-            return cls(store, members, check)
-        return None
 
     # -- internals ----------------------------------------------------------
     def _ltp_names(self, subset: Iterable[str]) -> list[str]:
@@ -187,9 +160,8 @@ def enumerate_robust_subsets(
 
     Walks subsets of ``names`` in decreasing size; subsets of attested-robust
     sets inherit robustness without calling ``check_combo`` (Proposition
-    5.2).  ``check_combo`` decides robustness for one candidate combination
-    — via :meth:`PairMatrix.verdict` (the built-in methods) or by running
-    the method on an assembled graph (arbitrary method callables).
+    5.2).  ``check_combo`` decides robustness for one candidate
+    combination — :meth:`PairMatrix.verdict` in the session.
     """
     ordered = sorted(names)
     verdicts: dict[frozenset[str], bool] = {}
@@ -240,16 +212,16 @@ def robust_subsets(
     programs: Sequence[BTP],
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
-    method: str | Method = "type-II",
+    method: str = "type-II",
     max_loop_iterations: int = 2,
 ) -> dict[frozenset[str], bool]:
     """Robustness verdict for every non-empty subset of the programs.
 
     Subsets are keyed by the frozenset of program (BTP) names.  A
     one-shot wrapper over :meth:`repro.analysis.Analyzer.robust_subsets`:
-    unfolding happens once, each candidate's ``SuG`` is assembled from
-    cached pairwise edge blocks, and for the built-in methods the
-    :class:`PairMatrix` answers most candidates without assembling a graph.
+    unfolding and the pairwise edge blocks are computed once, and the
+    :class:`PairMatrix` decides every candidate from the blocks'
+    aggregate planes without assembling a graph.
     """
     return _session(programs, schema, max_loop_iterations).robust_subsets(
         settings, method
@@ -260,7 +232,7 @@ def maximal_robust_subsets(
     programs: Sequence[BTP],
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
-    method: str | Method = "type-II",
+    method: str = "type-II",
     max_loop_iterations: int = 2,
 ) -> tuple[frozenset[str], ...]:
     """The maximal robust subsets, largest first (as listed in Figures 6/7)."""

@@ -11,9 +11,11 @@ matching the closed form — is what the reproduction checks.
 Each point is a cold (``warm=False``, ``task="detect"``)
 :class:`~repro.service.GridSpec` cell: every repetition builds a fresh
 session and times exactly unfold → Algorithm 1 → the type-II cycle check
-(not the type-I baseline, which ``task="analyze"`` would add).  A cold
-cell shares no blocks with other cells, so every repetition pays for the
-full pipeline.
+(not the type-I baseline, which ``task="analyze"`` would add).  The check
+is the matrix detector over the blocks' aggregate planes, and the edge
+count is summed from the same planes: no summary graph is assembled.  A
+cold cell shares no blocks with other cells, so every repetition pays for
+the full pipeline.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.repair.advisor import (
     RepairAdvisor,
     RepairReport,
     RepairSet,
-    WITNESS_FINDERS,
 )
 from repro.repair.candidates import candidate_edits
 from repro.repair.edits import (
@@ -43,7 +42,6 @@ __all__ = [
     "RepairAdvisor",
     "RepairReport",
     "RepairSet",
-    "WITNESS_FINDERS",
     "Repair",
     "PromotePredicateToKey",
     "PromoteReadToUpdate",

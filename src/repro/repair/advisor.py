@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.detection.blockindex import BLOCK_WITNESS_FINDERS
-from repro.detection.typei import find_type1_violation
-from repro.detection.typeii import find_type2_violation
 from repro.detection.witness import CycleWitness
 from repro.errors import ProgramError
 from repro.obs.spans import span
@@ -49,15 +47,6 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.session import Analyzer
-
-#: Graph-based witness finder per detection-method name (kept for
-#: callers holding an assembled graph; the advisor itself runs the
-#: matrix-detector finders of :data:`BLOCK_WITNESS_FINDERS`).
-WITNESS_FINDERS = {
-    "type-II": find_type2_violation,
-    "type-I": find_type1_violation,
-}
-
 
 @dataclass(frozen=True)
 class RepairSet:
@@ -300,7 +289,7 @@ class RepairAdvisor:
     def run(self) -> RepairReport:
         # Warm the user session's blocks once (locked, memoized), then take
         # the advisor's private fork; everything after runs on forks.
-        self.session.summary_graph(self.settings)
+        self.session.ensure_blocks(self.settings)
         self._base = self.session._fork([self.settings])
         base_witness = self._check(self._base)
         report = dict(

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.detection.subsets import SubsetsReport, _resolve_method, maximal_subsets
+from repro.detection.subsets import SubsetsReport, maximal_subsets
 from repro.errors import ProgramError
 from repro.faults import check_deadline
 from repro.obs.clock import monotonic
@@ -162,13 +162,13 @@ def _run_task(session: "Analyzer", spec: GridSpec, settings: AnalysisSettings) -
         # The paper's detection pipeline, nothing more: unfold, Algorithm 1,
         # one cycle check.  (``analyze`` would also run the *other* method,
         # which must not pollute cold-cell timings — Figure 8's measurement.)
-        graph = session.summary_graph(settings)
+        robust = session.is_robust(settings, method=spec.method)
         return {
             "workload": session.workload.name,
             "settings": settings.label,
             "method": spec.method,
-            "robust": _resolve_method(spec.method)(graph),
-            "graph": graph.stats.to_dict(),
+            "robust": robust,
+            "graph": session.summary_stats(settings).to_dict(),
         }
     verdicts = session.robust_subsets(settings, spec.method)
     # One serialization path with /v1/subsets: the cell value *is* the

@@ -29,7 +29,10 @@ never a traceback; *unexpected* exceptions route through
 :meth:`ServiceError.internal`, so even a handler crash answers a
 well-formed 500 envelope (the fault tests inject one to prove it).
 Deadline expiries answer 504, shed load answers 503 with a
-``Retry-After`` header.  Request threads hammer warm sessions
+``Retry-After`` header.  Every connection reads under a socket timeout
+(:data:`READ_TIMEOUT_SECONDS`): a request body that stalls short of its
+``Content-Length`` answers 408 and frees its handler thread.  Request
+threads hammer warm sessions
 concurrently, which the session-level locking (PR 4) makes safe.
 """
 
@@ -68,6 +71,11 @@ RESPONSES_TOTAL = obs_metrics.REGISTRY.counter(
     "HTTP responses sent, by method, route and status code.",
     labelnames=("method", "route", "status"),
 )
+
+#: Socket timeout of every connection: the longest a handler thread waits
+#: for the next chunk of a request before giving up on it (a stalled body
+#: answers 408).
+READ_TIMEOUT_SECONDS = 30.0
 
 #: How long a shutting-down server waits for in-flight requests to finish
 #: before closing anyway (they still run on daemon threads, but their
@@ -144,6 +152,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     _started = 0.0
     _observed = True
 
+    def setup(self) -> None:
+        # Read at connection time (not class definition) so the constant
+        # can be lowered at runtime; StreamRequestHandler applies it.
+        self.timeout = READ_TIMEOUT_SECONDS
+        super().setup()
+
     def _send_body(
         self,
         status: int,
@@ -200,7 +214,16 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 raise ValueError(length)
         except ValueError:
             raise ServiceError(f"invalid Content-Length {length!r}") from None
-        raw = self.rfile.read(size)
+        try:
+            raw = self.rfile.read(size)
+        except TimeoutError:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body not received within {READ_TIMEOUT_SECONDS} s "
+                f"(Content-Length {size})",
+                kind="request_timeout",
+                status=408,
+            ) from None
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

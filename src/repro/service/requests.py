@@ -186,10 +186,15 @@ class AnalyzeRequest:
             ("workload", "setting", "subset", "all_settings", "profile"),
             cls.kind,
         )
+        subset = _name_list(data, "subset", cls.kind)
+        if subset == ():
+            raise ServiceError(
+                f"{cls.kind} request: field 'subset' must name at least one program"
+            )
         return cls(
             workload=_string(data, "workload", cls.kind, required=True),
             setting=_string(data, "setting", cls.kind),
-            subset=_name_list(data, "subset", cls.kind),
+            subset=subset,
             all_settings=_bool(data, "all_settings", cls.kind, False),
             profile=_bool(data, "profile", cls.kind, False),
         )

@@ -26,12 +26,14 @@ The hot path runs on a **plane-packed batch kernel**
   AND/compare passes over the planes that emit per-block packed
   coordinates instead of per-pair edge tuples.
 
-The store keeps each cached block as **one record** (:class:`_Block`) in
-its source program's row: the packed coordinates until something asks for
-the :class:`~repro.summary.graph.SummaryEdge` tuples.  Forks share the
-records by reference.  The per-block facts Algorithm 2 reads live in the store's
-:class:`_AggregatePlanes` (N×N arrays over LTP slots), which the sweep
-fills in the same pass that groups coordinates into blocks.
+The store keeps each cached block in one form only: its immutable tuple
+of packed coordinates, in its source program's row.  Forks share the
+tuples by reference.  :class:`~repro.summary.graph.SummaryEdge` tuples are
+built from the coordinates on every read and never cached; only witness
+blocks, assembled graphs and :meth:`EdgeBlockStore.blocks` read them.
+The per-block edge counts and the facts Algorithm 2 reads live in the
+store's :class:`_AggregatePlanes` (N×N arrays over LTP slots), which the
+sweep fills in the same pass that groups coordinates into blocks.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
 executable specification; the plane sweep is property-tested against it
@@ -45,9 +47,10 @@ The block structure is what enables
   blocks whose source or target belongs to it (its row and its column:
   ``≤ 2n − 1`` of the ``n²`` program-pair blocks), everything else stays
   cached;
-* **persistence** — blocks are plain edge lists that serialize with
-  :meth:`repro.summary.graph.SummaryEdge.to_dict` and can be seeded back
-  via :meth:`EdgeBlockStore.load_block` (the substrate of
+* **persistence** — blocks serialize as plain edge lists with
+  :meth:`repro.summary.graph.SummaryEdge.to_dict` and are seeded back via
+  :meth:`EdgeBlockStore.load_block`, which checks them against the
+  registered LTPs and packs them into coordinates (the substrate of
   :meth:`repro.analysis.Analyzer.save_cache`).
 """
 
@@ -66,7 +69,7 @@ from repro.obs.spans import span
 from repro.schema import Schema
 from repro.summary import planes
 from repro.summary.conditions import c_dep_conds, nc_dep_conds, protecting_fks
-from repro.summary.graph import SummaryEdge, SummaryGraph
+from repro.summary.graph import SummaryEdge, SummaryGraph, SummaryStats
 from repro.summary.settings import AnalysisSettings, Granularity
 from repro.summary.tables import C_DEP_TABLE, NC_DEP_TABLE, TYPE_INDEX
 
@@ -239,42 +242,17 @@ def pair_edges(
 Coords = tuple[tuple[int, int, bool, bool], ...]
 
 
-class _Block:
-    """One cached edge block of an ordered pair — the store's only record.
-
-    ``coords`` holds the sweep's packed coordinates until the first read
-    turns them into the :class:`~repro.summary.graph.SummaryEdge` tuple
-    ``edges`` (loaded blocks start out materialized).  The block's
-    aggregate facts live in the store's planes, not here (see
-    :class:`_AggregatePlanes`).
-
-    Records are shared by reference between a store and its
-    :meth:`~EdgeBlockStore.seed_from` forks, which may run on different
-    threads.  The lazily filled fields stay safe for concurrent readers
-    because every reader loads ``coords`` before ``edges`` and every
-    writer stores ``edges`` before clearing ``coords`` — a reader that
-    sees ``coords is None`` always finds ``edges`` set — and because two
-    racing fills compute equal values, so the last write wins harmlessly.
-    """
-
-    __slots__ = ("coords", "edges")
-
-    def __init__(
-        self, coords: Coords | None, edges: tuple[SummaryEdge, ...] | None = None
-    ):
-        self.coords = coords
-        self.edges = edges
-
-
 class _AggregatePlanes:
-    """The per-block facts Algorithm 2 reads, as five N×N planes indexed
-    by LTP slot (one :func:`~repro.summary.planes.aggregate` per cell):
-    ``NC`` / ``CF`` (the block has a non-counterflow / counterflow edge),
-    ``TRIG`` (some edge leaves an R- or PR-operation), ``MAXT`` (largest
-    target position) and ``MINCF`` (smallest counterflow source
+    """The per-block facts of every cached block, as five N×N planes
+    indexed by LTP slot (one :func:`~repro.summary.planes.aggregate` per
+    cell): ``NC`` / ``CF`` (the block's non-counterflow / counterflow edge
+    counts), ``TRIG`` (some edge leaves an R- or PR-operation), ``MAXT``
+    (largest target position) and ``MINCF`` (smallest counterflow source
     position).  :mod:`repro.detection.blockindex` runs Algorithm 2 as
-    boolean matrix algebra over them.  The planes share one ``int32``
-    array, so a batch write or a gather is one numpy call for all five.
+    boolean matrix algebra over them (as flags), and
+    :meth:`EdgeBlockStore.stats` sums the counts into the Table 2
+    columns.  The planes share one ``int32`` array, so a batch write or a
+    gather is one numpy call for all five.
     """
 
     __slots__ = ("cells",)
@@ -303,13 +281,6 @@ class _AggregatePlanes:
         values = np.array(columns, dtype=np.int32)
         self.cells[:, rows, targets] = values.reshape(5, len(sources), len(targets))
 
-    def gather(self, slots: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """``(NC, CF, TRIG, MAXT, MINCF)`` restricted to ``slots × slots``."""
-        index = np.array(slots, dtype=np.intp)
-        sub = self.cells[:, index[:, None], index]
-        nc, cf, trigger = sub[:3] != 0
-        return nc, cf, trigger, sub[3], sub[4]
-
 
 class EdgeBlockStore:
     """A cache of pairwise edge blocks for one ``(schema, settings)``.
@@ -322,15 +293,15 @@ class EdgeBlockStore:
     involved blocks), and :meth:`load_block` seeds blocks from persisted
     edge lists without recomputation.
 
-    Each cached block is one :class:`_Block` record in a per-program row
-    (``rows[source][target]``).  Missing blocks are computed by the
+    Each cached block is one immutable coordinate tuple in a per-program
+    row (``rows[source][target]``).  Missing blocks are computed by the
     **batch plane kernel** (:mod:`repro.summary.planes`): the store packs
     registered profiles into a :class:`~repro.summary.planes.PlaneArena`,
     groups missing pairs into cross-product sweeps, and keeps the results
-    as packed coordinates that materialize to
-    :class:`~repro.summary.graph.SummaryEdge` tuples lazily, on first
-    access, in deterministic pair order.  Stores are not thread-safe;
-    only the records they share with forks are (see :class:`_Block`).
+    as packed coordinates; a read builds the block's
+    :class:`~repro.summary.graph.SummaryEdge` tuples from them, in
+    deterministic pair order.  Stores are not thread-safe; the coordinate
+    tuples they share with forks are immutable.
     """
 
     def __init__(
@@ -343,8 +314,8 @@ class EdgeBlockStore:
         self._arena: planes.PlaneArena | None = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
-        #: One row per registered LTP: target name → cached block record.
-        self._rows: dict[str, dict[str, _Block]] = {}
+        #: One row per registered LTP: target name → packed coordinates.
+        self._rows: dict[str, dict[str, Coords]] = {}
         #: Aggregate-plane slot per registered LTP, and the slots that
         #: :meth:`discard` freed for reuse.
         self._slots: dict[str, int] = {}
@@ -419,8 +390,8 @@ class EdgeBlockStore:
                 raise ProgramError(f"edge-block store: unknown program {name!r}")
 
     # -- blocks -------------------------------------------------------------
-    def _put(self, source: str, target: str, block: _Block, *, loaded: bool) -> None:
-        """Install one block record.  A new pair counts under ``loaded`` or
+    def _put(self, source: str, target: str, coords: Coords, *, loaded: bool) -> None:
+        """Install one block.  A new pair counts under ``loaded`` or
         ``computed``; recomputing a present pair counts under ``computed``;
         loading or seeding over a present pair counts nothing."""
         row = self._rows[source]
@@ -431,19 +402,16 @@ class EdgeBlockStore:
                 self._computed += 1
         elif not loaded:
             self._computed += 1
-        row[target] = block
+        row[target] = coords
 
-    def _edges(self, source: str, target: str, block: _Block) -> tuple[SummaryEdge, ...]:
-        """One block's edge tuples, materializing packed coordinates once.
+    def _edges(self, source: str, target: str, coords: Coords) -> tuple[SummaryEdge, ...]:
+        """One block's edge tuples, built from its packed coordinates.
 
         Coordinates are ``(source occurrence, target occurrence)`` indexes
         in program order, so emitting the non-counterflow edge before the
         counterflow edge per coordinate reproduces the reference loop's
-        edge sequence exactly.
+        edge sequence exactly.  Nothing is cached.
         """
-        coords = block.coords
-        if coords is None:
-            return block.edges
         occurrences_i = self._profiles[source].occurrences
         occurrences_j = self._profiles[target].occurrences
         edges: list[SummaryEdge] = []
@@ -458,9 +426,7 @@ class EdgeBlockStore:
             if cf:
                 append(edge(source, source_stmt, source_pos, True,
                             target_stmt, target_pos, target))
-        block.edges = materialized = tuple(edges)
-        block.coords = None
-        return materialized
+        return tuple(edges)
 
     def block(self, source: str, target: str) -> tuple[SummaryEdge, ...]:
         """The edge block of one ordered pair, from cache or computed now."""
@@ -475,19 +441,39 @@ class EdgeBlockStore:
     def load_block(
         self, source: str, target: str, edges: Iterable[SummaryEdge]
     ) -> None:
-        """Seed one block from persisted edges (no recomputation)."""
+        """Seed one block from persisted edges (no recomputation), packed
+        into coordinates once.
+
+        Raises :class:`ProgramError` for an edge of another pair, or whose
+        positions or statement names do not match the registered LTPs.
+        """
         self._require((source, target))
-        block = _Block(None, tuple(edges))
-        self._put(source, target, block, loaded=True)
-        self._write_cells([(source, target)], [self._aggregate(source, block)])
+        names_i = [row[0] for row in self._profiles[source].occurrences]
+        names_j = [row[0] for row in self._profiles[target].occurrences]
+        flags: dict[tuple[int, int], list[bool]] = {}
+        for edge in edges:
+            s, t = edge.source_pos, edge.target_pos
+            if not (
+                (edge.source, edge.target) == (source, target)
+                and 0 <= s < len(names_i) and names_i[s] == edge.source_stmt
+                and 0 <= t < len(names_j) and names_j[t] == edge.target_stmt
+            ):
+                raise ProgramError(
+                    f"edge-block store: persisted edge {edge} does not match "
+                    f"the registered programs of block ({source!r}, {target!r})"
+                )
+            flags.setdefault((s, t), [False, False])[edge.counterflow] = True
+        coords = tuple((s, t, nc, cf) for (s, t), (nc, cf) in sorted(flags.items()))
+        self._put(source, target, coords, loaded=True)
+        self._write_cells([(source, target)], [self._aggregate(source, coords)])
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
 
         The in-process counterpart of :meth:`load_block`: programs carry
         their already-compiled kernel profiles over (no recompilation),
-        and every block record is shared by reference — packed or not —
-        and counted under ``loaded``.  A fresh store also shares the
+        and every block's coordinate tuple is shared by reference and
+        counted under ``loaded``.  A fresh store also shares the
         other's aggregate planes copy-on-write.  Both stores must describe
         the same schema and settings — this is what
         :meth:`repro.analysis.Analyzer.fork` builds a candidate-verifying
@@ -510,8 +496,8 @@ class EdgeBlockStore:
         self._profiles.update(other._profiles)
         for source, row in other._rows.items():
             self._rows.setdefault(source, {})
-            for target, block in row.items():
-                self._put(source, target, block, loaded=True)
+            for target, coords in row.items():
+                self._put(source, target, coords, loaded=True)
         if share_planes:
             # A fresh store takes the other's slots and shares its planes
             # copy-on-write: forks copy nothing until they write.
@@ -573,8 +559,8 @@ class EdgeBlockStore:
 
     def _sweep(self, missing: Sequence[tuple[str, str]]) -> None:
         """Batch-compute the missing pairs: plan sweeps, run them, install
-        packed block records and write their aggregates, one plane write
-        per sweep."""
+        packed blocks and write their aggregates, one plane write per
+        sweep."""
         check_deadline("block construction")
         involved = {name for pair in missing for name in pair}
         with span("pack"):
@@ -589,7 +575,7 @@ class EdgeBlockStore:
         obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
         for plan, (blocks, columns) in zip(plans, swept):
             for pair, coords in blocks.items():
-                self._put(*pair, _Block(coords), loaded=False)
+                self._put(*pair, coords, loaded=False)
             slots = self._slots
             self._writable_planes().write_grid(
                 [slots[name] for name in plan.sources],
@@ -602,15 +588,8 @@ class EdgeBlockStore:
         free = self._free_slots
         self._slots[name] = free.pop() if free else len(self._slots)
 
-    def _aggregate(self, source: str, block: _Block) -> tuple:
-        """One record's :func:`~repro.summary.planes.aggregate`, from its
-        coordinates or (read after them, see :class:`_Block`) its edges."""
-        coords = block.coords
-        if coords is None:
-            coords = [
-                (e.source_pos, e.target_pos, not e.counterflow, e.counterflow)
-                for e in block.edges
-            ]
+    def _aggregate(self, source: str, coords: Coords) -> tuple:
+        """One block's :func:`~repro.summary.planes.aggregate`."""
         return planes.aggregate(coords, self._profiles[source].triggers)
 
     def _writable_planes(self) -> _AggregatePlanes:
@@ -635,15 +614,31 @@ class EdgeBlockStore:
             aggregates,
         )
 
+    def _cells(self, names: Sequence[str]) -> np.ndarray:
+        """The five planes restricted to ``names × names`` in ``names``
+        order, computing missing blocks first."""
+        self.ensure_blocks(names)
+        # No planes yet means nothing was written, so names is empty.
+        planes_ = self._planes or _AggregatePlanes(0)
+        index = np.array([self._slots[name] for name in names], dtype=np.intp)
+        return planes_.cells[:, index[:, None], index]
+
     def aggregate_planes(self, names: Sequence[str]) -> tuple[np.ndarray, ...]:
         """``(nc, cf, trigger, max_target, min_cf_source)`` over ``names ×
-        names`` in ``names`` order, computing missing blocks first (see
+        names``, the first three as boolean flags (see
         :class:`_AggregatePlanes`)."""
-        self.ensure_blocks(names)
-        slots = [self._slots[name] for name in names]
-        if self._planes is None:  # nothing written yet, so names is empty
-            return _AggregatePlanes(0).gather(slots)
-        return self._planes.gather(slots)
+        cells = self._cells(names)
+        nc, cf, trigger = cells[:3] != 0
+        return nc, cf, trigger, cells[3], cells[4]
+
+    def stats(self, names: Sequence[str]) -> SummaryStats:
+        """The Table 2 counts of ``SuG`` over ``names``, summed from the
+        ``NC`` / ``CF`` planes — equal to ``graph(names).stats`` without
+        building a single edge."""
+        nc, cf = self._cells(names)[:2].sum(axis=(1, 2)).tolist()
+        return SummaryStats(
+            nodes=len(names), edges=nc + cf, counterflow=cf, program_names=tuple(names)
+        )
 
     # -- assembly -----------------------------------------------------------
     def graph(self, names: Sequence[str] | None = None) -> SummaryGraph:
@@ -673,10 +668,7 @@ class EdgeBlockStore:
         return sum(len(row) for row in self._rows.values())
 
     def cache_info(self) -> dict[str, int]:
-        """Block-cache counters: size, computations, loads, and hits.
-
-        ``blocks`` counts packed and materialized blocks alike — packing
-        is a representation detail, not a cache state."""
+        """Block-cache counters: size, computations, loads, and hits."""
         return {
             "programs": len(self._ltps),
             "blocks": self._block_count(),
@@ -703,11 +695,11 @@ class EdgeBlockStore:
         }
 
     def blocks(self) -> dict[tuple[str, str], tuple[SummaryEdge, ...]]:
-        """A snapshot of all cached blocks, materialized (for persistence)."""
+        """A snapshot of all cached blocks as edge tuples (for persistence)."""
         return {
-            (source, target): self._edges(source, target, block)
+            (source, target): self._edges(source, target, coords)
             for source, row in self._rows.items()
-            for target, block in row.items()
+            for target, coords in row.items()
         }
 
     def clear(self) -> None:

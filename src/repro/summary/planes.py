@@ -18,7 +18,8 @@ This module evaluates them for *entire occurrence-pair batches*:
   returns per-block *packed coordinates* ``(source_row, target_row,
   has_nc, has_cf)`` — edge-block bitsets instead of per-pair Python
   tuples.  :func:`sweep` also folds each block's :func:`aggregate` —
-  the per-block facts Algorithm 2 reads — in the same grouping pass.
+  its edge counts and the per-block facts Algorithm 2 reads — in the
+  same grouping pass.
 
 The sweep runs on numpy: the rows a sweep needs are gathered out of the
 planes, the five mask tests of ``ncDepConds`` fold into two broadcast AND
@@ -75,27 +76,29 @@ Blocks = dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]
 NO_CF = 1 << 30
 
 
-def aggregate(coords, trigger: Sequence[bool]) -> tuple[bool, bool, bool, int, int]:
+def aggregate(coords, trigger: Sequence[bool]) -> tuple[int, int, bool, int, int]:
     """The per-block facts Algorithm 2 reads, for one packed block:
-    ``(has_nc, has_cf, trigger, max_target, min_cf_source)`` — some
-    non-counterflow edge, some counterflow edge, some edge leaving an R-
-    or PR-operation (``trigger[s]`` flags source occurrence ``s``), the
-    largest target position (-1 when empty) and the smallest counterflow
-    source position (:data:`NO_CF` without one).  Occurrence positions
-    equal occurrence indexes in an LTP, so coordinates are positions."""
-    has_nc = has_cf = trig = False
+    ``(nc_edges, cf_edges, trigger, max_target, min_cf_source)`` — the
+    number of non-counterflow and of counterflow edges, some edge leaving
+    an R- or PR-operation (``trigger[s]`` flags source occurrence ``s``),
+    the largest target position (-1 when empty) and the smallest
+    counterflow source position (:data:`NO_CF` without one).  Occurrence
+    positions equal occurrence indexes in an LTP, so coordinates are
+    positions."""
+    nc_edges = cf_edges = 0
+    trig = False
     max_target = -1
     min_cf_source = NO_CF
     for s, t, nc, cf in coords:
-        has_nc = has_nc or nc
+        nc_edges += nc
         if cf:
-            has_cf = True
+            cf_edges += 1
             if s < min_cf_source:
                 min_cf_source = s
         trig = trig or trigger[s]
         if t > max_target:
             max_target = t
-    return has_nc, has_cf, trig, max_target, min_cf_source
+    return nc_edges, cf_edges, trig, max_target, min_cf_source
 
 
 def resolve_kernel(kernel: str | None = None) -> str:
@@ -477,8 +480,8 @@ def group_coords(
         dst_local.extend(range(count))
     cells = len(src_meta) * width
     buckets: list[list[tuple[int, int, bool, bool]]] = [[] for _ in range(cells)]
-    has_nc = [False] * cells
-    has_cf = [False] * cells
+    nc_edges = [0] * cells
+    cf_edges = [0] * cells
     trigger = [False] * cells
     max_target = [-1] * cells
     min_cf_source = [NO_CF] * cells
@@ -488,12 +491,13 @@ def group_coords(
         local_t = dst_local[t]
         buckets[b].append((local_s, local_t, nc, cf))
         if nc:
-            has_nc[b] = True
-        if cf and not has_cf[b]:
-            # Sweeps emit coordinates in source-row order, so a block's
-            # first counterflow coordinate has its smallest source.
-            has_cf[b] = True
-            min_cf_source[b] = local_s
+            nc_edges[b] += 1
+        if cf:
+            if not cf_edges[b]:
+                # Sweeps emit coordinates in source-row order, so a block's
+                # first counterflow coordinate has its smallest source.
+                min_cf_source[b] = local_s
+            cf_edges[b] += 1
         if src_trigger[s]:
             trigger[b] = True
         if local_t > max_target[b]:
@@ -504,7 +508,7 @@ def group_coords(
         for dst_name, _, _ in dst_meta:
             blocks[(src_name, dst_name)] = tuple(buckets[b])
             b += 1
-    return blocks, (has_nc, has_cf, trigger, max_target, min_cf_source)
+    return blocks, (nc_edges, cf_edges, trigger, max_target, min_cf_source)
 
 
 def sweep(

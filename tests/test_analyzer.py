@@ -7,7 +7,11 @@ import pytest
 
 from repro import AnalysisMatrix, Analyzer, RobustnessReport, Workload
 from repro.detection.subsets import maximal_robust_subsets, robust_subsets
+from repro.btp.program import BTP, seq
+from repro.btp.statement import Statement
 from repro.errors import ProgramError
+from repro.summary.construct import construct_summary_graph
+from repro.summary.graph import SummaryStats
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
 
 TICKETING_FILE = Path(__file__).resolve().parent.parent / "examples" / "ticketing.workload"
@@ -96,8 +100,8 @@ class TestAnalyzerStages:
         session.maximal_robust_subsets(ATTR_DEP_FK)
         info = session.cache_info()
         assert info["unfolded_programs"] == len(auction_workload.programs)
-        # one full graph per setting, nothing per candidate subset
-        assert info["summary_graphs"] == len(ALL_SETTINGS)
+        # verdicts and counts come from the planes: no graph is assembled
+        assert info["summary_graphs"] == 0
 
     def test_clear_cache_recomputes_equal_results(self, auction_workload):
         session = Analyzer(auction_workload)
@@ -203,9 +207,63 @@ class TestSerialization:
         assert data["stats"]["edges"] == graph.edge_count == len(data["edges"])
         assert data["stats"]["counterflow"] == graph.counterflow_count
 
-    def test_report_requires_graph_or_stats(self):
-        with pytest.raises(ValueError, match="summary graph or its stats"):
+    def test_report_without_a_run_has_no_graph(self):
+        stats = SummaryStats(nodes=0, edges=0, counterflow=0, program_names=())
+        report = RobustnessReport(
+            settings=ATTR_DEP_FK, stats=stats, robust=True, type1_robust=True,
+            witness=None, type1_witness=None,
+        )
+        assert report.graph is None
+        with pytest.raises(TypeError, match="stats"):
             RobustnessReport(
-                settings=ATTR_DEP_FK, graph=None, robust=True, type1_robust=True,
+                settings=ATTR_DEP_FK, robust=True, type1_robust=True,
                 witness=None, type1_witness=None,
             )
+
+
+class TestReportGraph:
+    """``report.graph`` is built on first access, from the report's LTPs."""
+
+    def test_cold_matrix_assembles_no_graph(self):
+        session = Analyzer("auction(24)")
+        matrix = session.analyze_matrix()
+        assert session.cache_info()["summary_graphs"] == 0
+        for report in matrix.reports:
+            assert report.stats == session.summary_graph(report.settings).stats
+            assert report.graph is session.summary_graph(report.settings)
+        assert session.cache_info()["summary_graphs"] == len(ALL_SETTINGS)
+
+    def test_graph_is_built_once_through_the_session_memo(self, smallbank_workload):
+        session = Analyzer(smallbank_workload)
+        report = session.analyze(ATTR_DEP_FK, ["Balance", "WriteCheck"])
+        assert session.cache_info()["summary_graphs"] == 0
+        graph = report.graph
+        assert report.graph is graph
+        assert graph is session.summary_graph(ATTR_DEP_FK, ["Balance", "WriteCheck"])
+        assert graph.stats == report.stats
+        assert session.cache_info()["summary_graphs"] == 1
+
+    def test_graph_after_an_edit_is_the_reports_own(self, smallbank_workload):
+        session = Analyzer(smallbank_workload)
+        report = session.analyze(ATTR_DEP_FK)
+        original = session.unfolded()
+        checking = smallbank_workload.schema.relation("Checking")
+        session.replace_program(
+            BTP(
+                "Balance",
+                seq(Statement.key_select("q8", checking, reads=["Balance"])),
+            )
+        )
+        assert session.analyze(ATTR_DEP_FK).stats != report.stats
+        cold = construct_summary_graph(original, smallbank_workload.schema, ATTR_DEP_FK)
+        assert report.graph.edges == cold.edges
+        assert report.graph.programs == cold.programs
+        assert report.graph.stats == report.stats
+
+    def test_graph_outlives_its_session(self, auction_workload):
+        report = Analyzer(auction_workload).analyze(ATTR_DEP_FK)
+        cold = construct_summary_graph(
+            Analyzer(auction_workload).unfolded(), auction_workload.schema, ATTR_DEP_FK
+        )
+        assert report.graph.edges == cold.edges
+        assert report.graph.stats == report.stats

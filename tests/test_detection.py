@@ -211,13 +211,13 @@ class TestSubsetEnumeration:
                 auction_workload.programs, auction_workload.schema, method="nope"
             )
 
-    def test_method_accepts_callable(self, auction_workload):
-        grid = robust_subsets(
-            auction_workload.programs,
-            auction_workload.schema,
-            method=lambda graph: True,
-        )
-        assert all(grid.values())
+    def test_method_rejects_callable(self, auction_workload):
+        with pytest.raises(ValueError, match="unknown method"):
+            robust_subsets(
+                auction_workload.programs,
+                auction_workload.schema,
+                method=lambda graph: True,
+            )
 
 
 class TestAnalyzeApi:

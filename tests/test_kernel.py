@@ -26,9 +26,10 @@ from hypothesis import HealthCheck, given, settings as hyp_settings, strategies 
 from repro.btp.ltp import LTP, FKInstance
 from repro.btp.statement import Statement, StatementType
 from repro.btp.unfold import unfold
+from repro.detection.typei import is_robust_type1
+from repro.detection.typeii import is_robust_type2
 from repro.detection.subsets import (
     PairMatrix,
-    _resolve_method,
     enumerate_robust_subsets,
     maximal_subsets,
     robust_subsets,
@@ -211,7 +212,7 @@ class TestKernelParity:
 
 def _plain_robust_subsets(programs, schema, settings, method):
     """The pre-matrix enumeration: graph assembly + check per candidate."""
-    check = _resolve_method(method)
+    check = {"type-II": is_robust_type2, "type-I": is_robust_type1}[method]
     ltps_ = unfold(programs, 2)
     store = EdgeBlockStore(schema, settings)
     store.register(ltps_)
@@ -245,7 +246,11 @@ class TestPairMatrix:
         )
         assert matrix == plain
 
-    def test_arbitrary_method_bypasses_matrix(self):
+    def test_callable_method_rejected(self):
+        """Detection methods are names: a graph callable is refused by the
+        matrix and by every session entry point, and never consulted."""
+        from repro.analysis import Analyzer
+
         workload = smallbank()
         calls = []
 
@@ -254,12 +259,15 @@ class TestPairMatrix:
             return True
 
         store = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        assert PairMatrix.for_method(store, {}, check) is None
-        verdicts = robust_subsets(
-            workload.programs, workload.schema, ATTR_DEP_FK, method=check
-        )
-        assert all(verdicts.values())
-        assert calls  # the custom callable was actually consulted
+        with pytest.raises(ValueError, match="unknown method"):
+            PairMatrix(store, {}, check)
+        session = Analyzer(workload)
+        with pytest.raises(ValueError, match="unknown method"):
+            session.is_robust(ATTR_DEP_FK, method=check)
+        with pytest.raises(ValueError, match="unknown method"):
+            session.robust_subsets(ATTR_DEP_FK, method=check)
+        assert not calls
+        assert session.cache_info()["edge_blocks"] == 0
 
     def test_session_matrix_matches_one_shot(self):
         from repro.analysis import Analyzer

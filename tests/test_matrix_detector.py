@@ -4,8 +4,10 @@
   (``is_robust_type2_naive``) on the built-in workloads × settings ×
   seeded subsets and on seeded churn walks over forks;
 * every witness is a valid type-II / type-I cycle of ``store.graph``;
-* the store's aggregate planes equal the aggregates recomputed from the
-  cached blocks after every store operation that writes them;
+* the Table 2 counts summed from the planes equal ``store.graph``'s;
+* the store's aggregate planes (edge counts included) equal the
+  aggregates recomputed from the cached blocks after every store
+  operation that writes them;
 * ``advise`` output is byte-identical to the output recorded before the
   matrix detector replaced the per-block detector (``tests/data``).
 """
@@ -98,6 +100,7 @@ def _check_witness(store, names, witness, type1=False):
 
 def _check_case(store, names):
     graph = store.graph(names)
+    assert store.stats(names) == graph.stats
     witness, type1 = find_violations_blocks(store, names)
     robust = find_type2_violation(graph) is None
     assert (witness is None) == robust
@@ -135,8 +138,8 @@ def _expected(store, source, target):
     ltp = store.ltp(source)
     cf_sources = [edge.source_pos for edge in edges if edge.counterflow]
     return (
-        any(not edge.counterflow for edge in edges),
-        bool(cf_sources),
+        sum(not edge.counterflow for edge in edges),
+        len(cf_sources),
         any(
             ltp.statement_at(edge.source_pos).stype in READ_TRIGGER_TYPES
             for edge in edges
@@ -147,12 +150,17 @@ def _expected(store, source, target):
 
 
 def _assert_planes(store):
+    """Every cell, as stored (edge counts) and as gathered (flags)."""
     names = list(store.ltp_names)
-    planes = [plane.tolist() for plane in store.aggregate_planes(names)]
+    gathered = [plane.tolist() for plane in store.aggregate_planes(names)]
+    cells = store._planes.cells
     for i, source in enumerate(names):
         for j, target in enumerate(names):
-            got = tuple(plane[i][j] for plane in planes)
-            assert got == _expected(store, source, target), (source, target)
+            nc, cf, *rest = expected = _expected(store, source, target)
+            stored = cells[:, store._slots[source], store._slots[target]]
+            assert tuple(stored.tolist()) == expected, (source, target)
+            flags = tuple(plane[i][j] for plane in gathered)
+            assert flags == (nc > 0, cf > 0, *rest), (source, target)
 
 
 def test_planes_after_every_store_operation():

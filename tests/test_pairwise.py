@@ -188,6 +188,35 @@ class TestStoreBehaviour:
         assert info["loaded"] == len(ltps) ** 2
         assert graph.edges == warm.graph().edges
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda e: e._replace(target_pos=99),
+            lambda e: e._replace(source_pos=-1),
+            lambda e: e._replace(source_stmt="nope"),
+            lambda e: e._replace(target_stmt="nope"),
+            lambda e: e._replace(target="Nope"),
+        ],
+        ids=["target-position", "source-position", "source-statement",
+             "target-statement", "pair"],
+    )
+    def test_load_block_rejects_edges_of_other_programs(
+        self, smallbank_workload, corrupt
+    ):
+        ltps = _ltps(smallbank_workload)
+        warm = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)
+        warm.register(ltps)
+        source, target = ltps[0].name, ltps[1].name
+        edges = list(warm.block(source, target))
+        assert edges
+        cold = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)
+        cold.register(ltps)
+        with pytest.raises(ProgramError, match="does not match"):
+            cold.load_block(source, target, [*edges[:-1], corrupt(edges[-1])])
+        assert cold.cache_info()["loaded"] == 0
+        cold.load_block(source, target, edges)
+        assert cold.block(source, target) == tuple(edges)
+
     def test_unknown_program_rejected(self, auction_workload):
         store = EdgeBlockStore(auction_workload.schema, ATTR_DEP_FK)
         with pytest.raises(ProgramError, match="unknown program"):
@@ -214,8 +243,8 @@ class TestStoreBehaviour:
 
 
 def _packed_session(source: str) -> Analyzer:
-    """A session whose blocks are computed for every settings row but not
-    yet materialized to edge tuples (no graph assembled)."""
+    """A session whose blocks are computed for every settings row (no
+    graph assembled)."""
     session = Analyzer(source)
     ltps = session.unfolded()
     for settings in ALL_SETTINGS:
@@ -238,7 +267,7 @@ def _snapshot(store: EdgeBlockStore):
 
 
 class TestSharedRecords:
-    """Forks share block records with their parent by reference."""
+    """Forks share packed blocks with their parent by reference."""
 
     def test_packed_blocks_materialize_once_across_a_fork(self, auction_workload):
         parent = EdgeBlockStore(auction_workload.schema, ATTR_DEP_FK)
@@ -250,13 +279,6 @@ class TestSharedRecords:
         forked = fork.graph()
         assert parent.cache_info() == info
         assert parent.graph().edges == forked.edges
-        names = parent.ltp_names
-        # The parent reads the tuples the fork materialized.
-        assert all(
-            parent.block(source, target) is fork.block(source, target)
-            for source in names
-            for target in names
-        )
 
     def test_fork_edits_leave_the_parent_untouched(self, smallbank_workload):
         parent = Analyzer(smallbank_workload)
@@ -278,7 +300,7 @@ class TestSharedRecords:
 
     def test_concurrent_parent_and_forks_match_a_serial_run(self):
         """The parent analyzes while two forks run ``advise``; all three
-        materialize and summarize the same shared packed records."""
+        read and summarize the same shared packed blocks."""
 
         def jobs(session: Analyzer):
             forks = (session.fork(), session.fork())

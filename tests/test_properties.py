@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
+from repro.analysis import Analyzer
 from repro.btp.program import BTP, FKConstraint, ProgramNode, Stmt, loop, optional, seq
 from repro.btp.statement import Statement, StatementType
 from repro.btp.unfold import unfold, unfold_program
@@ -147,6 +148,21 @@ class TestStructuralProperties:
         for settings in (ATTR_DEP_FK, ATTR_DEP, TPL_DEP):
             graph = build_summary_graph(progs, SCHEMA, settings)
             assert is_robust_type2(graph) == is_robust_type2_naive(graph)
+
+    @given(program_sets())
+    @common
+    def test_analyzer_verdicts_and_stats_equal_the_graph_specs(self, progs):
+        """The session decides from the aggregate planes alone; its
+        verdicts and counts must match the graph specs on the assembled
+        graph."""
+        session = Analyzer(progs, schema=SCHEMA)
+        for settings in (ATTR_DEP_FK, ATTR_DEP, TPL_DEP):
+            report = session.analyze(settings)
+            graph = build_summary_graph(progs, SCHEMA, settings)
+            assert report.robust == is_robust_type2_naive(graph)
+            assert report.type1_robust == is_robust_type1(graph)
+            assert report.stats == graph.stats
+        assert session.cache_info()["summary_graphs"] == 0
 
     @given(program_sets(max_programs=3))
     @common

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -554,6 +555,46 @@ class TestHTTP:
         assert status_line.split()[1] == "400"
         assert "invalid Content-Length" in rest
 
+    def test_empty_subset_is_a_typed_400(self, http_server):
+        status, body = _post(
+            http_server, "/v1/analyze", {"workload": "smallbank", "subset": []}
+        )
+        assert status == 400
+        envelope = json.loads(body)["error"]
+        assert envelope["type"] == "invalid_request"
+        assert "at least one program" in envelope["message"]
+
+    def test_stalled_body_answers_408_and_frees_its_thread(
+        self, http_server, monkeypatch
+    ):
+        import repro.service.http as http_module
+
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_SECONDS", 0.3)
+        threads_before = threading.active_count()
+        port = http_server.server_address[1]
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            # Promise 100 bytes, send 12, then stall with the socket open.
+            sock.sendall(
+                b"POST /v1/analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                b'{"workload"'
+            )
+            response = b""
+            while True:
+                chunk = sock.recv(65536)  # times out if the handler hangs
+                if not chunk:
+                    break
+                response += chunk
+        assert time.monotonic() - started < 4
+        status_line, _, rest = response.decode("latin-1").partition("\r\n")
+        assert status_line.split()[1] == "408"
+        assert '"type": "request_timeout"' in rest
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert threading.active_count() == threads_before
+
     def test_unknown_route_is_404(self, http_server):
         status, body = _post(http_server, "/v1/frobnicate", {})
         assert status == 404
@@ -647,6 +688,7 @@ class TestServiceErrorEnvelopes:
             ("analyze", {"workload": ["a", "b"]}, "must be a string"),
             ("analyze", {"workload": "auction", "subset": "Bal"}, "list of strings"),
             ("analyze", {"workload": "auction", "subset": [1]}, "only strings"),
+            ("analyze", {"workload": "smallbank", "subset": []}, "at least one program"),
             ("analyze", {"workload": "auction", "all_settings": "yes"}, "boolean"),
             ("subsets", {"workload": "auction", "extra": True}, "unknown field"),
             ("graph", [], "must be a JSON object"),
