@@ -688,7 +688,6 @@ class TestServiceErrorEnvelopes:
             ("analyze", {"workload": ["a", "b"]}, "must be a string"),
             ("analyze", {"workload": "auction", "subset": "Bal"}, "list of strings"),
             ("analyze", {"workload": "auction", "subset": [1]}, "only strings"),
-            ("analyze", {"workload": "smallbank", "subset": []}, "at least one program"),
             ("analyze", {"workload": "auction", "all_settings": "yes"}, "boolean"),
             ("subsets", {"workload": "auction", "extra": True}, "unknown field"),
             ("graph", [], "must be a JSON object"),
@@ -696,6 +695,7 @@ class TestServiceErrorEnvelopes:
             ("grid", {"workloads": ["auction"], "repetitions": 1.5}, "integer"),
             ("grid", {"workloads": ["auction"], "cell_jobs": "x"}, "integer"),
             ("batch", {"requests": "nope"}, "non-empty list"),
+            ("analyze", {"workload": "smallbank", "subset": []}, "at least one program"),
         ],
     )
     def test_wrong_types_and_unknown_keys(self, kind, body, fragment):
