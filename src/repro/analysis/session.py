@@ -16,7 +16,9 @@ cost and depend only on (program subset, ``max_loop_iterations``, settings).
   Table 2 counts are read from the store's aggregate planes alone; no
   analysis assembles a summary graph.  :meth:`Analyzer.summary_graph`
   (and a report's :attr:`~repro.detection.api.RobustnessReport.graph`)
-  builds one only when asked.
+  builds one only when asked.  An analysis's ``assemble`` span is its
+  summary step: missing blocks are computed (``pack`` and ``sweep`` nest
+  under it) and the counts summed from the planes.
 
 The pairwise blocks are also what make the session **incremental**
 (:meth:`Analyzer.add_program` / :meth:`~Analyzer.remove_program` /
@@ -277,7 +279,8 @@ class Analyzer:
         store's aggregate planes (no graph is assembled)."""
         with self._lock:
             store, names = self._registered(settings, subset)
-            return store.stats(names)
+            with span("assemble"):
+                return store.stats(names)
 
     def summary_graph(
         self,
@@ -340,7 +343,8 @@ class Analyzer:
             if cached is not None:
                 return cached
             store, ltp_names = self._registered(settings, names)
-            stats = store.stats(ltp_names)  # computes any missing blocks
+            with span("assemble"):
+                stats = store.stats(ltp_names)  # computes any missing blocks
             check_deadline("analysis")
             with span("detect"):
                 witness, type1_witness = find_violations_blocks(store, ltp_names)
@@ -620,8 +624,11 @@ class Analyzer:
         every cached program a same-named workload program whose unfolding
         matches the cached one — a same-named program whose *statements*
         changed is rejected rather than silently answered with stale
-        blocks.  Edge blocks themselves are trusted as saved — no block is
+        blocks.  Every persisted edge is checked against the cached
+        unfoldings (its positions and statement names), but no block is
         recomputed, which is the point (verify via :meth:`cache_info`).
+        The whole file is checked before anything is installed, so a
+        rejected file leaves the session as it was.
 
         A version-2 cache carries the workload :meth:`fingerprint`; a match
         subsumes the per-program unfold comparison (the fingerprint *is* the
@@ -675,18 +682,23 @@ class Analyzer:
                             f"{path}: cached program {name!r} differs from the "
                             f"workload's current version; rebuild the cache"
                         )
-            self._ltps_by_program.update(unfolded)
             all_ltps = [ltp for ltps in unfolded.values() for ltp in ltps]
+            staged = []
             for entry in data["stores"]:
-                settings = AnalysisSettings.from_label(entry["settings"])
-                store = self.edge_block_store(settings)
-                store.register(all_ltps)
+                staging = EdgeBlockStore(
+                    self.schema, AnalysisSettings.from_label(entry["settings"])
+                )
+                staging.register(all_ltps)
                 for block in entry["blocks"]:
-                    store.load_block(
+                    staging.load_block(
                         block["source"],
                         block["target"],
                         (SummaryEdge.from_dict(item) for item in block["edges"]),
                     )
+                staged.append(staging)
+            self._ltps_by_program.update(unfolded)
+            for staging in staged:
+                self.edge_block_store(staging.settings).seed_from(staging)
 
     # -- cache management ---------------------------------------------------
     def cache_info(self) -> dict[str, int]:

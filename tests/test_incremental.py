@@ -285,6 +285,39 @@ class TestPersistence:
         with pytest.raises(ProgramError, match="not a repro-analyzer-cache"):
             Analyzer(smallbank_workload).load_cache(path)
 
+    def test_load_rejects_corrupted_edge_and_installs_nothing(
+        self, smallbank_workload, tmp_path
+    ):
+        """An edge whose statement name does not match the cached unfolding
+        rejects the file, and the check runs before anything is installed:
+        blocks of stores read before the bad one are not kept either."""
+        warm = Analyzer(smallbank_workload)
+        for settings in ALL_SETTINGS:
+            warm.analyze(settings)
+        path = tmp_path / "sb.cache"
+        warm.save_cache(path)
+        data = json.loads(path.read_text())
+        assert len(data["stores"]) == len(ALL_SETTINGS)
+        last = data["stores"][-1]
+        block = next(block for block in last["blocks"] if block["edges"])
+        block["edges"][0]["source_stmt"] += "-corrupt"
+        path.write_text(json.dumps(data))
+
+        fresh = Analyzer(smallbank_workload)
+        with pytest.raises(ProgramError, match="does not match"):
+            fresh.load_cache(path)
+        info = fresh.cache_info()
+        assert info["edge_blocks"] == info["blocks_loaded"] == 0
+
+        partial = Analyzer(smallbank_workload)
+        partial.analyze(ATTR_DEP_FK, ["Balance", "Amalgamate"])
+        blocks = partial.cache_info()["edge_blocks"]
+        with pytest.raises(ProgramError, match="does not match"):
+            partial.load_cache(path)
+        info = partial.cache_info()
+        assert (info["edge_blocks"], info["blocks_loaded"]) == (blocks, 0)
+        assert partial.analyze(ATTR_DEP_FK).to_dict() == warm.analyze(ATTR_DEP_FK).to_dict()
+
     def test_incremental_after_load(self, smallbank_workload, tmp_path):
         warm = Analyzer(smallbank_workload)
         warm.analyze(ATTR_DEP_FK)

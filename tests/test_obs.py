@@ -183,7 +183,7 @@ class TestMetricsEndpoint:
             if name == "repro_stage_seconds_count"
         }
         stages = {dict(labels)["stage"] for labels in stage_counts}
-        assert {"unfold", "pack", "sweep", "detect"} <= stages
+        assert {"unfold", "assemble", "sweep", "detect"} <= stages
 
     def test_scrape_pulls_live_service_counters(self, http_server):
         for _ in range(2):
@@ -287,10 +287,9 @@ class TestProfile:
                 walk(node.get("children", []))
 
         walk(tree)
-        # Blocks are packed and swept, then detection reads their planes:
-        # no summary graph is assembled.
-        assert {"unfold", "pack", "sweep", "detect"} <= stages
-        assert "assemble" not in stages
+        # The summary stage sums the planes of the blocks it packs and
+        # sweeps; detection reads the same planes.
+        assert {"unfold", "assemble", "pack", "sweep", "detect"} <= stages
 
     def test_warm_profile_shows_cached_stages(self):
         service = AnalysisService()
