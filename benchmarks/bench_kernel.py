@@ -4,7 +4,7 @@ Two gates, one parity sweep:
 
 1. **Single-core batch throughput** — computing the packed edge blocks of
    every ordered program pair of Auction(N) (N=24 by default) in one plane
-   sweep (:func:`repro.summary.planes.sweep_blocks` over a packed
+   sweep (:func:`repro.summary.planes.sweep` over a packed
    :class:`~repro.summary.planes.PlaneArena`) must be
    ``--kernel-threshold`` (default 4×; measured 5–7× on one core) faster
    than the frozenset reference
@@ -89,7 +89,7 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
     names = [ltp.name for ltp in ltps]
 
     def batch():
-        return planes.sweep_blocks(arena, names, names, use_fk)
+        return planes.sweep(arena, names, names, use_fk)[0]
 
     # The sweep must carry exactly the reference's edges: one nc flag per
     # nc edge, one cf flag per cf edge, block by block.

@@ -183,7 +183,7 @@ def _percentile(latencies: list[float], fraction: float) -> float:
 
 def bench_concurrent(scale: int, requests: int, concurrency: int) -> dict:
     service = AnalysisService()
-    server = make_server(service, "127.0.0.1", 0, quiet=True)
+    server = make_server(service, "127.0.0.1", 0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -40,8 +40,7 @@ Commands:
 * ``experiments
   <table2|figure6|figure7|figure8|false-negatives|repairs|all>`` —
   regenerate the paper's evaluation artifacts (one shared warm-session
-  service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks;
-  ``--cell-jobs N`` executes independent grid cells on a worker pool).
+  service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks).
 
 All commands accept any workload source :meth:`Workload.resolve` does.
 ``--json`` emits machine-readable reports
@@ -349,15 +348,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     # One warm-session service behind every grid: `experiments all` shares
     # unfoldings and pairwise edge blocks across tables and figures (Figure 7
-    # reuses every block Figure 6 computed).  --cell-jobs fans independent
-    # grid cells over a worker pool (timing grids like figure8 stay serial
-    # so concurrent cells cannot skew their wall-clock samples).
+    # reuses every block Figure 6 computed).
     service = AnalysisService()
-    cell_jobs = args.cell_jobs
     runners = {
-        "table2": lambda: run_table2(service=service, cell_jobs=cell_jobs).to_text(),
-        "figure6": lambda: run_figure6(service, cell_jobs=cell_jobs).to_text(),
-        "figure7": lambda: run_figure7(service, cell_jobs=cell_jobs).to_text(),
+        "table2": lambda: run_table2(service=service).to_text(),
+        "figure6": lambda: run_figure6(service).to_text(),
+        "figure7": lambda: run_figure7(service).to_text(),
         "figure8": lambda: run_figure8(
             scales=args.scales or (1, 2, 4, 8, 12, 16, 24, 32),
             repetitions=args.repetitions,
@@ -574,13 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scales", type=int, nargs="+", help="Auction(n) scaling factors for figure8"
     )
     experiments.add_argument("--repetitions", type=int, default=10)
-    experiments.add_argument(
-        "--cell-jobs",
-        type=int,
-        metavar="N",
-        help="execute independent grid cells on N worker threads "
-        "(subset/characteristics grids; timing grids stay serial)",
-    )
     experiments.add_argument(
         "--max-edits",
         type=int,

@@ -76,7 +76,6 @@ def compute_grid(
     title: str,
     settings_list: tuple[AnalysisSettings, ...] = ALL_SETTINGS,
     service: AnalysisService | None = None,
-    cell_jobs: int | None = None,
 ) -> SubsetGridResult:
     """The shared driver behind Figures 6 and 7: one ``task="subsets"``
     :class:`GridSpec` over the three benchmarks × the settings rows.
@@ -85,14 +84,13 @@ def compute_grid(
     rows (one unfolding, per-settings block stores), and passing the same
     ``service`` to both figures shares *all* cached blocks between them —
     the type-I and type-II grids differ only in the cycle check.
-    ``cell_jobs`` fans the independent cells over a worker pool.
     """
     workloads = (smallbank(), tpcc(), auction())
     service = service or AnalysisService()
     result = service.grid(
         GridSpec(
             workloads=workloads, settings=settings_list, task="subsets",
-            method=method, cell_jobs=cell_jobs,
+            method=method,
         )
     )
     cells = []
@@ -110,14 +108,11 @@ def compute_grid(
     return SubsetGridResult(title=title, method=method, cells=tuple(cells))
 
 
-def run_figure6(
-    service: AnalysisService | None = None, cell_jobs: int | None = None
-) -> SubsetGridResult:
+def run_figure6(service: AnalysisService | None = None) -> SubsetGridResult:
     """Regenerate Figure 6."""
     return compute_grid(
         "type-II",
         expected.FIGURE6,
         "Figure 6 — robust subsets per Algorithm 2 (absence of type-II cycles)",
         service=service,
-        cell_jobs=cell_jobs,
     )

@@ -13,9 +13,7 @@ from repro.experiments.figure6 import SubsetGridResult, compute_grid
 from repro.service.core import AnalysisService
 
 
-def run_figure7(
-    service: AnalysisService | None = None, cell_jobs: int | None = None
-) -> SubsetGridResult:
+def run_figure7(service: AnalysisService | None = None) -> SubsetGridResult:
     """Regenerate Figure 7.
 
     Pass the :class:`AnalysisService` used for Figure 6 to reuse every
@@ -27,5 +25,4 @@ def run_figure7(
         expected.FIGURE7,
         "Figure 7 — robust subsets per the type-I condition of Alomari & Fekete [3]",
         service=service,
-        cell_jobs=cell_jobs,
     )

@@ -105,13 +105,11 @@ def run_table2(
     auction_scale: int | None = 4,
     *,
     service: AnalysisService | None = None,
-    cell_jobs: int | None = None,
 ) -> Table2Result:
     """Regenerate Table 2 (optionally including one Auction(n) row).
 
     A shared ``service`` reuses its pooled sessions.  All rows are
-    one multi-workload grid, so ``cell_jobs`` characterizes the
-    benchmarks concurrently.
+    one multi-workload grid.
     """
     service = service or AnalysisService()
     workloads = [smallbank(), tpcc(), auction()]
@@ -122,7 +120,6 @@ def run_table2(
             workloads=tuple(workloads),
             settings=(ATTR_DEP_FK,),
             task="detect",
-            cell_jobs=cell_jobs,
         )
     )
     return Table2Result(

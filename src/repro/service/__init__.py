@@ -15,9 +15,8 @@ Three layers, each usable on its own:
   exact CLI ``--json`` payloads (errors become the :class:`ServiceError`
   envelope, carrying the CLI's exit-code-2 semantics);
 * the Grid API — :class:`GridSpec` sweeps (workload × settings × scale,
-  per-cell timing, ``cell_jobs=`` worker-pool fan-out over independent
-  cells) that the :mod:`repro.experiments` modules ride, so the paper's
-  evaluation grids share warm block caches;
+  per-cell timing) that the :mod:`repro.experiments` modules ride, so the
+  paper's evaluation grids share warm block caches;
 * the stdlib HTTP frontend — ``repro serve`` /
   :func:`repro.service.http.serve`, exposing ``POST /v1/analyze`` /
   ``/v1/subsets`` / ``/v1/graph`` / ``/v1/advise`` / ``/v1/watch`` /

@@ -20,7 +20,6 @@ the response body of the service's ``/v1/grid`` endpoint.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -54,13 +53,7 @@ class GridSpec:
     ``repetitions`` times the task that many times per cell (the cell keeps
     every sample); ``include_verdicts`` adds the full subset verdict grid to
     ``task="subsets"`` cells (the false-negative sweep needs it).
-
-    ``cell_jobs`` fans *independent cells* out over a worker pool: sessions
-    are thread-safe (PR 4), so cells of different workloads — and different
-    settings of one workload — execute concurrently while the result keeps
-    its deterministic workloads-major order (property-tested identical to
-    serial execution).  Leave it unset for timing grids: concurrent cells
-    contend for cores and would skew per-cell wall-clock measurements.
+    Cells run one after another, in workloads-major order.
     """
 
     workloads: tuple[WorkloadSource, ...]
@@ -70,7 +63,6 @@ class GridSpec:
     repetitions: int = 1
     warm: bool = True
     include_verdicts: bool = False
-    cell_jobs: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
@@ -86,10 +78,6 @@ class GridSpec:
         if self.repetitions < 1:
             raise ProgramError(
                 f"grid repetitions must be >= 1, got {self.repetitions}"
-            )
-        if self.cell_jobs is not None and self.cell_jobs < 1:
-            raise ProgramError(
-                f"grid cell_jobs must be >= 1, got {self.cell_jobs}"
             )
 
 
@@ -209,10 +197,7 @@ def _run_cell(
     for _ in range(spec.repetitions):
         # Cooperative deadline checkpoint: a grid of many cells is the one
         # request shape that can outlive any per-request deadline, so each
-        # repetition re-checks before paying for another full task.  (Under
-        # ``cell_jobs`` the pool threads carry no request context, so the
-        # check is a no-op there — grids that opt into intra-request
-        # parallelism own their runtime.)
+        # repetition re-checks before paying for another full task.
         check_deadline("grid cell")
         cell_session = (
             session if session is not None else service.fresh_session(source)
@@ -238,32 +223,16 @@ def run_grid(spec: GridSpec, service: "AnalysisService") -> GridResult:
     grid, across *grids* (Figure 7 reuses every block Figure 6 computed).
     Cold cells (``warm=False``) pay the full pipeline per repetition, which
     is the measurement Figure 8 reports.
-
-    With ``cell_jobs > 1`` the independent cells run on a thread pool
-    (sessions and the pool are thread-safe); results are collected in
-    submission order, so the cell sequence — and therefore the
-    :meth:`GridResult.to_dict` payload modulo timings — is identical to a
-    serial run.
     """
     sessions = [
         service.session(source) if spec.warm else None
         for source in spec.workloads
     ]
-    pairs = [
-        (source, session, settings)
+    cells = tuple(
+        _run_cell(spec, service, source, session, settings)
         for source, session in zip(spec.workloads, sessions)
         for settings in spec.settings
-    ]
-    if spec.cell_jobs is not None and spec.cell_jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=spec.cell_jobs) as pool:
-            cells = tuple(
-                pool.map(lambda pair: _run_cell(spec, service, *pair), pairs)
-            )
-    else:
-        cells = tuple(
-            _run_cell(spec, service, source, session, settings)
-            for source, session, settings in pairs
-        )
+    )
     return GridResult(
         task=spec.task,
         cells=cells,

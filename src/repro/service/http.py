@@ -104,11 +104,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         address: tuple[str, int],
         service: AnalysisService,
         *,
-        quiet: bool = False,
         reuseport: bool = False,
     ):
         self.service = service
-        self.quiet = quiet
         self.reuseport = reuseport
         if reuseport and not hasattr(socket, "SO_REUSEPORT"):
             raise OSError("SO_REUSEPORT is not supported on this platform")
@@ -334,10 +332,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         # http.server's own notices (one per send_response, plus
-        # malformed-request warnings) used to be dropped when quiet;
-        # they now flow through the structured logger at debug level,
-        # so `--log-level debug` surfaces them and the default hides
-        # them without discarding anything.
+        # malformed-request warnings) flow through the structured logger
+        # at debug level, so `--log-level debug` surfaces them and the
+        # default hides them without discarding anything.
         obs_log.debug("http.server", message=format % args)
 
 
@@ -346,7 +343,6 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
-    quiet: bool = False,
     reuseport: bool = False,
 ) -> ServiceHTTPServer:
     """Bind (but do not start) the service's HTTP server.
@@ -356,7 +352,7 @@ def make_server(
     result, or hand it to a thread.  ``reuseport=True`` lets several
     processes share the address (the ``--workers`` fan-out).
     """
-    return ServiceHTTPServer((host, port), service, quiet=quiet, reuseport=reuseport)
+    return ServiceHTTPServer((host, port), service, reuseport=reuseport)
 
 
 def run_server(server: ServiceHTTPServer, *, handle_sigterm: bool = False) -> None:
@@ -399,8 +395,6 @@ def serve(
     service: AnalysisService,
     host: str = "127.0.0.1",
     port: int = 8000,
-    *,
-    quiet: bool = False,
 ) -> None:
     """Run the HTTP frontend until interrupted (the ``repro serve`` loop)."""
-    run_server(make_server(service, host, port, quiet=quiet))
+    run_server(make_server(service, host, port))

@@ -336,7 +336,6 @@ class GridRequest:
     repetitions: int = 1
     warm: bool = True
     include_verdicts: bool = False
-    cell_jobs: int | None = None
 
     kind = "grid"
 
@@ -346,7 +345,7 @@ class GridRequest:
         _reject_unknown_keys(
             data,
             ("workloads", "settings", "task", "method", "repetitions", "warm",
-             "include_verdicts", "cell_jobs"),
+             "include_verdicts"),
             cls.kind,
         )
         workloads = _name_list(data, "workloads", cls.kind)
@@ -355,9 +354,6 @@ class GridRequest:
                 f"{cls.kind} request: missing required field 'workloads' "
                 "(a non-empty list of workload sources)"
             )
-        cell_jobs = (
-            _int(data, "cell_jobs", cls.kind, 1) if "cell_jobs" in data else None
-        )
         return cls(
             workloads=workloads,
             settings=_name_list(data, "settings", cls.kind),
@@ -366,7 +362,6 @@ class GridRequest:
             repetitions=_int(data, "repetitions", cls.kind, 1),
             warm=_bool(data, "warm", cls.kind, True),
             include_verdicts=_bool(data, "include_verdicts", cls.kind, False),
-            cell_jobs=cell_jobs,
         )
 
     def spec(self) -> GridSpec:
@@ -384,7 +379,6 @@ class GridRequest:
                 repetitions=self.repetitions,
                 warm=self.warm,
                 include_verdicts=self.include_verdicts,
-                cell_jobs=self.cell_jobs,
             )
         except ReproError as error:
             raise ServiceError(f"{self.kind} request: {error}") from None

@@ -65,7 +65,6 @@ def _child_main(
     host: str,
     port: int,
     service_factory: Callable[[], AnalysisService],
-    quiet: bool,
     on_shutdown: Callable[[AnalysisService], None] | None,
     ready_fd: int,
     worker_index: int,
@@ -84,7 +83,7 @@ def _child_main(
         # attributable under the kernel's reuseport load balancing.
         os.environ["REPRO_WORKER_INDEX"] = str(worker_index)
         service = service_factory()
-        server = make_server(service, host, port, quiet=quiet, reuseport=True)
+        server = make_server(service, host, port, reuseport=True)
         os.write(ready_fd, b"1")
         os.close(ready_fd)
         ready_fd = -1
@@ -111,7 +110,6 @@ def serve_workers(
     port: int,
     service_factory: Callable[[], AnalysisService],
     *,
-    quiet: bool = False,
     announce: Callable[[str, int, int], None] | None = None,
     on_shutdown: Callable[[AnalysisService], None] | None = None,
 ) -> int:
@@ -145,7 +143,6 @@ def serve_workers(
                     host,
                     bound_port,
                     service_factory,
-                    quiet,
                     on_shutdown,
                     write_fd,
                     index,

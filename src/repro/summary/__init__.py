@@ -9,7 +9,7 @@ foreign-key conditions ``ncDepConds`` and ``cDepConds``.
 """
 
 from repro.summary.construct import build_summary_graph, construct_summary_graph
-from repro.summary.planes import PlaneArena, resolve_kernel, sweep_blocks
+from repro.summary.planes import PlaneArena, resolve_kernel
 from repro.summary.fingerprint import (
     program_fingerprint,
     schema_fingerprint,
@@ -53,7 +53,6 @@ __all__ = [
     "ProgramProfile",
     "PlaneArena",
     "resolve_kernel",
-    "sweep_blocks",
     "AnalysisSettings",
     "Granularity",
     "TPL_DEP",

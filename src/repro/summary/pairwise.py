@@ -22,9 +22,10 @@ The hot path runs on a **plane-packed batch kernel**
 * profiles' masks are packed into the store's contiguous
   :class:`~repro.summary.planes.PlaneArena`; missing blocks are grouped
   into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
-  evaluated for whole occurrence-pair batches at once — numpy
-  AND/compare passes over the planes that emit per-block packed
-  coordinates instead of per-pair edge tuples.
+  evaluated for whole occurrence-pair batches at once — one in-place
+  numpy kernel, whatever the mask width, whose AND/compare passes over
+  the planes emit per-block packed coordinates instead of per-pair edge
+  tuples.
 
 The store keeps each cached block in one form only: its immutable tuple
 of packed coordinates, in its source program's row.  Forks share the
@@ -32,8 +33,10 @@ tuples by reference.  :class:`~repro.summary.graph.SummaryEdge` tuples are
 built from the coordinates on every read and never cached; only witness
 blocks, assembled graphs and :meth:`EdgeBlockStore.blocks` read them.
 The per-block edge counts and the facts Algorithm 2 reads live in the
-store's :class:`_AggregatePlanes` (N×N arrays over LTP slots), which the
-sweep fills in the same pass that groups coordinates into blocks.
+store's :class:`_AggregatePlanes` (N×N arrays over LTP slots).  They are
+folded once per block, by :func:`~repro.summary.planes.group_coords`,
+whether the block was swept or loaded, and written with one plane write
+per sweep or load; a fork copies them instead of folding again.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
 executable specification; the plane sweep is property-tested against it
@@ -244,11 +247,11 @@ Coords = tuple[tuple[int, int, bool, bool], ...]
 
 class _AggregatePlanes:
     """The per-block facts of every cached block, as five N×N planes
-    indexed by LTP slot (one :func:`~repro.summary.planes.aggregate` per
-    cell): ``NC`` / ``CF`` (the block's non-counterflow / counterflow edge
-    counts), ``TRIG`` (some edge leaves an R- or PR-operation), ``MAXT``
-    (largest target position) and ``MINCF`` (smallest counterflow source
-    position).  :mod:`repro.detection.blockindex` runs Algorithm 2 as
+    indexed by LTP slot (one :func:`~repro.summary.planes.group_coords`
+    aggregate per cell): ``NC`` / ``CF`` (the block's non-counterflow /
+    counterflow edge counts), ``TRIG`` (some edge leaves an R- or
+    PR-operation), ``MAXT`` (largest target position) and ``MINCF``
+    (smallest counterflow source position).  :mod:`repro.detection.blockindex` runs Algorithm 2 as
     boolean matrix algebra over them (as flags), and
     :meth:`EdgeBlockStore.stats` sums the counts into the Table 2
     columns.  The planes share one ``int32`` array, so a batch write or a
@@ -270,10 +273,6 @@ class _AggregatePlanes:
     @property
     def capacity(self) -> int:
         return self.cells.shape[1]
-
-    def write(self, sources: list[int], targets: list[int], aggregates) -> None:
-        """Set the cells ``(sources[i], targets[i])`` to ``aggregates[i]``."""
-        self.cells[:, sources, targets] = np.array(aggregates, dtype=np.int32).T
 
     def write_grid(self, sources: list[int], targets: list[int], columns) -> None:
         """Set the ``sources × targets`` cells from five row-major lists."""
@@ -448,7 +447,8 @@ class EdgeBlockStore:
         positions or statement names do not match the registered LTPs.
         """
         self._require((source, target))
-        names_i = [row[0] for row in self._profiles[source].occurrences]
+        profile_i = self._profiles[source]
+        names_i = [row[0] for row in profile_i.occurrences]
         names_j = [row[0] for row in self._profiles[target].occurrences]
         flags: dict[tuple[int, int], list[bool]] = {}
         for edge in edges:
@@ -463,9 +463,19 @@ class EdgeBlockStore:
                     f"the registered programs of block ({source!r}, {target!r})"
                 )
             flags.setdefault((s, t), [False, False])[edge.counterflow] = True
-        coords = tuple((s, t, nc, cf) for (s, t), (nc, cf) in sorted(flags.items()))
-        self._put(source, target, coords, loaded=True)
-        self._write_cells([(source, target)], [self._aggregate(source, coords)])
+        coords = [(s, t, nc, cf) for (s, t), (nc, cf) in sorted(flags.items())]
+        # Fold the block as a one-pair sweep, so loads and sweeps share
+        # one aggregate fold.
+        blocks, columns = planes.group_coords(
+            coords,
+            [(source, 0, len(names_i))],
+            [(target, 0, len(names_j))],
+            profile_i.triggers,
+        )
+        self._put(source, target, blocks[(source, target)], loaded=True)
+        self._writable_planes().write_grid(
+            [self._slots[source]], [self._slots[target]], columns
+        )
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
@@ -474,7 +484,8 @@ class EdgeBlockStore:
         their already-compiled kernel profiles over (no recompilation),
         and every block's coordinate tuple is shared by reference and
         counted under ``loaded``.  A fresh store also shares the
-        other's aggregate planes copy-on-write.  Both stores must describe
+        other's aggregate planes copy-on-write; a non-empty one copies the
+        adopted blocks' cells by slot.  Both stores must describe
         the same schema and settings — this is what
         :meth:`repro.analysis.Analyzer.fork` builds a candidate-verifying
         session from without paying per-block install overhead.
@@ -511,9 +522,12 @@ class EdgeBlockStore:
                     self._take_slot(name)
             pairs = [(s, t) for s, row in other._rows.items() for t in row]
             if pairs:
-                self._write_cells(
-                    pairs, [self._aggregate(s, other._rows[s][t]) for s, t in pairs]
-                )
+                mine, theirs = self._slots, other._slots
+                self._writable_planes().cells[
+                    :, [mine[s] for s, _ in pairs], [mine[t] for _, t in pairs]
+                ] = other._planes.cells[
+                    :, [theirs[s] for s, _ in pairs], [theirs[t] for _, t in pairs]
+                ]
 
     def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when
@@ -588,10 +602,6 @@ class EdgeBlockStore:
         free = self._free_slots
         self._slots[name] = free.pop() if free else len(self._slots)
 
-    def _aggregate(self, source: str, coords: Coords) -> tuple:
-        """One block's :func:`~repro.summary.planes.aggregate`."""
-        return planes.aggregate(coords, self._profiles[source].triggers)
-
     def _writable_planes(self) -> _AggregatePlanes:
         """The planes, grown to every allocated slot and no longer shared
         with a fork."""
@@ -604,15 +614,6 @@ class EdgeBlockStore:
             self._planes = _AggregatePlanes(current.capacity, current)
         self._planes_shared = False
         return self._planes
-
-    def _write_cells(self, pairs, aggregates) -> None:
-        """Write one batch of block aggregates, one per pair."""
-        slots = self._slots
-        self._writable_planes().write(
-            [slots[source] for source, _ in pairs],
-            [slots[target] for _, target in pairs],
-            aggregates,
-        )
 
     def _cells(self, names: Sequence[str]) -> np.ndarray:
         """The five planes restricted to ``names × names`` in ``names``

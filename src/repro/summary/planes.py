@@ -13,21 +13,24 @@ This module evaluates them for *entire occurrence-pair batches*:
   occupy contiguous row ranges; removing one leaves a hole that later
   registrations reuse, so an incremental ``replace_program`` repacks only
   the edited program's rows;
-* :func:`sweep_blocks` then evaluates the conditions for the full cross
-  product of a source row set × target row set in one **sweep** and
-  returns per-block *packed coordinates* ``(source_row, target_row,
-  has_nc, has_cf)`` — edge-block bitsets instead of per-pair Python
-  tuples.  :func:`sweep` also folds each block's :func:`aggregate` —
-  its edge counts and the per-block facts Algorithm 2 reads — in the
-  same grouping pass.
+* :func:`sweep` then evaluates the conditions for the full cross product
+  of a source row set × target row set in one **sweep** and returns
+  per-block *packed coordinates* ``(source_row, target_row, has_nc,
+  has_cf)`` — edge-block bitsets instead of per-pair Python tuples —
+  together with every block's aggregates (its edge counts and the
+  per-block facts Algorithm 2 reads), folded by :func:`group_coords` in
+  the same grouping pass.  :func:`group_coords` is the only aggregate
+  fold: the block store runs persisted blocks through it too.
 
 The sweep runs on numpy: the rows a sweep needs are gathered out of the
-planes, the five mask tests of ``ncDepConds`` fold into two broadcast AND
-sweeps over precombined planes (``wi ∧ (wj|rj|pj)`` and ``(ri|pi) ∧ wj``),
-Table 1 dispatch is an ``int8`` gather over
+planes, the five mask tests of ``ncDepConds`` fold into two AND sweeps
+over precombined planes (``wi ∧ (wj|rj|pj)`` and ``(ri|pi) ∧ wj``), Table 1
+dispatch is an ``int8`` gather over
 :data:`~repro.summary.tables.NC_CODE_ROWS` /
 :data:`~repro.summary.tables.C_CODE_ROWS`, and edges fall out of one
-``nonzero`` per row chunk.
+``nonzero`` per row chunk.  :func:`np_sweep` is one in-place kernel for
+every mask width: each mask test ANDs word 0 into a reused scratch
+buffer and ORs every further word's test into its boolean result.
 
 Condition algebra (property-tested against the frozenset originals): with
 ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
@@ -74,31 +77,6 @@ Blocks = dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]
 #: ``min_cf_source`` of a block without counterflow edges: larger than any
 #: occurrence position, so ``max_target > min_cf_source`` never holds.
 NO_CF = 1 << 30
-
-
-def aggregate(coords, trigger: Sequence[bool]) -> tuple[int, int, bool, int, int]:
-    """The per-block facts Algorithm 2 reads, for one packed block:
-    ``(nc_edges, cf_edges, trigger, max_target, min_cf_source)`` — the
-    number of non-counterflow and of counterflow edges, some edge leaving
-    an R- or PR-operation (``trigger[s]`` flags source occurrence ``s``),
-    the largest target position (-1 when empty) and the smallest
-    counterflow source position (:data:`NO_CF` without one).  Occurrence
-    positions equal occurrence indexes in an LTP, so coordinates are
-    positions."""
-    nc_edges = cf_edges = 0
-    trig = False
-    max_target = -1
-    min_cf_source = NO_CF
-    for s, t, nc, cf in coords:
-        nc_edges += nc
-        if cf:
-            cf_edges += 1
-            if s < min_cf_source:
-                min_cf_source = s
-        trig = trig or trigger[s]
-        if t > max_target:
-            max_target = t
-    return nc_edges, cf_edges, trig, max_target, min_cf_source
 
 
 def resolve_kernel(kernel: str | None = None) -> str:
@@ -251,26 +229,27 @@ class PlaneArena:
         """Copies of the given rows of every plane: ``(writes, preads,
         anyrw, rp, fks, rels, types)``.
 
-        Mask planes come back as ``(len(rows),)`` ``uint64`` arrays when
-        one word holds a slot, else ``(len(rows), words)``.  Fancy
+        Mask planes come back as ``(len(rows), words)`` ``uint64`` arrays,
+        the id planes as ``(len(rows),)`` ``int64`` arrays.  Fancy
         indexing copies, so no view keeps the arena's buffers exported
         afterwards.
         """
         index = np.asarray(rows, dtype=np.intp)
-        words = self.words
+        # One (rows, words) index of flat word slots serves all five mask
+        # planes: cheaper per call than reshaping each plane first.
+        slots = index[:, None] * self.words + np.arange(self.words)
 
-        def take(plane: array, dtype, width: int):
-            flat = np.frombuffer(plane, dtype=dtype)
-            return (flat.reshape(-1, width) if width > 1 else flat)[index]
+        def masks(plane: array):
+            return np.frombuffer(plane, dtype=np.uint64)[slots]
 
         return (
-            take(self._writes, np.uint64, words),
-            take(self._preads, np.uint64, words),
-            take(self._anyrw, np.uint64, words),
-            take(self._rp, np.uint64, words),
-            take(self._fks, np.uint64, words),
-            take(self._rels, np.int64, 1),
-            take(self._types, np.int64, 1),
+            masks(self._writes),
+            masks(self._preads),
+            masks(self._anyrw),
+            masks(self._rp),
+            masks(self._fks),
+            np.frombuffer(self._rels, dtype=np.int64)[index],
+            np.frombuffer(self._types, dtype=np.int64)[index],
         )
 
 
@@ -297,23 +276,16 @@ def _scratch(name: str, shape, dtype):
     return buffer[:cells].reshape(shape)
 
 
-def _intersects(lhs, rhs):
-    """Per-pair "masks intersect" over gathered rows: broadcast AND."""
-    if lhs.ndim == 1:
-        return (lhs[:, None] & rhs[None, :]) != 0
-    return ((lhs[:, None, :] & rhs[None, :, :]) != 0).any(axis=2)
-
-
 def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
     """Dense nc/cf boolean matrices for a row set × column set, chunked.
 
     Yields ``(row_offset, nc, cf)`` per row chunk; matrices are
     ``chunk × len(cols)`` booleans.  The yielded matrices are *reused
     scratch buffers* — consume (or copy) them before advancing the
-    generator.  The single-word fast path runs every ufunc into a
-    preallocated buffer pool: the chunk-sized ``uint64``/``intp``
-    temporaries otherwise land in mmap'd allocations whose page faults
-    dominate the sweep at typical scales.
+    generator.  Every ufunc runs into a preallocated buffer pool, whatever
+    the mask width: the chunk-sized ``uint64``/``intp`` temporaries
+    otherwise land in mmap'd allocations whose page faults dominate the
+    sweep at typical scales.
     """
     w_i, p_i, _, rp_i, fk_i, rel_i, type_i = arena.gather(rows)
     w_j, _, any_j, _, fk_j, rel_j, type_j = arena.gather(cols)
@@ -321,31 +293,6 @@ def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
     total = len(rows)
     columns = len(cols)
     chunk = max(1, _CHUNK_CELLS // max(columns, 1))
-    if arena.words > 1:
-        # Wide masks: the generic broadcast path ("intersect" needs a
-        # reduction over the word axis, which has no in-place form).
-        for offset in range(0, total, chunk):
-            stop = min(offset + chunk, total)
-            sl = slice(offset, stop)
-            w_any = _intersects(w_i[sl], any_j)
-            rpw = _intersects(rp_i[sl], w_j)
-            nc_cond = w_any | rpw
-            if use_foreign_keys:
-                pw = _intersects(p_i[sl], w_j)
-                blocked = _intersects(fk_i[sl], fk_j)
-                c_cond = (rpw & ~blocked) | (pw & blocked)
-            else:
-                c_cond = rpw
-            type_pairs = type_i7[sl][:, None] + type_j[None, :]
-            nc_code = _NC_CODES[type_pairs]
-            c_code = _C_CODES[type_pairs]
-            same_relation = rel_i[sl][:, None] == rel_j[None, :]
-            nc = ((nc_code == ENTRY_TRUE) | ((nc_code == ENTRY_COND) & nc_cond))
-            nc &= same_relation
-            cf = ((c_code == ENTRY_TRUE) | ((c_code == ENTRY_COND) & c_cond))
-            cf &= same_relation
-            yield offset, nc, cf
-        return
     shape = (min(chunk, total), columns)
     work = _scratch("work", shape, np.uint64)
     pairs = _scratch("pairs", shape, np.intp)  # intp: take() copies others
@@ -357,8 +304,18 @@ def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
     )
 
     def test_into(lhs, rhs, out):
-        np.bitwise_and(lhs[:, None], rhs[None, :], out=work[: len(lhs)])
-        return np.not_equal(work[: len(lhs)], 0, out=out)
+        # "Masks intersect" per pair: word 0's test lands in ``out``, and
+        # each further word's test is ORed in through ``tmp``, which is
+        # free until the Table 1 dispatch below.
+        anded = work[: len(lhs)]
+        np.bitwise_and(lhs[:, None, 0], rhs[None, :, 0], out=anded)
+        np.not_equal(anded, 0, out=out)
+        for word in range(1, lhs.shape[1]):
+            hit = tmp[: len(lhs)]
+            np.bitwise_and(lhs[:, None, word], rhs[None, :, word], out=anded)
+            np.not_equal(anded, 0, out=hit)
+            np.logical_or(out, hit, out=out)
+        return out
 
     for offset in range(0, total, chunk):
         stop = min(offset + chunk, total)
@@ -463,9 +420,15 @@ def group_coords(
     are cache entries too); within a block, coordinates keep the
     ``(source occurrence, target occurrence)`` program order Algorithm 1
     emits edges in.  ``src_trigger`` flags the R-/PR-operation rows of
-    the sweep's sources.  The aggregates come back as five lists in
-    :func:`aggregate` order, one cell per pair in ``sources × targets``
-    row-major order.
+    the sweep's sources.  The aggregates are the per-block facts
+    Algorithm 2 reads, as five lists with one cell per pair in ``sources
+    × targets`` row-major order: ``(nc_edges, cf_edges, trigger,
+    max_target, min_cf_source)`` — the number of non-counterflow and of
+    counterflow edges, some edge leaving an R- or PR-operation, the
+    largest target position (-1 when empty) and the smallest counterflow
+    source position (:data:`NO_CF` without one).  Occurrence positions
+    equal occurrence indexes in an LTP, so local coordinates are
+    positions.
     """
     src_base: list[int] = []
     src_local: list[int] = []
@@ -524,13 +487,3 @@ def sweep(
     cols, dst_meta = _sweep_rows(arena, targets)
     coords = _sweep_coords(arena, rows, cols, use_foreign_keys)
     return group_coords(coords, src_meta, dst_meta, arena.triggers(rows))
-
-
-def sweep_blocks(
-    arena: PlaneArena,
-    sources: Sequence[str],
-    targets: Sequence[str],
-    use_foreign_keys: bool,
-) -> Blocks:
-    """Packed blocks for every ordered pair in ``sources × targets``."""
-    return sweep(arena, sources, targets, use_foreign_keys)[0]

@@ -100,14 +100,23 @@ def auction() -> Workload:
     )
 
 
+#: Largest accepted Auction(n) scale: twice the largest scale the
+#: benchmarks run (n = 128), so a request such as ``auction(100000000)``
+#: is rejected at once instead of starting unbounded work.
+MAX_AUCTION_ITEMS = 256
+
+
 @lru_cache(maxsize=None)
 def auction_n(items: int) -> Workload:
     """Auction(n): 2·n programs over n per-item Bids relations (Section 7.3).
 
-    ``auction_n(1)`` is the Auction benchmark up to relation naming.
+    ``auction_n(1)`` is the Auction benchmark up to relation naming;
+    ``n`` ranges over ``1 .. MAX_AUCTION_ITEMS``.
     """
-    if items < 1:
-        raise ValueError("Auction(n) requires n >= 1")
+    if not 1 <= items <= MAX_AUCTION_ITEMS:
+        raise ValueError(
+            f"Auction(n) requires n >= 1 and n <= {MAX_AUCTION_ITEMS}, got {items}"
+        )
     schema = _auction_schema(items)
     programs = []
     abbreviations = {}

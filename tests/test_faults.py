@@ -430,7 +430,7 @@ def _http(server, method: str, path: str, body=None):
 @pytest.fixture()
 def fault_server():
     service = AnalysisService(capacity=4, max_inflight=2, deadline_seconds=30.0)
-    server = make_server(service, port=0, quiet=True)
+    server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -502,7 +502,7 @@ class TestHTTPFaults:
 
     def test_deadline_expiry_answers_504_over_http(self):
         service = AnalysisService(deadline_seconds=0.01)
-        server = make_server(service, port=0, quiet=True)
+        server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -44,7 +44,7 @@ def _isolate_global_injector():
 @pytest.fixture()
 def http_server():
     service = AnalysisService(capacity=8)
-    server = make_server(service, port=0, quiet=True)
+    server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server

@@ -3,7 +3,9 @@
 The load-bearing property: the batch sweep must reproduce
 ``pair_edges_reference`` edge for edge for every ordered program pair,
 across all four Section 7.2 settings — through the block store, through
-:func:`sweep_blocks`, and on the dense matrices :func:`np_sweep` yields.
+:func:`sweep`, and on the dense matrices :func:`np_sweep` yields — at
+one mask word (SmallBank, Auction(n ≤ 29)) and at several (an Auction(64)
+slice spans three).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.summary.planes import (
     np_sweep,
     plan_sweeps,
     resolve_kernel,
-    sweep_blocks,
+    sweep,
     words_for_bits,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
@@ -33,9 +35,15 @@ from repro.workloads import auction_n, smallbank
 #: The sweep kernel under test, named in the parity tests' ids.
 KERNELS = [resolve_kernel()]
 
+#: Programs of Auction(64) whose masks reach all three 64-bit words:
+#: Buyer and the ``f1_*`` FKs sit in word 0, Bids32 and ``f2`` in word 1,
+#: Bids64 and Log in word 2 (133 attribute bits in all).
+AUCTION64_SLICE = ("FindBids32", "PlaceBid32", "FindBids64", "PlaceBid64")
+
 WORKLOADS = {
     "smallbank": smallbank,
     "auction8": lambda: auction_n(8),
+    "auction64slice": lambda: auction_n(64).subset(AUCTION64_SLICE),
 }
 
 
@@ -89,7 +97,7 @@ class TestBatchKernelParity:
     )
     @given(data=st.data())
     def test_random_workload_subsets_match_reference(self, data):
-        """Property: random SmallBank/Auction(<=8) slices x all four
+        """Property: random SmallBank/Auction(8)/Auction(64) slices x all four
         Section 7.2 settings agree with ``pair_edges_reference``."""
         source = data.draw(st.sampled_from(sorted(WORKLOADS)))
         workload = WORKLOADS[source]()
@@ -145,18 +153,24 @@ class TestKernelAgreement:
         # A tiny chunk size makes np_sweep yield many row chunks, so the
         # chunk offsets are exercised too.
         monkeypatch.setattr(planes, "_CHUNK_CELLS", 64)
-        workload = auction_n(5)
-        ltps = _ltps(workload)
-        arena = _packed_arena(ltps, workload.schema, settings)
-        rows = list(range(arena.capacity))
-        expected = _reference_coords(ltps, workload.schema, settings)
-        seen = {}
-        for offset, nc, cf in np_sweep(
-            arena, rows, rows, settings.use_foreign_keys
+        for workload, words in (
+            (auction_n(5), 1),
+            (WORKLOADS["auction64slice"](), 3),
         ):
-            for s, t in zip(*(nc | cf).nonzero()):
-                seen[(offset + int(s), int(t))] = (bool(nc[s, t]), bool(cf[s, t]))
-        assert seen == expected
+            ltps = _ltps(workload)
+            arena = _packed_arena(ltps, workload.schema, settings)
+            assert arena.words == words
+            rows = list(range(arena.capacity))
+            expected = _reference_coords(ltps, workload.schema, settings)
+            seen = {}
+            for offset, nc, cf in np_sweep(
+                arena, rows, rows, settings.use_foreign_keys
+            ):
+                for s, t in zip(*(nc | cf).nonzero()):
+                    seen[(offset + int(s), int(t))] = (
+                        bool(nc[s, t]), bool(cf[s, t])
+                    )
+            assert seen == expected
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
     def test_sweep_blocks_identical(self, settings):
@@ -164,7 +178,7 @@ class TestKernelAgreement:
         ltps = _ltps(workload)
         arena = _packed_arena(ltps, workload.schema, settings)
         names = [ltp.name for ltp in ltps]
-        grouped = sweep_blocks(arena, names, names, settings.use_foreign_keys)
+        grouped = sweep(arena, names, names, settings.use_foreign_keys)[0]
         by_name = {ltp.name: ltp for ltp in ltps}
         for (source, target), coords in grouped.items():
             program_i, program_j = by_name[source], by_name[target]

@@ -34,6 +34,7 @@ from repro.service import (
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction, smallbank, tpcc
+from repro.workloads.auction import MAX_AUCTION_ITEMS
 
 BUILTINS = ("smallbank", "tpcc", "auction")
 
@@ -429,7 +430,7 @@ class TestConcurrency:
 @pytest.fixture(scope="module")
 def http_server():
     service = AnalysisService(capacity=8)
-    server = make_server(service, port=0, quiet=True)
+    server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -537,6 +538,18 @@ class TestHTTP:
         assert envelope["exit_code"] == 2
         assert "Auction(n) requires n >= 1" in envelope["message"]
 
+    def test_huge_auction_scale_is_rejected_promptly(self, http_server):
+        started = time.monotonic()
+        status, body = _post(
+            http_server, "/v1/analyze", {"workload": "auction(100000000)"}
+        )
+        assert time.monotonic() - started < 1.0
+        assert status == 400
+        envelope = json.loads(body)["error"]
+        assert envelope["type"] == "analysis_error"
+        assert envelope["exit_code"] == 2
+        assert f"n <= {MAX_AUCTION_ITEMS}" in envelope["message"]
+
     def test_negative_content_length_is_rejected_promptly(self, http_server):
         # A negative length must not make the handler read until EOF.
         port = http_server.server_address[1]
@@ -570,7 +583,10 @@ class TestHTTP:
         import repro.service.http as http_module
 
         monkeypatch.setattr(http_module, "READ_TIMEOUT_SECONDS", 0.3)
-        threads_before = threading.active_count()
+        # A snapshot, not a count: a handler thread of an earlier test may
+        # still be exiting, and only threads started after this point are
+        # this request's.
+        threads_before = set(threading.enumerate())
         port = http_server.server_address[1]
         started = time.monotonic()
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
@@ -590,10 +606,13 @@ class TestHTTP:
         status_line, _, rest = response.decode("latin-1").partition("\r\n")
         assert status_line.split()[1] == "408"
         assert '"type": "request_timeout"' in rest
+        def started_since():
+            return [t for t in threading.enumerate() if t not in threads_before]
+
         deadline = time.monotonic() + 5
-        while threading.active_count() > threads_before and time.monotonic() < deadline:
+        while started_since() and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert threading.active_count() == threads_before
+        assert started_since() == []
 
     def test_unknown_route_is_404(self, http_server):
         status, body = _post(http_server, "/v1/frobnicate", {})
@@ -693,7 +712,7 @@ class TestServiceErrorEnvelopes:
             ("graph", [], "must be a JSON object"),
             ("grid", {"workloads": []}, "non-empty"),
             ("grid", {"workloads": ["auction"], "repetitions": 1.5}, "integer"),
-            ("grid", {"workloads": ["auction"], "cell_jobs": "x"}, "integer"),
+            ("grid", {"workloads": ["auction"], "repetitions": "x"}, "integer"),
             ("batch", {"requests": "nope"}, "non-empty list"),
             ("analyze", {"workload": "smallbank", "subset": []}, "at least one program"),
         ],
@@ -757,56 +776,21 @@ class TestEvictionSpill:
 
 
 class TestCellJobs:
-    """Satellite: GridSpec cell-level fan-out."""
-
-    def test_parallel_grid_payload_identical_to_serial(self):
-        def stripped(result):
-            return [
-                {
-                    key: value
-                    for key, value in cell.to_dict().items()
-                    if key not in ("seconds", "mean_seconds")
-                }
-                for cell in result.cells
-            ]
-
-        serial_service = AnalysisService()
-        parallel_service = AnalysisService()
-        spec = dict(
-            workloads=("smallbank", "auction", "auction(2)"),
-            task="subsets",
-            include_verdicts=True,
-        )
-        serial = serial_service.grid(GridSpec(**spec))
-        parallel = parallel_service.grid(GridSpec(**spec, cell_jobs=4))
-        assert stripped(serial) == stripped(parallel)
-        assert [c.workload for c in parallel.cells] == [c.workload for c in serial.cells]
-
-    def test_cell_jobs_validation(self):
-        with pytest.raises(ProgramError, match="cell_jobs"):
-            GridSpec(workloads=("auction",), cell_jobs=0)
+    """Grids run their cells serially; the old ``cell_jobs`` fan-out
+    field is an unknown field like any other."""
 
     def test_cell_jobs_through_the_request_layer(self):
         service = AnalysisService()
-        payload = service.handle(
-            "grid",
-            {
-                "workloads": ["auction"],
-                "settings": ["attr dep"],
-                "cell_jobs": 2,
-            },
-        )
-        assert payload["cells"][0]["workload"] == "Auction"
-
-    def test_experiment_runners_accept_cell_jobs(self):
-        from repro.experiments.figure6 import run_figure6
-        from repro.experiments.table2 import run_table2
-
-        service = AnalysisService()
-        table = run_table2(service=service, cell_jobs=4)
-        assert run_table2(service=service).rows == table.rows
-        figure = run_figure6(service, cell_jobs=4)
-        assert all(cell.matches_paper for cell in figure.cells)
+        with pytest.raises(ServiceError, match="unknown field") as excinfo:
+            service.handle(
+                "grid",
+                {
+                    "workloads": ["auction"],
+                    "settings": ["attr dep"],
+                    "cell_jobs": 2,
+                },
+            )
+        assert excinfo.value.envelope["error"]["exit_code"] == 2
 
 
 # ---------------------------------------------------------------------------

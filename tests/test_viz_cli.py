@@ -93,9 +93,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown workload" in err
 
-    @pytest.mark.parametrize("workload", ["auction(-1)", "auction(-3)", "auction(0)"])
+    @pytest.mark.parametrize(
+        "workload", ["auction(-1)", "auction(-3)", "auction(0)", "auction(100000000)"]
+    )
     def test_non_positive_auction_scale_exits_nonzero(self, capsys, workload):
-        # The sign must survive parsing: auction(-1) is not Auction(1).
+        # The sign must survive parsing: auction(-1) is not Auction(1).  A
+        # huge scale fails closed the same way instead of starting work.
         assert main(["analyze", workload]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
@@ -217,5 +220,8 @@ class TestAdviseCli:
         assert "MISMATCH" not in out
 
     def test_experiments_cell_jobs(self, capsys):
-        assert main(["experiments", "table2", "--cell-jobs", "4"]) == 0
-        assert "ok" in capsys.readouterr().out
+        # The grid fan-out flag is gone: argparse rejects it as unknown.
+        with pytest.raises(SystemExit) as info:
+            main(["experiments", "table2", "--cell-jobs", "4"])
+        assert info.value.code == 2
+        assert "--cell-jobs" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import Analyzer
 from repro.errors import ProgramError
 from repro.workloads import WORKLOADS, auction, auction_n, get_workload, smallbank, tpcc
+from repro.workloads.auction import MAX_AUCTION_ITEMS
 from repro.workloads.base import Workload
 
 
@@ -125,6 +126,10 @@ class TestAuctionN:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             auction_n(0)
+        # The cap is inclusive: one past it fails closed before any work.
+        assert len(auction_n(MAX_AUCTION_ITEMS).programs) == 2 * MAX_AUCTION_ITEMS
+        with pytest.raises(ValueError, match=f"n <= {MAX_AUCTION_ITEMS}"):
+            auction_n(MAX_AUCTION_ITEMS + 1)
 
 
 class TestRegistry:
