@@ -92,11 +92,13 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
         return planes.sweep(arena, names, names, use_fk)[0]
 
     # The sweep must carry exactly the reference's edges: one nc flag per
-    # nc edge, one cf flag per cf edge, block by block.
+    # nc edge, one cf flag per cf edge, block by block (the segment's cells
+    # are the pairs in names × names row-major order).
     expected = reference()
-    grouped = batch()
-    for pair, edges in expected.items():
-        flags = sum(nc + cf for _, _, nc, cf in grouped[pair])
+    segment = batch()
+    assert len(segment.offsets) == len(expected) + 1
+    for cell, (pair, edges) in enumerate(expected.items()):
+        flags = sum(nc + cf for _, _, nc, cf in segment.block(cell))
         assert flags == len(edges), (
             f"sweep carries {flags} edges for {pair}, reference emits {len(edges)}"
         )

@@ -9,9 +9,9 @@ cost and depend only on (program subset, ``max_loop_iterations``, settings).
 * each BTP is unfolded **once** per session, whatever subsets it appears in;
 * Algorithm 1 runs per *ordered pair* of programs: each pair's edge block
   is computed once and cached in a per-settings
-  :class:`~repro.summary.pairwise.EdgeBlockStore` as packed coordinates
-  plus per-block aggregates (exact, because Algorithm 1 looks only at the
-  two programs of a pair);
+  :class:`~repro.summary.pairwise.EdgeBlockStore` as a slice of a CSR
+  segment plus per-block aggregates (exact, because Algorithm 1 looks
+  only at the two programs of a pair);
 * reports are cached per (settings, subset).  Verdicts, witnesses and the
   Table 2 counts are read from the store's aggregate planes alone; no
   analysis assembles a summary graph.  :meth:`Analyzer.summary_graph`
@@ -51,7 +51,7 @@ from repro.detection.subsets import (
     enumerate_robust_subsets,
     maximal_subsets,
 )
-from repro.errors import ProgramError
+from repro.errors import ProgramError, ReproError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
 from repro.schema import Schema
@@ -61,6 +61,19 @@ from repro.summary.graph import SummaryEdge, SummaryGraph, SummaryStats
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
+
+
+def _settings(settings: AnalysisSettings | str) -> AnalysisSettings:
+    """``settings`` itself, or the settings a Figure 6/7 label names (every
+    public method taking settings coerces through here, directly or via
+    :meth:`Analyzer.edge_block_store`)."""
+    if not isinstance(settings, str):
+        return settings
+    try:
+        return AnalysisSettings.from_label(settings)
+    except ValueError as error:
+        raise ReproError(str(error)) from None
+
 
 #: On-disk session-cache format identifier (see :meth:`Analyzer.save_cache`).
 CACHE_FORMAT = "repro-analyzer-cache"
@@ -239,9 +252,10 @@ class Analyzer:
 
     # -- stage 2: summary-graph construction --------------------------------
     def edge_block_store(
-        self, settings: AnalysisSettings = AnalysisSettings()
+        self, settings: AnalysisSettings | str = AnalysisSettings()
     ) -> EdgeBlockStore:
         """The per-settings pairwise edge-block cache behind Algorithm 1."""
+        settings = _settings(settings)
         with self._lock:
             store = self._stores.get(settings)
             if store is None:
@@ -261,7 +275,7 @@ class Analyzer:
 
     def ensure_blocks(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> int:
         """Compute every missing edge block among the subset's LTPs (all
@@ -272,7 +286,7 @@ class Analyzer:
 
     def summary_stats(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> SummaryStats:
         """The Table 2 counts of the subset's summary graph, summed from the
@@ -284,7 +298,7 @@ class Analyzer:
 
     def summary_graph(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> SummaryGraph:
         """Algorithm 1's graph, assembled from cached pairwise edge blocks.
@@ -295,6 +309,7 @@ class Analyzer:
         reused as-is.  Analyses never call this; it serves graph requests
         and :attr:`RobustnessReport.graph`.
         """
+        settings = _settings(settings)
         with self._lock:
             names = self._subset_names(subset)
             key = (settings, frozenset(names))
@@ -330,12 +345,13 @@ class Analyzer:
     # -- stage 3: cycle detection -------------------------------------------
     def analyze(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         subset: Iterable[str] | None = None,
     ) -> RobustnessReport:
         """Both detection methods and the Table 2 counts, all read from the
         cached blocks' aggregate planes; the report's graph is built only
         when read."""
+        settings = _settings(settings)
         with self._lock:
             names = self._subset_names(subset)
             key = (settings, frozenset(names))
@@ -373,7 +389,7 @@ class Analyzer:
 
     def is_robust(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         subset: Iterable[str] | None = None,
         method: str = "type-II",
     ) -> bool:
@@ -387,7 +403,7 @@ class Analyzer:
     # -- subset enumeration -------------------------------------------------
     def robust_subsets(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         method: str = "type-II",
     ) -> dict[frozenset[str], bool]:
         """Robustness verdict for every non-empty subset of the programs.
@@ -410,7 +426,7 @@ class Analyzer:
 
     def maximal_robust_subsets(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         method: str = "type-II",
     ) -> tuple[frozenset[str], ...]:
         """The maximal robust subsets, largest first (as in Figures 6/7)."""
@@ -513,8 +529,8 @@ class Analyzer:
 
         Unfoldings, summary graphs and reports are copied by reference
         (they are immutable), and every cached pairwise edge block's
-        coordinate tuple is shared into fresh per-settings stores via
-        :meth:`EdgeBlockStore.seed_from` (the aggregate planes are shared
+        CSR segment is shared into fresh per-settings stores via
+        :meth:`EdgeBlockStore.seed_from` (the block planes are shared
         copy-on-write) — so the fork's
         :meth:`cache_info` counts them under ``blocks_loaded`` and only
         blocks invalidated by *its own* edits show up as computations.
@@ -542,7 +558,7 @@ class Analyzer:
     # -- repair advice ------------------------------------------------------
     def advise(
         self,
-        settings: AnalysisSettings = AnalysisSettings(),
+        settings: AnalysisSettings | str = AnalysisSettings(),
         *,
         method: str = "type-II",
         max_edits: int = 3,
@@ -560,6 +576,7 @@ class Analyzer:
         """
         from repro.repair.advisor import RepairAdvisor  # deferred: import cycle
 
+        settings = _settings(settings)
         return RepairAdvisor(
             self,
             settings,
@@ -689,12 +706,14 @@ class Analyzer:
                     self.schema, AnalysisSettings.from_label(entry["settings"])
                 )
                 staging.register(all_ltps)
-                for block in entry["blocks"]:
-                    staging.load_block(
-                        block["source"],
-                        block["target"],
-                        (SummaryEdge.from_dict(item) for item in block["edges"]),
-                    )
+                staging.load_blocks(
+                    {
+                        (block["source"], block["target"]): [
+                            SummaryEdge.from_dict(item) for item in block["edges"]
+                        ]
+                        for block in entry["blocks"]
+                    }
+                )
                 staged.append(staging)
             self._ltps_by_program.update(unfolded)
             for staging in staged:

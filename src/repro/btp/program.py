@@ -9,7 +9,7 @@ foreign-key annotations of the form ``q_target = f(q_source)`` unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.btp.statement import Statement, StatementType
 from repro.errors import ProgramError
@@ -286,8 +286,3 @@ def _widen_node(node: ProgramNode, schema: Schema) -> ProgramNode:
     if isinstance(node, Loop):
         return Loop(_widen_node(node.body, schema))
     raise ProgramError(f"unknown node type {type(node).__name__}")
-
-
-def program_sequence(statements: Sequence[Statement]) -> ProgramNode:
-    """Convenience: build a linear program node from a statement sequence."""
-    return seq(*statements)

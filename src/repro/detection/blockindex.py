@@ -10,7 +10,7 @@ API and :mod:`repro.repair` run it.  Verdicts read only the five
 aggregate planes of an :class:`~repro.summary.pairwise.EdgeBlockStore`:
 N×N arrays over the LTPs of the analysed set (``NC``, ``CF``, ``TRIG``,
 ``MAXT``, ``MINCF``).  Witnesses also read the edges of the few blocks
-they pass through, built from the blocks' packed coordinates on demand.
+they pass through, sliced out of the store's CSR segments on demand.
 
 The Theorem 6.4 condition depends only on per-block facts, so it reduces
 exactly to boolean products.  With ``R`` the reflexive transitive closure

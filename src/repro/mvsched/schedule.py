@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import ScheduleError
 from repro.mvsched.operations import OpKind, Operation
@@ -82,14 +82,6 @@ class Schedule:
     def writes_on(self, tuple_id: TupleId) -> tuple[Operation, ...]:
         """All write operations on a tuple, in schedule order."""
         return tuple(op for op in self.order if op.is_write and op.tuple == tuple_id)
-
-    def observed_version(self, op: Operation, tuple_id: TupleId) -> Version:
-        """The version of ``tuple_id`` observed by a read or predicate read."""
-        if op.is_read:
-            return self.read_version[op]
-        if op.is_pred_read:
-            return self.vset[op][tuple_id]
-        raise ScheduleError(f"{op} observes no versions")
 
     # -- validity (Section 3.3) ------------------------------------------------
     def validate(self) -> None:
@@ -233,11 +225,3 @@ class Schedule:
 
     def __str__(self) -> str:
         return " ".join(str(op) for op in self.order)
-
-
-def serial_order(transactions: Sequence[Transaction]) -> tuple[Operation, ...]:
-    """The operation order of the serial schedule running transactions in turn."""
-    order: list[Operation] = []
-    for transaction in transactions:
-        order.extend(transaction.operations)
-    return tuple(order)

@@ -30,6 +30,7 @@ from repro.service.grid import TASKS, GridCell, GridResult, GridSpec, run_grid
 from repro.service.http import ServiceHTTPServer, make_server, run_server, serve
 from repro.service.requests import (
     MAX_BATCH_ITEMS,
+    MAX_GRID_REPETITIONS,
     MAX_WATCH_STEPS,
     REQUEST_KINDS,
     AdviseRequest,
@@ -53,6 +54,7 @@ __all__ = [
     "GridRequest",
     "BatchRequest",
     "MAX_BATCH_ITEMS",
+    "MAX_GRID_REPETITIONS",
     "MAX_WATCH_STEPS",
     "ServiceError",
     "REQUEST_KINDS",

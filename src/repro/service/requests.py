@@ -321,12 +321,19 @@ class AdviseRequest:
         return self.execute(service).to_dict()
 
 
+#: Hard cap on a grid request's ``repetitions`` (each reruns every cell);
+#: :class:`~repro.service.grid.GridSpec` itself is uncapped.
+MAX_GRID_REPETITIONS = 100
+
+
 @dataclass(frozen=True)
 class GridRequest:
     """``POST /v1/grid``: a declarative workload × settings sweep.
 
     The JSON face of :class:`~repro.service.grid.GridSpec` — workloads are
     source strings, settings are Figure 6/7 labels (all four when omitted).
+    Requests are capped at :data:`MAX_GRID_REPETITIONS` repetitions and
+    :data:`MAX_BATCH_ITEMS` workloads.
     """
 
     workloads: tuple[str, ...]
@@ -354,12 +361,19 @@ class GridRequest:
                 f"{cls.kind} request: missing required field 'workloads' "
                 "(a non-empty list of workload sources)"
             )
+        repetitions = _int(data, "repetitions", cls.kind, 1)
+        if len(workloads) > MAX_BATCH_ITEMS or repetitions > MAX_GRID_REPETITIONS:
+            raise ServiceError(
+                f"{cls.kind} request: at most {MAX_BATCH_ITEMS} workloads and "
+                f"{MAX_GRID_REPETITIONS} repetitions, got {len(workloads)} and "
+                f"{repetitions}"
+            )
         return cls(
             workloads=workloads,
             settings=_name_list(data, "settings", cls.kind),
             task=_string(data, "task", cls.kind) or "analyze",
             method=_method(data, cls.kind),
-            repetitions=_int(data, "repetitions", cls.kind, 1),
+            repetitions=repetitions,
             warm=_bool(data, "warm", cls.kind, True),
             include_verdicts=_bool(data, "include_verdicts", cls.kind, False),
         )

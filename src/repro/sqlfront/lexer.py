@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import SqlError
 
@@ -135,8 +134,3 @@ def tokenize(text: str) -> list[Token]:
             raise SqlError(f"unexpected character {char!r}", start_line, start_column)
     tokens.append(Token(TokenKind.EOF, "", line, column))
     return tokens
-
-
-def token_stream(text: str) -> Iterator[Token]:
-    """Convenience iterator over :func:`tokenize`."""
-    return iter(tokenize(text))

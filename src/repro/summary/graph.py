@@ -231,28 +231,6 @@ class SummaryGraph:
         """All edges from one program to another (indexed, O(1) per call)."""
         return self._edges_by_pair.get((source, target), ())
 
-    def restricted_to(self, names: Iterable[str]) -> "SummaryGraph":
-        """The induced subgraph over the given LTP node names.
-
-        Algorithm 1 adds edges per ordered *pair* of programs, looking only
-        at the two programs involved, so ``SuG(𝒫')`` for ``𝒫' ⊆ 𝒫`` equals
-        ``SuG(𝒫)`` restricted to the nodes of ``𝒫'`` — the observation that
-        lets a cached full graph answer every subset query without
-        re-running Algorithm 1.
-        """
-        keep = set(names)
-        unknown = keep - set(self._programs)
-        if unknown:
-            raise ProgramError(f"unknown programs in restriction: {sorted(unknown)!r}")
-        return SummaryGraph(
-            (program for name, program in self._programs.items() if name in keep),
-            (
-                edge
-                for edge in self._edges
-                if edge.source in keep and edge.target in keep
-            ),
-        )
-
     def source_statement(self, edge: SummaryEdge) -> Statement:
         """The statement object at an edge's source occurrence."""
         return self.program(edge.source).statement_at(edge.source_pos)

@@ -23,20 +23,22 @@ The hot path runs on a **plane-packed batch kernel**
   :class:`~repro.summary.planes.PlaneArena`; missing blocks are grouped
   into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
   evaluated for whole occurrence-pair batches at once — one in-place
-  numpy kernel, whatever the mask width, whose AND/compare passes over
-  the planes emit per-block packed coordinates instead of per-pair edge
+  numpy kernel, whatever the mask width — whose hits are folded, with
+  numpy only, into one CSR segment per sweep instead of per-pair edge
   tuples.
 
-The store keeps each cached block in one form only: its immutable tuple
-of packed coordinates, in its source program's row.  Forks share the
-tuples by reference.  :class:`~repro.summary.graph.SummaryEdge` tuples are
-built from the coordinates on every read and never cached; only witness
-blocks, assembled graphs and :meth:`EdgeBlockStore.blocks` read them.
-The per-block edge counts and the facts Algorithm 2 reads live in the
-store's :class:`_AggregatePlanes` (N×N arrays over LTP slots).  They are
-folded once per block, by :func:`~repro.summary.planes.group_coords`,
-whether the block was swept or loaded, and written with one plane write
-per sweep or load; a fork copies them instead of folding again.
+The store keeps each cached block in one form only: a slice of the
+immutable CSR :class:`~repro.summary.planes.Segment` of the sweep (or
+load) that computed it.  Seven N×N ``int32`` planes over LTP slots
+(see :data:`SEG`) hold, per ordered pair, the block's edge counts and
+the facts Algorithm 2 reads, plus ``SEG`` and ``AT``: which segment
+holds the block (−1: none) and at which cell.  One sweep or load is one
+segment and one plane write; presence, missing-pair scans and eviction
+are plane reads and writes, and a fork shares the segments by reference
+and the planes copy-on-write.
+:class:`~repro.summary.graph.SummaryEdge` tuples are built from a block's
+slice on every read and never cached; only witness blocks, assembled
+graphs and :meth:`EdgeBlockStore.blocks` read them.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
 executable specification; the plane sweep is property-tested against it
@@ -52,14 +54,14 @@ The block structure is what enables
   cached;
 * **persistence** — blocks serialize as plain edge lists with
   :meth:`repro.summary.graph.SummaryEdge.to_dict` and are seeded back via
-  :meth:`EdgeBlockStore.load_block`, which checks them against the
-  registered LTPs and packs them into coordinates (the substrate of
+  :meth:`EdgeBlockStore.load_blocks`, which checks them against the
+  registered LTPs and folds a batch into one segment (the substrate of
   :meth:`repro.analysis.Analyzer.save_cache`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,12 +104,10 @@ OccurrenceRow = tuple[str, int, int, int, int, int, int, int]
 
 class ProgramProfile(NamedTuple):
     """One LTP compiled for the kernel: flat and immutable; ``occurrences``
-    preserves program order, and ``triggers`` flags the occurrences that
-    are R- or PR-operations."""
+    preserves program order."""
 
     name: str
     occurrences: tuple[OccurrenceRow, ...]
-    triggers: tuple[bool, ...]
 
 
 def compile_profile(
@@ -137,11 +137,7 @@ def compile_profile(
                 interner.fk_mask(protecting_fks(program, occurrence.position)),
             )
         )
-    return ProgramProfile(
-        program.name,
-        tuple(rows),
-        tuple(row[3] in planes.TRIGGER_TYPE_IDS for row in rows),
-    )
+    return ProgramProfile(program.name, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -240,45 +236,17 @@ def pair_edges(
     return store.block(program_i.name, program_j.name)
 
 
-#: One packed block: ``(source occurrence, target occurrence,
-#: non-counterflow?, counterflow?)`` per interfering occurrence pair.
-Coords = tuple[tuple[int, int, bool, bool], ...]
+#: Planes of a store's ``(7, N, N)`` ``int32`` stack over LTP slots: the
+#: five :func:`~repro.summary.planes.fold` aggregates of each slot pair's
+#: block (``NC`` / ``CF``: its non-counterflow / counterflow edge counts;
+#: ``TRIG``: some edge leaves an R- or PR-operation; ``MAXT``: largest
+#: target position; ``MINCF``: smallest counterflow source position),
+#: then ``SEG`` (the CSR segment holding the block, −1 for none) and
+#: ``AT`` (its cell in that segment).
+SEG, AT = 5, 6
 
-
-class _AggregatePlanes:
-    """The per-block facts of every cached block, as five N×N planes
-    indexed by LTP slot (one :func:`~repro.summary.planes.group_coords`
-    aggregate per cell): ``NC`` / ``CF`` (the block's non-counterflow /
-    counterflow edge counts), ``TRIG`` (some edge leaves an R- or
-    PR-operation), ``MAXT`` (largest target position) and ``MINCF``
-    (smallest counterflow source position).  :mod:`repro.detection.blockindex` runs Algorithm 2 as
-    boolean matrix algebra over them (as flags), and
-    :meth:`EdgeBlockStore.stats` sums the counts into the Table 2
-    columns.  The planes share one ``int32`` array, so a batch write or a
-    gather is one numpy call for all five.
-    """
-
-    __slots__ = ("cells",)
-
-    #: Cell value of a slot pair without a block (an empty aggregate).
-    EMPTY = (0, 0, 0, -1, planes.NO_CF)
-
-    def __init__(self, capacity: int, old: "_AggregatePlanes | None" = None):
-        self.cells = np.empty((5, capacity, capacity), dtype=np.int32)
-        self.cells[:] = np.array(self.EMPTY, dtype=np.int32)[:, None, None]
-        if old is not None:
-            size = min(old.capacity, capacity)
-            self.cells[:, :size, :size] = old.cells[:, :size, :size]
-
-    @property
-    def capacity(self) -> int:
-        return self.cells.shape[1]
-
-    def write_grid(self, sources: list[int], targets: list[int], columns) -> None:
-        """Set the ``sources × targets`` cells from five row-major lists."""
-        rows = np.array(sources, dtype=np.intp)[:, None]
-        values = np.array(columns, dtype=np.int32)
-        self.cells[:, rows, targets] = values.reshape(5, len(sources), len(targets))
+#: The stack's value at a slot pair without a block.
+_EMPTY = np.array((0, 0, 0, -1, planes.NO_CF, -1, 0), dtype=np.int32)[:, None, None]
 
 
 class EdgeBlockStore:
@@ -292,15 +260,23 @@ class EdgeBlockStore:
     involved blocks), and :meth:`load_block` seeds blocks from persisted
     edge lists without recomputation.
 
-    Each cached block is one immutable coordinate tuple in a per-program
-    row (``rows[source][target]``).  Missing blocks are computed by the
-    **batch plane kernel** (:mod:`repro.summary.planes`): the store packs
-    registered profiles into a :class:`~repro.summary.planes.PlaneArena`,
-    groups missing pairs into cross-product sweeps, and keeps the results
-    as packed coordinates; a read builds the block's
-    :class:`~repro.summary.graph.SummaryEdge` tuples from them, in
-    deterministic pair order.  Stores are not thread-safe; the coordinate
-    tuples they share with forks are immutable.
+    Blocks live in immutable CSR segments
+    (:class:`~repro.summary.planes.Segment`), one per sweep or load
+    batch.  A stack of N×N planes over LTP slots holds every block's
+    aggregates — :mod:`repro.detection.blockindex` runs Algorithm 2 as
+    boolean matrix algebra over them, :meth:`stats` sums their counts
+    into the Table 2 columns — and where it is: the slot pair's
+    :data:`SEG` cell names its segment (−1: no block) and :data:`AT` its
+    cell there.  Presence is a plane read: the missing pairs among some
+    names are one mask over their slots, which the **batch plane kernel**
+    (:mod:`repro.summary.planes`) groups into cross-product sweeps over
+    the store's :class:`~repro.summary.planes.PlaneArena`.  A read slices
+    the block out of its segment and builds its
+    :class:`~repro.summary.graph.SummaryEdge` tuples, in deterministic
+    pair order.  :meth:`discard` writes −1 into the freed slot's row and
+    column and drops every segment no cell names any more.  Forks share
+    the segments by reference and the planes copy-on-write; nothing is
+    copied per pair.  Stores are not thread-safe.
     """
 
     def __init__(
@@ -313,13 +289,15 @@ class EdgeBlockStore:
         self._arena: planes.PlaneArena | None = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
-        #: One row per registered LTP: target name → packed coordinates.
-        self._rows: dict[str, dict[str, Coords]] = {}
-        #: Aggregate-plane slot per registered LTP, and the slots that
+        #: CSR segments by id (the ``SEG`` plane's values), and the next id.
+        self._segments: dict[int, planes.Segment] = {}
+        self._next_segment = 0
+        #: Plane slot per registered LTP, and the slots that
         #: :meth:`discard` freed for reuse.
         self._slots: dict[str, int] = {}
         self._free_slots: list[int] = []
-        self._planes: _AggregatePlanes | None = None
+        #: The plane stack (see :data:`SEG`), covering every allocated slot.
+        self._planes = np.empty((7, 0, 0), dtype=np.int32)
         #: True while ``_planes`` may be shared with a :meth:`seed_from`
         #: parent or fork: the next write copies first.
         self._planes_shared = False
@@ -342,7 +320,6 @@ class EdgeBlockStore:
                 self._profiles[ltp.name] = compile_profile(
                     ltp, self.schema, self.settings
                 )
-                self._rows[ltp.name] = {}
                 self._take_slot(ltp.name)
             elif known is not ltp and known != ltp:
                 raise ProgramError(
@@ -352,22 +329,23 @@ class EdgeBlockStore:
 
     def discard(self, names: Iterable[str]) -> None:
         """Drop programs and every cached block they participate in: the
-        program's own row and its entry in every other row (``≤ 2n − 1``
-        blocks each), never the whole cache."""
+        program's own row and column of ``SEG`` (``≤ 2n − 1`` blocks
+        each), never the whole cache."""
+        freed = []
         for name in names:
             if name not in self._ltps:
                 continue
             del self._ltps[name]
             del self._profiles[name]
-            # Only the slot is freed: a reused slot's row and column are
-            # rewritten by ensure_blocks (every pair of a newly registered
-            # program is missing) before any detector reads them.
-            self._free_slots.append(self._slots.pop(name))
+            freed.append(self._slots.pop(name))
             if self._arena is not None:
                 self._arena.remove(name)
-            del self._rows[name]
-            for row in self._rows.values():
-                row.pop(name, None)
+        self._free_slots.extend(freed)
+        if freed:
+            seg = self._writable_planes()[SEG]
+            for slot in freed:
+                seg[slot] = seg[:, slot] = -1
+            self._drop_dead_segments()
 
     @property
     def ltp_names(self) -> tuple[str, ...]:
@@ -383,28 +361,37 @@ class EdgeBlockStore:
     def __contains__(self, name: str) -> bool:
         return name in self._ltps
 
-    def _require(self, names: Iterable[str]) -> None:
-        for name in names:
-            if name not in self._ltps:
-                raise ProgramError(f"edge-block store: unknown program {name!r}")
+    def _index(self, names: Iterable[str]) -> np.ndarray:
+        """The plane slots of registered ``names``, in order."""
+        try:
+            return np.array([self._slots[name] for name in names], dtype=np.intp)
+        except KeyError as error:
+            raise ProgramError(
+                f"edge-block store: unknown program {error.args[0]!r}"
+            ) from None
 
     # -- blocks -------------------------------------------------------------
-    def _put(self, source: str, target: str, coords: Coords, *, loaded: bool) -> None:
-        """Install one block.  A new pair counts under ``loaded`` or
-        ``computed``; recomputing a present pair counts under ``computed``;
-        loading or seeding over a present pair counts nothing."""
-        row = self._rows[source]
-        if target not in row:
-            if loaded:
-                self._loaded += 1
-            else:
-                self._computed += 1
-        elif not loaded:
-            self._computed += 1
-        row[target] = coords
+    def _install(self, rows, cols, cells, segment: planes.Segment, aggregates):
+        """Keep one segment and point the slot pairs ``(rows, cols)``
+        (broadcast together) at its ``cells``, with their aggregates."""
+        segment_id = self._next_segment
+        self._next_segment += 1
+        self._segments[segment_id] = segment
+        self._writable_planes()[:, rows, cols] = np.concatenate(
+            (aggregates[:, cells], np.full((1, *cells.shape), segment_id), cells[None])
+        )
 
-    def _edges(self, source: str, target: str, coords: Coords) -> tuple[SummaryEdge, ...]:
-        """One block's edge tuples, built from its packed coordinates.
+    def _drop_dead_segments(self) -> None:
+        """Forget the segments no ``SEG`` cell names any more."""
+        slots = len(self._slots) + len(self._free_slots)
+        seg = self._planes[SEG, :slots, :slots].ravel()
+        named = np.bincount(seg + 1, minlength=self._next_segment + 1)[1:]
+        self._segments = {i: kept for i, kept in self._segments.items() if named[i]}
+
+    def _edges(
+        self, source: str, target: str, segment_id: int, cell: int
+    ) -> tuple[SummaryEdge, ...]:
+        """One block's edge tuples, built from its CSR slice.
 
         Coordinates are ``(source occurrence, target occurrence)`` indexes
         in program order, so emitting the non-counterflow edge before the
@@ -416,7 +403,7 @@ class EdgeBlockStore:
         edges: list[SummaryEdge] = []
         append = edges.append
         edge = SummaryEdge
-        for s, t, nc, cf in coords:
+        for s, t, nc, cf in self._segments[segment_id].block(cell):
             source_stmt, source_pos = occurrences_i[s][0], occurrences_i[s][1]
             target_stmt, target_pos = occurrences_j[t][0], occurrences_j[t][1]
             if nc:
@@ -429,66 +416,94 @@ class EdgeBlockStore:
 
     def block(self, source: str, target: str) -> tuple[SummaryEdge, ...]:
         """The edge block of one ordered pair, from cache or computed now."""
-        self._require((source, target))
-        cached = self._rows[source].get(target)
-        if cached is not None:
+        row, col = self._index((source, target)).tolist()
+        if self._planes[SEG, row, col] >= 0:
             self._hits += 1
-            return self._edges(source, target, cached)
-        self._sweep([(source, target)])
-        return self._edges(source, target, self._rows[source][target])
+        else:
+            self._sweep((source,), (target,), np.ones((1, 1), dtype=bool))
+        return self._edges(source, target, *self._planes[SEG:, row, col].tolist())
 
     def load_block(
         self, source: str, target: str, edges: Iterable[SummaryEdge]
     ) -> None:
-        """Seed one block from persisted edges (no recomputation), packed
-        into coordinates once.
+        """Seed one block from persisted edges (no recomputation), as a
+        one-pair segment (see :meth:`load_blocks`)."""
+        self.load_blocks({(source, target): edges})
+
+    def load_blocks(
+        self, blocks: Mapping[tuple[str, str], Iterable[SummaryEdge]]
+    ) -> None:
+        """Seed blocks from persisted edges (no recomputation), folded like
+        one sweep into one segment over the batch's sources × targets.
 
         Raises :class:`ProgramError` for an edge of another pair, or whose
-        positions or statement names do not match the registered LTPs.
+        positions or statement names do not match the registered LTPs; a
+        rejected batch installs nothing.
         """
-        self._require((source, target))
-        profile_i = self._profiles[source]
-        names_i = [row[0] for row in profile_i.occurrences]
-        names_j = [row[0] for row in self._profiles[target].occurrences]
-        flags: dict[tuple[int, int], list[bool]] = {}
-        for edge in edges:
-            s, t = edge.source_pos, edge.target_pos
-            if not (
-                (edge.source, edge.target) == (source, target)
-                and 0 <= s < len(names_i) and names_i[s] == edge.source_stmt
-                and 0 <= t < len(names_j) and names_j[t] == edge.target_stmt
-            ):
-                raise ProgramError(
-                    f"edge-block store: persisted edge {edge} does not match "
-                    f"the registered programs of block ({source!r}, {target!r})"
-                )
-            flags.setdefault((s, t), [False, False])[edge.counterflow] = True
-        coords = [(s, t, nc, cf) for (s, t), (nc, cf) in sorted(flags.items())]
-        # Fold the block as a one-pair sweep, so loads and sweeps share
-        # one aggregate fold.
-        blocks, columns = planes.group_coords(
-            coords,
-            [(source, 0, len(names_i))],
-            [(target, 0, len(names_j))],
-            profile_i.triggers,
+        if not blocks:
+            return
+        sources = list(dict.fromkeys(source for source, _ in blocks))
+        targets = list(dict.fromkeys(target for _, target in blocks))
+        self._index((*sources, *targets))  # rejects unknown programs
+
+        def layout(names):
+            """Occurrence counts, and each program's ordinal and first row."""
+            counts = [len(self._profiles[name].occurrences) for name in names]
+            firsts = np.cumsum([0, *counts]).tolist()
+            return counts, {name: (i, firsts[i]) for i, name in enumerate(names)}
+
+        (src_counts, src_at), (dst_counts, dst_at) = layout(sources), layout(targets)
+        rows, cols, cells, coords = [], [], [], []
+        for (source, target), edges in blocks.items():
+            names_i = [row[0] for row in self._profiles[source].occurrences]
+            names_j = [row[0] for row in self._profiles[target].occurrences]
+            flags: dict[tuple[int, int], list[bool]] = {}
+            for edge in edges:
+                s, t = edge.source_pos, edge.target_pos
+                if not (
+                    (edge.source, edge.target) == (source, target)
+                    and 0 <= s < len(names_i) and names_i[s] == edge.source_stmt
+                    and 0 <= t < len(names_j) and names_j[t] == edge.target_stmt
+                ):
+                    raise ProgramError(
+                        f"edge-block store: persisted edge {edge} does not match "
+                        f"the registered programs of block ({source!r}, {target!r})"
+                    )
+                flags.setdefault((s, t), [False, False])[edge.counterflow] = True
+            (i, first_s), (j, first_t) = src_at[source], dst_at[target]
+            rows.append(self._slots[source])
+            cols.append(self._slots[target])
+            cells.append(i * len(targets) + j)
+            coords.extend(
+                (first_s + s, first_t + t, nc, cf)
+                for (s, t), (nc, cf) in sorted(flags.items())
+            )
+        s, t, nc, cf = np.array(coords, dtype=np.intp).reshape(-1, 4).T
+        types = [row[3] for name in sources for row in self._profiles[name].occurrences]
+        segment, aggregates = planes.fold(
+            s, t, nc.astype(bool), cf.astype(bool), src_counts, dst_counts,
+            planes.IS_TRIGGER[types],
         )
-        self._put(source, target, blocks[(source, target)], loaded=True)
-        self._writable_planes().write_grid(
-            [self._slots[source]], [self._slots[target]], columns
-        )
+        present = self._planes[SEG, rows, cols] >= 0
+        self._install(rows, cols, np.array(cells), segment, aggregates)
+        self._loaded += int(np.count_nonzero(~present))
+        if present.any():
+            self._drop_dead_segments()
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
 
         The in-process counterpart of :meth:`load_block`: programs carry
         their already-compiled kernel profiles over (no recompilation),
-        and every block's coordinate tuple is shared by reference and
-        counted under ``loaded``.  A fresh store also shares the
-        other's aggregate planes copy-on-write; a non-empty one copies the
-        adopted blocks' cells by slot.  Both stores must describe
-        the same schema and settings — this is what
-        :meth:`repro.analysis.Analyzer.fork` builds a candidate-verifying
-        session from without paying per-block install overhead.
+        the adopted blocks count under ``loaded``, and segments are shared
+        by reference.  A fresh store takes the other's slots, a copy of
+        its segment table and of its plane arena, and shares its planes
+        copy-on-write — nothing is copied per pair, and a fork's first
+        sweep packs only the programs it edited.  A non-empty store
+        appends the other's segments under new ids and copies the
+        adopted cells by slot.  Both stores must describe the same schema
+        and settings — this is what :meth:`repro.analysis.Analyzer.fork`
+        builds a candidate-verifying session from.
         """
         if other.schema is not self.schema or other.settings != self.settings:
             raise ProgramError(
@@ -502,32 +517,37 @@ class EdgeBlockStore:
                     f"edge-block store already holds a different program named "
                     f"{name!r}; discard it before seeding"
                 )
-        share_planes = not self._ltps
+        fresh = not self._ltps
         self._ltps.update(other._ltps)
         self._profiles.update(other._profiles)
-        for source, row in other._rows.items():
-            self._rows.setdefault(source, {})
-            for target, coords in row.items():
-                self._put(source, target, coords, loaded=True)
-        if share_planes:
-            # A fresh store takes the other's slots and shares its planes
-            # copy-on-write: forks copy nothing until they write.
+        if fresh:
             self._slots = dict(other._slots)
             self._free_slots = list(other._free_slots)
+            self._segments = dict(other._segments)
+            self._next_segment = other._next_segment
+            self._arena = other._arena.copy() if other._arena else None
             self._planes = other._planes
             self._planes_shared = other._planes_shared = True
-        else:
-            for name in other._ltps:
-                if name not in self._slots:
-                    self._take_slot(name)
-            pairs = [(s, t) for s, row in other._rows.items() for t in row]
-            if pairs:
-                mine, theirs = self._slots, other._slots
-                self._writable_planes().cells[
-                    :, [mine[s] for s, _ in pairs], [mine[t] for _, t in pairs]
-                ] = other._planes.cells[
-                    :, [theirs[s] for s, _ in pairs], [theirs[t] for _, t in pairs]
-                ]
+            self._loaded += int(np.count_nonzero(other._planes[SEG] >= 0))
+            return
+        offset = self._next_segment
+        self._segments.update((i + offset, seg) for i, seg in other._segments.items())
+        self._next_segment += other._next_segment
+        for name in other._ltps:
+            if name not in self._slots:
+                self._take_slot(name)
+        names = other.ltp_names
+        theirs, mine = other._index(names), self._index(names)
+        adopted = other._planes[:, theirs[:, None], theirs]
+        present = adopted[SEG] >= 0
+        adopted[SEG] += offset
+        stack = self._writable_planes()
+        current = stack[:, mine[:, None], mine]
+        held = current[SEG] >= 0
+        stack[:, mine[:, None], mine] = np.where(present, adopted, current)
+        self._loaded += int(np.count_nonzero(present & ~held))
+        if np.any(present & held):
+            self._drop_dead_segments()
 
     def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when
@@ -535,34 +555,25 @@ class EdgeBlockStore:
         blocks computed."""
         if names is None:
             names = self.ltp_names
-        rows = self._rows
-        missing = []
-        for source in names:
-            row = rows.get(source, {})
-            missing.extend((source, target) for target in names if target not in row)
-        if not missing:
-            return 0
-        self._require(names)
-        self._sweep(missing)
-        return len(missing)
+        index = self._index(names)
+        missing = self._planes[SEG][index[:, None], index] < 0
+        count = int(np.count_nonzero(missing))
+        if count:
+            self._sweep(names, names, missing)
+        return count
 
     # -- batch kernel plumbing ---------------------------------------------
-    def _required_words(self) -> int:
-        """Mask-slot width the current intern table needs (attr and FK
-        masks share the wider of the two requirements)."""
-        interner = self.schema.interner
-        return max(
-            planes.words_for_bits(interner.attr_bit_count),
-            planes.words_for_bits(interner.fk_bit_count),
-        )
-
     def _arena_for(self, names: Iterable[str]) -> planes.PlaneArena:
         """The store's plane arena with ``names`` packed, (re)built wider
         when lazy interning has outgrown the mask slots.
 
         Already-packed programs keep their rows — an incremental
         ``replace_program`` repacks only the edited program's rows."""
-        words = self._required_words()
+        # Attribute and FK masks share the wider of the two slot widths.
+        interner = self.schema.interner
+        words = planes.words_for_bits(
+            max(interner.attr_bit_count, interner.fk_bit_count)
+        )
         arena = self._arena
         if arena is None or arena.words < words:
             arena = self._arena = planes.PlaneArena(words)
@@ -571,63 +582,65 @@ class EdgeBlockStore:
                 arena.add(self._profiles[name])
         return arena
 
-    def _sweep(self, missing: Sequence[tuple[str, str]]) -> None:
-        """Batch-compute the missing pairs: plan sweeps, run them, install
-        packed blocks and write their aggregates, one plane write per
-        sweep."""
+    def _sweep(
+        self, sources: Sequence[str], targets: Sequence[str], missing: np.ndarray
+    ) -> None:
+        """Batch-compute the ``missing`` pairs of ``sources × targets``:
+        plan sweeps, run them, and install each sweep's segment with one
+        plane write."""
         check_deadline("block construction")
-        involved = {name for pair in missing for name in pair}
         with span("pack"):
-            arena = self._arena_for(involved)
+            arena = self._arena_for({*sources, *targets})
         use_fk = self.settings.use_foreign_keys
         plans = planes.plan_sweeps(missing)
         swept = []
         with span("sweep"):
-            for plan in plans:
+            for rows, cols in plans:
                 check_deadline("block construction")
-                swept.append(planes.sweep(arena, plan.sources, plan.targets, use_fk))
-        obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
-        for plan, (blocks, columns) in zip(plans, swept):
-            for pair, coords in blocks.items():
-                self._put(*pair, coords, loaded=False)
-            slots = self._slots
-            self._writable_planes().write_grid(
-                [slots[name] for name in plan.sources],
-                [slots[name] for name in plan.targets],
-                columns,
+                names = [sources[i] for i in rows], [targets[j] for j in cols]
+                swept.append(planes.sweep(arena, *names, use_fk))
+        count = int(np.count_nonzero(missing))
+        obs_log.debug("sweep.batch", pairs=count, sweeps=len(plans))
+        source_slots, target_slots = self._index(sources), self._index(targets)
+        for (rows, cols), (segment, aggregates) in zip(plans, swept):
+            cells = np.arange(len(rows) * len(cols)).reshape(len(rows), -1)
+            self._install(
+                source_slots[rows, None], target_slots[cols], cells, segment, aggregates
             )
+        self._computed += count
 
     # -- aggregate planes ---------------------------------------------------
     def _take_slot(self, name: str) -> None:
         free = self._free_slots
         self._slots[name] = free.pop() if free else len(self._slots)
+        self._writable_planes()  # the stack covers every allocated slot
 
-    def _writable_planes(self) -> _AggregatePlanes:
-        """The planes, grown to every allocated slot and no longer shared
-        with a fork."""
+    def _writable_planes(self) -> np.ndarray:
+        """The plane stack, grown to every allocated slot and no longer
+        shared with a fork."""
         needed = len(self._slots) + len(self._free_slots)
         current = self._planes
-        if current is None or current.capacity < needed:
-            capacity = max(needed, 2 * current.capacity if current else 8)
-            self._planes = _AggregatePlanes(capacity, current)
+        size = len(current[0])
+        if size < needed:
+            capacity = max(needed, 2 * size or 8)
+            self._planes = np.empty((7, capacity, capacity), dtype=np.int32)
+            self._planes[:] = _EMPTY
+            self._planes[:, :size, :size] = current
         elif self._planes_shared:
-            self._planes = _AggregatePlanes(current.capacity, current)
+            self._planes = current.copy()
         self._planes_shared = False
         return self._planes
 
     def _cells(self, names: Sequence[str]) -> np.ndarray:
-        """The five planes restricted to ``names × names`` in ``names``
-        order, computing missing blocks first."""
+        """The five aggregate planes restricted to ``names × names`` in
+        ``names`` order, computing missing blocks first."""
         self.ensure_blocks(names)
-        # No planes yet means nothing was written, so names is empty.
-        planes_ = self._planes or _AggregatePlanes(0)
-        index = np.array([self._slots[name] for name in names], dtype=np.intp)
-        return planes_.cells[:, index[:, None], index]
+        index = self._index(names)
+        return self._planes[:SEG, index[:, None], index]
 
     def aggregate_planes(self, names: Sequence[str]) -> tuple[np.ndarray, ...]:
         """``(nc, cf, trigger, max_target, min_cf_source)`` over ``names ×
-        names``, the first three as boolean flags (see
-        :class:`_AggregatePlanes`)."""
+        names``, the first three as boolean flags (see :data:`SEG`)."""
         cells = self._cells(names)
         nc, cf, trigger = cells[:3] != 0
         return nc, cf, trigger, cells[3], cells[4]
@@ -653,26 +666,30 @@ class EdgeBlockStore:
             if len(set(names)) != len(names):
                 raise ProgramError(f"duplicate LTP names: {names!r}")
         freshly_computed = self.ensure_blocks(names)
-        materialize = self._edges
-        edges: list[SummaryEdge] = []
-        for source in names:
-            row = self._rows[source]
-            for target in names:
-                edges.extend(materialize(source, target, row[target]))
+        edges = [edge for _, block in self._cached(names) for edge in block]
         self._hits += len(names) * len(names) - freshly_computed
         return SummaryGraph._assembled(
             {name: self.ltp(name) for name in names}, tuple(edges)
         )
 
-    # -- diagnostics --------------------------------------------------------
-    def _block_count(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+    def _cached(self, names: Sequence[str]):
+        """``(pair, edges)`` of every cached block in ``names × names``,
+        in pair order."""
+        index = self._index(names)
+        seg, at = self._planes[SEG:, index[:, None], index].tolist()
+        return [
+            ((source, target), self._edges(source, target, seg[i][j], at[i][j]))
+            for i, source in enumerate(names)
+            for j, target in enumerate(names)
+            if seg[i][j] >= 0
+        ]
 
+    # -- diagnostics --------------------------------------------------------
     def cache_info(self) -> dict[str, int]:
         """Block-cache counters: size, computations, loads, and hits."""
         return {
             "programs": len(self._ltps),
-            "blocks": self._block_count(),
+            "blocks": int(np.count_nonzero(self._planes[SEG] >= 0)),
             "computed": self._computed,
             "loaded": self._loaded,
             "hits": self._hits,
@@ -696,22 +713,20 @@ class EdgeBlockStore:
         }
 
     def blocks(self) -> dict[tuple[str, str], tuple[SummaryEdge, ...]]:
-        """A snapshot of all cached blocks as edge tuples (for persistence)."""
-        return {
-            (source, target): self._edges(source, target, coords)
-            for source, row in self._rows.items()
-            for target, coords in row.items()
-        }
+        """A snapshot of all cached blocks as edge tuples (for persistence),
+        in registration order of source, then of target."""
+        return dict(self._cached(self.ltp_names))
 
     def clear(self) -> None:
         """Drop all programs, profiles, blocks, planes, and counters."""
         self._ltps.clear()
         self._profiles.clear()
-        self._rows.clear()
         self._arena = None
+        self._segments = {}
+        self._next_segment = 0
         self._slots = {}
         self._free_slots = []
-        self._planes = None
+        self._planes = np.empty((7, 0, 0), dtype=np.int32)
         self._planes_shared = False
         self._computed = 0
         self._loaded = 0
@@ -720,5 +735,5 @@ class EdgeBlockStore:
     def __repr__(self) -> str:
         return (
             f"EdgeBlockStore(settings={self.settings.label!r}, "
-            f"programs={len(self._ltps)}, blocks={self._block_count()})"
+            f"programs={len(self._ltps)}, blocks={self.cache_info()['blocks']})"
         )

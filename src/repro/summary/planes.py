@@ -12,15 +12,17 @@ This module evaluates them for *entire occurrence-pair batches*:
   for the interned relation id and dense statement-type id.  Programs
   occupy contiguous row ranges; removing one leaves a hole that later
   registrations reuse, so an incremental ``replace_program`` repacks only
-  the edited program's rows;
-* :func:`sweep` then evaluates the conditions for the full cross product
-  of a source row set × target row set in one **sweep** and returns
-  per-block *packed coordinates* ``(source_row, target_row, has_nc,
-  has_cf)`` — edge-block bitsets instead of per-pair Python tuples —
-  together with every block's aggregates (its edge counts and the
-  per-block facts Algorithm 2 reads), folded by :func:`group_coords` in
-  the same grouping pass.  :func:`group_coords` is the only aggregate
-  fold: the block store runs persisted blocks through it too.
+  the edited program's rows, and a fork's copy of the arena packs only
+  the programs the fork edits;
+* :func:`plan_sweeps` groups a mask of missing ordered pairs into
+  cross-product sweeps, and :func:`sweep` evaluates the conditions for
+  one sweep's source rows × target rows at once.  It returns one CSR
+  :class:`Segment` — the interfering occurrence pairs ``(source, target,
+  has_nc, has_cf)`` as four columns sorted by ordered program pair, plus
+  per-pair offsets — together with every pair's aggregates (its edge
+  counts and the per-block facts Algorithm 2 reads).  :func:`fold` builds
+  both with numpy only, and is the one fold: the block store runs loaded
+  blocks through it too.
 
 The sweep runs on numpy: the rows a sweep needs are gathered out of the
 planes, the five mask tests of ``ncDepConds`` fold into two AND sweeps
@@ -43,6 +45,7 @@ Condition algebra (property-tested against the frozenset originals): with
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from array import array
@@ -68,11 +71,11 @@ _CHUNK_CELLS = 2_000_000
 _NC_CODES = np.array(NC_CODE_ROWS, dtype=np.int8).reshape(-1)
 _C_CODES = np.array(C_CODE_ROWS, dtype=np.int8).reshape(-1)
 
-#: Dense type ids of the R- and PR-operations (Theorem 6.4's trigger set).
-TRIGGER_TYPE_IDS = frozenset(TYPE_INDEX[stype] for stype in READ_TRIGGER_TYPES)
-
-#: Packed blocks of one sweep, keyed by ordered pair (see :func:`group_coords`).
-Blocks = dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]
+#: Per dense type id: is it an R- or PR-operation (Theorem 6.4's trigger
+#: set)?
+IS_TRIGGER = np.isin(
+    np.arange(len(TYPE_INDEX)), [TYPE_INDEX[stype] for stype in READ_TRIGGER_TYPES]
+)
 
 #: ``min_cf_source`` of a block without counterflow edges: larger than any
 #: occurrence position, so ``max_target > min_cf_source`` never holds.
@@ -219,10 +222,17 @@ class PlaneArena:
         if span is not None and span[1]:
             self._free.append(span)
 
-    def triggers(self, rows: Sequence[int]) -> list[bool]:
+    def copy(self) -> "PlaneArena":
+        """An independent arena with the same rows (a fork's arena: it
+        packs only the programs the fork adds)."""
+        other = PlaneArena.__new__(PlaneArena)
+        for name in self.__slots__:  # buffers, row map and free list copied
+            setattr(other, name, copy.copy(getattr(self, name)))
+        return other
+
+    def triggers(self, rows) -> np.ndarray:
         """Per row: is the occurrence an R- or PR-operation?"""
-        types = self._types
-        return [types[row] in TRIGGER_TYPE_IDS for row in rows]
+        return IS_TRIGGER[np.frombuffer(self._types, dtype=np.int64)[rows]]
 
     # -- sweep input ------------------------------------------------------
     def gather(self, rows: Sequence[int]):
@@ -351,127 +361,102 @@ def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
         yield offset, nc[:n], cf[:n]
 
 
-def _sweep_coords(arena, rows, cols, use_foreign_keys):
-    coords: list[tuple[int, int, bool, bool]] = []
-    for offset, nc, cf in np_sweep(arena, rows, cols, use_foreign_keys):
-        either = nc | cf
-        if not either.any():
-            continue
-        s_idx, t_idx = either.nonzero()
-        nc_hits = nc[s_idx, t_idx].tolist()
-        cf_hits = cf[s_idx, t_idx].tolist()
-        s_list = (s_idx + offset).tolist()
-        t_list = t_idx.tolist()
-        coords.extend(zip(s_list, t_list, nc_hits, cf_hits))
-    return coords
-
-
 # ---------------------------------------------------------------------------
-# sweeps over an arena: planning, extraction, grouping
+# sweeps over an arena: planning and the CSR fold
 # ---------------------------------------------------------------------------
 
-class SweepPlan(NamedTuple):
-    """One batch: every ordered pair in ``sources × targets`` at once."""
+class Segment(NamedTuple):
+    """The blocks of one sweep (or of one load) in CSR form.
 
-    sources: tuple[str, ...]
-    targets: tuple[str, ...]
-
-
-def plan_sweeps(missing: Sequence[tuple[str, str]]) -> list[SweepPlan]:
-    """Group missing ordered pairs into maximal cross-product sweeps.
-
-    Pairs are grouped by source program, then sources sharing an identical
-    target list share one sweep — a full ``n × n`` build is a single
-    sweep, an incremental replace (one new program as source row plus as
-    target column) is two.
+    Cells are the sweep's ordered program pairs in ``sources × targets``
+    row-major order.  Cell ``c``'s block is rows ``offsets[c]:offsets[c +
+    1]`` of ``coords``, an ``(n, 4)`` ``int32`` array whose columns are the
+    source and target occurrence (positions within the two programs) and
+    the non-counterflow / counterflow flags, in the ``(source, target)``
+    occurrence order Algorithm 1 emits edges in.  Segments are never
+    mutated: a store and its forks share them by reference.
     """
-    by_source: dict[str, list[str]] = {}
-    for source, target in missing:
-        by_source.setdefault(source, []).append(target)
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for source, targets in by_source.items():
-        groups.setdefault(tuple(targets), []).append(source)
+
+    offsets: np.ndarray
+    coords: np.ndarray
+
+    def block(self, cell: int) -> list[list[int]]:
+        """One block's ``[source, target, nc, cf]`` coordinate rows."""
+        lo, hi = self.offsets[cell : cell + 2].tolist()
+        return self.coords[lo:hi].tolist()
+
+
+def fold(s, t, nc, cf, src_counts, dst_counts, src_trigger):
+    """One CSR :class:`Segment` plus its blocks' aggregates, from sweep
+    coordinates.
+
+    ``s``/``t`` are sweep rows/columns with their ``nc``/``cf`` flags,
+    each pair's in Algorithm 1's emit order (a sweep's row-major order
+    is); the sources' (targets') occurrence rows lie back to back,
+    ``src_counts`` (``dst_counts``) per program, and ``src_trigger``
+    flags the source rows that are R- or PR-operations.  A stable sort
+    by cell keeps every block in emit order.  The
+    aggregates are the per-block facts Algorithm 2 reads, as a ``(5,
+    cells)`` ``int32`` array: ``(nc_edges, cf_edges, trigger, max_target,
+    min_cf_source)`` — the number of non-counterflow and of counterflow
+    edges, some edge leaving an R- or PR-operation, the largest target
+    position (-1 when empty) and the smallest counterflow source position
+    (:data:`NO_CF` without one).  Occurrence positions equal occurrence
+    indexes in an LTP, so local coordinates are positions.
+    """
+    src_counts, dst_counts = np.asarray(src_counts), np.asarray(dst_counts)
+    width = len(dst_counts)
+    cells = len(src_counts) * width
+    src_of = np.arange(len(src_counts)).repeat(src_counts)[s]
+    dst_of = np.arange(width).repeat(dst_counts)[t]
+    order = (src_of * width + dst_of).argsort(kind="stable")
+    src_of, dst_of = src_of[order], dst_of[order]
+    cell = src_of * width + dst_of
+    s, t, nc, cf = s[order], t[order], nc[order], cf[order]
+    coords = np.empty((len(s), 4), dtype=np.int32)
+    coords[:, 0] = s - (src_counts.cumsum() - src_counts)[src_of]
+    coords[:, 1] = t - (dst_counts.cumsum() - dst_counts)[dst_of]
+    coords[:, 2], coords[:, 3] = nc, cf
+    local_s, local_t = coords[:, 0], coords[:, 1]
+    offsets = np.zeros(cells + 1, dtype=np.int64)
+    np.bincount(cell, minlength=cells).cumsum(out=offsets[1:])
+    aggregates = np.empty((5, cells), dtype=np.int32)
+    aggregates[0] = np.bincount(cell[nc], minlength=cells)
+    aggregates[1] = np.bincount(cell[cf], minlength=cells)
+    aggregates[2] = np.bincount(cell[src_trigger[s]], minlength=cells) > 0
+    aggregates[3] = -1
+    np.maximum.at(aggregates[3], cell, local_t)
+    aggregates[4] = NO_CF
+    np.minimum.at(aggregates[4], cell[cf], local_s[cf])
+    return Segment(offsets, coords), aggregates
+
+
+def plan_sweeps(missing: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group a boolean ``sources × targets`` mask of missing pairs into
+    maximal cross-product sweeps, as ``(source indexes, target indexes)``.
+
+    Sources with identical missing-target rows share one sweep — a full
+    ``n × n`` build is a single sweep, an incremental replace (one new
+    program as source row plus as target column) is two.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for row in np.flatnonzero(missing.any(axis=1)).tolist():
+        groups.setdefault(missing[row].tobytes(), []).append(row)
     return [
-        SweepPlan(tuple(sources), targets) for targets, sources in groups.items()
+        (np.array(rows), np.flatnonzero(missing[rows[0]])) for rows in groups.values()
     ]
 
 
 def _sweep_rows(arena: PlaneArena, names: Sequence[str]):
-    """``(flat row indices, [(name, sweep offset, count)])`` for a sweep."""
+    """Arena rows of one sweep side (programs back to back in ``names``
+    order) and each program's occurrence count."""
     rows: list[int] = []
-    meta: list[tuple[str, int, int]] = []
+    counts: list[int] = []
     for name in names:
         start, count = arena.rows_of(name)
-        meta.append((name, len(rows), count))
         rows.extend(range(start, start + count))
-    return rows, meta
-
-
-def group_coords(
-    coords: Sequence[tuple[int, int, bool, bool]],
-    src_meta: Sequence[tuple[str, int, int]],
-    dst_meta: Sequence[tuple[str, int, int]],
-    src_trigger: Sequence[bool],
-) -> tuple[Blocks, tuple[list, ...]]:
-    """Split sweep-local coordinates into per-ordered-pair blocks, folding
-    the blocks' aggregates in the same pass.
-
-    Every pair of the sweep gets an entry (empty blocks included — they
-    are cache entries too); within a block, coordinates keep the
-    ``(source occurrence, target occurrence)`` program order Algorithm 1
-    emits edges in.  ``src_trigger`` flags the R-/PR-operation rows of
-    the sweep's sources.  The aggregates are the per-block facts
-    Algorithm 2 reads, as five lists with one cell per pair in ``sources
-    × targets`` row-major order: ``(nc_edges, cf_edges, trigger,
-    max_target, min_cf_source)`` — the number of non-counterflow and of
-    counterflow edges, some edge leaving an R- or PR-operation, the
-    largest target position (-1 when empty) and the smallest counterflow
-    source position (:data:`NO_CF` without one).  Occurrence positions
-    equal occurrence indexes in an LTP, so local coordinates are
-    positions.
-    """
-    src_base: list[int] = []
-    src_local: list[int] = []
-    width = len(dst_meta)
-    for ordinal, (_, _, count) in enumerate(src_meta):
-        src_base.extend([ordinal * width] * count)
-        src_local.extend(range(count))
-    dst_of: list[int] = []
-    dst_local: list[int] = []
-    for ordinal, (_, _, count) in enumerate(dst_meta):
-        dst_of.extend([ordinal] * count)
-        dst_local.extend(range(count))
-    cells = len(src_meta) * width
-    buckets: list[list[tuple[int, int, bool, bool]]] = [[] for _ in range(cells)]
-    nc_edges = [0] * cells
-    cf_edges = [0] * cells
-    trigger = [False] * cells
-    max_target = [-1] * cells
-    min_cf_source = [NO_CF] * cells
-    for s, t, nc, cf in coords:
-        b = src_base[s] + dst_of[t]
-        local_s = src_local[s]
-        local_t = dst_local[t]
-        buckets[b].append((local_s, local_t, nc, cf))
-        if nc:
-            nc_edges[b] += 1
-        if cf:
-            if not cf_edges[b]:
-                # Sweeps emit coordinates in source-row order, so a block's
-                # first counterflow coordinate has its smallest source.
-                min_cf_source[b] = local_s
-            cf_edges[b] += 1
-        if src_trigger[s]:
-            trigger[b] = True
-        if local_t > max_target[b]:
-            max_target[b] = local_t
-    blocks = {}
-    b = 0
-    for src_name, _, _ in src_meta:
-        for dst_name, _, _ in dst_meta:
-            blocks[(src_name, dst_name)] = tuple(buckets[b])
-            b += 1
-    return blocks, (nc_edges, cf_edges, trigger, max_target, min_cf_source)
+        counts.append(count)
+    return np.array(rows, dtype=np.intp), counts
 
 
 def sweep(
@@ -479,11 +464,16 @@ def sweep(
     sources: Sequence[str],
     targets: Sequence[str],
     use_foreign_keys: bool,
-) -> tuple[Blocks, tuple[list, ...]]:
-    """Packed blocks for every ordered pair in ``sources × targets`` plus
-    their aggregates (see :func:`group_coords`): one plane sweep, then
-    per-pair grouping."""
-    rows, src_meta = _sweep_rows(arena, sources)
-    cols, dst_meta = _sweep_rows(arena, targets)
-    coords = _sweep_coords(arena, rows, cols, use_foreign_keys)
-    return group_coords(coords, src_meta, dst_meta, arena.triggers(rows))
+) -> tuple[Segment, np.ndarray]:
+    """The CSR segment of every ordered pair in ``sources × targets`` plus
+    their aggregates (see :func:`fold`): one plane sweep, folded with
+    numpy."""
+    rows, src_counts = _sweep_rows(arena, sources)
+    cols, dst_counts = _sweep_rows(arena, targets)
+    empty = np.empty(0, dtype=np.intp)
+    hits = [(empty, empty, empty.astype(bool), empty.astype(bool))]
+    for offset, nc, cf in np_sweep(arena, rows, cols, use_foreign_keys):
+        s, t = np.nonzero(nc | cf)
+        hits.append((s + offset, t, nc[s, t], cf[s, t]))
+    s, t, nc, cf = (np.concatenate(column) for column in zip(*hits))
+    return fold(s, t, nc, cf, src_counts, dst_counts, arena.triggers(rows))

@@ -9,10 +9,10 @@ from repro import AnalysisMatrix, Analyzer, RobustnessReport, Workload
 from repro.detection.subsets import maximal_robust_subsets, robust_subsets
 from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
-from repro.errors import ProgramError
+from repro.errors import ProgramError, ReproError
 from repro.summary.construct import construct_summary_graph
 from repro.summary.graph import SummaryStats
-from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
+from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK, TPL_DEP
 
 TICKETING_FILE = Path(__file__).resolve().parent.parent / "examples" / "ticketing.workload"
 
@@ -267,3 +267,31 @@ class TestReportGraph:
         )
         assert report.graph.edges == cold.edges
         assert report.graph.stats == report.stats
+
+
+#: Every public ``Analyzer`` method that takes settings, reduced to a
+#: comparable result.
+SETTINGS_METHODS = {
+    "edge_block_store": lambda session, s: session.edge_block_store(s).settings,
+    "ensure_blocks": lambda session, s: session.ensure_blocks(s),
+    "summary_stats": lambda session, s: session.summary_stats(s),
+    "summary_graph": lambda session, s: session.summary_graph(s).edges,
+    "analyze": lambda session, s: session.analyze(s).to_dict(),
+    "is_robust": lambda session, s: session.is_robust(s),
+    "robust_subsets": lambda session, s: session.robust_subsets(s),
+    "maximal_robust_subsets": lambda session, s: session.maximal_robust_subsets(s),
+    "advise": lambda session, s: session.advise(s).to_dict(),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SETTINGS_METHODS))
+def test_settings_labels_are_accepted_at_the_session_boundary(method):
+    call = SETTINGS_METHODS[method]
+    by_label, by_settings = Analyzer("smallbank"), Analyzer("smallbank")
+    assert call(by_label, "attr dep") == call(by_settings, ATTR_DEP)
+    # Memo keys stay the settings instance: the label and the instance
+    # share one store.
+    assert list(by_label._stores) == [ATTR_DEP]
+    assert by_label.edge_block_store("attr dep") is by_label.edge_block_store(ATTR_DEP)
+    with pytest.raises(ReproError, match="unknown settings label 'attr-dep'"):
+        call(by_label, "attr-dep")

@@ -153,7 +153,7 @@ def _assert_planes(store):
     """Every cell, as stored (edge counts) and as gathered (flags)."""
     names = list(store.ltp_names)
     gathered = [plane.tolist() for plane in store.aggregate_planes(names)]
-    cells = store._planes.cells
+    cells = store._planes[:5]
     for i, source in enumerate(names):
         for j, target in enumerate(names):
             nc, cf, *rest = expected = _expected(store, source, target)

@@ -10,6 +10,7 @@ slice spans three).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
@@ -178,17 +179,17 @@ class TestKernelAgreement:
         ltps = _ltps(workload)
         arena = _packed_arena(ltps, workload.schema, settings)
         names = [ltp.name for ltp in ltps]
-        grouped = sweep(arena, names, names, settings.use_foreign_keys)[0]
-        by_name = {ltp.name: ltp for ltp in ltps}
-        for (source, target), coords in grouped.items():
-            program_i, program_j = by_name[source], by_name[target]
+        segment = sweep(arena, names, names, settings.use_foreign_keys)[0]
+        assert len(segment.offsets) == len(ltps) ** 2 + 1
+        pairs = [(i, j) for i in ltps for j in ltps]
+        for cell, (program_i, program_j) in enumerate(pairs):
             edges = [
                 (
                     program_i.occurrences[s].position,
                     counterflow,
                     program_j.occurrences[t].position,
                 )
-                for s, t, nc, cf in coords
+                for s, t, nc, cf in segment.block(cell)
                 for flag, counterflow in ((nc, False), (cf, True))
                 if flag
             ]
@@ -242,24 +243,24 @@ class TestPlaneArena:
 
 class TestSweepPlanning:
     def test_full_build_is_one_sweep(self):
-        names = ["a", "b", "c"]
-        missing = [(i, j) for i in names for j in names]
-        plans = plan_sweeps(missing)
+        plans = plan_sweeps(np.ones((3, 3), dtype=bool))
         assert len(plans) == 1
-        assert sorted(plans[0].sources) == names
-        assert sorted(plans[0].targets) == names
+        assert plans[0][0].tolist() == [0, 1, 2]
+        assert plans[0][1].tolist() == [0, 1, 2]
 
     def test_incremental_replace_is_two_sweeps(self):
         # Replacing "b" in {a, b, c} invalidates b's row and b's column.
-        names = ["a", "b", "c"]
-        missing = [("b", j) for j in names]
-        missing += [(i, "b") for i in names if i != "b"]
+        missing = np.zeros((3, 3), dtype=bool)
+        missing[1, :] = missing[:, 1] = True
         plans = plan_sweeps(missing)
         assert len(plans) == 2
         covered = {
-            (s, t) for plan in plans for s in plan.sources for t in plan.targets
+            (s, t) for sources, targets in plans for s in sources for t in targets
         }
-        assert covered == set(missing)
+        assert covered == set(zip(*missing.nonzero()))
+
+    def test_present_pairs_are_not_swept(self):
+        assert plan_sweeps(np.zeros((3, 3), dtype=bool)) == []
 
 
 class TestKernelSelection:

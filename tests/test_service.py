@@ -24,8 +24,10 @@ from repro.cli import main as cli_main
 from repro.detection.subsets import SubsetsReport
 from repro.errors import ProgramError, ReproError
 from repro.service import (
+    MAX_GRID_REPETITIONS,
     AnalysisService,
     AnalyzeRequest,
+    GridRequest,
     GridSpec,
     ServiceError,
     SubsetsRequest,
@@ -550,6 +552,20 @@ class TestHTTP:
         assert envelope["exit_code"] == 2
         assert f"n <= {MAX_AUCTION_ITEMS}" in envelope["message"]
 
+    def test_huge_grid_repetitions_are_rejected_promptly(self, http_server):
+        started = time.monotonic()
+        status, body = _post(
+            http_server,
+            "/v1/grid",
+            {"workloads": ["smallbank"], "settings": ["attr dep"],
+             "repetitions": 10**9},
+        )
+        assert time.monotonic() - started < 1.0
+        assert status == 400
+        envelope = json.loads(body)["error"]
+        assert envelope["type"] == "invalid_request"
+        assert f"{MAX_GRID_REPETITIONS} repetitions" in envelope["message"]
+
     def test_negative_content_length_is_rejected_promptly(self, http_server):
         # A negative length must not make the handler read until EOF.
         port = http_server.server_address[1]
@@ -733,6 +749,30 @@ class TestServiceErrorEnvelopes:
         # exactly at the cap is fine (items still validate individually)
         payload = service.handle("batch", {"requests": items[:MAX_BATCH_ITEMS]})
         assert len(payload["results"]) == MAX_BATCH_ITEMS
+
+    def test_oversized_grid_rejected_at_once(self):
+        from repro.service import MAX_BATCH_ITEMS
+
+        service = AnalysisService()
+        huge = {"workloads": ["smallbank"], "settings": ["attr dep"],
+                "repetitions": 10**9}
+        started = time.monotonic()
+        with pytest.raises(ServiceError, match="at most") as excinfo:
+            service.handle("grid", huge)
+        assert time.monotonic() - started < 1.0
+        assert excinfo.value.status == 400
+        with pytest.raises(ServiceError, match="at most"):
+            service.handle(
+                "grid", {"workloads": ["smallbank"] * (MAX_BATCH_ITEMS + 1)}
+            )
+        # exactly at both caps passes the front door
+        request = GridRequest.from_dict(
+            {"workloads": ["smallbank"] * MAX_BATCH_ITEMS,
+             "repetitions": MAX_GRID_REPETITIONS}
+        )
+        assert request.repetitions == MAX_GRID_REPETITIONS
+        # GridSpec, the library face, stays uncapped
+        assert GridSpec(workloads=("smallbank",), repetitions=10**9).repetitions
 
 
 class TestEvictionSpill:
