@@ -343,9 +343,10 @@ class EdgeBlockStore:
         self._free_slots.extend(freed)
         if freed:
             seg = self._writable_planes()[SEG]
+            stale = {*seg[freed].ravel().tolist(), *seg[:, freed].ravel().tolist()}
             for slot in freed:
                 seg[slot] = seg[:, slot] = -1
-            self._drop_dead_segments()
+            self._drop_dead_segments(stale)
 
     @property
     def ltp_names(self) -> tuple[str, ...]:
@@ -381,12 +382,14 @@ class EdgeBlockStore:
             (aggregates[:, cells], np.full((1, *cells.shape), segment_id), cells[None])
         )
 
-    def _drop_dead_segments(self) -> None:
-        """Forget the segments no ``SEG`` cell names any more."""
+    def _drop_dead_segments(self, stale: Iterable[int]) -> None:
+        """Forget the ``stale`` segments (those whose cells were just
+        overwritten) that no ``SEG`` cell names any more."""
         slots = len(self._slots) + len(self._free_slots)
-        seg = self._planes[SEG, :slots, :slots].ravel()
-        named = np.bincount(seg + 1, minlength=self._next_segment + 1)[1:]
-        self._segments = {i: kept for i, kept in self._segments.items() if named[i]}
+        seg = self._planes[SEG, :slots, :slots]
+        for segment_id in set(stale) - {-1}:
+            if not (seg == segment_id).any():
+                del self._segments[segment_id]
 
     def _edges(
         self, source: str, target: str, segment_id: int, cell: int
@@ -484,11 +487,10 @@ class EdgeBlockStore:
             s, t, nc.astype(bool), cf.astype(bool), src_counts, dst_counts,
             planes.IS_TRIGGER[types],
         )
-        present = self._planes[SEG, rows, cols] >= 0
+        stale = self._planes[SEG, rows, cols]
         self._install(rows, cols, np.array(cells), segment, aggregates)
-        self._loaded += int(np.count_nonzero(~present))
-        if present.any():
-            self._drop_dead_segments()
+        self._loaded += int(np.count_nonzero(stale < 0))
+        self._drop_dead_segments(stale.tolist())
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
@@ -543,11 +545,9 @@ class EdgeBlockStore:
         adopted[SEG] += offset
         stack = self._writable_planes()
         current = stack[:, mine[:, None], mine]
-        held = current[SEG] >= 0
         stack[:, mine[:, None], mine] = np.where(present, adopted, current)
-        self._loaded += int(np.count_nonzero(present & ~held))
-        if np.any(present & held):
-            self._drop_dead_segments()
+        self._loaded += int(np.count_nonzero(present & (current[SEG] < 0)))
+        self._drop_dead_segments(current[SEG][present].tolist())
 
     def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when

@@ -225,6 +225,27 @@ def test_generated_edit_walks_match_a_cold_store(data):
     assert store.stats(names) == cold.stats(names)
 
 
+def test_overwritten_segments_are_dropped():
+    """Loads and seeds over cached pairs drop the segments they empty."""
+    session = Analyzer("smallbank")
+    ltps = session.unfolded()
+    store = session.edge_block_store(ATTR_DEP_FK)
+    store.register(ltps)
+    first, second = ltps[0], ltps[1]
+    edges = pair_edges_reference(first, second, store.schema, ATTR_DEP_FK)
+    for _ in range(2):  # the second load empties the first one's segment
+        store.load_block(first.name, second.name, edges)
+        _check(store)
+        assert len(store._segments) == 1
+    store.ensure_blocks()
+    warm = EdgeBlockStore(store.schema, ATTR_DEP_FK)
+    warm.register(ltps)
+    warm.ensure_blocks()
+    store.seed_from(warm)  # overwrites every cell: only warm's segment stays
+    _check(store)
+    assert len(store._segments) == 1
+
+
 @pytest.mark.parametrize("source", ["smallbank", "auction(4)"])
 def test_churn_walk_keeps_a_base_segment_plus_two_per_program(source):
     """Without compaction, edits leave at most one base segment plus the
