@@ -20,7 +20,8 @@ Two gates, one parity sweep:
 
 Parity is asserted throughout: store blocks (batch kernel) equal
 frozenset-reference blocks edge-for-edge on SmallBank, TPC-C and
-Auction(5) under all four Section 7.2 settings; the timed sweep carries
+Auction(5) (one mask word each) and on ``tests/data/wide.workload``
+(three words) under all four Section 7.2 settings; the timed sweep carries
 exactly the reference's edges; and the matrix verdict grids equal the
 plain enumeration's.
 
@@ -38,6 +39,7 @@ import argparse
 import os
 import sys
 import time
+from pathlib import Path
 
 from conftest import record_benchmark
 
@@ -51,7 +53,7 @@ from repro.summary.pairwise import (
     pair_edges_reference,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
-from repro.workloads import auction_n, smallbank, tpcc
+from repro.workloads import Workload, auction_n, smallbank, tpcc
 
 
 def _best(callable_, repetitions: int) -> float:
@@ -78,12 +80,7 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
             for b in ltps
         }
 
-    interner = schema.interner
-    arena = planes.PlaneArena(
-        planes.words_for_bits(
-            max(interner.attr_bit_count, interner.fk_bit_count, 1)
-        )
-    )
+    arena = planes.PlaneArena(planes.words_for_bits(schema.interner.widest_table))
     for ltp in ltps:
         arena.add(compile_profile(ltp, schema, ATTR_DEP_FK))
     names = [ltp.name for ltp in ltps]
@@ -171,12 +168,18 @@ def bench_subsets(repetitions: int) -> list[dict]:
 
 # -- parity sweep ------------------------------------------------------------
 
+#: The multi-word parity fixture: its Wide relation's 140 attributes span
+#: three mask words (every built-in workload packs into one).
+WIDE_WORKLOAD = Path(__file__).resolve().parents[1] / "tests/data/wide.workload"
+
+
 def check_parity() -> int:
     """Store blocks (batch kernel) == reference blocks on every built-in
-    workload under all four Section 7.2 settings.  Returns the number of
-    blocks checked."""
+    workload and on the three-word Wide fixture, under all four Section
+    7.2 settings.  Returns the number of blocks checked."""
     checked = 0
-    for workload in (smallbank(), tpcc(), auction_n(5)):
+    wide = Workload.resolve(WIDE_WORKLOAD)
+    for workload in (smallbank(), tpcc(), auction_n(5), wide):
         ltps = unfold(workload.programs, 2)
         for settings in ALL_SETTINGS:
             store = EdgeBlockStore(workload.schema, settings)
@@ -189,6 +192,10 @@ def check_parity() -> int:
                         f"({a.name}, {b.name})"
                     )
                     checked += 1
+            words = store.plane_info()["words"]
+            assert words == (3 if workload is wide else 1), (
+                f"{workload.name} packed into {words} mask words"
+            )
     return checked
 
 
@@ -210,7 +217,8 @@ def main(argv=None) -> int:
 
     blocks_checked = check_parity()
     print(f"parity: batch kernel == reference on {blocks_checked} blocks "
-          "(SmallBank, TPC-C, Auction(5) x 4 settings)")
+          "(SmallBank, TPC-C, Auction(5) at 1 mask word, Wide at 3; "
+          "x 4 settings)")
 
     single = bench_single_core(args.scale, args.repetitions)
     print(

@@ -260,6 +260,9 @@ class Analyzer:
             store = self._stores.get(settings)
             if store is None:
                 store = EdgeBlockStore(self.schema, settings)
+                for other in self._stores.values():
+                    if other.settings.granularity is settings.granularity:
+                        store._share_profiles(other)  # compile once per granularity
                 self._stores[settings] = store
             return store
 

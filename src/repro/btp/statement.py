@@ -274,9 +274,10 @@ class Statement:
         mirroring ``pread_set``/``read_set``/``write_set``; the coercing
         accessors on :class:`~repro.schema.StatementMasks` mirror
         :attr:`preads`/:attr:`reads`/:attr:`writes`.  Masks produced by the
-        same interner intersect exactly when the frozensets do — the
-        equivalence the compiled kernel of :mod:`repro.summary.pairwise`
-        relies on (property-tested against the frozenset conditions).
+        same interner for statements over the same relation intersect
+        exactly when the frozensets do — the equivalence the compiled
+        kernel of :mod:`repro.summary.pairwise` relies on (property-tested
+        against the frozenset conditions).
         """
         return interner.statement_masks(self)
 

@@ -6,10 +6,10 @@ A :class:`Relation` carries a finite attribute set and a primary key; a
 relation, realised over concrete attribute columns; a :class:`Schema` is a
 validated collection of both.
 
-:class:`AttributeInterner` (``Schema.interner``) assigns every attribute and
-foreign key a bit position, turning statement attribute sets into integer
-bitmasks — the representation the compiled interference kernel of
-:mod:`repro.summary.pairwise` runs on.
+:class:`AttributeInterner` (``Schema.interner``) numbers each relation's
+attributes and protecting foreign keys from bit 0, turning statement
+attribute sets into relation-local integer bitmasks — the representation
+the compiled interference kernel of :mod:`repro.summary.pairwise` runs on.
 """
 
 from repro.schema.interning import AttributeInterner, StatementMasks

@@ -2,19 +2,24 @@
 
 Algorithm 1's inner loop evaluates ``ncDepConds``/``cDepConds`` for every
 pair of statement occurrences of every ordered pair of programs.  Those
-conditions only ever ask whether two attribute sets *intersect*, so the
-:class:`AttributeInterner` assigns every attribute of every relation a bit
-position in a per-schema intern table; a statement's ``PReadSet`` /
-``ReadSet`` / ``WriteSet`` then compresses to a plain integer bitmask and
-each intersection test becomes a single bitwise AND.  Foreign-key names are
-interned the same way, turning the ``protecting_fks`` intersection of
-``cDepConds`` into one more AND.
+conditions only ever ask whether two attribute sets *intersect*, and only
+for two statements over the *same* relation (the relation check precedes
+the condition tables).  So the :class:`AttributeInterner` numbers the
+attributes of each relation from bit 0 in that relation's own intern
+table; a statement's ``PReadSet`` / ``ReadSet`` / ``WriteSet`` then
+compresses to a plain integer bitmask and each intersection test becomes
+a single bitwise AND.  Foreign-key names are interned the same way, per
+(occurrence relation, FK name), turning the ``protecting_fks``
+intersection of ``cDepConds`` into one more AND.  Masks of different
+relations share bit positions, which is harmless because they are never
+compared; in exchange a mask is as wide as its relation's table, not as
+the whole schema (one 64-bit word for every built-in workload).
 
 ⊥ (an undefined set, see Figure 5) stays distinguishable from a
 defined-but-empty set: masks mirror the ``AttrSet`` convention and use
 ``None`` for ⊥, ``0`` for ∅.
 
-The table is *lazily extended*: statements may mention relations or
+The tables are *lazily extended*: statements may mention relations or
 attributes the schema does not declare (the frozenset conditions compare
 names without consulting the schema, and the analysis must behave the
 same), so unknown names are assigned fresh bits on first use instead of
@@ -56,60 +61,61 @@ class StatementMasks(NamedTuple):
 
 
 class AttributeInterner:
-    """Bit positions for every attribute, relation and foreign key of a schema.
+    """Relation-local bit positions for the attributes and foreign keys of
+    a schema.
 
-    Each attribute of each relation gets its own bit, so masks of statements
-    over the *same* relation intersect exactly when their attribute sets do.
-    Statements over different relations are never compared by Algorithm 1
-    (the relation check precedes the condition tables), so the table needs
-    no cross-relation disambiguation beyond distinct bits.
+    Each relation has its own attribute table numbered from bit 0, and its
+    own FK table numbered from bit 0 for the FK names protecting its
+    occurrences.  Two masks of the *same* relation therefore intersect
+    exactly when their attribute (or FK-name) sets do.  Masks of different
+    relations may share bits, but Algorithm 1 never compares them: the
+    relation check precedes the condition tables.
     """
 
-    __slots__ = ("_attr_bits", "_relation_ids", "_fk_bits", "_next_bit", "_stmt_masks")
+    __slots__ = ("_attr_bits", "_relation_ids", "_fk_bits", "_stmt_masks")
 
     def __init__(self, schema: "Schema"):
         self._attr_bits: dict[str, dict[str, int]] = {}
         self._relation_ids: dict[str, int] = {}
-        self._fk_bits: dict[str, int] = {}
-        self._next_bit = 0
+        self._fk_bits: dict[str, dict[str, int]] = {}
         self._stmt_masks: dict["Statement", StatementMasks] = {}
         for relation in schema.relations:
             table = self._relation_table(relation.name)
             for attribute in relation.attributes:
-                self._attr_bit(table, attribute)
+                _bit(table, attribute)
         for fk in schema.foreign_keys:
-            self.fk_bit(fk.name)
+            self.fk_bit(fk.source, fk.name)
 
     # -- table growth -------------------------------------------------------
     def _relation_table(self, relation: str) -> dict[str, int]:
         table = self._attr_bits.get(relation)
         if table is None:
             table = self._attr_bits[relation] = {}
+            self._fk_bits[relation] = {}
             self._relation_ids[relation] = len(self._relation_ids)
         return table
-
-    def _attr_bit(self, table: dict[str, int], attribute: str) -> int:
-        bit = table.get(attribute)
-        if bit is None:
-            bit = table[attribute] = self._next_bit
-            self._next_bit += 1
-        return bit
 
     # -- lookups ------------------------------------------------------------
     @property
     def attr_bit_count(self) -> int:
-        """Bits assigned to attributes so far (grows with lazy interning).
-
-        The plane arena of :mod:`repro.summary.planes` sizes its mask slots
-        from this; a batch that outgrows its arena's width triggers a
-        repack into a wider one.
-        """
-        return self._next_bit
+        """Attribute bits assigned so far, summed over the relations' tables
+        (grows with lazy interning)."""
+        return sum(map(len, self._attr_bits.values()))
 
     @property
     def fk_bit_count(self) -> int:
-        """Bits assigned to foreign-key names so far."""
-        return len(self._fk_bits)
+        """FK-name bits assigned so far, summed over the relations' tables."""
+        return sum(map(len, self._fk_bits.values()))
+
+    @property
+    def widest_table(self) -> int:
+        """Bits in the widest relation-local table, attribute or FK-name:
+        every mask fits in this many bits.  The plane arena of
+        :mod:`repro.summary.planes` sizes its mask slots from it, and a
+        batch that outgrows its arena's width triggers a repack into a
+        wider one."""
+        tables = (*self._attr_bits.values(), *self._fk_bits.values())
+        return max(map(len, tables), default=0)
 
     def relation_id(self, relation: str) -> int:
         """A dense integer id for a relation name (assigned on first use)."""
@@ -125,21 +131,21 @@ class AttributeInterner:
         table = self._relation_table(relation)
         mask = 0
         for attribute in attributes:
-            mask |= 1 << self._attr_bit(table, attribute)
+            mask |= 1 << _bit(table, attribute)
         return mask
 
-    def fk_bit(self, fk_name: str) -> int:
-        """The bit position of a foreign-key name (assigned on first use)."""
-        bit = self._fk_bits.get(fk_name)
-        if bit is None:
-            bit = self._fk_bits[fk_name] = len(self._fk_bits)
-        return bit
+    def fk_bit(self, relation: str, fk_name: str) -> int:
+        """The bit position of a foreign-key name in ``relation``'s FK table
+        (assigned on first use)."""
+        self._relation_table(relation)
+        return _bit(self._fk_bits[relation], fk_name)
 
-    def fk_mask(self, fk_names: Iterable[str]) -> int:
-        """The bitmask of a set of foreign-key names."""
+    def fk_mask(self, relation: str, fk_names: Iterable[str]) -> int:
+        """The bitmask of a set of foreign-key names protecting an
+        occurrence over ``relation``."""
         mask = 0
         for name in fk_names:
-            mask |= 1 << self.fk_bit(name)
+            mask |= 1 << self.fk_bit(relation, name)
         return mask
 
     def statement_masks(self, statement: "Statement") -> StatementMasks:
@@ -159,3 +165,11 @@ class AttributeInterner:
             )
             self._stmt_masks[statement] = masks
         return masks
+
+
+def _bit(table: dict[str, int], name: str) -> int:
+    """``name``'s bit in one relation-local table, appended on first use."""
+    bit = table.get(name)
+    if bit is None:
+        bit = table[name] = len(table)
+    return bit

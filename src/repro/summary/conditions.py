@@ -106,7 +106,8 @@ def c_dep_conds_masks(
     """``cDepConds`` over interned bitmasks — equivalent to
     :func:`c_dep_conds` when the masks and the ``protecting_i``/
     ``protecting_j`` foreign-key masks (interned :func:`protecting_fks`
-    of the two occurrences) come from the same interner.
+    of the two occurrences) come from the same interner, interned under
+    the statements' common relation.
 
     The compiled kernel precomputes the protecting-FK mask once per
     occurrence position at profile-compile time, where the frozenset path

@@ -14,15 +14,18 @@ The hot path runs on a **plane-packed batch kernel**
 
 * each LTP is compiled once, at :meth:`EdgeBlockStore.register` time, to a
   flat :class:`ProgramProfile` — per occurrence: statement name, position,
-  interned relation id, dense statement-type id, the three attribute-set
-  bitmasks of :class:`~repro.schema.AttributeInterner`, and the
-  ``protecting_fks`` foreign-key mask precomputed *once per position*
+  interned relation id, dense statement-type id, the three relation-local
+  attribute-set bitmasks of :class:`~repro.schema.AttributeInterner`, and
+  the ``protecting_fks`` foreign-key mask precomputed *once per position*
   (the frozenset path rescans the program's constraint instances for every
-  occurrence pair of every ordered pair);
+  occurrence pair of every ordered pair).  A profile depends on the
+  settings' granularity only, so an :class:`~repro.analysis.Analyzer`'s
+  ``+ FK`` and plain stores of one granularity share it;
 * profiles' masks are packed into the store's contiguous
-  :class:`~repro.summary.planes.PlaneArena`; missing blocks are grouped
-  into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
-  evaluated for whole occurrence-pair batches at once — one in-place
+  :class:`~repro.summary.planes.PlaneArena`, as wide as the widest
+  relation-local table needs; missing blocks are grouped into
+  cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are evaluated
+  for the same-relation occurrence pairs of a whole batch at once — one
   numpy kernel, whatever the mask width — whose hits are folded, with
   numpy only, into one CSR segment per sweep instead of per-pair edge
   tuples.
@@ -61,6 +64,7 @@ The block structure is what enables
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -134,7 +138,9 @@ def compile_profile(
                 masks.writes,
                 masks.reads,
                 masks.preads,
-                interner.fk_mask(protecting_fks(program, occurrence.position)),
+                interner.fk_mask(
+                    stmt.relation, protecting_fks(program, occurrence.position)
+                ),
             )
         )
     return ProgramProfile(program.name, tuple(rows))
@@ -304,28 +310,43 @@ class EdgeBlockStore:
         self._computed = 0
         self._loaded = 0
         self._hits = 0
+        #: A weak reference to a store over the same schema and granularity
+        #: whose profiles :meth:`register` reuses (profiles do not depend
+        #: on the FK flag); weak, so the two stores form no cycle.
+        self._sibling: weakref.ref | None = None
 
     # -- program registration ----------------------------------------------
     def register(self, ltps: Iterable[LTP]) -> None:
         """Add LTPs to the store (idempotent for already-known programs).
 
-        Each new program is compiled once to its kernel profile.
-        Re-registering a name with a *different* program is an error; use
-        :meth:`discard` first (that is what incremental replacement does).
+        Each new program is compiled once to its kernel profile, or takes
+        the profile its sibling store (see :meth:`_share_profiles`)
+        compiled for the same LTP object.  Re-registering a name with a
+        *different* program is an error; use :meth:`discard` first (that
+        is what incremental replacement does).
         """
         for ltp in ltps:
             known = self._ltps.get(ltp.name)
             if known is None:
                 self._ltps[ltp.name] = ltp
-                self._profiles[ltp.name] = compile_profile(
-                    ltp, self.schema, self.settings
-                )
+                self._profiles[ltp.name] = self._compiled(ltp)
                 self._take_slot(ltp.name)
             elif known is not ltp and known != ltp:
                 raise ProgramError(
                     f"edge-block store already holds a different program named "
                     f"{ltp.name!r}; discard it before re-registering"
                 )
+
+    def _compiled(self, ltp: LTP) -> ProgramProfile:
+        sibling = self._sibling() if self._sibling else None
+        if sibling is not None and sibling._ltps.get(ltp.name) is ltp:
+            return sibling._profiles[ltp.name]
+        return compile_profile(ltp, self.schema, self.settings)
+
+    def _share_profiles(self, other: "EdgeBlockStore") -> None:
+        """Reuse ``other``'s compiled profiles and let it reuse ours; the
+        two stores share the schema and granularity, not the FK flag."""
+        self._sibling, other._sibling = weakref.ref(other), weakref.ref(self)
 
     def discard(self, names: Iterable[str]) -> None:
         """Drop programs and every cached block they participate in: the
@@ -569,11 +590,7 @@ class EdgeBlockStore:
 
         Already-packed programs keep their rows — an incremental
         ``replace_program`` repacks only the edited program's rows."""
-        # Attribute and FK masks share the wider of the two slot widths.
-        interner = self.schema.interner
-        words = planes.words_for_bits(
-            max(interner.attr_bit_count, interner.fk_bit_count)
-        )
+        words = planes.words_for_bits(self.schema.interner.widest_table)
         arena = self._arena
         if arena is None or arena.words < words:
             arena = self._arena = planes.PlaneArena(words)

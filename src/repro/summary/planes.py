@@ -24,29 +24,36 @@ This module evaluates them for *entire occurrence-pair batches*:
   both with numpy only, and is the one fold: the block store runs loaded
   blocks through it too.
 
-The sweep runs on numpy: the rows a sweep needs are gathered out of the
-planes, the five mask tests of ``ncDepConds`` fold into two AND sweeps
-over precombined planes (``wi ∧ (wj|rj|pj)`` and ``(ri|pi) ∧ wj``), Table 1
-dispatch is an ``int8`` gather over
-:data:`~repro.summary.tables.NC_CODE_ROWS` /
-:data:`~repro.summary.tables.C_CODE_ROWS`, and edges fall out of one
-``nonzero`` per row chunk.  :func:`np_sweep` is one in-place kernel for
-every mask width: each mask test ANDs word 0 into a reused scratch
-buffer and ORs every further word's test into its boolean result.
+The sweep runs on numpy and tests only what Algorithm 1 compares:
+occurrence pairs over the same relation (on Auction(64), 16% of all
+occurrence pairs).  Per row chunk, the columns grouped by relation id
+give each row's same-relation columns, so the chunk's pair list comes
+out in row-major order as two 1-D index arrays ``(s, t)``.  Every test
+then runs on arrays gathered along that list: the five mask tests of
+``ncDepConds`` fold into two AND tests over precombined planes (``wi ∧
+(wj|rj|pj)`` and ``(ri|pi) ∧ wj``), Table 1 dispatch is an ``int8``
+gather over :data:`~repro.summary.tables.NC_CODE_ROWS` /
+:data:`~repro.summary.tables.C_CODE_ROWS`, and the pairs with an edge
+are kept.  :func:`np_sweep` is one kernel for every mask width: planes
+are gathered word-major and each mask test loops over the words.
+Masks are relation-local (see :class:`~repro.schema.AttributeInterner`),
+so every built-in workload fits in one word; only a relation with 64 or
+more attributes (or protecting FK names) needs more.
 
 Condition algebra (property-tested against the frozenset originals): with
 ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
 
 * ``ncDepConds``'s five tests collapse to ``(wi ∧ any_j) ∨ (rp_i ∧ wj)``;
 * ``cDepConds`` is ``(pi ∧ wj) ∨ (ri ∧ wj ∧ ¬blocked)`` which, writing
-  ``rpw = (rp_i ∧ wj)``, equals ``(rpw ∧ ¬blocked) ∨ ((pi ∧ wj) ∧
-  blocked)`` — two mask tests plus the FK test instead of three.
+  ``rpw = (rp_i ∧ wj)``, equals ``rpw`` where the FK test finds no
+  common protecting foreign key and ``pi ∧ wj`` where it finds one —
+  one mask test plus the FK test on top of ``ncDepConds``' second
+  conjunct.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from array import array
 from typing import NamedTuple, Sequence
@@ -63,8 +70,9 @@ from repro.summary.tables import (
     TYPE_INDEX,
 )
 
-#: Rows per sweep chunk are sized so one boolean/uint64 intermediate
-#: stays ~16 MB whatever the target count.
+#: Rows per sweep chunk are sized so a chunk has at most this many
+#: occurrence pairs: one ``intp``/``uint64`` pair array stays ≤ 16 MB
+#: whatever the target count.
 _CHUNK_CELLS = 2_000_000
 
 #: Table 1 as flat ``int8`` code tables indexed by ``type_i * 7 + type_j``.
@@ -100,8 +108,9 @@ class PlaneArena:
     One instance backs one :class:`~repro.summary.pairwise.EdgeBlockStore`:
     every registered program's occurrence rows live at a contiguous
     ``(start, count)`` row range, all planes share the same ``words``-wide
-    mask slots (attribute and FK masks alike — the wider of the two
-    requirements, so the sweep needs a single slot geometry).
+    mask slots (attribute and FK masks alike, sized from the interner's
+    :attr:`~repro.schema.AttributeInterner.widest_table`, so the sweep
+    needs a single slot geometry).
 
     The arena is the **source of truth** the sweep reads through
     :meth:`gather`; numpy views are taken zero-copy via ``np.frombuffer``
@@ -239,15 +248,16 @@ class PlaneArena:
         """Copies of the given rows of every plane: ``(writes, preads,
         anyrw, rp, fks, rels, types)``.
 
-        Mask planes come back as ``(len(rows), words)`` ``uint64`` arrays,
-        the id planes as ``(len(rows),)`` ``int64`` arrays.  Fancy
-        indexing copies, so no view keeps the arena's buffers exported
-        afterwards.
+        Mask planes come back word-major, as ``(words, len(rows))``
+        ``uint64`` arrays, so each word of a mask test is one contiguous
+        row; the id planes come back as ``(len(rows),)`` ``int64`` arrays.
+        Fancy indexing copies, so no view keeps the arena's buffers
+        exported afterwards.
         """
         index = np.asarray(rows, dtype=np.intp)
-        # One (rows, words) index of flat word slots serves all five mask
+        # One (words, rows) index of flat word slots serves all five mask
         # planes: cheaper per call than reshaping each plane first.
-        slots = index[:, None] * self.words + np.arange(self.words)
+        slots = np.arange(self.words)[:, None] + index * self.words
 
         def masks(plane: array):
             return np.frombuffer(plane, dtype=np.uint64)[slots]
@@ -267,98 +277,54 @@ class PlaneArena:
 # the sweep kernel
 # ---------------------------------------------------------------------------
 
-#: Per-thread sweep scratch buffers, reused across np_sweep calls: fresh
-#: chunk-sized uint64/intp temporaries land in mmap'd allocations whose
-#: page faults would otherwise dominate the sweep.  Thread-local because
-#: independent stores may sweep concurrently.  Worst-case retention is
-#: bounded by ``_CHUNK_CELLS`` cells per buffer.
-_SWEEP_SCRATCH = threading.local()
-
-
-def _scratch(name: str, shape, dtype):
-    buffers = getattr(_SWEEP_SCRATCH, "buffers", None)
-    if buffers is None:
-        buffers = _SWEEP_SCRATCH.buffers = {}
-    cells = shape[0] * shape[1]
-    buffer = buffers.get(name)
-    if buffer is None or buffer.size < cells or buffer.dtype != dtype:
-        buffer = buffers[name] = np.empty(cells, dtype=dtype)
-    return buffer[:cells].reshape(shape)
+def _meet(lhs: np.ndarray, rhs: np.ndarray, s: np.ndarray, t: np.ndarray):
+    """Per pair ``(s[k], t[k])``: does row ``s[k]``'s ``lhs`` mask
+    intersect column ``t[k]``'s ``rhs`` mask?  One pass per 64-bit word."""
+    hit = (lhs[0, s] & rhs[0, t]) != 0
+    for word in range(1, len(lhs)):
+        hit |= (lhs[word, s] & rhs[word, t]) != 0
+    return hit
 
 
 def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
-    """Dense nc/cf boolean matrices for a row set × column set, chunked.
+    """The interfering occurrence pairs of a row set × column set, chunked.
 
-    Yields ``(row_offset, nc, cf)`` per row chunk; matrices are
-    ``chunk × len(cols)`` booleans.  The yielded matrices are *reused
-    scratch buffers* — consume (or copy) them before advancing the
-    generator.  Every ufunc runs into a preallocated buffer pool, whatever
-    the mask width: the chunk-sized ``uint64``/``intp`` temporaries
-    otherwise land in mmap'd allocations whose page faults dominate the
-    sweep at typical scales.
+    Yields ``(s, t, nc, cf)`` per row chunk: indexes into ``rows`` and
+    ``cols`` with the pair's non-counterflow / counterflow flags, only for
+    pairs with at least one flag, in row-major order.  Only pairs over the
+    same relation are tested — Algorithm 1 compares no others — each as
+    one entry of 1-D arrays gathered from the planes; masks of any width
+    run through the same word loop (:func:`_meet`).
     """
     w_i, p_i, _, rp_i, fk_i, rel_i, type_i = arena.gather(rows)
     w_j, _, any_j, _, fk_j, rel_j, type_j = arena.gather(cols)
     type_i7 = type_i * 7
-    total = len(rows)
-    columns = len(cols)
-    chunk = max(1, _CHUNK_CELLS // max(columns, 1))
-    shape = (min(chunk, total), columns)
-    work = _scratch("work", shape, np.uint64)
-    pairs = _scratch("pairs", shape, np.intp)  # intp: take() copies others
-    nc_code = _scratch("nc_code", shape, np.int8)
-    c_code = _scratch("c_code", shape, np.int8)
-    nc_cond, c_cond, pw, blocked, same, tmp, nc, cf = (
-        _scratch(name, shape, bool)
-        for name in ("nc_cond", "c_cond", "pw", "blocked", "same", "tmp", "nc", "cf")
-    )
-
-    def test_into(lhs, rhs, out):
-        # "Masks intersect" per pair: word 0's test lands in ``out``, and
-        # each further word's test is ORed in through ``tmp``, which is
-        # free until the Table 1 dispatch below.
-        anded = work[: len(lhs)]
-        np.bitwise_and(lhs[:, None, 0], rhs[None, :, 0], out=anded)
-        np.not_equal(anded, 0, out=out)
-        for word in range(1, lhs.shape[1]):
-            hit = tmp[: len(lhs)]
-            np.bitwise_and(lhs[:, None, word], rhs[None, :, word], out=anded)
-            np.not_equal(anded, 0, out=hit)
-            np.logical_or(out, hit, out=out)
-        return out
-
-    for offset in range(0, total, chunk):
-        stop = min(offset + chunk, total)
-        sl = slice(offset, stop)
-        n = stop - offset
-        # nc_cond = (w_i ∧ any_j) ∨ (rp_i ∧ w_j); the second conjunct is
-        # also cDepConds' unblocked term, so it lands in c_cond first.
-        test_into(w_i[sl], any_j, nc_cond[:n])
-        test_into(rp_i[sl], w_j, c_cond[:n])
-        np.logical_or(nc_cond[:n], c_cond[:n], out=nc_cond[:n])
+    # Columns grouped by relation, ascending within one: row r's
+    # same-relation columns are by_rel[first[r] : first[r] + count[r]].
+    by_rel = rel_j.argsort(kind="stable")
+    first = rel_j[by_rel].searchsorted(rel_i)
+    count = rel_j[by_rel].searchsorted(rel_i, side="right") - first
+    chunk = max(1, _CHUNK_CELLS // max(len(cols), 1))
+    for offset in range(0, len(rows), chunk):
+        n = count[offset : offset + chunk]
+        s = np.arange(offset, offset + len(n)).repeat(n)
+        # Pair k of a row whose pairs start at k0 is column slot first + k - k0.
+        lead = first[offset : offset + chunk] - n.cumsum() + n
+        t = by_rel[lead.repeat(n) + np.arange(len(s))]
+        # ncDepConds = (w_i ∧ any_j) ∨ (rp_i ∧ w_j); the second conjunct
+        # is also cDepConds' unblocked term.
+        c_cond = _meet(rp_i, w_j, s, t)
+        nc_cond = c_cond | _meet(w_i, any_j, s, t)
         if use_foreign_keys:
-            # c_cond = (rpw ∧ ¬blocked) ∨ (pw ∧ blocked), folded in place.
-            test_into(p_i[sl], w_j, pw[:n])
-            test_into(fk_i[sl], fk_j, blocked[:n])
-            np.logical_and(pw[:n], blocked[:n], out=pw[:n])
-            np.logical_not(blocked[:n], out=blocked[:n])
-            np.logical_and(c_cond[:n], blocked[:n], out=c_cond[:n])
-            np.logical_or(c_cond[:n], pw[:n], out=c_cond[:n])
-        np.add(type_i7[sl][:, None], type_j[None, :], out=pairs[:n])
-        np.take(_NC_CODES, pairs[:n], out=nc_code[:n])
-        np.take(_C_CODES, pairs[:n], out=c_code[:n])
-        np.equal(rel_i[sl][:, None], rel_j[None, :], out=same[:n])
-        np.equal(nc_code[:n], ENTRY_COND, out=tmp[:n])
-        np.logical_and(tmp[:n], nc_cond[:n], out=tmp[:n])
-        np.equal(nc_code[:n], ENTRY_TRUE, out=nc[:n])
-        np.logical_or(nc[:n], tmp[:n], out=nc[:n])
-        np.logical_and(nc[:n], same[:n], out=nc[:n])
-        np.equal(c_code[:n], ENTRY_COND, out=tmp[:n])
-        np.logical_and(tmp[:n], c_cond[:n], out=tmp[:n])
-        np.equal(c_code[:n], ENTRY_TRUE, out=cf[:n])
-        np.logical_or(cf[:n], tmp[:n], out=cf[:n])
-        np.logical_and(cf[:n], same[:n], out=cf[:n])
-        yield offset, nc[:n], cf[:n]
+            # cDepConds = (rpw ∧ ¬blocked) ∨ (pw ∧ blocked)
+            blocked = _meet(fk_i, fk_j, s, t)
+            c_cond = np.where(blocked, _meet(p_i, w_j, s, t), c_cond)
+        code = type_i7[s] + type_j[t]
+        nc_code, c_code = _NC_CODES[code], _C_CODES[code]
+        nc = (nc_code == ENTRY_TRUE) | ((nc_code == ENTRY_COND) & nc_cond)
+        cf = (c_code == ENTRY_TRUE) | ((c_code == ENTRY_COND) & c_cond)
+        hit = nc | cf
+        yield s[hit], t[hit], nc[hit], cf[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +438,6 @@ def sweep(
     cols, dst_counts = _sweep_rows(arena, targets)
     empty = np.empty(0, dtype=np.intp)
     hits = [(empty, empty, empty.astype(bool), empty.astype(bool))]
-    for offset, nc, cf in np_sweep(arena, rows, cols, use_foreign_keys):
-        s, t = np.nonzero(nc | cf)
-        hits.append((s + offset, t, nc[s, t], cf[s, t]))
+    hits.extend(np_sweep(arena, rows, cols, use_foreign_keys))
     s, t, nc, cf = (np.concatenate(column) for column in zip(*hits))
     return fold(s, t, nc, cf, src_counts, dst_counts, arena.triggers(rows))

@@ -11,7 +11,10 @@ from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.cli import main
 from repro.errors import ProgramError, ReproError
+from repro.summary import pairwise
+from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
+from repro.workloads import auction_n
 
 
 def _variant_balance(workload) -> BTP:
@@ -126,6 +129,37 @@ class TestIncremental:
         )
         assert after["rows_packed"] == before["rows_packed"] + new_rows
         assert after["programs"] == before["programs"]
+
+    def test_profiles_compile_once_per_granularity(
+        self, smallbank_workload, monkeypatch
+    ):
+        """A session's FK and non-FK stores of one granularity share each
+        LTP's compiled profile, before and after an edit; a store used on
+        its own still compiles its own."""
+        calls = []
+        compile_profile = pairwise.compile_profile
+
+        def counting(program, schema, settings):
+            calls.append(program.name)
+            return compile_profile(program, schema, settings)
+
+        monkeypatch.setattr(pairwise, "compile_profile", counting)
+        cold = Analyzer(auction_n(64))
+        cold.analyze_matrix()
+        assert len(calls) == 2 * len(cold.unfolded()) == 384
+
+        session = Analyzer(smallbank_workload)
+        session.analyze_matrix()
+        calls.clear()
+        session.replace_program(_variant_balance(smallbank_workload))
+        matrix = session.analyze_matrix()
+        assert calls == ["Balance", "Balance"]  # one LTP, two granularities
+        fresh = Analyzer(session.workload).analyze_matrix()
+        assert matrix.to_dict() == fresh.to_dict()
+
+        calls.clear()
+        EdgeBlockStore(session.schema, ATTR_DEP_FK).register(session.unfolded())
+        assert len(calls) == len(session.unfolded())
 
     def test_replace_back_and_forth_is_stable(self, smallbank_workload):
         session = Analyzer(smallbank_workload)

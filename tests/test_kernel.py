@@ -147,8 +147,12 @@ class TestMaskConditions:
                 got = c_dep_conds_masks(
                     qi.masks(interner),
                     qj.masks(interner),
-                    interner.fk_mask(protecting_fks(program_i, occ_i.position)),
-                    interner.fk_mask(protecting_fks(program_j, occ_j.position)),
+                    interner.fk_mask(
+                        qi.relation, protecting_fks(program_i, occ_i.position)
+                    ),
+                    interner.fk_mask(
+                        qj.relation, protecting_fks(program_j, occ_j.position)
+                    ),
                     use_fk,
                 )
                 assert got == expected

@@ -3,12 +3,14 @@
 The load-bearing property: the batch sweep must reproduce
 ``pair_edges_reference`` edge for edge for every ordered program pair,
 across all four Section 7.2 settings — through the block store, through
-:func:`sweep`, and on the dense matrices :func:`np_sweep` yields — at
-one mask word (SmallBank, Auction(n ≤ 29)) and at several (an Auction(64)
-slice spans three).
+:func:`sweep`, and on the pair hits :func:`np_sweep` yields — at one mask
+word (SmallBank, Auction(n)) and at several (the synthetic Wide relation
+of ``tests/data/wide.workload`` has 140 attributes and spans three).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,20 +33,25 @@ from repro.summary.planes import (
     words_for_bits,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
-from repro.workloads import auction_n, smallbank
+from repro.workloads import Workload, auction_n, smallbank
 
 #: The sweep kernel under test, named in the parity tests' ids.
 KERNELS = [resolve_kernel()]
 
-#: Programs of Auction(64) whose masks reach all three 64-bit words:
-#: Buyer and the ``f1_*`` FKs sit in word 0, Bids32 and ``f2`` in word 1,
-#: Bids64 and Log in word 2 (133 attribute bits in all).
+#: Programs of Auction(64) over Buyer, Bids32, Bids64 and Log: one-word
+#: relation-local masks of different relations share bit positions, which
+#: only the same-relation guard keeps apart.
 AUCTION64_SLICE = ("FindBids32", "PlaceBid32", "FindBids64", "PlaceBid64")
+
+#: A workload whose 140-attribute relation spans three mask words, with
+#: pairs that conflict only in word 1 or only in word 2.
+WIDE_WORKLOAD = Path(__file__).parent / "data" / "wide.workload"
 
 WORKLOADS = {
     "smallbank": smallbank,
     "auction8": lambda: auction_n(8),
     "auction64slice": lambda: auction_n(64).subset(AUCTION64_SLICE),
+    "wide": lambda: Workload.resolve(WIDE_WORKLOAD),
 }
 
 
@@ -65,11 +72,7 @@ def _reference_blocks(ltps, schema, settings):
 def _packed_arena(ltps, schema, settings):
     """An arena holding every LTP's compiled profile (post-intern width)."""
     profiles = [compile_profile(ltp, schema, settings) for ltp in ltps]
-    interner = schema.interner
-    words = words_for_bits(
-        max(interner.attr_bit_count, interner.fk_bit_count, 1)
-    )
-    arena = PlaneArena(words)
+    arena = PlaneArena(words_for_bits(schema.interner.widest_table))
     for profile in profiles:
         arena.add(profile)
     return arena
@@ -98,8 +101,8 @@ class TestBatchKernelParity:
     )
     @given(data=st.data())
     def test_random_workload_subsets_match_reference(self, data):
-        """Property: random SmallBank/Auction(8)/Auction(64) slices x all four
-        Section 7.2 settings agree with ``pair_edges_reference``."""
+        """Property: random SmallBank/Auction(8)/Auction(64)/Wide slices x
+        all four Section 7.2 settings agree with ``pair_edges_reference``."""
         source = data.draw(st.sampled_from(sorted(WORKLOADS)))
         workload = WORKLOADS[source]()
         subset = data.draw(
@@ -154,23 +157,23 @@ class TestKernelAgreement:
         # A tiny chunk size makes np_sweep yield many row chunks, so the
         # chunk offsets are exercised too.
         monkeypatch.setattr(planes, "_CHUNK_CELLS", 64)
-        for workload, words in (
-            (auction_n(5), 1),
-            (WORKLOADS["auction64slice"](), 3),
-        ):
+        for workload, words in ((auction_n(5), 1), (WORKLOADS["wide"](), 3)):
             ltps = _ltps(workload)
             arena = _packed_arena(ltps, workload.schema, settings)
             assert arena.words == words
             rows = list(range(arena.capacity))
             expected = _reference_coords(ltps, workload.schema, settings)
             seen = {}
-            for offset, nc, cf in np_sweep(
+            chunks = 0
+            for s, t, nc, cf in np_sweep(
                 arena, rows, rows, settings.use_foreign_keys
             ):
-                for s, t in zip(*(nc | cf).nonzero()):
-                    seen[(offset + int(s), int(t))] = (
-                        bool(nc[s, t]), bool(cf[s, t])
-                    )
+                chunks += 1
+                for key, flags in zip(zip(s.tolist(), t.tolist()), zip(nc, cf)):
+                    assert key not in seen and any(flags)
+                    seen[key] = tuple(map(bool, flags))
+            assert chunks > 2
+            assert list(seen) == sorted(seen)  # row-major emit order
             assert seen == expected
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
@@ -212,7 +215,7 @@ class TestPlaneArena:
         profiles = [
             compile_profile(ltp, schema, ATTR_DEP_FK) for ltp in ltps[:3]
         ]
-        arena = PlaneArena(words_for_bits(schema.interner.attr_bit_count))
+        arena = PlaneArena(words_for_bits(schema.interner.widest_table))
         for profile in profiles:
             arena.add(profile)
         capacity = arena.capacity
@@ -228,7 +231,7 @@ class TestPlaneArena:
         schema = smallbank_workload.schema
         ltp = _ltps(smallbank_workload)[0]
         profile = compile_profile(ltp, schema, ATTR_DEP_FK)
-        arena = PlaneArena(words_for_bits(schema.interner.attr_bit_count))
+        arena = PlaneArena(words_for_bits(schema.interner.widest_table))
         arena.add(profile)
         packed = arena.rows_packed
         arena.add(profile)
