@@ -124,23 +124,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # The same dispatch the HTTP frontend uses — byte-identical payloads.
         print(json.dumps(request.payload(service), indent=2))
         return 0
-    if args.profile:
-        payload = request.payload(service)
-        result = service.analyze(request)  # warm: reuses the cached report
-        if args.all_settings:
-            print(result.describe())
-        else:
-            print(f"workload: {result.workload}")
-            print(result.describe())
+    payload = request.payload(service) if args.profile else None
+    result = service.analyze(request)  # after a payload: reuses the cached report
+    if not args.all_settings:
+        print(f"workload: {result.workload}")
+    print(result.describe())
+    if payload is not None:
         print("profile:")
         _print_spans(payload.get("profile", []), indent=1)
-        return 0
-    result = service.analyze(request)
-    if args.all_settings:
-        print(result.describe())
-    else:
-        print(f"workload: {result.workload}")
-        print(result.describe())
     return 0
 
 

@@ -24,8 +24,8 @@ attributes the schema does not declare (the frozenset conditions compare
 names without consulting the schema, and the analysis must behave the
 same), so unknown names are assigned fresh bits on first use instead of
 raising.  Masks are only meaningful relative to the interner that produced
-them, but they are plain ``int``s — cheap to pack into the plane arena of
-:mod:`repro.summary.planes`.
+them, but they are plain ``int``s — cheap to pack into the ``uint64`` mask
+planes of a compiled :class:`~repro.summary.pairwise.ProgramProfile`.
 """
 
 from __future__ import annotations
@@ -110,10 +110,11 @@ class AttributeInterner:
     @property
     def widest_table(self) -> int:
         """Bits in the widest relation-local table, attribute or FK-name:
-        every mask fits in this many bits.  The plane arena of
-        :mod:`repro.summary.planes` sizes its mask slots from it, and a
-        batch that outgrows its arena's width triggers a repack into a
-        wider one."""
+        every mask fits in this many bits, so no compiled profile's mask
+        planes are wider than ``words_for_bits(widest_table)`` words.
+        Lazy interning can widen a table after profiles over it were
+        compiled; their narrower planes stay exact, because a sweep
+        zero-pads them (:func:`repro.summary.planes.pack`)."""
         tables = (*self._attr_bits.values(), *self._fk_bits.values())
         return max(map(len, tables), default=0)
 

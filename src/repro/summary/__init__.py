@@ -9,7 +9,7 @@ foreign-key conditions ``ncDepConds`` and ``cDepConds``.
 """
 
 from repro.summary.construct import build_summary_graph, construct_summary_graph
-from repro.summary.planes import PlaneArena, resolve_kernel
+from repro.summary.planes import resolve_kernel
 from repro.summary.fingerprint import (
     program_fingerprint,
     schema_fingerprint,
@@ -51,7 +51,6 @@ __all__ = [
     "pair_edges_reference",
     "compile_profile",
     "ProgramProfile",
-    "PlaneArena",
     "resolve_kernel",
     "AnalysisSettings",
     "Granularity",

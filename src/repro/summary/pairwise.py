@@ -12,23 +12,24 @@ ordered pairs — edge-for-edge identical to running the monolithic loop of
 The hot path runs on a **plane-packed batch kernel**
 (:mod:`repro.summary.planes`) instead of per-pair Python loops:
 
-* each LTP is compiled once, at :meth:`EdgeBlockStore.register` time, to a
-  flat :class:`ProgramProfile` — per occurrence: statement name, position,
+* each LTP is compiled once, at :meth:`EdgeBlockStore.register` time, to
+  an immutable :class:`ProgramProfile` that is also its sweep input: per
+  occurrence its statement name and position, and packed planes of its
   interned relation id, dense statement-type id, the three relation-local
-  attribute-set bitmasks of :class:`~repro.schema.AttributeInterner`, and
-  the ``protecting_fks`` foreign-key mask precomputed *once per position*
-  (the frozenset path rescans the program's constraint instances for every
-  occurrence pair of every ordered pair).  A profile depends on the
-  settings' granularity only, so an :class:`~repro.analysis.Analyzer`'s
-  ``+ FK`` and plain stores of one granularity share it;
-* profiles' masks are packed into the store's contiguous
-  :class:`~repro.summary.planes.PlaneArena`, as wide as the widest
-  relation-local table needs; missing blocks are grouped into
-  cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are evaluated
-  for the same-relation occurrence pairs of a whole batch at once — one
-  numpy kernel, whatever the mask width — whose hits are folded, with
-  numpy only, into one CSR segment per sweep instead of per-pair edge
-  tuples.
+  attribute-set bitmasks of :class:`~repro.schema.AttributeInterner` (and
+  two combinations of them), and the ``protecting_fks`` foreign-key mask
+  precomputed *once per position* (the frozenset path rescans the
+  program's constraint instances for every occurrence pair of every
+  ordered pair).  A profile depends on the settings' granularity only, so
+  an :class:`~repro.analysis.Analyzer`'s ``+ FK`` and plain stores of one
+  granularity share it, and forks share it by reference;
+* missing blocks are grouped into cross-product **sweeps**, each side
+  packed by concatenating its programs' profiles
+  (:func:`~repro.summary.planes.pack`), and ``ncDepConds``/``cDepConds``
+  are evaluated for the same-relation occurrence pairs of a whole batch
+  at once — one numpy kernel, whatever the mask width — whose hits are
+  folded, with numpy only, into one CSR segment per sweep instead of
+  per-pair edge tuples.
 
 The store keeps each cached block in one form only: a slice of the
 immutable CSR :class:`~repro.summary.planes.Segment` of the sweep (or
@@ -100,50 +101,51 @@ def effective_statements(
 # compiled statement profiles
 # ---------------------------------------------------------------------------
 
-#: One occurrence, compiled: ``(stmt_name, position, relation_id, type_id,
-#: writes_mask, reads_mask, preads_mask, protecting_fk_mask)`` — ⊥ masks
-#: coerce to 0, exactly as the frozenset conditions coerce ⊥ to ∅.
-OccurrenceRow = tuple[str, int, int, int, int, int, int, int]
-
-
 class ProgramProfile(NamedTuple):
-    """One LTP compiled for the kernel: flat and immutable; ``occurrences``
-    preserves program order."""
+    """One LTP compiled for the kernel: flat, immutable and picklable.
+
+    ``occurrences`` holds each occurrence's ``(statement name, position)``
+    in program order.  The rest is the LTP's sweep input, packed once by
+    :func:`~repro.summary.planes.occurrence_planes`: its mask planes,
+    ``words`` 64-bit words wide, and its relation and type ids.
+    """
 
     name: str
-    occurrences: tuple[OccurrenceRow, ...]
+    occurrences: tuple[tuple[str, int], ...]
+    words: int
+    mask_bytes: bytes
+    id_bytes: bytes
 
 
 def compile_profile(
     program: LTP, schema: Schema, settings: AnalysisSettings
 ) -> ProgramProfile:
-    """Compile one LTP to its flat statement profile.
+    """Compile one LTP to its profile.
 
     Masks come from the schema's intern table; ``protecting_fks`` is
     evaluated once per occurrence position here instead of once per
-    occurrence *pair* inside ``cDepConds``.
+    occurrence *pair* inside ``cDepConds``.  Only the settings'
+    granularity matters, not the FK flag.
     """
     interner = schema.interner
     statements = effective_statements(program, schema, settings.granularity)
-    rows: list[OccurrenceRow] = []
+    occurrences, rels, types, writes, reads, preads, fks = ([] for _ in range(7))
     for occurrence in program:
         stmt = statements[occurrence.name]
         masks = interner.statement_masks(stmt)
-        rows.append(
-            (
-                occurrence.name,
-                occurrence.position,
-                interner.relation_id(stmt.relation),
-                TYPE_INDEX[stmt.stype],
-                masks.writes,
-                masks.reads,
-                masks.preads,
-                interner.fk_mask(
-                    stmt.relation, protecting_fks(program, occurrence.position)
-                ),
-            )
-        )
-    return ProgramProfile(program.name, tuple(rows))
+        occurrences.append((occurrence.name, occurrence.position))
+        rels.append(interner.relation_id(stmt.relation))
+        types.append(TYPE_INDEX[stmt.stype])
+        writes.append(masks.writes)
+        reads.append(masks.reads)
+        preads.append(masks.preads)
+        protecting = protecting_fks(program, occurrence.position)
+        fks.append(interner.fk_mask(stmt.relation, protecting))
+    return ProgramProfile(
+        program.name,
+        tuple(occurrences),
+        *planes.occurrence_planes(rels, types, writes, reads, preads, fks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ class EdgeBlockStore:
     cell there.  Presence is a plane read: the missing pairs among some
     names are one mask over their slots, which the **batch plane kernel**
     (:mod:`repro.summary.planes`) groups into cross-product sweeps over
-    the store's :class:`~repro.summary.planes.PlaneArena`.  A read slices
+    the programs' compiled profiles.  A read slices
     the block out of its segment and builds its
     :class:`~repro.summary.graph.SummaryEdge` tuples, in deterministic
     pair order.  :meth:`discard` writes −1 into the freed slot's row and
@@ -292,7 +294,6 @@ class EdgeBlockStore:
     ):
         self.schema = schema
         self.settings = settings
-        self._arena: planes.PlaneArena | None = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
         #: CSR segments by id (the ``SEG`` plane's values), and the next id.
@@ -359,8 +360,6 @@ class EdgeBlockStore:
             del self._ltps[name]
             del self._profiles[name]
             freed.append(self._slots.pop(name))
-            if self._arena is not None:
-                self._arena.remove(name)
         self._free_slots.extend(freed)
         if freed:
             seg = self._writable_planes()[SEG]
@@ -428,8 +427,8 @@ class EdgeBlockStore:
         append = edges.append
         edge = SummaryEdge
         for s, t, nc, cf in self._segments[segment_id].block(cell):
-            source_stmt, source_pos = occurrences_i[s][0], occurrences_i[s][1]
-            target_stmt, target_pos = occurrences_j[t][0], occurrences_j[t][1]
+            source_stmt, source_pos = occurrences_i[s]
+            target_stmt, target_pos = occurrences_j[t]
             if nc:
                 append(edge(source, source_stmt, source_pos, False,
                             target_stmt, target_pos, target))
@@ -503,7 +502,8 @@ class EdgeBlockStore:
                 for (s, t), (nc, cf) in sorted(flags.items())
             )
         s, t, nc, cf = np.array(coords, dtype=np.intp).reshape(-1, 4).T
-        types = [row[3] for name in sources for row in self._profiles[name].occurrences]
+        profiles = [self._profiles[name] for name in sources]
+        types = planes.pack(profiles, profiles)[0].types
         segment, aggregates = planes.fold(
             s, t, nc.astype(bool), cf.astype(bool), src_counts, dst_counts,
             planes.IS_TRIGGER[types],
@@ -519,10 +519,9 @@ class EdgeBlockStore:
         The in-process counterpart of :meth:`load_block`: programs carry
         their already-compiled kernel profiles over (no recompilation),
         the adopted blocks count under ``loaded``, and segments are shared
-        by reference.  A fresh store takes the other's slots, a copy of
-        its segment table and of its plane arena, and shares its planes
-        copy-on-write — nothing is copied per pair, and a fork's first
-        sweep packs only the programs it edited.  A non-empty store
+        by reference.  A fresh store takes the other's slots and a copy of
+        its segment table, and shares its planes copy-on-write — nothing
+        is copied per pair or per program.  A non-empty store
         appends the other's segments under new ids and copies the
         adopted cells by slot.  Both stores must describe the same schema
         and settings — this is what :meth:`repro.analysis.Analyzer.fork`
@@ -548,7 +547,6 @@ class EdgeBlockStore:
             self._free_slots = list(other._free_slots)
             self._segments = dict(other._segments)
             self._next_segment = other._next_segment
-            self._arena = other._arena.copy() if other._arena else None
             self._planes = other._planes
             self._planes_shared = other._planes_shared = True
             self._loaded += int(np.count_nonzero(other._planes[SEG] >= 0))
@@ -584,38 +582,29 @@ class EdgeBlockStore:
         return count
 
     # -- batch kernel plumbing ---------------------------------------------
-    def _arena_for(self, names: Iterable[str]) -> planes.PlaneArena:
-        """The store's plane arena with ``names`` packed, (re)built wider
-        when lazy interning has outgrown the mask slots.
-
-        Already-packed programs keep their rows — an incremental
-        ``replace_program`` repacks only the edited program's rows."""
-        words = planes.words_for_bits(self.schema.interner.widest_table)
-        arena = self._arena
-        if arena is None or arena.words < words:
-            arena = self._arena = planes.PlaneArena(words)
-        for name in names:
-            if name not in arena:
-                arena.add(self._profiles[name])
-        return arena
-
     def _sweep(
         self, sources: Sequence[str], targets: Sequence[str], missing: np.ndarray
     ) -> None:
         """Batch-compute the ``missing`` pairs of ``sources × targets``:
-        plan sweeps, run them, and install each sweep's segment with one
-        plane write."""
+        plan sweeps, pack each from the compiled profiles, run them, and
+        install each sweep's segment with one plane write."""
         check_deadline("block construction")
-        with span("pack"):
-            arena = self._arena_for({*sources, *targets})
-        use_fk = self.settings.use_foreign_keys
         plans = planes.plan_sweeps(missing)
+        profiles = self._profiles
+        with span("pack"):
+            packed = [
+                planes.pack(
+                    [profiles[sources[i]] for i in rows],
+                    [profiles[targets[j]] for j in cols],
+                )
+                for rows, cols in plans
+            ]
+        use_fk = self.settings.use_foreign_keys
         swept = []
         with span("sweep"):
-            for rows, cols in plans:
+            for sides in packed:
                 check_deadline("block construction")
-                names = [sources[i] for i in rows], [targets[j] for j in cols]
-                swept.append(planes.sweep(arena, *names, use_fk))
+                swept.append(planes.sweep(*sides, use_fk))
         count = int(np.count_nonzero(missing))
         obs_log.debug("sweep.batch", pairs=count, sweeps=len(plans))
         source_slots, target_slots = self._index(sources), self._index(targets)
@@ -712,23 +701,6 @@ class EdgeBlockStore:
             "hits": self._hits,
         }
 
-    def plane_info(self) -> dict[str, int]:
-        """Plane-arena diagnostics: slot width, live rows, rows ever packed.
-
-        ``rows_packed`` is cumulative — an incremental replace advances it
-        by the edited program's occurrence count only (untouched rows are
-        reused in place), which is what the incremental regression tests
-        assert."""
-        arena = self._arena
-        if arena is None:
-            return {"words": 0, "programs": 0, "rows": 0, "rows_packed": 0}
-        return {
-            "words": arena.words,
-            "programs": arena.programs,
-            "rows": arena.capacity,
-            "rows_packed": arena.rows_packed,
-        }
-
     def blocks(self) -> dict[tuple[str, str], tuple[SummaryEdge, ...]]:
         """A snapshot of all cached blocks as edge tuples (for persistence),
         in registration order of source, then of target."""
@@ -738,7 +710,6 @@ class EdgeBlockStore:
         """Drop all programs, profiles, blocks, planes, and counters."""
         self._ltps.clear()
         self._profiles.clear()
-        self._arena = None
         self._segments = {}
         self._next_segment = 0
         self._slots = {}

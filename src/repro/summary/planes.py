@@ -4,16 +4,16 @@
 ``ncDepConds``/``cDepConds`` one occurrence pair at a time over frozensets.
 This module evaluates them for *entire occurrence-pair batches*:
 
-* a :class:`PlaneArena` packs every compiled occurrence row of every
-  registered program into contiguous integer **planes** — one
-  ``array('Q')`` buffer per mask kind (writes, predicate reads, the
-  combined ``w|r|p`` and ``r|p`` masks, protecting FKs), each occurrence
-  owning ``words`` consecutive 64-bit words, plus ``array('q')`` planes
-  for the interned relation id and dense statement-type id.  Programs
-  occupy contiguous row ranges; removing one leaves a hole that later
-  registrations reuse, so an incremental ``replace_program`` repacks only
-  the edited program's rows, and a fork's copy of the arena packs only
-  the programs the fork edits;
+* each program's compiled profile
+  (:class:`~repro.summary.pairwise.ProgramProfile`) already holds its
+  occurrences as immutable **planes** — one ``uint64`` mask plane per kind
+  (writes, predicate reads, the combined ``w|r|p`` and ``r|p`` masks,
+  protecting FKs), each as wide as the profile's own widest mask, plus
+  the interned relation-id and dense statement-type-id rows.  :func:`pack`
+  concatenates the profiles of one sweep side, zero-padding narrower ones
+  to the sweep's widest, so nothing is packed per store: the ``+ FK`` and
+  plain stores of a session and its forks share the profiles by
+  reference;
 * :func:`plan_sweeps` groups a mask of missing ordered pairs into
   cross-product sweeps, and :func:`sweep` evaluates the conditions for
   one sweep's source rows × target rows at once.  It returns one CSR
@@ -53,15 +53,11 @@ Condition algebra (property-tested against the frozenset originals): with
 
 from __future__ import annotations
 
-import copy
-import time
-from array import array
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.btp.statement import READ_TRIGGER_TYPES
-from repro.errors import ProgramError
 from repro.summary.tables import (
     C_CODE_ROWS,
     ENTRY_COND,
@@ -74,6 +70,9 @@ from repro.summary.tables import (
 #: occurrence pairs: one ``intp``/``uint64`` pair array stays ≤ 16 MB
 #: whatever the target count.
 _CHUNK_CELLS = 2_000_000
+
+#: The little-endian word types of a profile's packed bytes.
+_U64, _I64 = np.dtype("<u8"), np.dtype("<i8")
 
 #: Table 1 as flat ``int8`` code tables indexed by ``type_i * 7 + type_j``.
 _NC_CODES = np.array(NC_CODE_ROWS, dtype=np.int8).reshape(-1)
@@ -98,179 +97,91 @@ def resolve_kernel(kernel: str | None = None) -> str:
 
 
 def words_for_bits(bits: int) -> int:
-    """64-bit words per mask slot, always leaving the top slot bit free."""
+    """64-bit words of a mask plane holding ``bits``-bit masks, always
+    leaving the top bit free (so at least one word)."""
     return bits // 64 + 1
 
 
-class PlaneArena:
-    """Contiguous occurrence planes for compiled program profiles.
+def occurrence_planes(
+    rels, types, writes, reads, preads, fks
+) -> tuple[int, bytes, bytes]:
+    """One program's sweep input, packed once from its per-occurrence
+    relation ids, type ids and integer masks (⊥ as 0), in program order.
 
-    One instance backs one :class:`~repro.summary.pairwise.EdgeBlockStore`:
-    every registered program's occurrence rows live at a contiguous
-    ``(start, count)`` row range, all planes share the same ``words``-wide
-    mask slots (attribute and FK masks alike, sized from the interner's
-    :attr:`~repro.schema.AttributeInterner.widest_table`, so the sweep
-    needs a single slot geometry).
+    Returns ``(words, mask_bytes, id_bytes)``: the five mask planes of
+    :class:`Packed` as little-endian ``(occurrences, 5, words)`` ``uint64``
+    bytes, as many words wide as the widest mask needs
+    (:func:`words_for_bits`), and the ids as little-endian
+    ``(occurrences, 2)`` ``int64`` bytes.  Occurrences outermost let
+    :func:`pack` concatenate programs with one ``bytes.join``.
+    """
+    anyrw = [w | r | p for w, r, p in zip(writes, reads, preads)]
+    rp = [r | p for r, p in zip(reads, preads)]
+    widest = 0
+    for mask in (*anyrw, *fks):
+        widest |= mask
+    words = words_for_bits(widest.bit_length())
+    masks = b"".join(
+        mask.to_bytes(8 * words, "little")
+        for row in zip(writes, preads, anyrw, rp, fks)
+        for mask in row
+    )
+    ids = b"".join(
+        value.to_bytes(8, "little", signed=True)
+        for row in zip(rels, types)
+        for value in row
+    )
+    return words, masks, ids
 
-    The arena is the **source of truth** the sweep reads through
-    :meth:`gather`; numpy views are taken zero-copy via ``np.frombuffer``
-    and never kept across mutations (``array`` refuses to grow while a
-    view exports its buffer).
+
+class Packed(NamedTuple):
+    """One side of a sweep: the occurrence planes of some programs' compiled
+    profiles, back to back in program order.
+
+    ``masks`` is a ``(5, words, rows)`` ``uint64`` view — the writes,
+    predicate-read, ``w|r|p``, ``r|p`` and protecting-FK mask planes —
+    ``rels`` and ``types`` are the ``(rows,)`` ``int64`` relation-id and
+    dense type-id rows, and ``counts`` holds each program's occurrence
+    count.  All are read-only.
     """
 
-    __slots__ = (
-        "words",
-        "_writes",
-        "_preads",
-        "_anyrw",
-        "_rp",
-        "_fks",
-        "_rels",
-        "_types",
-        "_rows",
-        "_free",
-        "_capacity",
-        "rows_packed",
-        "pack_seconds",
-    )
+    masks: np.ndarray
+    rels: np.ndarray
+    types: np.ndarray
+    counts: list[int]
 
-    def __init__(self, words: int):
-        self.words = words
-        self._writes = array("Q")
-        self._preads = array("Q")
-        self._anyrw = array("Q")  # writes | reads | preads, per occurrence
-        self._rp = array("Q")  # reads | preads, per occurrence
-        self._fks = array("Q")
-        self._rels = array("q")
-        self._types = array("q")
-        self._rows: dict[str, tuple[int, int]] = {}
-        self._free: list[tuple[int, int]] = []
-        self._capacity = 0
-        #: Total occurrence rows ever written — the incremental-repack
-        #: regression counter: replacing one program advances this by that
-        #: program's row count only.
-        self.rows_packed = 0
-        self.pack_seconds = 0.0
 
-    # -- row allocation -----------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        return name in self._rows
+def pack(sources: Sequence, targets: Sequence) -> tuple[Packed, Packed]:
+    """Both sides of one sweep from compiled
+    :class:`~repro.summary.pairwise.ProgramProfile` sequences.
 
-    def rows_of(self, name: str) -> tuple[int, int]:
-        """``(start, count)`` row range of one packed program."""
-        return self._rows[name]
+    Each profile's planes are as wide as its own widest mask; narrower
+    ones are zero-padded to the widest in the sweep, which leaves every
+    intersection test unchanged.  Identical source and target lists (a
+    full build) are packed once.
+    """
+    words = max(profile.words for profile in (*sources, *targets))
 
-    @property
-    def programs(self) -> int:
-        return len(self._rows)
-
-    @property
-    def capacity(self) -> int:
-        """Allocated rows (live rows plus reusable holes)."""
-        return self._capacity
-
-    def _take_slot(self, count: int) -> int:
-        for index, (start, free) in enumerate(self._free):
-            if free >= count:
-                if free == count:
-                    del self._free[index]
-                else:
-                    self._free[index] = (start + count, free - count)
-                return start
-        start = self._capacity
-        self._grow(count)
-        return start
-
-    def _grow(self, rows: int) -> None:
-        words = self.words
-        self._writes.extend([0] * (rows * words))
-        self._preads.extend([0] * (rows * words))
-        self._anyrw.extend([0] * (rows * words))
-        self._rp.extend([0] * (rows * words))
-        self._fks.extend([0] * (rows * words))
-        self._rels.extend([-1] * rows)
-        self._types.extend([0] * rows)
-        self._capacity += rows
-
-    def _put_mask(self, plane: array, row: int, mask: int) -> None:
-        base = row * self.words
-        for word in range(self.words):
-            plane[base + word] = mask & 0xFFFFFFFFFFFFFFFF
-            mask >>= 64
-        if mask:
-            raise ProgramError(
-                "plane arena: mask wider than the arena's slot width "
-                f"({self.words} words); repack with a wider arena"
-            )
-
-    def add(self, profile) -> None:
-        """Pack one compiled profile's occurrence rows (idempotent)."""
-        if profile.name in self._rows:
-            return
-        started = time.perf_counter()
-        occurrences = profile.occurrences
-        start = self._take_slot(len(occurrences)) if occurrences else self._capacity
-        for offset, (_, _, relation, type_id, wm, rm, pm, fkm) in enumerate(
-            occurrences
-        ):
-            row = start + offset
-            self._put_mask(self._writes, row, wm)
-            self._put_mask(self._preads, row, pm)
-            self._put_mask(self._anyrw, row, wm | rm | pm)
-            self._put_mask(self._rp, row, rm | pm)
-            self._put_mask(self._fks, row, fkm)
-            self._rels[row] = relation
-            self._types[row] = type_id
-        self._rows[profile.name] = (start, len(occurrences))
-        self.rows_packed += len(occurrences)
-        self.pack_seconds += time.perf_counter() - started
-
-    def remove(self, name: str) -> None:
-        """Free one program's rows (they become a reusable hole)."""
-        span = self._rows.pop(name, None)
-        if span is not None and span[1]:
-            self._free.append(span)
-
-    def copy(self) -> "PlaneArena":
-        """An independent arena with the same rows (a fork's arena: it
-        packs only the programs the fork adds)."""
-        other = PlaneArena.__new__(PlaneArena)
-        for name in self.__slots__:  # buffers, row map and free list copied
-            setattr(other, name, copy.copy(getattr(self, name)))
-        return other
-
-    def triggers(self, rows) -> np.ndarray:
-        """Per row: is the occurrence an R- or PR-operation?"""
-        return IS_TRIGGER[np.frombuffer(self._types, dtype=np.int64)[rows]]
-
-    # -- sweep input ------------------------------------------------------
-    def gather(self, rows: Sequence[int]):
-        """Copies of the given rows of every plane: ``(writes, preads,
-        anyrw, rp, fks, rels, types)``.
-
-        Mask planes come back word-major, as ``(words, len(rows))``
-        ``uint64`` arrays, so each word of a mask test is one contiguous
-        row; the id planes come back as ``(len(rows),)`` ``int64`` arrays.
-        Fancy indexing copies, so no view keeps the arena's buffers
-        exported afterwards.
-        """
-        index = np.asarray(rows, dtype=np.intp)
-        # One (words, rows) index of flat word slots serves all five mask
-        # planes: cheaper per call than reshaping each plane first.
-        slots = np.arange(self.words)[:, None] + index * self.words
-
-        def masks(plane: array):
-            return np.frombuffer(plane, dtype=np.uint64)[slots]
-
-        return (
-            masks(self._writes),
-            masks(self._preads),
-            masks(self._anyrw),
-            masks(self._rp),
-            masks(self._fks),
-            np.frombuffer(self._rels, dtype=np.int64)[index],
-            np.frombuffer(self._types, dtype=np.int64)[index],
+    def side(profiles) -> Packed:
+        masks = b"".join(
+            profile.mask_bytes if profile.words == words else _widened(profile, words)
+            for profile in profiles
         )
+        masks = np.frombuffer(masks, dtype=_U64).reshape(-1, 5, words)
+        ids = b"".join(profile.id_bytes for profile in profiles)
+        ids = np.frombuffer(ids, dtype=_I64).reshape(-1, 2)
+        counts = [len(profile.occurrences) for profile in profiles]
+        return Packed(masks.transpose(1, 2, 0), ids[:, 0], ids[:, 1], counts)
+
+    packed = side(sources)
+    return packed, packed if targets == sources else side(targets)
+
+
+def _widened(profile, words: int) -> bytes:
+    """A profile's mask bytes with every mask zero-padded to ``words``."""
+    masks = np.frombuffer(profile.mask_bytes, dtype=_U64)
+    masks = masks.reshape(-1, 5, profile.words)
+    return np.pad(masks, ((0, 0), (0, 0), (0, words - profile.words))).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +197,29 @@ def _meet(lhs: np.ndarray, rhs: np.ndarray, s: np.ndarray, t: np.ndarray):
     return hit
 
 
-def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
+def np_sweep(sources: Packed, targets: Packed, use_foreign_keys: bool):
     """The interfering occurrence pairs of a row set × column set, chunked.
 
-    Yields ``(s, t, nc, cf)`` per row chunk: indexes into ``rows`` and
-    ``cols`` with the pair's non-counterflow / counterflow flags, only for
-    pairs with at least one flag, in row-major order.  Only pairs over the
-    same relation are tested — Algorithm 1 compares no others — each as
-    one entry of 1-D arrays gathered from the planes; masks of any width
-    run through the same word loop (:func:`_meet`).
+    Yields ``(s, t, nc, cf)`` per row chunk: row indexes into ``sources``
+    and column indexes into ``targets`` with the pair's non-counterflow /
+    counterflow flags, only for pairs with at least one flag, in row-major
+    order.  Only pairs over the same relation are tested — Algorithm 1
+    compares no others — each as one entry of 1-D arrays gathered from the
+    planes; masks of any width run through the same word loop
+    (:func:`_meet`).  Both sides must be packed to one width (:func:`pack`).
     """
-    w_i, p_i, _, rp_i, fk_i, rel_i, type_i = arena.gather(rows)
-    w_j, _, any_j, _, fk_j, rel_j, type_j = arena.gather(cols)
+    w_i, p_i, _, rp_i, fk_i = sources.masks
+    w_j, _, any_j, _, fk_j = targets.masks
+    rel_i, type_i = sources.rels, sources.types
+    rel_j, type_j = targets.rels, targets.types
     type_i7 = type_i * 7
     # Columns grouped by relation, ascending within one: row r's
     # same-relation columns are by_rel[first[r] : first[r] + count[r]].
     by_rel = rel_j.argsort(kind="stable")
     first = rel_j[by_rel].searchsorted(rel_i)
     count = rel_j[by_rel].searchsorted(rel_i, side="right") - first
-    chunk = max(1, _CHUNK_CELLS // max(len(cols), 1))
-    for offset in range(0, len(rows), chunk):
+    chunk = max(1, _CHUNK_CELLS // max(len(rel_j), 1))
+    for offset in range(0, len(rel_i), chunk):
         n = count[offset : offset + chunk]
         s = np.arange(offset, offset + len(n)).repeat(n)
         # Pair k of a row whose pairs start at k0 is column slot first + k - k0.
@@ -328,7 +242,7 @@ def np_sweep(arena: PlaneArena, rows, cols, use_foreign_keys: bool):
 
 
 # ---------------------------------------------------------------------------
-# sweeps over an arena: planning and the CSR fold
+# sweep planning and the CSR fold
 # ---------------------------------------------------------------------------
 
 class Segment(NamedTuple):
@@ -413,31 +327,16 @@ def plan_sweeps(missing: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _sweep_rows(arena: PlaneArena, names: Sequence[str]):
-    """Arena rows of one sweep side (programs back to back in ``names``
-    order) and each program's occurrence count."""
-    rows: list[int] = []
-    counts: list[int] = []
-    for name in names:
-        start, count = arena.rows_of(name)
-        rows.extend(range(start, start + count))
-        counts.append(count)
-    return np.array(rows, dtype=np.intp), counts
-
-
 def sweep(
-    arena: PlaneArena,
-    sources: Sequence[str],
-    targets: Sequence[str],
-    use_foreign_keys: bool,
+    sources: Packed, targets: Packed, use_foreign_keys: bool
 ) -> tuple[Segment, np.ndarray]:
-    """The CSR segment of every ordered pair in ``sources × targets`` plus
-    their aggregates (see :func:`fold`): one plane sweep, folded with
-    numpy."""
-    rows, src_counts = _sweep_rows(arena, sources)
-    cols, dst_counts = _sweep_rows(arena, targets)
+    """The CSR segment of every ordered program pair in ``sources ×
+    targets`` plus their aggregates (see :func:`fold`): one plane sweep,
+    folded with numpy."""
     empty = np.empty(0, dtype=np.intp)
     hits = [(empty, empty, empty.astype(bool), empty.astype(bool))]
-    hits.extend(np_sweep(arena, rows, cols, use_foreign_keys))
+    hits.extend(np_sweep(sources, targets, use_foreign_keys))
     s, t, nc, cf = (np.concatenate(column) for column in zip(*hits))
-    return fold(s, t, nc, cf, src_counts, dst_counts, arena.triggers(rows))
+    return fold(
+        s, t, nc, cf, sources.counts, targets.counts, IS_TRIGGER[sources.types]
+    )

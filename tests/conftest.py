@@ -7,6 +7,7 @@ import pytest
 from repro.btp.program import BTP, FKConstraint, seq
 from repro.btp.statement import Statement
 from repro.schema import ForeignKey, Relation, Schema
+from repro.summary import pairwise
 from repro.workloads import auction, smallbank, tpcc
 
 
@@ -38,6 +39,21 @@ def tpcc_workload():
 @pytest.fixture(scope="session")
 def auction_workload():
     return auction()
+
+
+@pytest.fixture
+def compile_calls(monkeypatch) -> list[str]:
+    """The names of the LTPs ``compile_profile`` compiles while the test
+    runs, in call order."""
+    calls: list[str] = []
+    compile_profile = pairwise.compile_profile
+
+    def counting(program, schema, settings):
+        calls.append(program.name)
+        return compile_profile(program, schema, settings)
+
+    monkeypatch.setattr(pairwise, "compile_profile", counting)
+    return calls
 
 
 def make_reader(schema: Schema, name: str = "Reader") -> BTP:

@@ -11,7 +11,6 @@ from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.cli import main
 from repro.errors import ProgramError, ReproError
-from repro.summary import pairwise
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
 from repro.workloads import auction_n
@@ -107,43 +106,31 @@ class TestIncremental:
         assert recomputed == 2 * total_ltps - 1
 
     def test_replace_repacks_only_the_edited_programs_rows(
-        self, smallbank_workload
+        self, smallbank_workload, compile_calls
     ):
-        """The plane arena reuses untouched rows across replace_program:
-        only the edited program's occurrence rows are repacked."""
+        """A profile is its program's packed planes: replace_program
+        compiles only the edited program's LTPs, and every other program
+        keeps its profile object."""
         session = Analyzer(smallbank_workload)
         session.analyze(ATTR_DEP_FK)
         store = session.edge_block_store(ATTR_DEP_FK)
-        before = store.plane_info()
-        assert before["rows_packed"] == before["rows"]
+        before = dict(store._profiles)
+        compile_calls.clear()
         session.replace_program(_variant_balance(smallbank_workload))
         session.analyze(ATTR_DEP_FK)
-        after = store.plane_info()
-        # The cumulative pack counter advanced by exactly the variant's
-        # occurrence rows (Balance unfolds to a single LTP), proving every
-        # other program's rows were reused in place.
-        new_rows = next(
-            len(ltp.occurrences)
-            for ltp in session.unfolded()
-            if ltp.name.startswith("Balance")
-        )
-        assert after["rows_packed"] == before["rows_packed"] + new_rows
-        assert after["programs"] == before["programs"]
+        edited = [ltp.name for ltp in session.unfolded() if ltp.origin == "Balance"]
+        assert compile_calls == edited == ["Balance"]
+        assert store._profiles.keys() == before.keys()
+        for name, profile in store._profiles.items():
+            assert (profile is before[name]) == (name not in edited)
 
     def test_profiles_compile_once_per_granularity(
-        self, smallbank_workload, monkeypatch
+        self, smallbank_workload, compile_calls
     ):
         """A session's FK and non-FK stores of one granularity share each
         LTP's compiled profile, before and after an edit; a store used on
         its own still compiles its own."""
-        calls = []
-        compile_profile = pairwise.compile_profile
-
-        def counting(program, schema, settings):
-            calls.append(program.name)
-            return compile_profile(program, schema, settings)
-
-        monkeypatch.setattr(pairwise, "compile_profile", counting)
+        calls = compile_calls
         cold = Analyzer(auction_n(64))
         cold.analyze_matrix()
         assert len(calls) == 2 * len(cold.unfolded()) == 384

@@ -11,8 +11,10 @@ whose source occurrence lies in any relation, and check:
 
 * two masks of one relation intersect exactly when their attribute (or
   FK-name) sets do;
-* the plane sweep's blocks equal ``pair_edges_reference`` under all four
-  Section 7.2 settings, at whatever slot width the widest table needs.
+* every compiled profile's mask planes hold its interned masks word for
+  word, no wider than the widest table needs, and the plane sweep's
+  blocks equal ``pair_edges_reference`` under all four Section 7.2
+  settings.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from hypothesis import HealthCheck, given, settings as hyp_settings, strategies 
 from repro.btp.ltp import LTP, FKInstance
 from repro.btp.statement import Statement, StatementType
 from repro.schema import ForeignKey, Relation, Schema
-from repro.summary.pairwise import EdgeBlockStore, pair_edges_reference
-from repro.summary.planes import words_for_bits
+from repro.summary.pairwise import (
+    EdgeBlockStore,
+    effective_statements,
+    pair_edges_reference,
+)
+from repro.summary.planes import pack, words_for_bits
 from repro.summary.settings import ALL_SETTINGS
 from repro.workloads import auction_n
 
@@ -129,6 +135,19 @@ def test_same_relation_masks_intersect_exactly_when_the_sets_do(data):
     assert interner.attribute_mask(relation.name, attrs) < 1 << widest
 
 
+def _assert_planes_hold_the_masks(program, schema, settings, profile) -> None:
+    """Each occurrence's packed mask words reassemble to its interned
+    writes and predicate-read masks, whatever the word boundaries."""
+    statements = effective_statements(program, schema, settings.granularity)
+    for index, occurrence in enumerate(program):
+        masks = schema.interner.statement_masks(statements[occurrence.name])
+        writes, preads = (
+            sum(int(word) << 64 * w for w, word in enumerate(plane[:, index]))
+            for plane in pack([profile], [profile])[0].masks[:2]
+        )
+        assert (writes, preads) == (masks.writes, masks.preads)
+
+
 @hyp_settings(
     max_examples=60,
     deadline=None,
@@ -138,12 +157,15 @@ def test_same_relation_masks_intersect_exactly_when_the_sets_do(data):
 def test_store_blocks_equal_the_reference_on_generated_schemas(data):
     schema = data.draw(schemas())
     programs = [data.draw(ltps(schema, f"P{index}")) for index in range(3)]
-    words = words_for_bits(schema.interner.widest_table)
     for settings in ALL_SETTINGS:
         store = EdgeBlockStore(schema, settings)
         store.register(programs)
         store.ensure_blocks()
-        assert store.plane_info()["words"] == words
+        words = words_for_bits(schema.interner.widest_table)
+        for program in programs:
+            profile = store._profiles[program.name]
+            _assert_planes_hold_the_masks(program, schema, settings, profile)
+            assert profile.words <= words
         for source in programs:
             for target in programs:
                 assert store.block(source.name, target.name) == (

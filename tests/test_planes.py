@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
+from repro.btp.ltp import LTP
+from repro.btp.statement import Statement, StatementType
 from repro.btp.unfold import unfold
-from repro.errors import ProgramError
+from repro.schema import Relation, Schema
 from repro.summary import planes
 from repro.summary.pairwise import (
     EdgeBlockStore,
@@ -25,14 +27,14 @@ from repro.summary.pairwise import (
     pair_edges_reference,
 )
 from repro.summary.planes import (
-    PlaneArena,
     np_sweep,
+    pack,
     plan_sweeps,
     resolve_kernel,
     sweep,
     words_for_bits,
 )
-from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
+from repro.summary.settings import ALL_SETTINGS, Granularity
 from repro.workloads import Workload, auction_n, smallbank
 
 #: The sweep kernel under test, named in the parity tests' ids.
@@ -69,13 +71,11 @@ def _reference_blocks(ltps, schema, settings):
     }
 
 
-def _packed_arena(ltps, schema, settings):
-    """An arena holding every LTP's compiled profile (post-intern width)."""
+def _packed(ltps, schema, settings):
+    """Every LTP's compiled profile, packed back to back as one sweep side."""
     profiles = [compile_profile(ltp, schema, settings) for ltp in ltps]
-    arena = PlaneArena(words_for_bits(schema.interner.widest_table))
-    for profile in profiles:
-        arena.add(profile)
-    return arena
+    packed, _ = pack(profiles, profiles)
+    return packed
 
 
 class TestBatchKernelParity:
@@ -125,7 +125,7 @@ class TestBatchKernelParity:
 
 
 def _reference_coords(ltps, schema, settings):
-    """Arena-row coordinates ``(row, col, has_nc, has_cf)`` of every
+    """Packed-row coordinates ``(row, col, has_nc, has_cf)`` of every
     reference edge, for LTPs packed back to back from row 0."""
     starts = {}
     row = 0
@@ -159,14 +159,13 @@ class TestKernelAgreement:
         monkeypatch.setattr(planes, "_CHUNK_CELLS", 64)
         for workload, words in ((auction_n(5), 1), (WORKLOADS["wide"](), 3)):
             ltps = _ltps(workload)
-            arena = _packed_arena(ltps, workload.schema, settings)
-            assert arena.words == words
-            rows = list(range(arena.capacity))
+            packed = _packed(ltps, workload.schema, settings)
+            assert len(packed.masks[0]) == words
             expected = _reference_coords(ltps, workload.schema, settings)
             seen = {}
             chunks = 0
             for s, t, nc, cf in np_sweep(
-                arena, rows, rows, settings.use_foreign_keys
+                packed, packed, settings.use_foreign_keys
             ):
                 chunks += 1
                 for key, flags in zip(zip(s.tolist(), t.tolist()), zip(nc, cf)):
@@ -180,68 +179,88 @@ class TestKernelAgreement:
     def test_sweep_blocks_identical(self, settings):
         workload = smallbank()
         ltps = _ltps(workload)
-        arena = _packed_arena(ltps, workload.schema, settings)
-        names = [ltp.name for ltp in ltps]
-        segment = sweep(arena, names, names, settings.use_foreign_keys)[0]
-        assert len(segment.offsets) == len(ltps) ** 2 + 1
-        pairs = [(i, j) for i in ltps for j in ltps]
-        for cell, (program_i, program_j) in enumerate(pairs):
-            edges = [
-                (
-                    program_i.occurrences[s].position,
-                    counterflow,
-                    program_j.occurrences[t].position,
-                )
-                for s, t, nc, cf in segment.block(cell)
-                for flag, counterflow in ((nc, False), (cf, True))
-                if flag
-            ]
-            reference = pair_edges_reference(
-                program_i, program_j, workload.schema, settings
+        packed = _packed(ltps, workload.schema, settings)
+        segment = sweep(packed, packed, settings.use_foreign_keys)[0]
+        _assert_segment_is_the_reference(segment, ltps, workload.schema, settings)
+
+
+def _assert_segment_is_the_reference(segment, ltps, schema, settings):
+    """A full ``ltps × ltps`` sweep's blocks carry exactly the reference's
+    edges, cell by cell in row-major pair order."""
+    assert len(segment.offsets) == len(ltps) ** 2 + 1
+    pairs = [(i, j) for i in ltps for j in ltps]
+    for cell, (program_i, program_j) in enumerate(pairs):
+        edges = [
+            (
+                program_i.occurrences[s].position,
+                counterflow,
+                program_j.occurrences[t].position,
             )
-            assert edges == [
-                (e.source_pos, e.counterflow, e.target_pos) for e in reference
-            ]
+            for s, t, nc, cf in segment.block(cell)
+            for flag, counterflow in ((nc, False), (cf, True))
+            if flag
+        ]
+        reference = pair_edges_reference(program_i, program_j, schema, settings)
+        assert edges == [
+            (e.source_pos, e.counterflow, e.target_pos) for e in reference
+        ]
 
 
-class TestPlaneArena:
+def _narrow_note(schema):
+    """A one-statement LTP over the Wide fixture's two-attribute ``Ref``
+    relation: one mask word under every setting."""
+    ref = schema.relation("Ref")
+    return LTP("Note", [Statement.key_update("q1", ref, ["note"], ["note"])])
+
+
+class TestPack:
     def test_words_always_leave_top_slot_bit_free(self):
         for bits in range(0, 200):
             assert words_for_bits(bits) * 64 > bits
 
-    def test_remove_reuses_hole(self, smallbank_workload):
-        schema = smallbank_workload.schema
-        ltps = _ltps(smallbank_workload)
-        profiles = [
-            compile_profile(ltp, schema, ATTR_DEP_FK) for ltp in ltps[:3]
-        ]
-        arena = PlaneArena(words_for_bits(schema.interner.widest_table))
-        for profile in profiles:
-            arena.add(profile)
-        capacity = arena.capacity
-        first = profiles[0]
-        start, count = arena.rows_of(first.name)
-        arena.remove(first.name)
-        assert first.name not in arena
-        arena.add(first)  # same row count: must land back in the hole
-        assert arena.rows_of(first.name) == (start, count)
-        assert arena.capacity == capacity
+    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+    def test_one_sweep_mixes_one_and_three_word_profiles(self, settings):
+        workload = WORKLOADS["wide"]()
+        schema = workload.schema
+        ltps = [*_ltps(workload), _narrow_note(schema)]
+        profiles = [compile_profile(ltp, schema, settings) for ltp in ltps]
+        assert {profile.words for profile in profiles} >= {1, 3}
+        sources, targets = pack(profiles, profiles)
+        assert sources is targets  # a full build packs its list once
+        assert sources.masks.shape == (5, 3, sum(len(ltp) for ltp in ltps))
+        segment = sweep(sources, targets, settings.use_foreign_keys)[0]
+        _assert_segment_is_the_reference(segment, ltps, schema, settings)
 
-    def test_add_is_idempotent(self, smallbank_workload):
-        schema = smallbank_workload.schema
-        ltp = _ltps(smallbank_workload)[0]
-        profile = compile_profile(ltp, schema, ATTR_DEP_FK)
-        arena = PlaneArena(words_for_bits(schema.interner.widest_table))
-        arena.add(profile)
-        packed = arena.rows_packed
-        arena.add(profile)
-        assert arena.rows_packed == packed
-
-    def test_mask_wider_than_slot_raises(self):
-        arena = PlaneArena(1)
-        arena._grow(1)
-        with pytest.raises(ProgramError):
-            arena._put_mask(arena._writes, 0, 1 << 64)
+    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+    def test_profile_compiled_before_lazy_widening_sweeps_exactly(self, settings):
+        # Statements may name attributes the schema does not declare; the
+        # interner appends them to the relation's table on first use.  A
+        # profile compiled before that keeps its narrower planes and is
+        # padded when it meets a wider one.
+        relation = Relation("R", ["k", "a"], key=["k"])
+        schema = Schema([relation], [])
+        early = LTP("Early", [Statement.key_update("q1", relation, ["a"], ["a"])])
+        store = EdgeBlockStore(schema, settings)
+        store.register([early])
+        store.ensure_blocks()
+        extra = [f"x{i}" for i in range(200)]
+        late = LTP(
+            "Late",
+            [
+                Statement.pred_select("q1", relation, extra[150:], ["a"]),
+                Statement("q2", StatementType.KEY_UPDATE, "R", None, ["a"], extra),
+            ],
+        )
+        store.register([late])
+        assert store._profiles["Early"].words == 1
+        if settings.granularity is Granularity.ATTRIBUTE:
+            assert schema.interner.widest_table == 202
+            assert store._profiles["Late"].words == 4
+        for source in (early, late):
+            for target in (early, late):
+                assert store.block(source.name, target.name) == (
+                    pair_edges_reference(source, target, schema, settings)
+                )
 
 
 class TestSweepPlanning:
@@ -270,15 +289,3 @@ class TestKernelSelection:
     def test_auto_prefers_numpy_when_available(self):
         # numpy is the only sweep kernel; host-context reporters ask with None.
         assert resolve_kernel(None) == "numpy"
-
-    def test_store_reports_plane_occupancy(self, smallbank_workload):
-        store = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)
-        ltps = _ltps(smallbank_workload)
-        store.register(ltps)
-        assert store.plane_info()["rows"] == 0  # planes pack lazily
-        store.ensure_blocks()
-        info = store.plane_info()
-        assert info["programs"] == len(ltps)
-        assert info["rows"] == sum(len(ltp.occurrences) for ltp in ltps)
-        assert info["rows"] == info["rows_packed"]
-        assert info["words"] >= 1

@@ -7,8 +7,8 @@
   ``load_block``, ``seed_from`` and fork-plus-edit) leave every store
   equal to a cold store over the same programs, and keep no segment that
   no presence cell names;
-* a fork shares its parent's plane arena and packs only the programs it
-  edits, and a cache file loads as one segment per store.
+* a fork shares its parent's compiled profiles and compiles only the
+  programs it edits, and a cache file loads as one segment per store.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def test_load_cache_round_trip_is_byte_identical(source, tmp_path):
 
 def _state(store: EdgeBlockStore):
     """Everything a caller can read off a store without computing."""
-    return store.blocks(), store.cache_info(), store.plane_info()
+    return store.blocks(), store.cache_info()
 
 
 def _check(store: EdgeBlockStore) -> None:
@@ -101,7 +101,7 @@ def _check(store: EdgeBlockStore) -> None:
     cold = EdgeBlockStore(store.schema, store.settings)
     cold.register(store.ltp(name) for name in names)
     before = _state(store)
-    cached, info, _ = before
+    cached, info = before
     assert info["programs"] == len(names)
     assert info["blocks"] == len(cached)
     assert cached == {pair: cold.block(*pair) for pair in cached}
@@ -262,22 +262,27 @@ def test_churn_walk_keeps_a_base_segment_plus_two_per_program(source):
         _check(store)
 
 
-def test_fork_packs_only_the_programs_it_edits():
+def test_fork_packs_only_the_programs_it_edits(compile_calls):
     parent = Analyzer("smallbank")
     parent.analyze(ATTR_DEP_FK)
     store = parent.edge_block_store(ATTR_DEP_FK)
-    before = store.plane_info()
+    before = dict(store._profiles)
+    compile_calls.clear()
     fork = parent.fork()
     forked = fork.edge_block_store(ATTR_DEP_FK)
-    assert forked.plane_info() == before
+    assert compile_calls == []
+    assert all(forked._profiles[name] is profile for name, profile in before.items())
     checking = parent.schema.relation("Checking")
     fork.replace_program(
         BTP("Balance", seq(Statement.key_select("q8", checking, reads=["Balance"])))
     )
     fork.analyze(ATTR_DEP_FK)
-    rows = sum(len(ltp.occurrences) for ltp in fork.unfolded(["Balance"]))
-    assert forked.plane_info()["rows_packed"] == before["rows_packed"] + rows
-    assert store.plane_info() == before
+    edited = [ltp.name for ltp in fork.unfolded(["Balance"])]
+    assert compile_calls == edited
+    for name, profile in forked._profiles.items():
+        assert (profile is before[name]) == (name not in edited)
+    assert store._profiles == before
+    assert all(store._profiles[name] is profile for name, profile in before.items())
 
 
 if __name__ == "__main__":
