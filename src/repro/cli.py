@@ -44,12 +44,15 @@ Commands:
 
 All commands accept any workload source :meth:`Workload.resolve` does.
 ``--json`` emits machine-readable reports
-(``RobustnessReport.to_dict`` shapes) for embedding in CI pipelines — the
-``analyze``/``subsets``/``graph`` JSON paths dispatch through the same
-:meth:`AnalysisService.handle` as the HTTP routes, so CLI output and
-``/v1/*`` responses are byte-identical; errors (unknown workloads, missing
-files, malformed workload text, malformed service requests) print to
-stderr and exit with status 2.
+(``RobustnessReport.to_dict`` shapes) for embedding in CI pipelines.
+``analyze``/``subsets``/``graph``/``advise``/``watch`` build their request
+with :func:`~repro.service.requests.parse_request`, the reader behind
+``POST /v1/<command>``: their flags carry no defaults of their own, so the
+request dataclasses supply every default and bound, the CLI refuses
+exactly what HTTP refuses, and CLI ``--json`` output and ``/v1/*``
+responses are byte-identical.  Errors (unknown workloads, missing files,
+malformed workload text, requests the service refuses) print to stderr
+and exit with status 2.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.session import Analyzer
+from repro.detection.subsets import METHODS
 from repro.errors import ReproError
 from repro.faults import FaultPlan, install_plan
 from repro.experiments.false_negatives import run_false_negatives
@@ -74,11 +79,12 @@ from repro.service.core import AnalysisService
 from repro.service.http import make_server, run_server
 from repro.service.workers import reuseport_supported, serve_workers
 from repro.service.requests import (
+    MAX_WATCH_STEPS,
+    REQUEST_KINDS,
     AdviseRequest,
     AnalyzeRequest,
-    GraphRequest,
-    SubsetsRequest,
     WatchRequest,
+    parse_request,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, AnalysisSettings
 from repro.viz import to_dot, to_text
@@ -90,17 +96,23 @@ def _settings_from(label: str | None) -> AnalysisSettings:
     return AnalysisSettings.from_label(label)
 
 
-def _subset_from(argument: str | None) -> list[str] | None:
-    if argument is None:
-        return None
-    return [name.strip() for name in argument.split(",")]
+def _request(args: argparse.Namespace):
+    """The command's service request, validated exactly as ``POST
+    /v1/<command>`` validates its body.  Request flags carry no argparse
+    defaults: a flag left out arrives as ``None``, which the request
+    class replaces with its own field default."""
+    names = {field.name for field in fields(REQUEST_KINDS[args.command])}
+    return parse_request(
+        args.command,
+        {name: value for name, value in vars(args).items() if name in names},
+    )
 
 
 def _add_setting_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--setting",
         choices=[settings.label for settings in ALL_SETTINGS],
-        help="analysis setting (default: 'attr dep + FK')",
+        help=f"analysis setting (default: {ATTR_DEP_FK.label!r})",
     )
 
 
@@ -112,21 +124,14 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     service = AnalysisService()
-    subset = _subset_from(args.subset)
-    request = AnalyzeRequest(
-        workload=args.workload,
-        setting=args.setting,
-        subset=tuple(subset) if subset is not None else None,
-        all_settings=args.all_settings,
-        profile=args.profile,
-    )
+    request = _request(args)
     if args.json:
         # The same dispatch the HTTP frontend uses — byte-identical payloads.
         print(json.dumps(request.payload(service), indent=2))
         return 0
-    payload = request.payload(service) if args.profile else None
+    payload = request.payload(service) if request.profile else None
     result = service.analyze(request)  # after a payload: reuses the cached report
-    if not args.all_settings:
+    if not request.all_settings:
         print(f"workload: {result.workload}")
     print(result.describe())
     if payload is not None:
@@ -144,21 +149,20 @@ def _print_spans(nodes: list, indent: int) -> None:
         _print_spans(node.get("children", []), indent + 1)
 
 
+def _print_result(args: argparse.Namespace, result) -> None:
+    """A request's result as its JSON payload (``--json``; the bytes
+    ``POST /v1/<command>`` answers) or as its human-readable report."""
+    print(json.dumps(result.to_dict(), indent=2) if args.json else result.describe())
+
+
 def _cmd_subsets(args: argparse.Namespace) -> int:
-    service = AnalysisService()
-    request = SubsetsRequest(
-        workload=args.workload, setting=args.setting, method=args.method
-    )
-    if args.json:
-        print(json.dumps(request.payload(service), indent=2))
-        return 0
-    print(service.subsets(request).describe())
+    _print_result(args, _request(args).execute(AnalysisService()))
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     service = AnalysisService()
-    request = GraphRequest(workload=args.workload, setting=args.setting)
+    request = _request(args)
     if args.json:
         print(json.dumps(request.payload(service), indent=2))
         return 0
@@ -166,7 +170,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     witness = None
     if args.witness:
         report = service.analyze(
-            AnalyzeRequest(workload=args.workload, setting=args.setting)
+            AnalyzeRequest(workload=request.workload, setting=request.setting)
         )
         witness = report.witness or report.type1_witness
     if args.format == "dot":
@@ -179,38 +183,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    service = AnalysisService()
-    request = AdviseRequest(
-        workload=args.workload,
-        setting=args.setting,
-        method=args.method,
-        max_edits=args.max_edits,
-    )
-    if args.json:
-        payload = request.payload(service)
-        print(json.dumps(payload, indent=2))
-        return 0 if payload["repaired"] else 1
-    report = service.advise(request)
-    print(report.describe())
+    report = _request(args).execute(AnalysisService())
+    _print_result(args, report)
     return 0 if report.repaired else 1
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    service = AnalysisService()
-    request = WatchRequest(
-        workload=args.workload,
-        setting=args.setting,
-        steps=args.steps,
-        seed=args.seed,
-        oracle_every=args.oracle_every,
-    )
-    if args.json:
-        # The same dispatch the HTTP frontend uses — byte-identical payloads.
-        payload = request.payload(service)
-        print(json.dumps(payload, indent=2))
-        return 0 if payload["summary"]["oracle_mismatches"] == 0 else 1
-    trace = service.watch(request)
-    print(trace.describe())
+    trace = _request(args).execute(AnalysisService())
+    _print_result(args, trace)
     return 0 if trace.converged else 1
 
 
@@ -380,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "workload", help="smallbank | tpcc | auction | auction(N) | path to a workload file"
     )
-    analyze.add_argument("--subset", help="comma-separated program names")
+    analyze.add_argument(
+        "--subset",
+        type=lambda text: [name.strip() for name in text.split(",")],
+        help="comma-separated program names",
+    )
     analyze.add_argument(
         "--all-settings",
         action="store_true",
@@ -398,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subsets = subparsers.add_parser("subsets", help="maximal robust subsets")
     subsets.add_argument("workload")
-    subsets.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
+    subsets.add_argument("--method", choices=METHODS)
     _add_setting_argument(subsets)
     _add_json_argument(subsets)
     subsets.set_defaults(func=_cmd_subsets)
@@ -422,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument(
         "--max-edits",
         type=int,
-        default=3,
         metavar="N",
-        help="largest edit-set size to explore (default: 3)",
+        help="largest edit-set size to explore "
+        f"(default: {AdviseRequest.max_edits})",
     )
-    advise.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
+    advise.add_argument("--method", choices=METHODS)
     _add_setting_argument(advise)
     _add_json_argument(advise)
     advise.set_defaults(func=_cmd_advise)
@@ -438,26 +422,24 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--steps",
         type=int,
-        default=50,
         metavar="N",
-        help="number of seeded edit steps to monitor (default: 50)",
+        help="number of seeded edit steps to monitor "
+        f"(default: {WatchRequest.steps}; at most {MAX_WATCH_STEPS})",
     )
     watch.add_argument(
         "--seed",
         type=int,
-        default=0,
         metavar="S",
         help="mutation-engine seed; the same (workload, seed) replays the "
-        "identical edit sequence (default: 0)",
+        f"identical edit sequence (default: {WatchRequest.seed})",
     )
     watch.add_argument(
         "--oracle-every",
         type=int,
-        default=0,
-        dest="oracle_every",
         metavar="K",
         help="cross-check every K-th step against a cold from-scratch "
-        "analyzer (default: 0 = never); exit code 1 on any mismatch",
+        f"analyzer (default: {WatchRequest.oracle_every} = never); exit "
+        "code 1 on any mismatch",
     )
     _add_setting_argument(watch)
     _add_json_argument(watch)

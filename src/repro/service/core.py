@@ -16,7 +16,13 @@ The service is also the dispatch point of the typed request layer:
 — the single path behind both the CLI's ``--json`` output and every
 ``/v1/*`` endpoint.  :meth:`warm_from_cache_dir` /
 :meth:`save_to_cache_dir` move the whole pool across processes through
-fingerprint-named :meth:`~repro.analysis.Analyzer.save_cache` artifacts.
+fingerprint-named :meth:`~repro.analysis.Analyzer.save_cache` artifacts,
+written atomically by the same :func:`_write_artifact` as eviction spills.
+
+The service's counters live in one :class:`collections.Counter` keyed by
+their ``/v1/stats`` names; the :data:`_COUNTERS` table lays them out for
+:meth:`stats`, and names the ``/v1/metrics`` series the scrape collector
+mirrors them into.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import json
 import threading
 import warnings
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextvars import ContextVar
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -76,7 +82,7 @@ _IN_REQUEST: ContextVar[bool] = ContextVar("repro_service_in_request", default=F
 
 #: Dispatch-level request counter, labeled by request kind (inline; the
 #: rest of the service counters are *pulled* at scrape time by the
-#: collector each service registers, so ``/v1/stats`` attributes stay
+#: collector each service registers, so the :data:`_COUNTERS` table stays
 #: the single source of truth).
 REQUESTS_TOTAL = obs_metrics.REGISTRY.counter(
     "repro_service_requests_total",
@@ -108,6 +114,27 @@ SESSIONS_WARM = obs_metrics.REGISTRY.gauge(
 )
 
 
+#: Every service counter in ``/v1/stats`` order: its key (the ``/v1/stats``
+#: name, ``section.name`` inside a section) and the registry series and
+#: labels the scrape collector mirrors it into (``None``: not scraped).
+_COUNTERS: tuple[tuple[str, Any, tuple[str, ...]], ...] = (
+    ("requests", None, ()),
+    ("pool_hits", POOL_EVENTS, ("hit",)),
+    ("pool_misses", POOL_EVENTS, ("miss",)),
+    ("spills", POOL_EVENTS, ("spill",)),
+    ("rehydrations", POOL_EVENTS, ("rehydration",)),
+    ("rehydrate_failures", POOL_EVENTS, ("rehydrate_failure",)),
+    ("watch.runs", None, ()),
+    ("watch.steps", None, ()),
+    ("watch.oracle_checks", None, ()),
+    ("watch.oracle_mismatches", None, ()),
+    ("faults.shed", SHED_TOTAL, ()),
+    ("faults.deadline_exceeded", DEADLINE_TOTAL, ()),
+    ("faults.spill_failures", FAULT_EVENTS, ("spill_failure",)),
+    ("faults.poisoned_evictions", FAULT_EVENTS, ("poisoned_eviction",)),
+)
+
+
 def _register_service_collector(service: "AnalysisService") -> None:
     """Feed the registry from a service's counters at every scrape.
 
@@ -118,18 +145,31 @@ def _register_service_collector(service: "AnalysisService") -> None:
 
     def _collect() -> None:
         with ref._lock:
-            SHED_TOTAL.set(ref._shed)
-            DEADLINE_TOTAL.set(ref._deadline_exceeded)
-            POOL_EVENTS.set(ref._pool_hits, "hit")
-            POOL_EVENTS.set(ref._pool_misses, "miss")
-            POOL_EVENTS.set(ref._spills, "spill")
-            POOL_EVENTS.set(ref._rehydrations, "rehydration")
-            POOL_EVENTS.set(ref._rehydrate_failures, "rehydrate_failure")
-            FAULT_EVENTS.set(ref._spill_failures, "spill_failure")
-            FAULT_EVENTS.set(ref._poisoned_evictions, "poisoned_eviction")
+            for key, series, labels in _COUNTERS:
+                if series is not None:
+                    series.set(ref._counts[key], *labels)
             SESSIONS_WARM.set(len(ref._pool))
 
     obs_metrics.REGISTRY.register_collector(_collect)
+
+
+def _write_artifact(directory: Path, fingerprint: str, session: Analyzer) -> Path:
+    """Save a session's cache to ``directory/<fingerprint>.json`` atomically.
+
+    Written to a pid-suffixed temp file and renamed into place, so the
+    worker processes of ``repro serve --workers N`` can share one cache
+    directory without a reader ever seeing a half-written artifact (the
+    ``.tmp`` suffix keeps temp files out of the ``*.json`` rehydrate glob).
+    """
+    path = directory / f"{fingerprint}.json"
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        session.save_cache(tmp)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 class AnalysisService:
@@ -200,20 +240,8 @@ class AnalysisService:
         self._fingerprint_memo: dict[str, str] = {}
         self._lock = threading.Lock()
         self._started_at = monotonic()
-        self._requests = 0
-        self._pool_hits = 0
-        self._pool_misses = 0
-        self._spills = 0
-        self._rehydrations = 0
-        self._watch_runs = 0
-        self._watch_steps = 0
-        self._watch_oracle_checks = 0
-        self._watch_oracle_mismatches = 0
-        self._shed = 0
-        self._deadline_exceeded = 0
-        self._rehydrate_failures = 0
-        self._spill_failures = 0
-        self._poisoned_evictions = 0
+        #: The service counters, keyed as in :data:`_COUNTERS`.
+        self._counts: Counter[str] = Counter()
         #: Unexpected-exception strikes per workload source string (the
         #: poisoned-session circuit breaker's state; reset on success).
         self._poison_counts: dict[str, int] = {}
@@ -270,12 +298,9 @@ class AnalysisService:
             fingerprint = (
                 self._fingerprint_memo.get(memo_key) if memo_key else None
             )
-            if fingerprint is not None:
-                pooled = self._pool.get(fingerprint)
-                if pooled is not None:
-                    self._pool.move_to_end(fingerprint)
-                    self._pool_hits += 1
-                    return pooled
+            pooled = self._hit(fingerprint)
+            if pooled is not None:
+                return pooled
         # Resolve and fingerprint outside the lock: unfolding is cheap but
         # not free, and concurrent requests for *different* workloads must
         # not serialize on it.  Two racing threads may both build a
@@ -286,27 +311,32 @@ class AnalysisService:
         with self._lock:
             if memo_key:
                 self._fingerprint_memo[memo_key] = fingerprint
-            pooled = self._pool.get(fingerprint)
+            pooled = self._hit(fingerprint)
             if pooled is not None:
-                self._pool.move_to_end(fingerprint)
-                self._pool_hits += 1
                 return pooled
         # Confirmed miss: rehydrate from a spill artifact outside the lock
         # (disk reads must not stall other sessions), then re-check — a
         # racing thread may have pooled the fingerprint meanwhile.
         rehydrated = self._rehydrate(candidate, fingerprint)
         with self._lock:
-            pooled = self._pool.get(fingerprint)
+            pooled = self._hit(fingerprint)
             if pooled is not None:
-                self._pool.move_to_end(fingerprint)
-                self._pool_hits += 1
                 return pooled
-            self._pool_misses += 1
+            self._counts["pool_misses"] += 1
             if rehydrated:
-                self._rehydrations += 1
+                self._counts["rehydrations"] += 1
             evicted = self._install(fingerprint, candidate)
         self._spill(evicted)
         return candidate
+
+    def _hit(self, fingerprint: str | None) -> Analyzer | None:
+        """The pooled session of a fingerprint, marked most-recently-used
+        and counted as a pool hit (lock held by caller)."""
+        pooled = self._pool.get(fingerprint)
+        if pooled is not None:
+            self._pool.move_to_end(fingerprint)
+            self._counts["pool_hits"] += 1
+        return pooled
 
     def _rehydrate(self, candidate: Analyzer, fingerprint: str) -> bool:
         """Seed a fresh candidate session from a spilled cache artifact.
@@ -343,7 +373,7 @@ class AnalysisService:
         except OSError:  # pragma: no cover - racing unlink/permissions
             pass
         with self._lock:
-            self._rehydrate_failures += 1
+            self._counts["rehydrate_failures"] += 1
             warn_first = not self._quarantine_warned
             self._quarantine_warned = True
         obs_log.warning(
@@ -387,28 +417,20 @@ class AnalysisService:
         the same fingerprint rehydrates from the artifact with zero block
         recomputation.  Must be called without the pool lock held.
 
-        Spills are atomic — written to a pid-suffixed temp file and
-        renamed into place — so the worker processes of ``repro serve
-        --workers N`` can share one cache directory without a reader ever
-        seeing a half-written artifact (the ``.tmp`` suffix keeps temp
-        files out of the ``*.json`` rehydrate glob).
+        Spills are atomic (:func:`_write_artifact`).
         """
         if self.cache_dir is None or not evicted:
             return
         spilled = 0
         failures = 0
         for fingerprint, session in evicted:
-            path = self.cache_dir / f"{fingerprint}.json"
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             try:
                 if _faults.fire("disk.full") is not None:
                     raise OSError(28, "injected fault: disk full during spill")
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
-                session.save_cache(tmp)
-                os.replace(tmp, path)
+                path = _write_artifact(self.cache_dir, fingerprint, session)
             except OSError:
                 failures += 1
-                tmp.unlink(missing_ok=True)
                 continue
             if _faults.fire("spill.corrupt") is not None:
                 # Injected spill corruption: truncate the artifact we just
@@ -419,8 +441,8 @@ class AnalysisService:
             spilled += 1
         if spilled or failures:
             with self._lock:
-                self._spills += spilled
-                self._spill_failures += failures
+                self._counts["spills"] += spilled
+                self._counts["faults.spill_failures"] += failures
 
     def sessions(self) -> dict[str, Analyzer]:
         """A snapshot of the warm pool (fingerprint → session)."""
@@ -488,20 +510,10 @@ class AnalysisService:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        paths: list[Path] = []
-        for fingerprint, session in self.sessions().items():
-            path = directory / f"{fingerprint}.json"
-            # Same atomic write as _spill: concurrent serve workers share
-            # one cache directory.
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                session.save_cache(tmp)
-                os.replace(tmp, path)
-            except OSError:
-                tmp.unlink(missing_ok=True)
-                raise
-            paths.append(path)
-        return paths
+        return [
+            _write_artifact(directory, fingerprint, session)
+            for fingerprint, session in self.sessions().items()
+        ]
 
     # -- typed entry points --------------------------------------------------
     def analyze(self, request: "AnalyzeRequest") -> "RobustnessReport | AnalysisMatrix":
@@ -526,10 +538,12 @@ class AnalysisService:
     def record_watch(self, trace: "ChurnTrace") -> None:
         """Fold one finished watch run into the service's counters."""
         with self._lock:
-            self._watch_runs += 1
-            self._watch_steps += len(trace.steps)
-            self._watch_oracle_checks += trace.oracle_checks
-            self._watch_oracle_mismatches += trace.oracle_mismatches
+            self._counts.update({
+                "watch.runs": 1,
+                "watch.steps": len(trace.steps),
+                "watch.oracle_checks": trace.oracle_checks,
+                "watch.oracle_mismatches": trace.oracle_mismatches,
+            })
 
     def grid(self, spec: "GridSpec | GridRequest") -> GridResult:
         if not isinstance(spec, GridSpec):
@@ -557,7 +571,7 @@ class AnalysisService:
         """
         request = parse_request(kind, data)
         with self._lock:
-            self._requests += 1
+            self._counts["requests"] += 1
         if obs_metrics.enabled():
             REQUESTS_TOTAL.inc(1.0, kind)
         nested = _IN_REQUEST.get()
@@ -567,7 +581,7 @@ class AnalysisService:
             and not self._inflight.acquire(blocking=False)
         ):
             with self._lock:
-                self._shed += 1
+                self._counts["faults.shed"] += 1
             obs_log.warning(
                 "request.shed", kind=kind, max_inflight=self.max_inflight
             )
@@ -587,7 +601,7 @@ class AnalysisService:
                 payload = request.payload(self)
         except DeadlineExceeded as error:
             with self._lock:
-                self._deadline_exceeded += 1
+                self._counts["faults.deadline_exceeded"] += 1
             obs_log.warning(
                 "request.deadline_exceeded", kind=kind, detail=str(error)
             )
@@ -628,7 +642,7 @@ class AnalysisService:
                 self._poison_counts[workload] = count
                 return
             self._poison_counts.pop(workload, None)
-            self._poisoned_evictions += 1
+            self._counts["faults.poisoned_evictions"] += 1
             fingerprint = self._fingerprint_memo.pop(workload, None)
             if fingerprint is not None:
                 self._pool.pop(fingerprint, None)
@@ -648,26 +662,7 @@ class AnalysisService:
         _faults.maybe_crash()  # the GET-path injection point
         with self._lock:
             pool = list(self._pool.items())
-            requests = self._requests
-            hits = self._pool_hits
-            misses = self._pool_misses
-            spills = self._spills
-            rehydrations = self._rehydrations
-            watch = {
-                "runs": self._watch_runs,
-                "steps": self._watch_steps,
-                "oracle_checks": self._watch_oracle_checks,
-                "oracle_mismatches": self._watch_oracle_mismatches,
-            }
-            faults = {
-                "shed": self._shed,
-                "deadline_exceeded": self._deadline_exceeded,
-                "spill_failures": self._spill_failures,
-                "poisoned_evictions": self._poisoned_evictions,
-            }
-            rehydrate_failures = self._rehydrate_failures
-        injector = _faults.current_injector()
-        faults["injected"] = None if injector is None else injector.snapshot()
+            counts = self._counts.copy()
         payload: dict[str, Any] = {
             "version": __version__,
             "capacity": self.capacity,
@@ -675,14 +670,16 @@ class AnalysisService:
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "deadline_seconds": self.deadline_seconds,
             "max_inflight": self.max_inflight,
-            "requests": requests,
-            "pool_hits": hits,
-            "pool_misses": misses,
-            "spills": spills,
-            "rehydrations": rehydrations,
-            "rehydrate_failures": rehydrate_failures,
-            "watch": watch,
-            "faults": faults,
+        }
+        for key, _, _ in _COUNTERS:
+            section, _, name = key.rpartition(".")
+            target = payload.setdefault(section, {}) if section else payload
+            target[name] = counts[key]
+        injector = _faults.current_injector()
+        payload["faults"]["injected"] = (
+            None if injector is None else injector.snapshot()
+        )
+        payload.update({
             # Deprecated; kept only because perfbench's traced runs read
             # store.shared_hits.
             "store": {"shared_hits": 0},
@@ -695,7 +692,7 @@ class AnalysisService:
                 }
                 for fingerprint, session in pool
             ],
-        }
+        })
         worker = obs_log.worker_index()
         if worker is not None:
             # Only under the pre-fork frontend (REPRO_WORKER_INDEX set):
@@ -715,7 +712,7 @@ class AnalysisService:
 
         with self._lock:
             sessions_warm = len(self._pool)
-            watch_runs = self._watch_runs
+            watch_runs = self._counts["watch.runs"]
         return {
             "status": "ok",
             "version": __version__,

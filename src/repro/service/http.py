@@ -224,7 +224,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             ) from None
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's recursion
+            # limit (e.g. 100,000 '[') is refused like any other bad JSON.
             raise ServiceError(f"request body is not valid JSON: {exc}") from None
 
     def _inbound_trace_id(self) -> str | None:

@@ -1,24 +1,30 @@
 """The typed request/response layer of the analysis service.
 
-Each request class validates one JSON-shaped mapping (:meth:`from_dict`),
-executes against an :class:`~repro.service.AnalysisService`
-(:meth:`execute`, returning the library's result objects) and serializes
-the result to the exact payload the CLI's ``--json`` flag prints
-(:meth:`payload`).  The CLI and the HTTP frontend both dispatch through
-:func:`parse_request` / :meth:`AnalysisService.handle`, which is what makes
-``repro analyze … --json`` and ``POST /v1/analyze`` byte-identical — there
-is one serialization path, not two.
+Each request kind is one frozen dataclass whose fields are its schema:
+every name, type and default is declared there once.  One shared
+:meth:`~_Request.from_dict` reads a JSON-shaped mapping by the field
+annotations (``str``, ``bool``, ``int``, ``tuple[str, ...]``, each optionally
+``| None``): unknown keys, wrong types and missing required fields are
+refused, an absent or ``null`` field takes its default, and the class's
+``_check`` then holds only the bounds (``max_edits >= 1``, the ``steps``
+range, the grid caps, a known ``method`` …).  :meth:`execute` runs a request
+against an :class:`~repro.service.AnalysisService` and :meth:`payload`
+serializes the result to the exact bytes the CLI's ``--json`` flag prints.
 
-Validation is strict: unknown keys, wrong types, unknown settings labels or
-methods raise :class:`ServiceError`, whose :attr:`~ServiceError.envelope`
-is the machine-readable error shape (and whose CLI behaviour is the
-established exit-code-2 semantics — it derives from :class:`ReproError`).
+The CLI and the HTTP frontend both build requests through
+:func:`parse_request`, so ``repro analyze …`` and ``POST /v1/analyze``
+accept the same requests and answer the same bytes.  Refusals raise
+:class:`ServiceError`, whose :attr:`~ServiceError.envelope` is the
+machine-readable error shape (and whose CLI behaviour is the exit-code-2
+semantics of :class:`ReproError`).  :class:`BatchRequest` parses only its
+envelope; each item is validated when it executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Collection, Mapping, NoReturn
 
 from repro.detection.subsets import METHODS, SubsetsReport, maximal_subsets
 from repro.errors import ReproError
@@ -85,44 +91,50 @@ def _require_mapping(data: Any, what: str) -> Mapping[str, Any]:
         raise ServiceError(f"{what} must be a JSON object, got {type(data).__name__}")
     return data
 
-def _reject_unknown_keys(data: Mapping[str, Any], allowed: tuple[str, ...], kind: str) -> None:
-    unknown = set(data) - set(allowed)
+def _reject_unknown_keys(
+    data: Mapping[str, Any], allowed: Collection[str], kind: str
+) -> None:
+    unknown = data.keys() - allowed
     if unknown:
         raise ServiceError(
             f"{kind} request: unknown field(s) {sorted(unknown)!r}; "
             f"expected a subset of {sorted(allowed)!r}"
         )
 
-def _string(data: Mapping[str, Any], key: str, kind: str, *, required: bool = False) -> str | None:
-    value = data.get(key)
-    if value is None:
-        if required:
-            raise ServiceError(f"{kind} request: missing required field {key!r}")
-        return None
-    if not isinstance(value, str):
+def _expect(ok: bool, value: Any, key: str, kind: str, must: str) -> Any:
+    if not ok:
         raise ServiceError(
-            f"{kind} request: field {key!r} must be a string, "
-            f"got {type(value).__name__}"
+            f"{kind} request: field {key!r} must {must}, got {type(value).__name__}"
         )
     return value
 
-def _bool(data: Mapping[str, Any], key: str, kind: str, default: bool) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ServiceError(
-            f"{kind} request: field {key!r} must be a boolean, "
-            f"got {type(value).__name__}"
-        )
-    return value
+def _names(value: Any, key: str, kind: str) -> tuple[str, ...]:
+    _expect(isinstance(value, (list, tuple)), value, key, kind, "be a list of strings")
+    for item in value:
+        _expect(isinstance(item, str), item, key, kind, "contain only strings")
+    return tuple(value)
 
-def _int(data: Mapping[str, Any], key: str, kind: str, default: int) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(
-            f"{kind} request: field {key!r} must be an integer, "
-            f"got {type(value).__name__}"
-        )
-    return value
+#: The reader of a present, non-null field value per field annotation
+#: (``X | None`` reads as ``X``: ``None`` is the default there).
+_READERS: dict[str, Callable[[Any, str, str], Any]] = {
+    "str": lambda v, key, kind: _expect(isinstance(v, str), v, key, kind, "be a string"),
+    "bool": lambda v, key, kind: _expect(isinstance(v, bool), v, key, kind, "be a boolean"),
+    "int": lambda v, key, kind: _expect(
+        isinstance(v, int) and not isinstance(v, bool), v, key, kind, "be an integer"
+    ),
+    "tuple[str, ...]": _names,
+}
+
+
+@cache
+def _schema(cls: type) -> dict[str, tuple[Callable[[Any, str, str], Any], Any]]:
+    """Field name → ``(reader, default)`` of a request class, in declaration
+    order, built once per class; ``MISSING`` marks a required field."""
+    return {
+        field.name: (_READERS[field.type.removesuffix(" | None")], field.default)
+        for field in fields(cls)
+    }
+
 
 def _settings(label: str | None, kind: str) -> AnalysisSettings:
     if label is None:
@@ -132,35 +144,50 @@ def _settings(label: str | None, kind: str) -> AnalysisSettings:
     except ValueError as error:
         raise ServiceError(f"{kind} request: {error}") from None
 
-def _method(data: Mapping[str, Any], kind: str) -> str:
-    method = _string(data, "method", kind) or "type-II"
-    if method not in METHODS:
-        raise ServiceError(
-            f"{kind} request: unknown method {method!r}; "
-            f"expected one of {sorted(METHODS)}"
-        )
-    return method
 
-def _name_list(data: Mapping[str, Any], key: str, kind: str) -> tuple[str, ...] | None:
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, str) or not isinstance(value, (list, tuple)):
-        raise ServiceError(
-            f"{kind} request: field {key!r} must be a list of strings, "
-            f"got {type(value).__name__}"
-        )
-    for item in value:
-        if not isinstance(item, str):
-            raise ServiceError(
-                f"{kind} request: field {key!r} must contain only strings, "
-                f"got {type(item).__name__}"
+class _Request:
+    """The shared parse and payload of the field-declared request kinds."""
+
+    kind: ClassVar[str]
+
+    @classmethod
+    def from_dict(cls, data: Any):
+        """Validate one JSON-shaped mapping into a request (see the module
+        docstring for the rules)."""
+        kind = cls.kind
+        article = "an" if kind[0] in "aeiou" else "a"
+        data = _require_mapping(data, f"{article} {kind} request")
+        schema = _schema(cls)
+        _reject_unknown_keys(data, schema, kind)
+        values: dict[str, Any] = {}
+        for key, (read, default) in schema.items():
+            value = data.get(key)
+            if value is not None:
+                values[key] = read(value, key, kind)
+            elif default is MISSING:
+                raise ServiceError(f"{kind} request: missing required field {key!r}")
+        request = cls(**values)
+        request._check()
+        return request
+
+    def _check(self) -> None:
+        """Refuse values the field types admit but the service does not."""
+
+    def _refuse(self, detail: str) -> NoReturn:
+        raise ServiceError(f"{self.kind} request: {detail}")
+
+    def _check_method(self) -> None:
+        if self.method not in METHODS:
+            self._refuse(
+                f"unknown method {self.method!r}; expected one of {sorted(METHODS)}"
             )
-    return tuple(value)
+
+    def payload(self, service: "AnalysisService") -> dict[str, Any]:
+        return self.execute(service).to_dict()
 
 
 @dataclass(frozen=True)
-class AnalyzeRequest:
+class AnalyzeRequest(_Request):
     """``repro analyze`` / ``POST /v1/analyze``: one robustness report
     (or the four-settings matrix with ``all_settings``).
 
@@ -178,26 +205,9 @@ class AnalyzeRequest:
 
     kind = "analyze"
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "AnalyzeRequest":
-        data = _require_mapping(data, f"an {cls.kind} request")
-        _reject_unknown_keys(
-            data,
-            ("workload", "setting", "subset", "all_settings", "profile"),
-            cls.kind,
-        )
-        subset = _name_list(data, "subset", cls.kind)
-        if subset == ():
-            raise ServiceError(
-                f"{cls.kind} request: field 'subset' must name at least one program"
-            )
-        return cls(
-            workload=_string(data, "workload", cls.kind, required=True),
-            setting=_string(data, "setting", cls.kind),
-            subset=subset,
-            all_settings=_bool(data, "all_settings", cls.kind, False),
-            profile=_bool(data, "profile", cls.kind, False),
-        )
+    def _check(self) -> None:
+        if self.subset == ():
+            self._refuse("field 'subset' must name at least one program")
 
     def execute(self, service: "AnalysisService") -> "RobustnessReport | AnalysisMatrix":
         session = service.session(self.workload)
@@ -217,7 +227,7 @@ class AnalyzeRequest:
 
 
 @dataclass(frozen=True)
-class SubsetsRequest:
+class SubsetsRequest(_Request):
     """``repro subsets`` / ``POST /v1/subsets``: the maximal robust subsets."""
 
     workload: str
@@ -226,15 +236,8 @@ class SubsetsRequest:
 
     kind = "subsets"
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "SubsetsRequest":
-        data = _require_mapping(data, f"a {cls.kind} request")
-        _reject_unknown_keys(data, ("workload", "setting", "method"), cls.kind)
-        return cls(
-            workload=_string(data, "workload", cls.kind, required=True),
-            setting=_string(data, "setting", cls.kind),
-            method=_method(data, cls.kind),
-        )
+    def _check(self) -> None:
+        self._check_method()
 
     def execute(self, service: "AnalysisService") -> SubsetsReport:
         session = service.session(self.workload)
@@ -247,27 +250,15 @@ class SubsetsRequest:
             abbreviations=dict(session.workload.abbreviations),
         )
 
-    def payload(self, service: "AnalysisService") -> dict[str, Any]:
-        return self.execute(service).to_dict()
-
 
 @dataclass(frozen=True)
-class GraphRequest:
+class GraphRequest(_Request):
     """``repro graph`` / ``POST /v1/graph``: the full summary graph."""
 
     workload: str
     setting: str | None = None
 
     kind = "graph"
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "GraphRequest":
-        data = _require_mapping(data, f"a {cls.kind} request")
-        _reject_unknown_keys(data, ("workload", "setting"), cls.kind)
-        return cls(
-            workload=_string(data, "workload", cls.kind, required=True),
-            setting=_string(data, "setting", cls.kind),
-        )
 
     def execute(self, service: "AnalysisService") -> tuple[str, SummaryGraph]:
         session = service.session(self.workload)
@@ -280,7 +271,7 @@ class GraphRequest:
 
 
 @dataclass(frozen=True)
-class AdviseRequest:
+class AdviseRequest(_Request):
     """``repro advise`` / ``POST /v1/advise``: minimal repair edit sets
     for a non-robust workload (a :class:`repro.repair.RepairReport`)."""
 
@@ -291,23 +282,10 @@ class AdviseRequest:
 
     kind = "advise"
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "AdviseRequest":
-        data = _require_mapping(data, f"an {cls.kind} request")
-        _reject_unknown_keys(
-            data, ("workload", "setting", "method", "max_edits"), cls.kind
-        )
-        max_edits = _int(data, "max_edits", cls.kind, 3)
-        if max_edits < 1:
-            raise ServiceError(
-                f"{cls.kind} request: field 'max_edits' must be >= 1, got {max_edits}"
-            )
-        return cls(
-            workload=_string(data, "workload", cls.kind, required=True),
-            setting=_string(data, "setting", cls.kind),
-            method=_method(data, cls.kind),
-            max_edits=max_edits,
-        )
+    def _check(self) -> None:
+        if self.max_edits < 1:
+            self._refuse(f"field 'max_edits' must be >= 1, got {self.max_edits}")
+        self._check_method()
 
     def execute(self, service: "AnalysisService"):
         session = service.session(self.workload)
@@ -317,9 +295,6 @@ class AdviseRequest:
             max_edits=self.max_edits,
         )
 
-    def payload(self, service: "AnalysisService") -> dict[str, Any]:
-        return self.execute(service).to_dict()
-
 
 #: Hard cap on a grid request's ``repetitions`` (each reruns every cell);
 #: :class:`~repro.service.grid.GridSpec` itself is uncapped.
@@ -327,16 +302,17 @@ MAX_GRID_REPETITIONS = 100
 
 
 @dataclass(frozen=True)
-class GridRequest:
+class GridRequest(_Request):
     """``POST /v1/grid``: a declarative workload × settings sweep.
 
     The JSON face of :class:`~repro.service.grid.GridSpec` — workloads are
     source strings, settings are Figure 6/7 labels (all four when omitted).
-    Requests are capped at :data:`MAX_GRID_REPETITIONS` repetitions and
-    :data:`MAX_BATCH_ITEMS` workloads.
+    ``workloads`` must name at least one source.  Requests are capped at
+    :data:`MAX_GRID_REPETITIONS` repetitions and :data:`MAX_BATCH_ITEMS`
+    workloads.
     """
 
-    workloads: tuple[str, ...]
+    workloads: tuple[str, ...] = ()
     settings: tuple[str, ...] | None = None
     task: str = "analyze"
     method: str = "type-II"
@@ -346,37 +322,22 @@ class GridRequest:
 
     kind = "grid"
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "GridRequest":
-        data = _require_mapping(data, f"a {cls.kind} request")
-        _reject_unknown_keys(
-            data,
-            ("workloads", "settings", "task", "method", "repetitions", "warm",
-             "include_verdicts"),
-            cls.kind,
-        )
-        workloads = _name_list(data, "workloads", cls.kind)
-        if not workloads:
-            raise ServiceError(
-                f"{cls.kind} request: missing required field 'workloads' "
+    def _check(self) -> None:
+        if not self.workloads:
+            self._refuse(
+                "missing required field 'workloads' "
                 "(a non-empty list of workload sources)"
             )
-        repetitions = _int(data, "repetitions", cls.kind, 1)
-        if len(workloads) > MAX_BATCH_ITEMS or repetitions > MAX_GRID_REPETITIONS:
-            raise ServiceError(
-                f"{cls.kind} request: at most {MAX_BATCH_ITEMS} workloads and "
-                f"{MAX_GRID_REPETITIONS} repetitions, got {len(workloads)} and "
-                f"{repetitions}"
+        if (
+            len(self.workloads) > MAX_BATCH_ITEMS
+            or self.repetitions > MAX_GRID_REPETITIONS
+        ):
+            self._refuse(
+                f"at most {MAX_BATCH_ITEMS} workloads and "
+                f"{MAX_GRID_REPETITIONS} repetitions, got {len(self.workloads)} "
+                f"and {self.repetitions}"
             )
-        return cls(
-            workloads=workloads,
-            settings=_name_list(data, "settings", cls.kind),
-            task=_string(data, "task", cls.kind) or "analyze",
-            method=_method(data, cls.kind),
-            repetitions=repetitions,
-            warm=_bool(data, "warm", cls.kind, True),
-            include_verdicts=_bool(data, "include_verdicts", cls.kind, False),
-        )
+        self._check_method()
 
     def spec(self) -> GridSpec:
         settings = (
@@ -400,9 +361,6 @@ class GridRequest:
     def execute(self, service: "AnalysisService") -> GridResult:
         return service.grid(self.spec())
 
-    def payload(self, service: "AnalysisService") -> dict[str, Any]:
-        return self.execute(service).to_dict()
-
 
 #: Hard cap on steps per watch request: a watch run holds its forked
 #: session for the whole edit sequence, so an unbounded ``steps`` would
@@ -411,7 +369,7 @@ MAX_WATCH_STEPS = 10_000
 
 
 @dataclass(frozen=True)
-class WatchRequest:
+class WatchRequest(_Request):
     """``repro watch`` / ``POST /v1/watch``: monitor a workload under
     seeded churn (a :class:`repro.churn.ChurnTrace`).
 
@@ -429,31 +387,16 @@ class WatchRequest:
 
     kind = "watch"
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "WatchRequest":
-        data = _require_mapping(data, f"a {cls.kind} request")
-        _reject_unknown_keys(
-            data, ("workload", "setting", "steps", "seed", "oracle_every"), cls.kind
-        )
-        steps = _int(data, "steps", cls.kind, 50)
-        if not 1 <= steps <= MAX_WATCH_STEPS:
-            raise ServiceError(
-                f"{cls.kind} request: field 'steps' must be within "
-                f"1..{MAX_WATCH_STEPS}, got {steps}"
+    def _check(self) -> None:
+        if not 1 <= self.steps <= MAX_WATCH_STEPS:
+            self._refuse(
+                f"field 'steps' must be within 1..{MAX_WATCH_STEPS}, "
+                f"got {self.steps}"
             )
-        oracle_every = _int(data, "oracle_every", cls.kind, 0)
-        if oracle_every < 0:
-            raise ServiceError(
-                f"{cls.kind} request: field 'oracle_every' must be >= 0, "
-                f"got {oracle_every}"
+        if self.oracle_every < 0:
+            self._refuse(
+                f"field 'oracle_every' must be >= 0, got {self.oracle_every}"
             )
-        return cls(
-            workload=_string(data, "workload", cls.kind, required=True),
-            setting=_string(data, "setting", cls.kind),
-            steps=steps,
-            seed=_int(data, "seed", cls.kind, 0),
-            oracle_every=oracle_every,
-        )
 
     def execute(self, service: "AnalysisService"):
         from repro.churn.monitor import Monitor
@@ -468,9 +411,6 @@ class WatchRequest:
         trace = monitor.run(self.steps, oracle_every=self.oracle_every)
         service.record_watch(trace)
         return trace
-
-    def payload(self, service: "AnalysisService") -> dict[str, Any]:
-        return self.execute(service).to_dict()
 
 
 #: Hard cap on items per batch request: a single oversized batch would
@@ -547,7 +487,8 @@ REQUEST_KINDS: dict[str, Any] = {
 
 def parse_request(kind: str, data: Any):
     """Validate one request mapping into its typed request object."""
-    request_cls = REQUEST_KINDS.get(kind)
+    # A batch item's kind may be any JSON value: only strings can name one.
+    request_cls = REQUEST_KINDS.get(kind) if isinstance(kind, str) else None
     if request_cls is None:
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of {sorted(REQUEST_KINDS)}",

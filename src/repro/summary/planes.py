@@ -97,9 +97,9 @@ def resolve_kernel(kernel: str | None = None) -> str:
 
 
 def words_for_bits(bits: int) -> int:
-    """64-bit words of a mask plane holding ``bits``-bit masks, always
-    leaving the top bit free (so at least one word)."""
-    return bits // 64 + 1
+    """The fewest 64-bit words of a mask plane holding ``bits``-bit masks
+    (at least one)."""
+    return max(1, -(-bits // 64))
 
 
 def occurrence_planes(

@@ -214,9 +214,30 @@ def _narrow_note(schema):
 
 
 class TestPack:
-    def test_words_always_leave_top_slot_bit_free(self):
-        for bits in range(0, 200):
-            assert words_for_bits(bits) * 64 > bits
+    def test_words_are_the_fewest_holding_the_bits(self):
+        widths = {0: 1, 1: 1, 63: 1, 64: 1, 65: 2, 128: 2, 129: 3}
+        for bits, words in widths.items():
+            assert words_for_bits(bits) == words
+
+    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+    def test_bit_63_profile_packs_into_one_word_and_sweeps_exactly(self, settings):
+        # a63 is the 64th attribute of R, so its mask bit is bit 63: the
+        # top bit of the one word every program here packs into.
+        relation = Relation("R", [f"a{i}" for i in range(64)], key=["a0"])
+        schema = Schema([relation], [])
+        ltps = [
+            LTP("Set63", [Statement.key_update("q1", relation, ["a63"], ["a63"])]),
+            LTP("Get63", [Statement.key_select("q1", relation, ["a63"])]),
+            LTP("Scan63", [Statement.pred_select("q1", relation, ["a63"], ["a1"])]),
+            LTP("Set1", [Statement.key_update("q1", relation, ["a1"], ["a1"])]),
+        ]
+        profiles = [compile_profile(ltp, schema, settings) for ltp in ltps]
+        assert [profile.words for profile in profiles] == [1, 1, 1, 1]
+        sources, targets = pack(profiles, profiles)
+        assert sources.masks.shape == (5, 1, len(ltps))
+        assert int(sources.masks[0, 0, 0]) >> 63 == 1  # Set63 writes bit 63
+        segment = sweep(sources, targets, settings.use_foreign_keys)[0]
+        _assert_segment_is_the_reference(segment, ltps, schema, settings)
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
     def test_one_sweep_mixes_one_and_three_word_profiles(self, settings):

@@ -525,6 +525,38 @@ class TestHTTP:
         assert envelope["type"] == "invalid_request"
         assert envelope["exit_code"] == 2
 
+    @pytest.mark.parametrize("body", [b"[" * 100_000, b'{"a":' * 100_000])
+    def test_deeply_nested_body_is_a_typed_400(self, http_server, body):
+        # Nesting past the decoder's recursion limit is invalid JSON, not
+        # an internal error.
+        status, raw = _post(http_server, "/v1/analyze", body)
+        assert status == 400
+        envelope = json.loads(raw)["error"]
+        assert envelope["type"] == "invalid_request"
+        assert envelope["message"].startswith("request body is not valid JSON: ")
+
+    @pytest.mark.parametrize("kind", [["analyze"], {"kind": "analyze"}, 7, None])
+    def test_batch_item_kind_of_any_json_type_gets_its_envelope(
+        self, http_server, kind
+    ):
+        status, raw = _post(
+            http_server,
+            "/v1/batch",
+            {"requests": [{"kind": kind, "workload": "smallbank"},
+                          {"kind": "graph", "workload": "smallbank"}]},
+        )
+        assert status == 200
+        bad, good = json.loads(raw)["results"]
+        assert bad == {
+            "error": {
+                "type": "not_found",
+                "message": f"unknown request kind {kind!r}; expected one of "
+                "['advise', 'analyze', 'batch', 'graph', 'grid', 'subsets', 'watch']",
+                "exit_code": 2,
+            }
+        }
+        assert good["workload"] == "SmallBank"
+
     def test_malformed_request_gets_the_envelope(self, http_server):
         status, body = _post(
             http_server, "/v1/analyze", {"workload": "auction", "junk": 1}
@@ -773,6 +805,281 @@ class TestServiceErrorEnvelopes:
         assert request.repetitions == MAX_GRID_REPETITIONS
         # GridSpec, the library face, stays uncapped
         assert GridSpec(workloads=("smallbank",), repetitions=10**9).repetitions
+
+
+_W = {"workload": "smallbank"}
+_LABELS = "['tpl dep', 'attr dep', 'tpl dep + FK', 'attr dep + FK']"
+_METHODS = "['type-I', 'type-II']"
+
+#: Every single-fault body of every request kind and the exact message of
+#: its envelope: the front door's wording is part of its contract.
+ENVELOPE_MESSAGES = [
+    ("analyze", [], "an analyze request must be a JSON object, got list"),
+    ("analyze", "smallbank", "an analyze request must be a JSON object, got str"),
+    ("analyze", {}, "analyze request: missing required field 'workload'"),
+    ("analyze", {"workload": None}, "analyze request: missing required field 'workload'"),
+    ("analyze", {**_W, "junk": 1, "alpha": 2},
+     "analyze request: unknown field(s) ['alpha', 'junk']; expected a subset of "
+     "['all_settings', 'profile', 'setting', 'subset', 'workload']"),
+    ("analyze", {"workload": 7}, "analyze request: field 'workload' must be a string, got int"),
+    ("analyze", {**_W, "setting": 7}, "analyze request: field 'setting' must be a string, got int"),
+    ("analyze", {**_W, "setting": "bogus"},
+     f"analyze request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("analyze", {**_W, "subset": "Bal"},
+     "analyze request: field 'subset' must be a list of strings, got str"),
+    ("analyze", {**_W, "subset": [1]},
+     "analyze request: field 'subset' must contain only strings, got int"),
+    ("analyze", {**_W, "subset": []},
+     "analyze request: field 'subset' must name at least one program"),
+    ("analyze", {**_W, "all_settings": "yes"},
+     "analyze request: field 'all_settings' must be a boolean, got str"),
+    ("analyze", {**_W, "profile": 1}, "analyze request: field 'profile' must be a boolean, got int"),
+    ("subsets", [], "a subsets request must be a JSON object, got list"),
+    ("subsets", {}, "subsets request: missing required field 'workload'"),
+    ("subsets", {**_W, "junk": 1},
+     "subsets request: unknown field(s) ['junk']; expected a subset of "
+     "['method', 'setting', 'workload']"),
+    ("subsets", {"workload": True}, "subsets request: field 'workload' must be a string, got bool"),
+    ("subsets", {**_W, "setting": ["attr dep"]},
+     "subsets request: field 'setting' must be a string, got list"),
+    ("subsets", {**_W, "setting": "bogus"},
+     f"subsets request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("subsets", {**_W, "method": 2}, "subsets request: field 'method' must be a string, got int"),
+    ("subsets", {**_W, "method": "type-III"},
+     f"subsets request: unknown method 'type-III'; expected one of {_METHODS}"),
+    ("graph", [], "a graph request must be a JSON object, got list"),
+    ("graph", {}, "graph request: missing required field 'workload'"),
+    ("graph", {**_W, "format": "dot"},
+     "graph request: unknown field(s) ['format']; expected a subset of ['setting', 'workload']"),
+    ("graph", {"workload": 1.5}, "graph request: field 'workload' must be a string, got float"),
+    ("graph", {**_W, "setting": {}}, "graph request: field 'setting' must be a string, got dict"),
+    ("graph", {**_W, "setting": "bogus"},
+     f"graph request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("advise", [], "an advise request must be a JSON object, got list"),
+    ("advise", {}, "advise request: missing required field 'workload'"),
+    ("advise", {**_W, "junk": 1},
+     "advise request: unknown field(s) ['junk']; expected a subset of "
+     "['max_edits', 'method', 'setting', 'workload']"),
+    ("advise", {"workload": 7}, "advise request: field 'workload' must be a string, got int"),
+    ("advise", {**_W, "setting": 7}, "advise request: field 'setting' must be a string, got int"),
+    ("advise", {**_W, "setting": "bogus"},
+     f"advise request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("advise", {**_W, "method": 1}, "advise request: field 'method' must be a string, got int"),
+    ("advise", {**_W, "method": "nope"},
+     f"advise request: unknown method 'nope'; expected one of {_METHODS}"),
+    ("advise", {**_W, "max_edits": "three"},
+     "advise request: field 'max_edits' must be an integer, got str"),
+    ("advise", {**_W, "max_edits": True},
+     "advise request: field 'max_edits' must be an integer, got bool"),
+    ("advise", {**_W, "max_edits": 2.0},
+     "advise request: field 'max_edits' must be an integer, got float"),
+    ("advise", {**_W, "max_edits": 0}, "advise request: field 'max_edits' must be >= 1, got 0"),
+    ("advise", {**_W, "max_edits": -4}, "advise request: field 'max_edits' must be >= 1, got -4"),
+    ("watch", [], "a watch request must be a JSON object, got list"),
+    ("watch", {}, "watch request: missing required field 'workload'"),
+    ("watch", {**_W, "junk": 1},
+     "watch request: unknown field(s) ['junk']; expected a subset of "
+     "['oracle_every', 'seed', 'setting', 'steps', 'workload']"),
+    ("watch", {"workload": ["smallbank"]},
+     "watch request: field 'workload' must be a string, got list"),
+    ("watch", {**_W, "setting": 7}, "watch request: field 'setting' must be a string, got int"),
+    ("watch", {**_W, "setting": "bogus"},
+     f"watch request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("watch", {**_W, "steps": "5"}, "watch request: field 'steps' must be an integer, got str"),
+    ("watch", {**_W, "steps": 0}, "watch request: field 'steps' must be within 1..10000, got 0"),
+    ("watch", {**_W, "steps": 10_001},
+     "watch request: field 'steps' must be within 1..10000, got 10001"),
+    ("watch", {**_W, "seed": "x"}, "watch request: field 'seed' must be an integer, got str"),
+    ("watch", {**_W, "seed": False}, "watch request: field 'seed' must be an integer, got bool"),
+    ("watch", {**_W, "oracle_every": 1.5},
+     "watch request: field 'oracle_every' must be an integer, got float"),
+    ("watch", {**_W, "oracle_every": -1},
+     "watch request: field 'oracle_every' must be >= 0, got -1"),
+    ("grid", [], "a grid request must be a JSON object, got list"),
+    *(
+        ("grid", body, "grid request: missing required field 'workloads' "
+         "(a non-empty list of workload sources)")
+        for body in ({}, {"workloads": None}, {"workloads": []})
+    ),
+    ("grid", {"workloads": "smallbank"},
+     "grid request: field 'workloads' must be a list of strings, got str"),
+    ("grid", {"workloads": [1]},
+     "grid request: field 'workloads' must contain only strings, got int"),
+    ("grid", {"workloads": ["smallbank"], "junk": 1},
+     "grid request: unknown field(s) ['junk']; expected a subset of ['include_verdicts', "
+     "'method', 'repetitions', 'settings', 'task', 'warm', 'workloads']"),
+    ("grid", {"workloads": ["smallbank"] * 65},
+     "grid request: at most 64 workloads and 100 repetitions, got 65 and 1"),
+    ("grid", {"workloads": ["smallbank"], "repetitions": 101},
+     "grid request: at most 64 workloads and 100 repetitions, got 1 and 101"),
+    ("grid", {"workloads": ["smallbank"], "repetitions": 0},
+     "grid request: grid repetitions must be >= 1, got 0"),
+    ("grid", {"workloads": ["smallbank"], "repetitions": 1.5},
+     "grid request: field 'repetitions' must be an integer, got float"),
+    ("grid", {"workloads": ["smallbank"], "settings": "attr dep"},
+     "grid request: field 'settings' must be a list of strings, got str"),
+    ("grid", {"workloads": ["smallbank"], "settings": [None]},
+     "grid request: field 'settings' must contain only strings, got NoneType"),
+    ("grid", {"workloads": ["smallbank"], "settings": ["bogus"]},
+     f"grid request: unknown settings label 'bogus'; expected one of {_LABELS}"),
+    ("grid", {"workloads": ["smallbank"], "task": 3},
+     "grid request: field 'task' must be a string, got int"),
+    ("grid", {"workloads": ["smallbank"], "task": "dance"},
+     "grid request: unknown grid task 'dance'; expected one of ('analyze', 'detect', 'subsets')"),
+    ("grid", {"workloads": ["smallbank"], "method": "type-III"},
+     f"grid request: unknown method 'type-III'; expected one of {_METHODS}"),
+    ("grid", {"workloads": ["smallbank"], "warm": "yes"},
+     "grid request: field 'warm' must be a boolean, got str"),
+    ("grid", {"workloads": ["smallbank"], "include_verdicts": 0},
+     "grid request: field 'include_verdicts' must be a boolean, got int"),
+    ("batch", [], "a batch request must be a JSON object, got list"),
+    *(
+        ("batch", body, "batch request: 'requests' must be a non-empty list")
+        for body in ({}, {"requests": []}, {"requests": "nope"})
+    ),
+    ("batch", {"requests": [_W], "junk": 1},
+     "batch request: unknown field(s) ['junk']; expected a subset of ['requests']"),
+    ("batch", {"requests": [_W] * 65},
+     "batch request: 65 items exceed the batch limit of 64; split the batch"),
+    ("batch", {"requests": ["not a mapping"]}, "batch item 0 must be a JSON object, got str"),
+]
+
+
+class TestEnvelopeMessages:
+    @pytest.mark.parametrize(
+        "kind, body, message",
+        ENVELOPE_MESSAGES,
+        ids=[f"{kind}-{index}" for index, (kind, _, _) in enumerate(ENVELOPE_MESSAGES)],
+    )
+    def test_exact_envelope(self, kind, body, message):
+        with pytest.raises(ServiceError) as excinfo:
+            AnalysisService().handle(kind, body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.envelope == {
+            "error": {"type": "invalid_request", "message": message, "exit_code": 2}
+        }
+
+
+#: Drives one service through analyze, subsets, advise, watch, one shed
+#: request, one deadline expiry, one spill and one rehydration, then prints
+#: its /v1/stats, /v1/healthz and /v1/metrics bodies with the volatile
+#: values (version, temp path, uptime, histogram samples) blanked.  Runs in
+#: a fresh process so the metrics registry holds this service alone.
+_COUNTER_SCRIPT = """
+import json, sys, tempfile
+from repro.obs import metrics
+from repro.service import AnalysisService, ServiceError
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    service = AnalysisService(capacity=2, cache_dir=cache_dir, max_inflight=2)
+    service.handle("analyze", {"workload": "smallbank"})
+    service.handle("subsets", {"workload": "smallbank"})
+    service.handle("advise", {"workload": "smallbank"})
+    service.handle("watch", {"workload": "smallbank", "steps": 3, "oracle_every": 3})
+    service._inflight.acquire()  # fill both slots: the next request is shed
+    service._inflight.acquire()
+    try:
+        service.handle("analyze", {"workload": "smallbank"})
+    except ServiceError as error:
+        assert error.kind == "overloaded", error
+    service._inflight.release()
+    service._inflight.release()
+    service.deadline_seconds = 1e-9  # the next request expires at once
+    try:
+        service.handle("analyze", {"workload": "smallbank"})
+    except ServiceError as error:
+        assert error.kind == "deadline_exceeded", error
+    service.deadline_seconds = None
+    service.handle("analyze", {"workload": "auction"})
+    service.handle("analyze", {"workload": "tpcc"})  # spills smallbank
+    service.handle("analyze", {"workload": "smallbank"})  # rehydrates it
+    stats = service.stats()
+    healthz = service.healthz()
+    body = metrics.render({"worker": "0"})
+
+stats["version"] = stats["cache_dir"] = healthz["version"] = None
+healthz["uptime_seconds"] = None
+histograms = {
+    line.split()[2] for line in body.splitlines()
+    if line.startswith("# TYPE") and line.endswith(" histogram")
+}
+lines = [
+    line for line in body.splitlines()
+    if line.startswith("#") or not any(line.startswith(name) for name in histograms)
+]
+json.dump({"stats": stats, "healthz": healthz, "metrics": lines}, sys.stdout, indent=1)
+"""
+
+
+class TestOneSchema:
+    """The request dataclasses are the one declaration of every field."""
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            ("analyze", {"workload": "smallbank", "setting": None, "subset": None,
+                         "all_settings": None, "profile": None}),
+            ("advise", {"workload": "smallbank", "method": None, "max_edits": None}),
+            ("watch", {"workload": "smallbank", "steps": None, "seed": None,
+                       "oracle_every": None}),
+            ("grid", {"workloads": ["smallbank"], "settings": None, "task": None,
+                      "method": None, "repetitions": None, "warm": None,
+                      "include_verdicts": None}),
+        ],
+    )
+    def test_null_fields_take_their_dataclass_defaults(self, kind, body):
+        assert parse_request(kind, body) == parse_request(
+            kind, {key: value for key, value in body.items() if value is not None}
+        )
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        from repro.service import AdviseRequest, WatchRequest
+
+        assert parse_request("advise", {"workload": "w"}) == AdviseRequest(workload="w")
+        assert parse_request("watch", {"workload": "w"}) == WatchRequest(workload="w")
+        grid = parse_request("grid", {"workloads": ["w"]})
+        assert grid == GridRequest(workloads=("w",))
+
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["watch", "smallbank", "--steps", "0"], {"steps": 0}),
+            (["watch", "smallbank", "--steps", "10001"], {"steps": 10_001}),
+            (["watch", "smallbank", "--oracle-every", "-1"], {"oracle_every": -1}),
+            (["advise", "smallbank", "--max-edits", "0"], {"max_edits": 0}),
+        ],
+    )
+    def test_cli_refuses_what_http_refuses(self, argv, body, capsys):
+        with pytest.raises(ServiceError) as excinfo:
+            AnalysisService().handle(argv[0], {"workload": argv[1], **body})
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {excinfo.value}\n"
+
+
+class TestCounterSnapshot:
+    def test_stats_healthz_and_metrics_bodies_are_pinned(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {
+            key: value for key, value in os.environ.items()
+            if key not in ("REPRO_FAULTS", "REPRO_WORKER_INDEX", "REPRO_LOG")
+        }
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", _COUNTER_SCRIPT],
+            capture_output=True, text=True, timeout=300, env=env, check=True,
+        )
+        expected = json.loads(
+            (Path(__file__).parent / "data" / "service_counters.json").read_text()
+        )
+        assert json.loads(completed.stdout) == expected
 
 
 class TestEvictionSpill:
