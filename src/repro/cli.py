@@ -84,6 +84,7 @@ from repro.service.requests import (
     AdviseRequest,
     AnalyzeRequest,
     WatchRequest,
+    json_bytes,
     parse_request,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, AnalysisSettings
@@ -116,6 +117,11 @@ def _add_setting_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _write_json(body: bytes) -> None:
+    """Print one encoded JSON body (it ends in its own newline)."""
+    sys.stdout.write(body.decode("utf-8"))
+
+
 def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -126,8 +132,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     service = AnalysisService()
     request = _request(args)
     if args.json:
-        # The same dispatch the HTTP frontend uses — byte-identical payloads.
-        print(json.dumps(request.payload(service), indent=2))
+        # The bytes POST /v1/analyze answers.
+        _write_json(request.encoded(service))
         return 0
     payload = request.payload(service) if request.profile else None
     result = service.analyze(request)  # after a payload: reuses the cached report
@@ -152,7 +158,10 @@ def _print_spans(nodes: list, indent: int) -> None:
 def _print_result(args: argparse.Namespace, result) -> None:
     """A request's result as its JSON payload (``--json``; the bytes
     ``POST /v1/<command>`` answers) or as its human-readable report."""
-    print(json.dumps(result.to_dict(), indent=2) if args.json else result.describe())
+    if args.json:
+        _write_json(json_bytes(result.to_dict()))
+    else:
+        print(result.describe())
 
 
 def _cmd_subsets(args: argparse.Namespace) -> int:
@@ -164,7 +173,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     service = AnalysisService()
     request = _request(args)
     if args.json:
-        print(json.dumps(request.payload(service), indent=2))
+        _write_json(request.encoded(service))
         return 0
     name, graph = service.graph(request)
     witness = None
@@ -227,7 +236,7 @@ def _cmd_cache_load(args: argparse.Namespace) -> int:
     report = session.analyze(_settings_from(args.setting))
     info = session.cache_info()
     if args.json:
-        print(json.dumps({**report.to_dict(), "cache_info": info}, indent=2))
+        _write_json(json_bytes({**report.to_dict(), "cache_info": info}))
         return 0
     print(f"workload: {report.workload}  (cache: {args.path})")
     print(report.describe())

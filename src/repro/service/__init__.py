@@ -4,7 +4,8 @@ Three layers, each usable on its own:
 
 * :class:`AnalysisService` — an LRU pool of warm, thread-safe
   :class:`~repro.analysis.Analyzer` sessions keyed by workload fingerprint,
-  with typed entry points, a ``handle(kind, mapping)`` JSON dispatch,
+  with typed entry points, a ``handle(kind, mapping)`` JSON dispatch
+  (``handle_bytes`` answers the encoded HTTP body),
   cache-directory warm start (:meth:`AnalysisService.warm_from_cache_dir`)
   and — with ``cache_dir=`` — eviction-time spill plus rehydration, so a
   bounded pool keeps its warm state across the LRU boundary;

@@ -12,17 +12,17 @@ concurrent request threads without double-computing a stage.
 
 The service is also the dispatch point of the typed request layer:
 :meth:`handle` takes ``(kind, mapping)``, validates via
-:func:`~repro.service.requests.parse_request` and returns the JSON payload
-— the single path behind both the CLI's ``--json`` output and every
-``/v1/*`` endpoint.  :meth:`warm_from_cache_dir` /
+:func:`~repro.service.requests.parse_request` and returns the JSON payload;
+:meth:`handle_bytes` runs the same gauntlet and returns the encoded body
+that every ``/v1/*`` endpoint sends.  :meth:`warm_from_cache_dir` /
 :meth:`save_to_cache_dir` move the whole pool across processes through
 fingerprint-named :meth:`~repro.analysis.Analyzer.save_cache` artifacts,
 written atomically by the same :func:`_write_artifact` as eviction spills.
 
 The service's counters live in one :class:`collections.Counter` keyed by
 their ``/v1/stats`` names; the :data:`_COUNTERS` table lays them out for
-:meth:`stats`, and names the ``/v1/metrics`` series the scrape collector
-mirrors them into.
+:meth:`stats`, and names the ``/v1/metrics`` series that one scrape
+collector sets to their sum over every live service.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import weakref
 from collections import Counter, OrderedDict
 from contextvars import ContextVar
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 import os
 
@@ -79,11 +79,13 @@ DEFAULT_POISON_THRESHOLD = 3
 #: request's deadline with a fresh one.
 _IN_REQUEST: ContextVar[bool] = ContextVar("repro_service_in_request", default=False)
 
+_T = TypeVar("_T")
+
 
 #: Dispatch-level request counter, labeled by request kind (inline; the
-#: rest of the service counters are *pulled* at scrape time by the
-#: collector each service registers, so the :data:`_COUNTERS` table stays
-#: the single source of truth).
+#: rest of the service counters are *pulled* at scrape time by
+#: :func:`_collect_services`, so the :data:`_COUNTERS` table stays the
+#: single source of truth).
 REQUESTS_TOTAL = obs_metrics.REGISTRY.counter(
     "repro_service_requests_total",
     "Requests dispatched through AnalysisService.handle, by kind.",
@@ -135,22 +137,27 @@ _COUNTERS: tuple[tuple[str, Any, tuple[str, ...]], ...] = (
 )
 
 
-def _register_service_collector(service: "AnalysisService") -> None:
-    """Feed the registry from a service's counters at every scrape.
+#: Every live service; the one scrape collector sums their counters.
+_SERVICES: "weakref.WeakSet[AnalysisService]" = weakref.WeakSet()
 
-    Holds the service weakly: when it is garbage collected the collector
-    raises ``ReferenceError`` on its next run and the registry drops it.
-    """
-    ref = weakref.proxy(service)
 
-    def _collect() -> None:
-        with ref._lock:
-            for key, series, labels in _COUNTERS:
-                if series is not None:
-                    series.set(ref._counts[key], *labels)
-            SESSIONS_WARM.set(len(ref._pool))
+def _collect_services() -> None:
+    """Set each :data:`_COUNTERS` series, and the warm-session gauge, to
+    its sum over every live service at scrape time (a service that is
+    garbage collected leaves the sum)."""
+    totals: Counter[str] = Counter()
+    sessions_warm = 0
+    for service in list(_SERVICES):
+        with service._lock:
+            totals.update(service._counts)
+            sessions_warm += len(service._pool)
+    for key, series, labels in _COUNTERS:
+        if series is not None:
+            series.set(totals[key], *labels)
+    SESSIONS_WARM.set(sessions_warm)
 
-    obs_metrics.REGISTRY.register_collector(_collect)
+
+obs_metrics.REGISTRY.register_collector(_collect_services)
 
 
 def _write_artifact(directory: Path, fingerprint: str, session: Analyzer) -> Path:
@@ -248,10 +255,9 @@ class AnalysisService:
         self._quarantine_warned = False
         # Building a service turns the metrics layer on for the process
         # (library-only Analyzer use stays zero-cost without one) and
-        # registers the scrape-time collector that mirrors this
-        # service's counters into the registry.
+        # joins the services the scrape-time collector sums.
         obs_metrics.enable()
-        _register_service_collector(self)
+        _SERVICES.add(self)
 
     # -- session pool --------------------------------------------------------
     def fresh_session(
@@ -558,7 +564,8 @@ class AnalysisService:
         """Validate and execute one request mapping; returns the JSON payload.
 
         The single dispatch path of the service: CLI ``--json`` commands and
-        every ``POST /v1/<kind>`` route call this, so their outputs cannot
+        every ``POST /v1/<kind>`` route run through it (or through
+        :meth:`handle_bytes`, its encoded twin), so their outputs cannot
         diverge.  Raises :class:`ServiceError` for malformed requests *and*
         for analysis failures (unknown workloads, bad files …), carrying the
         CLI's exit-code-2 semantics either way.
@@ -569,6 +576,19 @@ class AnalysisService:
         circuit breaker.  Nested dispatches (batch items) inherit the
         outer request's gate slot and deadline instead of re-acquiring.
         """
+        return self._run(kind, data, lambda request: request.payload(self))
+
+    def handle_bytes(self, kind: str, data: Mapping[str, Any] | Any) -> bytes:
+        """:meth:`handle`, answering the encoded response body instead:
+        ``json_bytes(handle(kind, data))``, the bytes ``POST /v1/<kind>``
+        sends.  Graph bodies are encoded once per session memo entry."""
+        return self._run(kind, data, lambda request: request.encoded(self))
+
+    def _run(
+        self, kind: str, data: Mapping[str, Any] | Any, answer: Callable[[Any], _T]
+    ) -> _T:
+        """Parse one request and ``answer`` it under the gauntlet that
+        :meth:`handle` describes."""
         request = parse_request(kind, data)
         with self._lock:
             self._counts["requests"] += 1
@@ -598,7 +618,7 @@ class AnalysisService:
                 _faults.maybe_stall()
                 _faults.maybe_crash()
                 check_deadline(f"{kind} request")
-                payload = request.payload(self)
+                result = answer(request)
         except DeadlineExceeded as error:
             with self._lock:
                 self._counts["faults.deadline_exceeded"] += 1
@@ -624,7 +644,7 @@ class AnalysisService:
             if not nested and self._inflight is not None:
                 self._inflight.release()
         self._note_ok(getattr(request, "workload", None))
-        return payload
+        return result
 
     # -- poisoned-session circuit breaker -------------------------------------
     def _note_crash(self, workload: Any) -> None:

@@ -6,9 +6,10 @@ just ``http.server``.  Routes:
 
 * ``POST /v1/analyze`` / ``/v1/subsets`` / ``/v1/graph`` / ``/v1/advise``
   / ``/v1/watch`` / ``/v1/grid`` / ``/v1/batch`` — a JSON request body
-  dispatched through :meth:`AnalysisService.handle`; the response body is
-  byte-identical to the corresponding CLI ``--json`` output (same
-  dispatch, same serialization, same trailing newline);
+  dispatched through :meth:`AnalysisService.handle_bytes`; the response
+  body is byte-identical to the corresponding CLI ``--json`` output (same
+  dispatch, same serializer, same trailing newline), and a warm graph's
+  body is encoded once and then served as stored bytes;
 * ``GET /v1/stats`` — pool and per-session ``cache_info()`` counters;
 * ``GET /v1/healthz`` — cheap readiness probe (uptime, pool capacity,
   sessions warm) that touches no session;
@@ -51,7 +52,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.clock import monotonic
 from repro.obs.trace import current_trace_id, trace_scope
 from repro.service.core import AnalysisService
-from repro.service.requests import REQUEST_KINDS, ServiceError
+from repro.service.requests import REQUEST_KINDS, ServiceError, json_bytes
 
 #: URL prefix of every route.
 API_PREFIX = "/v1/"
@@ -81,11 +82,6 @@ READ_TIMEOUT_SECONDS = 30.0
 #: before closing anyway (they still run on daemon threads, but their
 #: responses are no longer guaranteed to flush).
 DRAIN_SECONDS = 5.0
-
-
-def _json_bytes(payload: dict[str, Any]) -> bytes:
-    """The CLI's ``--json`` bytes: 2-space indent plus ``print``'s newline."""
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -186,7 +182,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         payload: dict[str, Any],
         headers: dict[str, str] | None = None,
     ) -> None:
-        self._send_body(status, _json_bytes(payload), "application/json", headers)
+        self._send_body(status, json_bytes(payload), "application/json", headers)
 
     def _respond_text(self, status: int, text: str) -> None:
         self._send_body(
@@ -283,7 +279,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                             status=404,
                         )
                     self._route = kind
-                    payload = self.server.service.handle(kind, self._request_body())
+                    body = self.server.service.handle_bytes(
+                        kind, self._request_body()
+                    )
                 except ServiceError as error:
                     self._respond_error(error)
                 except Exception as error:
@@ -292,7 +290,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     # envelope, never a raw traceback or a dropped connection.
                     self._respond_error(ServiceError.internal(error))
                 else:
-                    self._respond(200, payload)
+                    self._send_body(200, body, "application/json")
             finally:
                 self._finish_request()
                 self.server.request_finished()

@@ -8,8 +8,11 @@ annotations (``str``, ``bool``, ``int``, ``tuple[str, ...]``, each optionally
 refused, an absent or ``null`` field takes its default, and the class's
 ``_check`` then holds only the bounds (``max_edits >= 1``, the ``steps``
 range, the grid caps, a known ``method`` …).  :meth:`execute` runs a request
-against an :class:`~repro.service.AnalysisService` and :meth:`payload`
-serializes the result to the exact bytes the CLI's ``--json`` flag prints.
+against an :class:`~repro.service.AnalysisService`, :meth:`payload` turns
+the result into its JSON-shaped dict, and :meth:`encoded` into the exact
+bytes the CLI's ``--json`` flag prints and ``POST /v1/<kind>`` answers
+(:func:`json_bytes` is the one serializer).  A graph's bytes are encoded
+once per session memo entry and then served as they are.
 
 The CLI and the HTTP frontend both build requests through
 :func:`parse_request`, so ``repro analyze …`` and ``POST /v1/analyze``
@@ -22,6 +25,8 @@ envelope; each item is validated when it executes.
 
 from __future__ import annotations
 
+import json
+import weakref
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Collection, Mapping, NoReturn
@@ -36,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.session import AnalysisMatrix
     from repro.detection.api import RobustnessReport
     from repro.service.core import AnalysisService
+
+
+def json_bytes(payload: dict[str, Any]) -> bytes:
+    """The CLI's ``--json`` bytes: 2-space indent plus ``print``'s newline."""
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 class ServiceError(ReproError):
@@ -146,7 +156,8 @@ def _settings(label: str | None, kind: str) -> AnalysisSettings:
 
 
 class _Request:
-    """The shared parse and payload of the field-declared request kinds."""
+    """The shared parse, payload and encoding of the request kinds
+    (:class:`BatchRequest` parses its own envelope)."""
 
     kind: ClassVar[str]
 
@@ -184,6 +195,10 @@ class _Request:
 
     def payload(self, service: "AnalysisService") -> dict[str, Any]:
         return self.execute(service).to_dict()
+
+    def encoded(self, service: "AnalysisService") -> bytes:
+        """The response body: :meth:`payload` as :func:`json_bytes`."""
+        return json_bytes(self.payload(service))
 
 
 @dataclass(frozen=True)
@@ -268,6 +283,26 @@ class GraphRequest(_Request):
     def payload(self, service: "AnalysisService") -> dict[str, Any]:
         name, graph = self.execute(service)
         return {"workload": name, **graph.to_dict()}
+
+    def encoded(self, service: "AnalysisService") -> bytes:
+        """The response body, encoded once per memoized graph.
+
+        The bytes live as long as the session's immutable graph object
+        (the memo holds it weakly), so an edit that drops the graph from
+        the session's memo drops them too, and forks, which share the graph
+        objects, share the bytes (edits and forks keep the workload name
+        the bytes carry).  Racing first requests may both encode; they
+        store equal bytes.
+        """
+        name, graph = self.execute(service)
+        body = _GRAPH_BYTES.get(graph)
+        if body is None:
+            body = _GRAPH_BYTES[graph] = json_bytes({"workload": name, **graph.to_dict()})
+        return body
+
+
+#: Encoded graph response bodies per live :class:`SummaryGraph`.
+_GRAPH_BYTES: "weakref.WeakKeyDictionary[SummaryGraph, bytes]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -420,7 +455,7 @@ MAX_BATCH_ITEMS = 64
 
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(_Request):
     """``POST /v1/batch``: several requests in one round trip.
 
     Items execute in order against the same warm pool; a failing item

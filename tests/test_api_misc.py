@@ -15,7 +15,7 @@ from repro.summary.settings import ATTR_DEP_FK
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.19.0"
+        assert repro.__version__ == "1.20.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -34,6 +34,7 @@ from repro.service import (
     make_server,
     parse_request,
 )
+from repro.service.requests import json_bytes
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction, smallbank, tpcc
 from repro.workloads.auction import MAX_AUCTION_ITEMS
@@ -1483,3 +1484,183 @@ class TestServeWorkers:
 
         with pytest.raises(ValueError, match=">= 2"):
             serve_workers(1, "127.0.0.1", 0, AnalysisService)
+
+
+# ---------------------------------------------------------------------------
+# response bytes: one serializer, graph bytes memoized per memo entry
+# ---------------------------------------------------------------------------
+
+def _read_only_balance(workload) -> "BTP":
+    """SmallBank's Balance reading both balances by key (it changes the
+    graph)."""
+    from repro.btp.program import BTP, seq
+    from repro.btp.statement import Statement
+
+    savings = workload.schema.relation("Savings")
+    checking = workload.schema.relation("Checking")
+    return BTP(
+        "Balance",
+        seq(
+            Statement.key_select("q7", savings, reads=["Balance"]),
+            Statement.key_select("q8", checking, reads=["Balance"]),
+            Statement.key_select("q8b", checking, reads=["Balance"]),
+        ),
+    )
+
+
+def _graph_bytes(session: Analyzer) -> bytes:
+    graph = session.summary_graph(ATTR_DEP_FK)
+    return json_bytes({"workload": session.workload.name, **graph.to_dict()})
+
+
+class TestResponseBytes:
+    @pytest.mark.parametrize(
+        "argv, kind, body",
+        [
+            (["analyze", "smallbank"], "analyze", {"workload": "smallbank"}),
+            (
+                ["analyze", "tpcc", "--all-settings"],
+                "analyze",
+                {"workload": "tpcc", "all_settings": True},
+            ),
+            (["subsets", "smallbank"], "subsets", {"workload": "smallbank"}),
+            (
+                ["subsets", "tpcc", "--setting", "attr dep", "--method", "type-I"],
+                "subsets",
+                {"workload": "tpcc", "setting": "attr dep", "method": "type-I"},
+            ),
+            (["graph", "smallbank"], "graph", {"workload": "smallbank"}),
+            (
+                ["graph", "auction", "--setting", "tpl dep"],
+                "graph",
+                {"workload": "auction", "setting": "tpl dep"},
+            ),
+            (["advise", "smallbank"], "advise", {"workload": "smallbank"}),
+            (
+                None,
+                "batch",
+                {"requests": [{"kind": "graph", "workload": "smallbank"},
+                              {"kind": "subsets", "workload": "tpcc"},
+                              {"kind": "analyze", "workload": "nope"}]},
+            ),
+        ],
+        ids=["analyze", "all-settings", "subsets", "subsets-type-I", "graph",
+             "graph-tpl-dep", "advise", "batch"],
+    )
+    def test_http_cli_and_handle_answer_the_same_bytes(
+        self, http_server, capsys, argv, kind, body
+    ):
+        expected = json_bytes(AnalysisService().handle(kind, body))
+        if argv is not None:
+            assert cli_main([*argv, "--json"]) == 0
+            assert capsys.readouterr().out.encode() == expected
+        for _ in range(2):  # the second answer comes from the warm memos
+            status, raw = _post(http_server, f"/v1/{kind}", body)
+            assert status == 200
+            assert raw == expected
+        assert http_server.service.handle_bytes(kind, body) == expected
+
+    def test_profile_payloads_are_never_memoized(self, http_server):
+        body = {"workload": "smallbank"}
+        plain = json.loads(_post(http_server, "/v1/analyze", body)[1])
+        profiled = json.loads(
+            _post(http_server, "/v1/analyze", {**body, "profile": True})[1]
+        )
+        again = json.loads(_post(http_server, "/v1/analyze", body)[1])
+        assert "profile" not in plain and "profile" not in again
+        assert isinstance(profiled.pop("profile"), list)
+        assert profiled == plain == again
+
+    def test_graph_bytes_are_encoded_once_per_graph(self):
+        service = AnalysisService()
+        first = service.handle_bytes("graph", {"workload": "smallbank"})
+        assert service.handle_bytes("graph", {"workload": "smallbank"}) is first
+
+    def test_edits_drop_graph_bytes(self, smallbank_workload):
+        service = AnalysisService()
+        session = service.session("smallbank")
+        before = service.handle_bytes("graph", {"workload": "smallbank"})
+        session.replace_program(_read_only_balance(smallbank_workload))
+        cold = Analyzer(session.workload)
+        after = service.handle_bytes("graph", {"workload": "smallbank"})
+        assert after == _graph_bytes(cold) != before
+
+    def test_a_forks_edit_leaves_the_parent_untouched(self, smallbank_workload):
+        service = AnalysisService()
+        parent = service.session("smallbank")
+        graph_bytes = service.handle_bytes("graph", {"workload": "smallbank"})
+        fork = parent.fork()
+        assert fork.summary_graph(ATTR_DEP_FK) is parent.summary_graph(ATTR_DEP_FK)
+        fork.replace_program(_read_only_balance(smallbank_workload))
+        assert _graph_bytes(fork) == _graph_bytes(Analyzer(fork.workload))
+        assert service.handle_bytes("graph", {"workload": "smallbank"}) is graph_bytes
+
+
+_COLLECTOR_SCRIPT = """
+import gc, json, sys
+from repro.obs import metrics
+from repro.service import AnalysisService
+from repro.service.core import _COUNTERS, SESSIONS_WARM
+
+def scrape():
+    metrics.render()
+    values = {key: series.value(*labels) for key, series, labels in _COUNTERS if series}
+    values["sessions_warm"] = SESSIONS_WARM.value()
+    return values
+
+def stat(stats, key):
+    section, _, name = key.rpartition(".")
+    return (stats[section] if section else stats)[name]
+
+def expected(*services):
+    every = [service.stats() for service in services]
+    values = {
+        key: sum(stat(stats, key) for stats in every)
+        for key, series, _ in _COUNTERS if series
+    }
+    values["sessions_warm"] = sum(len(stats["sessions"]) for stats in every)
+    return values
+
+first, second = AnalysisService(), AnalysisService(max_inflight=1)
+for source in ("smallbank", "tpcc", "smallbank"):
+    first.handle("analyze", {"workload": source})
+second.handle("subsets", {"workload": "smallbank"})
+second._inflight.acquire()
+try:
+    second.handle("analyze", {"workload": "smallbank"})
+except Exception:
+    pass
+second._inflight.release()
+both = (scrape(), expected(first, second))
+del first
+gc.collect()
+json.dump({"both": both, "survivor": (scrape(), expected(second))}, sys.stdout)
+"""
+
+
+class TestCollectorSumsServices:
+    def test_scrape_is_the_sum_of_live_services(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {
+            key: value for key, value in os.environ.items()
+            if key not in ("REPRO_FAULTS", "REPRO_WORKER_INDEX", "REPRO_LOG")
+        }
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", _COLLECTOR_SCRIPT],
+            capture_output=True, text=True, timeout=300, env=env, check=True,
+        )
+        result = json.loads(completed.stdout)
+        scraped, expected = result["both"]
+        assert scraped == expected
+        assert expected["pool_hits"] == 1 and expected["faults.shed"] == 1
+        assert expected["sessions_warm"] == 3
+        scraped, expected = result["survivor"]
+        assert scraped == expected
+        assert expected["pool_hits"] == 0 and expected["sessions_warm"] == 1
