@@ -78,4 +78,4 @@ print()
 graph = serialization_graph(schedule)
 print("conflict serializable (Theorem 3.2):", is_conflict_serializable(schedule))
 print("serialization-graph edges:",
-      sorted(graph.tx_graph.edges))
+      sorted(graph.deps_between))

@@ -9,9 +9,9 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.20.0",
+    version="1.21.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["networkx", "numpy"],
+    install_requires=["numpy"],
 )

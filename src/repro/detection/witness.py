@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
-import networkx as nx
-
 from repro.btp.ltp import LTP
+from repro.errors import ReproError
 from repro.summary.graph import SummaryEdge, SummaryGraph
 
 
@@ -193,16 +192,14 @@ class CycleWitness:
 def connecting_edges(graph: SummaryGraph, source: str, target: str) -> list[SummaryEdge]:
     """Edges realising some shortest program-level path ``source → target``.
 
-    Returns the empty list when ``source == target`` (the empty path); the
-    caller is responsible for only asking about reachable pairs.
+    Returns the empty list when ``source == target`` (the empty path), and
+    raises :class:`ReproError` when ``target`` is unreachable.
     """
     if source == target:
         return []
-    # Plain BFS over the successor lists: a networkx graph per call is too
-    # dear for witnesses.
     path = shortest_path(graph.program_adjacency.__getitem__, source, target)
     if path is None:
-        raise nx.NetworkXNoPath(f"no path from {source!r} to {target!r}")
+        raise ReproError(f"no path from {source!r} to {target!r}")
     # Not edges_between: that materializes the full (source, target) index,
     # and witnesses are built on freshly assembled graphs (incremental and
     # subset paths) whose index would be populated for this one lookup.  A

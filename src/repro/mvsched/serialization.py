@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.mvsched.dependencies import Dependency, dependencies
 from repro.mvsched.schedule import Schedule
@@ -30,17 +28,9 @@ class SerializationGraph:
     schedule: Schedule
     deps: tuple[Dependency, ...]
 
-    @cached_property
-    def tx_graph(self) -> "nx.DiGraph":
-        """The transaction-level projection."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(t.tx for t in self.schedule.transactions)
-        graph.add_edges_from({(d.source.tx, d.target.tx) for d in self.deps})
-        return graph
-
     @property
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.tx_graph)
+        return next(self.cycles(), None) is None
 
     @cached_property
     def deps_between(self) -> dict[tuple[int, int], tuple[Dependency, ...]]:
@@ -56,18 +46,40 @@ class SerializationGraph:
         exactly once — simple cycles); labelled variants multiply out the
         dependency choices on each edge.
         """
+        successors: dict[int, list[int]] = {}
+        for source, target in self.deps_between:
+            successors.setdefault(source, []).append(target)
         count = 0
-        for tx_cycle in nx.simple_cycles(self.tx_graph):
-            pairs = [
-                (tx_cycle[i], tx_cycle[(i + 1) % len(tx_cycle)])
-                for i in range(len(tx_cycle))
-            ]
+        for tx_cycle in simple_cycles(successors):
+            pairs = zip(tx_cycle, tx_cycle[1:] + tx_cycle[:1])
             choice_sets = [self.deps_between[pair] for pair in pairs]
             for chosen in itertools.product(*choice_sets):
                 yield tuple(chosen)
                 count += 1
                 if max_cycles is not None and count >= max_cycles:
                     return
+
+
+def simple_cycles(successors: Mapping[int, Iterable[int]]) -> Iterator[tuple[int, ...]]:
+    """Each simple cycle of a digraph once, as a node tuple from its least node.
+
+    ``successors`` maps a node to its deduplicated successors.  An iterative
+    DFS from each ``start`` walks only nodes greater than it, so a cycle is
+    found from its least node alone; a self-loop is the cycle ``(n,)``.
+    """
+    for start in sorted(successors):
+        path, stack = [start], [iter(successors[start])]
+        while stack:
+            for node in stack[-1]:
+                if node == start:
+                    yield tuple(path)
+                elif node > start and node not in path:
+                    path.append(node)
+                    stack.append(iter(successors.get(node, ())))
+                    break
+            else:
+                stack.pop()
+                path.pop()
 
 
 def serialization_graph(schedule: Schedule) -> SerializationGraph:

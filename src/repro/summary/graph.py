@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
-import networkx as nx
-
 from repro.btp.ltp import LTP
 from repro.btp.statement import Statement
 from repro.errors import ProgramError
@@ -244,26 +242,19 @@ class SummaryGraph:
     def program_adjacency(self) -> dict[str, tuple[str, ...]]:
         """Program-level successor lists (deduplicated, every node present).
 
-        The lightweight counterpart of :attr:`program_graph` used by the
-        detection algorithms — building it avoids the cost of a full
-        :mod:`networkx` graph on the hot path.
+        The program-level projection (one node per LTP, unlabelled edges)
+        that the reachability tests and witnesses walk.
         """
         successors: dict[str, dict[str, None]] = {name: {} for name in self._programs}
         for edge in self._edges:
             successors[edge.source][edge.target] = None
         return {name: tuple(targets) for name, targets in successors.items()}
 
-    @cached_property
-    def program_graph(self) -> "nx.DiGraph":
-        """The program-level projection (one node per LTP, unlabelled edges)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._programs)
-        graph.add_edges_from({(edge.source, edge.target) for edge in self._edges})
-        return graph
+    def to_networkx(self) -> "networkx.MultiDiGraph":
+        """A multigraph view with edge attributes; needs networkx installed."""
+        import networkx
 
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """A full multigraph view with edge attributes (for external tooling)."""
-        graph = nx.MultiDiGraph()
+        graph = networkx.MultiDiGraph()
         graph.add_nodes_from(self._programs)
         for edge in self._edges:
             graph.add_edge(

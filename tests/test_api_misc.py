@@ -1,12 +1,16 @@
 """Tests for remaining public API surface: witnesses, graph views, misc."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cli import main as cli_main
 from repro.detection.witness import CycleWitness, connecting_edges
+from repro.errors import ReproError
 from repro.engine.interleavings import all_unit_orders, interleaving_count
 from repro.experiments.false_negatives import run_false_negatives
 from repro.summary.graph import SummaryEdge
@@ -15,7 +19,7 @@ from repro.summary.settings import ATTR_DEP_FK
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -70,6 +74,12 @@ class TestWitnessStructure:
         for current, following in zip(edges, edges[1:]):
             assert current.target == following.source
 
+    def test_connecting_edges_unreachable_raises_repro_error(self, tpcc_workload):
+        # No TPC-C program reaches Delivery#1 (it has no incoming edges).
+        graph = tpcc_workload.summary_graph(ATTR_DEP_FK)
+        with pytest.raises(ReproError, match="no path from 'NewOrder#1'"):
+            connecting_edges(graph, "NewOrder#1", "Delivery#1")
+
 
 class TestSummaryGraphViews:
     def test_edges_between(self, auction_workload):
@@ -80,14 +90,21 @@ class TestSummaryGraphViews:
         }
 
     def test_to_networkx_multigraph(self, auction_workload):
+        pytest.importorskip("networkx")
         graph = auction_workload.summary_graph(ATTR_DEP_FK)
         nx_graph = graph.to_networkx()
         assert nx_graph.number_of_nodes() == 3
         assert nx_graph.number_of_edges() == graph.edge_count
 
-    def test_program_graph_simple_edges(self, auction_workload):
+    def test_program_adjacency_simple_edges(self, auction_workload):
         graph = auction_workload.summary_graph(ATTR_DEP_FK)
-        assert graph.program_graph.number_of_edges() <= graph.edge_count
+        pairs = {
+            (source, target)
+            for source, targets in graph.program_adjacency.items()
+            for target in targets
+        }
+        assert pairs == {(edge.source, edge.target) for edge in graph.edges}
+        assert len(pairs) <= graph.edge_count
 
     def test_statement_lookup_via_edge(self, auction_workload):
         graph = auction_workload.summary_graph(ATTR_DEP_FK)
@@ -143,3 +160,32 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == 0
         assert "True" in completed.stdout
+
+
+class TestNoNetworkxAtRunTime:
+    """networkx is only needed by ``SummaryGraph.to_networkx``."""
+
+    @staticmethod
+    def _run(script):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+        )
+
+    def test_imports_load_no_networkx(self):
+        completed = self._run(
+            "import sys, repro, repro.cli, repro.service.http\n"
+            "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+
+    def test_analyze_runs_with_networkx_unimportable(self, capsys):
+        completed = self._run(
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['analyze', 'smallbank', '--json']))\n"
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+        assert cli_main(["analyze", "smallbank", "--json"]) == 0
+        assert completed.stdout == capsys.readouterr().out.encode()
