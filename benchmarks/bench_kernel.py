@@ -13,8 +13,8 @@ Two gates, one parity sweep:
    compiling the profiles (which packs each LTP's planes) is not — it
    happens once per program and granularity and is recorded separately
    as ``packing_seconds``.
-2. **Subset enumeration** — ``robust_subsets`` with the
-   :class:`~repro.detection.subsets.PairMatrix` fast path must beat the
+2. **Subset enumeration** — ``robust_subsets`` (the verdict grid read
+   off the maximal-subset search, ``maximal_robust_sets``) must beat the
    plain block-store enumeration (PR 2's path, reproduced inline) by
    ``--subsets-threshold`` (default 1.2×) on SmallBank and Auction(5)
    under the settings where the full workload is not robust.
@@ -23,7 +23,7 @@ Parity is asserted throughout: store blocks (batch kernel) equal
 frozenset-reference blocks edge-for-edge on SmallBank, TPC-C and
 Auction(5) (one mask word each) and on ``tests/data/wide.workload``
 (three words) under all four Section 7.2 settings; the timed sweep carries
-exactly the reference's edges; and the matrix verdict grids equal the
+exactly the reference's edges; and the search's verdict grids equal the
 plain enumeration's.
 
 Numbers are recorded to ``BENCH_kernel.json`` (see
@@ -117,10 +117,10 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
     }
 
 
-# -- gate 2: pair-matrix subset enumeration ---------------------------------
+# -- gate 2: subset enumeration (search vs plain power set) -----------------
 
 def _plain_robust_subsets(programs, schema, settings):
-    """PR 2's enumeration: block store, no pair matrix."""
+    """The plain block-store enumeration: an assembled graph per candidate."""
     ltps = unfold(programs, 2)
     store = EdgeBlockStore(schema, settings)
     store.register(ltps)

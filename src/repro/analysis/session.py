@@ -25,10 +25,11 @@ The pairwise blocks are also what make the session **incremental**
 :meth:`~Analyzer.replace_program` recompute only the blocks involving the
 changed program) and **persistent** (:meth:`Analyzer.save_cache` /
 :meth:`~Analyzer.load_cache` carry unfoldings and blocks across
-processes).  This turns :meth:`Analyzer.robust_subsets` from exponentially
-many *full pipeline* runs into one pipeline run plus exponentially many
-*cheap* cycle checks, and makes :meth:`Analyzer.analyze_matrix` (all four
-settings of Section 7.2) reuse the unfolding across rows.
+processes).  This turns :meth:`Analyzer.maximal_robust_subsets` into one
+pipeline run plus one bounded dualize-and-advance search, whose detector
+calls read only the cached planes, and makes
+:meth:`Analyzer.analyze_matrix` (all four settings of Section 7.2) reuse
+the unfolding across rows.
 """
 
 from __future__ import annotations
@@ -45,12 +46,7 @@ from repro.btp.program import BTP
 from repro.btp.unfold import unfold_program
 from repro.detection.api import RobustnessReport
 from repro.detection.blockindex import find_violations_blocks, is_robust_blocks
-from repro.detection.subsets import (
-    PairMatrix,
-    check_method,
-    enumerate_robust_subsets,
-    maximal_subsets,
-)
+from repro.detection.subsets import check_method, maximal_robust_sets, robust_grid
 from repro.errors import ProgramError, ReproError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
@@ -411,29 +407,33 @@ class Analyzer:
     ) -> dict[frozenset[str], bool]:
         """Robustness verdict for every non-empty subset of the programs.
 
-        Same contract as :func:`repro.detection.subsets.robust_subsets`, but
-        unfolding and pairwise edge blocks are computed at most once per
-        settings.  The :class:`~repro.detection.subsets.PairMatrix` decides
-        every candidate from the store's aggregate planes (no graph is
-        assembled); subsets of attested-robust sets inherit robustness
-        without testing (Proposition 5.2).
+        A view of :meth:`maximal_robust_subsets`: a set is robust iff it
+        lies inside some maximal robust set.  Refused with
+        :class:`~repro.errors.ReproError` above
+        :data:`~repro.detection.subsets.MAX_GRID_PROGRAMS` programs.
         """
-        with self._lock:
-            store, _ = self._registered(settings, None)
-            ltp_names = {
-                name: tuple(ltp.name for ltp in self._ltps_by_program[name])
-                for name in self.program_names
-            }
-            matrix = PairMatrix(store, ltp_names, method)
-            return enumerate_robust_subsets(self.program_names, matrix.verdict)
+        return robust_grid(
+            self.program_names, self.maximal_robust_subsets(settings, method)
+        )
 
     def maximal_robust_subsets(
         self,
         settings: AnalysisSettings | str = AnalysisSettings(),
         method: str = "type-II",
     ) -> tuple[frozenset[str], ...]:
-        """The maximal robust subsets, largest first (as in Figures 6/7)."""
-        return maximal_subsets(self.robust_subsets(settings, method))
+        """The maximal robust subsets, largest first (as in Figures 6/7):
+        one :func:`~repro.detection.subsets.maximal_robust_sets` search
+        whose detector reads only the cached blocks' aggregate planes."""
+        check_method(method)
+        with self._lock:
+            store, _ = self._registered(settings, None)
+            by_program = self._ltps_by_program
+            return maximal_robust_sets(
+                self.program_names,
+                lambda combo: is_robust_blocks(
+                    store, [ltp.name for name in combo for ltp in by_program[name]], method
+                ),
+            )
 
     # -- incremental re-analysis --------------------------------------------
     def _set_programs(

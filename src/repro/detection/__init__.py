@@ -33,7 +33,6 @@ from repro.detection.blockindex import (
     find_type2_violation_blocks,
 )
 from repro.detection.subsets import (
-    PairMatrix,
     SubsetsReport,
     maximal_robust_subsets,
     robust_subsets,
@@ -55,7 +54,6 @@ __all__ = [
     "WitnessAnchor",
     "anchor_edges",
     "robust_subsets",
-    "PairMatrix",
     "maximal_robust_subsets",
     "SubsetsReport",
     "analyze",

@@ -1,22 +1,18 @@
-"""Robust-subset enumeration (the experiment grid of Figures 6 and 7).
+"""Maximal robust subsets (the experiment grid of Figures 6 and 7).
 
 Robustness is anti-monotone (Proposition 5.2): every subset of a robust set
-of programs is robust.  The enumeration exploits this by walking subsets in
-decreasing size and skipping subsets of already-attested robust sets; the
-*maximal* robust subsets are those without a robust strict superset.
+of programs is robust.  The maximal robust sets are therefore fixed by the
+minimal non-robust sets alone: the robust sets are the independent sets of
+the hypergraph they form.  :func:`maximal_robust_sets` finds both families
+with the dualize-and-advance search of Gunopulos et al. (PODS 1997): its
+detector calls grow with the two families and the program count, not with
+the 2^n subsets, and :data:`SEARCH_BUDGET` bounds them.
+:func:`robust_grid` reads the per-subset verdict grid off its result for
+at most :data:`MAX_GRID_PROGRAMS` programs.  The power-set enumeration
+below it is the executable specification of both; the library never runs
+it.
 
-Detection methods are the names in :data:`METHODS`.  On top of the
-attested-superset pruning, :class:`PairMatrix` adds the contrapositive
-fast path: both detection methods decide robustness
-by the *absence* of a bad cycle, so a violation found in ``SuG(𝒫')``
-persists in every superset's graph (``SuG(𝒫')`` is an induced subgraph of
-``SuG(𝒫'')`` for ``𝒫' ⊆ 𝒫''``).  Once a 1- or 2-program core is known
-non-robust, every candidate containing it is non-robust.  Every other
-candidate runs the matrix detector of :mod:`repro.detection.blockindex`
-over the store's aggregate planes, whose first screen (no program with
-both an incoming edge and an outgoing counterflow edge) answers many
-candidates robust without a single product — no candidate assembles a
-summary graph.
+Detection methods are the names in :data:`METHODS`.
 """
 
 from __future__ import annotations
@@ -27,13 +23,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.btp.program import BTP
-from repro.detection.blockindex import is_robust_blocks
+from repro.errors import ReproError
+from repro.faults.deadline import check_deadline
 from repro.schema import Schema
-from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import AnalysisSettings
 
 #: The two detection methods: Algorithm 2 and the type-I baseline.
 METHODS = ("type-II", "type-I")
+#: Detector calls plus open frontier sets past which a maximal-subset
+#: search refuses.
+SEARCH_BUDGET = 4096
+#: Most programs whose 2^n − 1 subset verdict grid :func:`robust_grid` builds.
+MAX_GRID_PROGRAMS = 16
 
 
 def check_method(method: str) -> str:
@@ -65,111 +66,115 @@ def is_robust(
     )
 
 
-class PairMatrix:
-    """Per-pair interference summary over an :class:`EdgeBlockStore`.
+def maximal_robust_sets(
+    names: Iterable[str],
+    robust: Callable[[tuple[str, ...]], bool],
+) -> tuple[frozenset[str], ...]:
+    """The maximal robust subsets of ``names``, largest first.
 
-    ``members`` maps each program (BTP) name to the LTP names of its
-    unfoldings; ``method`` names one of the two detection methods.
-    :meth:`verdict` decides one candidate combination with two fast
-    paths before falling back to the matrix detector
-    (:func:`~repro.detection.blockindex.is_robust_blocks`, whose planes
-    screen many candidates robust before any product):
-
-    1. **non-robust cores** — a candidate containing a known non-robust
-       1-/2-program core is non-robust (contrapositive of Proposition 5.2;
-       exact because both methods detect a bad cycle that persists in every
-       supergraph);
-    2. **2-subset memo** — 1- and 2-program verdicts are answered from the
-       matrix directly once computed.
-
-    The matrix *materializes* (computes all 1-/2-program verdicts) the
-    first time a candidate fails a real check: from then on, the
-    exponentially many supersets of non-robust pairs short-circuit.  On a
-    workload whose full set is robust nothing is materialized — the
-    attested-superset pruning already collapses that case.
+    ``robust`` decides one combination (a sorted tuple of names) and must
+    be anti-monotone.  Unless the full set is robust, the search keeps a
+    *frontier*, the minimal transversals of the complements of the maximal
+    sets found so far.  Each round asks about the first frontier set not
+    yet known non-robust: a robust one is grown greedily into a new maximal
+    set, whose complement advances the frontier (Berge's step); a
+    non-robust one is a minimal non-robust set.  The search ends when no
+    frontier set is left to ask.  No superset of a set answered non-robust
+    is ever asked.  Past :data:`SEARCH_BUDGET` detector calls plus
+    frontier sets it raises :class:`~repro.errors.ReproError`.
     """
+    ordered = sorted(names)
+    bits = [1 << i for i in range(len(ordered))]  # sets are bitmasks
+    nonrobust: list[int] = []
+    frontier, calls = [0], 0
 
-    def __init__(
-        self,
-        store: EdgeBlockStore,
-        members: Mapping[str, Sequence[str]],
-        method: str,
-    ):
-        self._store = store
-        self._members = {name: tuple(ltps) for name, ltps in members.items()}
-        self._method = check_method(method)
-        self._universe = frozenset(self._members)
-        self._pair_verdicts: dict[frozenset[str], bool] = {}
-        self._nonrobust_cores: list[frozenset[str]] = []
-        self._materialized = False
+    def members(mask: int) -> tuple[str, ...]:
+        return tuple(name for bit, name in zip(bits, ordered) if mask & bit)
 
-    # -- internals ----------------------------------------------------------
-    def _ltp_names(self, subset: Iterable[str]) -> list[str]:
-        return [ltp for name in sorted(subset) for ltp in self._members[name]]
+    def spend(work: int) -> None:
+        if work > SEARCH_BUDGET:
+            raise ReproError(
+                f"maximal-subset search over {len(ordered)} programs exceeded "
+                f"its budget of {SEARCH_BUDGET} detector calls plus open sets"
+            )
 
-    def _robust(self, subset: frozenset[str]) -> bool:
-        return is_robust_blocks(self._store, self._ltp_names(subset), self._method)
-
-    def pair_verdict(self, subset: frozenset[str]) -> bool:
-        """The verdict of a 1- or 2-program subset, memoized."""
-        cached = self._pair_verdicts.get(subset)
-        if cached is not None:
-            return cached
-        robust = self._robust(subset)
-        self._pair_verdicts[subset] = robust
-        if not robust:
-            self._nonrobust_cores.append(subset)
-        return robust
-
-    def materialize(self) -> None:
-        """Compute every 1- and 2-program verdict (idempotent)."""
-        if self._materialized:
-            return
-        self._materialized = True
-        names = sorted(self._universe)
-        for name in names:
-            self.pair_verdict(frozenset((name,)))
-        for left, right in itertools.combinations(names, 2):
-            self.pair_verdict(frozenset((left, right)))
-
-    def _contains_nonrobust_core(self, subset: frozenset[str]) -> bool:
-        return any(core <= subset for core in self._nonrobust_cores)
-
-    # -- the decision procedure ---------------------------------------------
-    def verdict(self, combo: Iterable[str]) -> bool:
-        """The robustness verdict of one candidate combination."""
-        subset = frozenset(combo)
-        if len(subset) <= 2:
-            return self.pair_verdict(subset)
-        if self._contains_nonrobust_core(subset):
+    def ask(mask: int) -> bool:
+        nonlocal calls
+        if any(bad & mask == bad for bad in nonrobust):
             return False
-        robust = self._robust(subset)
-        if not robust and not self._materialized:
-            # The grid has entered non-robust territory: pay the cheap
-            # pair sweep once so the remaining supersets short-circuit.
-            self.materialize()
-        return robust
+        calls += 1
+        spend(calls + len(frontier))
+        if robust(members(mask)):
+            return True
+        nonrobust.append(mask)
+        return False
+
+    check_deadline("subset search")
+    full = (1 << len(ordered)) - 1
+    if ordered and ask(full):
+        return (frozenset(ordered),)
+    maximal: list[int] = []
+    while True:
+        check_deadline("subset search")
+        # The empty seed is robust without asking; every other frontier
+        # set answered non-robust stays in ``nonrobust`` and is skipped.
+        seed = next((mask for mask in frontier if not mask or ask(mask)), None)
+        if seed is None:
+            break
+        for bit in bits:
+            if not seed & bit and ask(seed | bit):
+                seed |= bit
+        maximal.append(seed)
+        edge = full & ~seed
+        kept = [mask for mask in frontier if mask & edge]
+        grown = [m | bit for m in frontier if not m & edge for bit in bits if edge & bit]
+        spend(calls + len(kept) + len(grown))
+        # Grown sets never contain one another, so only kept sets can
+        # make one non-minimal.
+        frontier = kept + [m for m in grown if not any(k & m == k for k in kept)]
+    found = (frozenset(members(mask)) for mask in maximal if mask)
+    return tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
+
+
+def robust_grid(
+    names: Iterable[str], maximal: Sequence[frozenset[str]]
+) -> dict[frozenset[str], bool]:
+    """The verdict of every non-empty subset of ``names``, read off the
+    maximal robust sets: a set is robust iff one of them contains it.
+
+    Keys run by decreasing size, then name order, as in the power-set
+    enumeration.  Raises :class:`~repro.errors.ReproError` above
+    :data:`MAX_GRID_PROGRAMS` programs.
+    """
+    ordered = sorted(names)
+    if len(ordered) > MAX_GRID_PROGRAMS:
+        raise ReproError(
+            f"the subset verdict grid of {len(ordered)} programs has "
+            f"{2 ** len(ordered) - 1} entries; the limit is {MAX_GRID_PROGRAMS} programs"
+        )
+    return {
+        subset: any(subset <= other for other in maximal)
+        for size in range(len(ordered), 0, -1)
+        for subset in map(frozenset, itertools.combinations(ordered, size))
+    }
 
 
 def enumerate_robust_subsets(
     names: Iterable[str],
     check_combo: Callable[[tuple[str, ...]], bool],
 ) -> dict[frozenset[str], bool]:
-    """The anti-monotone enumeration behind
-    :meth:`repro.analysis.Analyzer.robust_subsets`.
+    """The power-set enumeration: the specification of
+    :func:`maximal_robust_sets` and :func:`robust_grid`.
 
     Walks subsets of ``names`` in decreasing size; subsets of attested-robust
     sets inherit robustness without calling ``check_combo`` (Proposition
     5.2).  ``check_combo`` decides robustness for one candidate
-    combination — :meth:`PairMatrix.verdict` in the session.
+    combination.
     """
     ordered = sorted(names)
     verdicts: dict[frozenset[str], bool] = {}
-    # Only *attested* robust sets (those check_combo confirmed) can make a
-    # candidate inherit robustness: every inherited-robust set is itself a
-    # subset of an attested one, so scanning the short attested list is
-    # equivalent to scanning the whole verdicts dict — without the quadratic
-    # blow-up in the number of subsets.
+    # Every inherited-robust set lies inside an attested one (one that
+    # check_combo confirmed), so scanning the attested list suffices.
     attested: list[frozenset[str]] = []
     for size in range(len(ordered), 0, -1):
         for combo in itertools.combinations(ordered, size):
@@ -187,14 +192,12 @@ def enumerate_robust_subsets(
 def maximal_subsets(
     verdicts: dict[frozenset[str], bool]
 ) -> tuple[frozenset[str], ...]:
-    """The maximal robust subsets of a verdict grid, largest first.
+    """The maximal robust subsets of a verdict grid, largest first (the
+    specification of :func:`maximal_robust_sets`).
 
-    Bucketed by subset size: a strict superset is necessarily larger, and
-    every robust strict superset is contained in some *maximal* robust set
-    of larger size (chains of robust supersets end at a maximal one), so
-    scanning sizes in decreasing order and comparing each candidate only
-    against the maximal sets found so far is exact — and near-linear where
-    the old all-pairs scan over the robust list was quadratic.
+    Bucketed by subset size: every robust strict superset lies inside a
+    larger maximal one, so comparing each candidate only against the
+    maximal sets of larger sizes found so far is exact.
     """
     by_size: dict[int, list[frozenset[str]]] = {}
     for subset, robust in verdicts.items():
@@ -218,10 +221,7 @@ def robust_subsets(
     """Robustness verdict for every non-empty subset of the programs.
 
     Subsets are keyed by the frozenset of program (BTP) names.  A
-    one-shot wrapper over :meth:`repro.analysis.Analyzer.robust_subsets`:
-    unfolding and the pairwise edge blocks are computed once, and the
-    :class:`PairMatrix` decides every candidate from the blocks'
-    aggregate planes without assembling a graph.
+    one-shot wrapper over :meth:`repro.analysis.Analyzer.robust_subsets`.
     """
     return _session(programs, schema, max_loop_iterations).robust_subsets(
         settings, method
@@ -236,8 +236,8 @@ def maximal_robust_subsets(
     max_loop_iterations: int = 2,
 ) -> tuple[frozenset[str], ...]:
     """The maximal robust subsets, largest first (as listed in Figures 6/7)."""
-    return maximal_subsets(
-        robust_subsets(programs, schema, settings, method, max_loop_iterations)
+    return _session(programs, schema, max_loop_iterations).maximal_robust_subsets(
+        settings, method
     )
 
 

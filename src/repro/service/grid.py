@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.detection.subsets import SubsetsReport, maximal_subsets
+from repro.detection.subsets import SubsetsReport, robust_grid
 from repro.errors import ProgramError
 from repro.faults import check_deadline
 from repro.obs.clock import monotonic
@@ -158,16 +158,17 @@ def _run_task(session: "Analyzer", spec: GridSpec, settings: AnalysisSettings) -
             "robust": robust,
             "graph": session.summary_stats(settings).to_dict(),
         }
-    verdicts = session.robust_subsets(settings, spec.method)
+    maximal = session.maximal_robust_subsets(settings, spec.method)
     # One serialization path with /v1/subsets: the cell value *is* the
     # SubsetsReport payload (plus the optional verdict grid).
     value: dict[str, Any] = SubsetsReport(
         workload=session.workload.name,
         settings=settings,
         method=spec.method,
-        maximal=maximal_subsets(verdicts),
+        maximal=maximal,
     ).to_dict()
     if spec.include_verdicts:
+        verdicts = robust_grid(session.program_names, maximal)
         value["robust_subsets"] = [
             [sorted(subset), robust]
             for subset, robust in sorted(

@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Collection, Mapping, NoReturn
 
-from repro.detection.subsets import METHODS, SubsetsReport, maximal_subsets
+from repro.detection.subsets import METHODS, SubsetsReport
 from repro.errors import ReproError
 from repro.service.grid import GridResult, GridSpec
 from repro.summary.graph import SummaryGraph
@@ -261,7 +261,7 @@ class SubsetsRequest(_Request):
             workload=session.workload.name,
             settings=settings,
             method=self.method,
-            maximal=maximal_subsets(session.robust_subsets(settings, self.method)),
+            maximal=session.maximal_robust_subsets(settings, self.method),
             abbreviations=dict(session.workload.abbreviations),
         )
 

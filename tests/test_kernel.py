@@ -10,8 +10,9 @@ layer is tested for *equivalence* with the original formulation:
 * compiled ``pair_edges`` blocks equal ``pair_edges_reference`` blocks
   edge-for-edge on arbitrary generated LTP pairs and on every built-in
   workload under all four Section 7.2 settings;
-* the :class:`~repro.detection.subsets.PairMatrix` fast path yields verdict
-  grids identical to the plain block-store enumeration;
+* the maximal-subset search (``maximal_robust_sets`` over the matrix
+  detector) yields verdict grids identical to the plain power-set
+  enumeration over assembled graphs;
 * the size-bucketed ``maximal_subsets`` equals the naive quadratic scan on
   arbitrary verdict grids.
 """
@@ -29,7 +30,6 @@ from repro.btp.unfold import unfold
 from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
 from repro.detection.subsets import (
-    PairMatrix,
     enumerate_robust_subsets,
     maximal_subsets,
     robust_subsets,
@@ -232,9 +232,12 @@ def _plain_robust_subsets(programs, schema, settings, method):
 
 
 class TestPairMatrix:
+    """The subset search against the graph detectors' power-set
+    enumeration.  (The class keeps its name so its test ids stay stable.)"""
+
     @pytest.mark.parametrize(
-        "workload_factory", [smallbank, lambda: auction_n(4)],
-        ids=["smallbank", "auction4"],
+        "workload_factory", [smallbank, lambda: auction_n(4), tpcc],
+        ids=["smallbank", "auction4", "tpcc"],
     )
     @pytest.mark.parametrize("method", ["type-II", "type-I"])
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
@@ -251,8 +254,8 @@ class TestPairMatrix:
         assert matrix == plain
 
     def test_callable_method_rejected(self):
-        """Detection methods are names: a graph callable is refused by the
-        matrix and by every session entry point, and never consulted."""
+        """Detection methods are names: a graph callable is refused by
+        every session entry point, and never consulted."""
         from repro.analysis import Analyzer
 
         workload = smallbank()
@@ -262,9 +265,6 @@ class TestPairMatrix:
             calls.append(graph.program_names)
             return True
 
-        store = EdgeBlockStore(workload.schema, ATTR_DEP_FK)
-        with pytest.raises(ValueError, match="unknown method"):
-            PairMatrix(store, {}, check)
         session = Analyzer(workload)
         with pytest.raises(ValueError, match="unknown method"):
             session.is_robust(ATTR_DEP_FK, method=check)

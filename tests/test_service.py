@@ -279,6 +279,14 @@ class TestGrid:
         }
         assert grid == Analyzer("smallbank").robust_subsets(ATTR_DEP_FK)
 
+    def test_verdict_grid_refuses_above_the_program_cap(self):
+        service = AnalysisService()
+        spec = GridSpec(workloads=("auction(9)",), task="subsets", include_verdicts=True)
+        with pytest.raises(ReproError, match="limit is 16 programs"):
+            service.grid(spec)
+        cell = service.grid(GridSpec(workloads=("auction(9)",), task="subsets")).cells[0]
+        assert len(cell.value["maximal_robust_subsets"]) == 1
+
     def test_detect_task_matches_one_method(self):
         service = AnalysisService()
         cell = service.grid(
@@ -584,6 +592,22 @@ class TestHTTP:
         assert envelope["type"] == "analysis_error"
         assert envelope["exit_code"] == 2
         assert f"n <= {MAX_AUCTION_ITEMS}" in envelope["message"]
+
+    def test_subsets_past_the_search_budget_is_a_typed_400(self, http_server):
+        body = {
+            "workload": "auction(24)",
+            "method": "type-I",
+            "setting": "attr dep + FK",
+        }
+        status, raw = _post(http_server, "/v1/subsets", body)
+        assert status == 400
+        envelope = json.loads(raw)["error"]
+        assert envelope["type"] == "analysis_error"
+        assert envelope["exit_code"] == 2
+        assert "budget of" in envelope["message"]
+        status, raw = _post(http_server, "/v1/subsets", {"workload": "smallbank"})
+        assert status == 200
+        assert json.loads(raw)["workload"] == "SmallBank"
 
     def test_huge_grid_repetitions_are_rejected_promptly(self, http_server):
         started = time.monotonic()
