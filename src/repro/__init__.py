@@ -120,7 +120,7 @@ from repro.summary import (
 )
 from repro.workloads import Workload
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "__version__",

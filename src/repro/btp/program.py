@@ -151,6 +151,33 @@ def loop(body: ProgramNode | Statement) -> Loop:
     return Loop(_as_node(body))
 
 
+def map_statements(node: ProgramNode, transform) -> ProgramNode:
+    """The AST of the same shape with every statement passed through ``transform``."""
+    if isinstance(node, Stmt):
+        return Stmt(transform(node.statement))
+    if isinstance(node, Seq):
+        return Seq(tuple(map_statements(part, transform) for part in node.parts))
+    if isinstance(node, Choice):
+        return Choice(map_statements(node.left, transform), map_statements(node.right, transform))
+    if isinstance(node, Opt):
+        return Opt(map_statements(node.body, transform))
+    if isinstance(node, Loop):
+        return Loop(map_statements(node.body, transform))
+    raise ProgramError(f"unknown node type {type(node).__name__}")
+
+
+def map_statement(node: ProgramNode, name: str, transform) -> ProgramNode:
+    """Rewrite the single statement ``name`` inside an AST via ``transform``.
+
+    The AST-rewriting primitive shared by the repair catalog and the churn
+    mutation catalog (:mod:`repro.churn.mutations`); a name that does not
+    occur leaves the tree unchanged, so callers check existence first.
+    """
+    return map_statements(
+        node, lambda stmt: transform(stmt) if stmt.name == name else stmt
+    )
+
+
 @dataclass(frozen=True)
 class FKConstraint:
     """A foreign-key annotation ``q_target = f(q_source)`` on a BTP.
@@ -260,7 +287,13 @@ class BTP:
 
     def widened(self, schema: Schema) -> "BTP":
         """The tuple-granularity version of the program (see Section 7.2)."""
-        return BTP(self.name, _widen_node(self.root, schema), self.constraints)
+        return BTP(
+            self.name,
+            map_statements(
+                self.root, lambda stmt: stmt.widened(schema.attributes(stmt.relation))
+            ),
+            self.constraints,
+        )
 
     def __str__(self) -> str:
         return f"{self.name} := {self.root}"
@@ -272,17 +305,3 @@ def _is_linear(node: ProgramNode) -> bool:
     if isinstance(node, Seq):
         return all(_is_linear(part) for part in node.parts)
     return False
-
-
-def _widen_node(node: ProgramNode, schema: Schema) -> ProgramNode:
-    if isinstance(node, Stmt):
-        return Stmt(node.statement.widened(schema.attributes(node.statement.relation)))
-    if isinstance(node, Seq):
-        return Seq(tuple(_widen_node(part, schema) for part in node.parts))
-    if isinstance(node, Choice):
-        return Choice(_widen_node(node.left, schema), _widen_node(node.right, schema))
-    if isinstance(node, Opt):
-        return Opt(_widen_node(node.body, schema))
-    if isinstance(node, Loop):
-        return Loop(_widen_node(node.body, schema))
-    raise ProgramError(f"unknown node type {type(node).__name__}")

@@ -29,14 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping, NamedTuple
 
-from repro.btp.program import BTP, FKConstraint
+from repro.btp.program import BTP, FKConstraint, map_statement
 from repro.btp.statement import Statement, StatementType
 from repro.errors import ProgramError
 from repro.repair.edits import (
     AddProtectingFK,
     PromotePredicateToKey,
     PromoteReadToUpdate,
-    map_statement,
 )
 from repro.workloads.base import Workload
 

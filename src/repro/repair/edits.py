@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
-from repro.btp.program import BTP, Choice, FKConstraint, Loop, Opt, ProgramNode, Seq, Stmt
+from repro.btp.program import BTP, FKConstraint, Seq, map_statement
 from repro.btp.statement import Statement, StatementType
 from repro.errors import ProgramError
 from repro.schema import Relation, Schema
@@ -50,31 +50,6 @@ _KIND_ORDER = {
     "add_protecting_fk": 2,
     "split_program": 3,
 }
-
-
-def map_statement(node: ProgramNode, name: str, transform) -> ProgramNode:
-    """Rewrite the single statement ``name`` inside an AST via ``transform``.
-
-    The one AST-rewriting primitive shared by the repair catalog and the
-    churn mutation catalog (:mod:`repro.churn.mutations`); a name that does
-    not occur leaves the tree unchanged, so callers check existence first.
-    """
-    if isinstance(node, Stmt):
-        if node.statement.name == name:
-            return Stmt(transform(node.statement))
-        return node
-    if isinstance(node, Seq):
-        return Seq(tuple(map_statement(part, name, transform) for part in node.parts))
-    if isinstance(node, Choice):
-        return Choice(
-            map_statement(node.left, name, transform),
-            map_statement(node.right, name, transform),
-        )
-    if isinstance(node, Opt):
-        return Opt(map_statement(node.body, name, transform))
-    if isinstance(node, Loop):
-        return Loop(map_statement(node.body, name, transform))
-    raise ProgramError(f"unknown node type {type(node).__name__}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ as comparison operators.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import SqlError
@@ -22,8 +23,22 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so ``<=`` wins over ``<``.
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "(", ")", ",", ";", ".")
+#: One alternative per token class, tried in this order at each position;
+#: the group names other than ``skip`` and ``word`` are :class:`TokenKind`
+#: values.  Words start with a word character that is not a decimal digit;
+#: operators are listed longest first so ``<=`` wins over ``<``; ``--``
+#: comments run to the end of the line.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+|--[^\n]*)
+    | :(?P<param>[^\W\d]\w*)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<number>\d[\d.]*)
+    | (?P<string>'[^']*'|"[^"]*")
+    | (?P<op><=|>=|<>|!=|[=<>+\-*/(),;.])
+    """,
+    re.VERBOSE,
+)
 
 
 class TokenKind(enum.Enum):
@@ -53,84 +68,35 @@ class Token:
         return f"{self.value!r}"
 
 
-def _is_ident_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_ident_char(char: str) -> bool:
-    return char.isalnum() or char == "_"
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlError` on unexpected characters."""
     tokens: list[Token] = []
     line = 1
-    column = 1
+    line_start = 0  # index of the current line's first character
     index = 0
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = text[index]
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("--", index):
-            while index < length and text[index] != "\n":
-                advance(1)
-            continue
-        start_line, start_column = line, column
-        if char == ":" and index + 1 < length and _is_ident_start(text[index + 1]):
-            end = index + 1
-            while end < length and _is_ident_char(text[end]):
-                end += 1
-            tokens.append(Token(TokenKind.PARAM, text[index + 1: end], start_line, start_column))
-            advance(end - index)
-            continue
-        if _is_ident_start(char):
-            end = index
-            while end < length and _is_ident_char(text[end]):
-                end += 1
-            word = text[index:end]
-            upper = word.upper()
+    while index < len(text):
+        match = _TOKEN_RE.match(text, index)
+        column = index - line_start + 1
+        if match is None:
+            char = text[index]
+            if char in "'\"":
+                raise SqlError("unterminated string literal", line, column)
+            raise SqlError(f"unexpected character {char!r}", line, column)
+        kind, value = match.lastgroup, match.group(match.lastgroup)
+        if kind == "word":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, start_line, start_column))
+                tokens.append(Token(TokenKind.KEYWORD, upper, line, column))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, start_line, start_column))
-            advance(end - index)
-            continue
-        if char.isdigit():
-            end = index
-            while end < length and (text[end].isdigit() or text[end] == "."):
-                end += 1
-            tokens.append(Token(TokenKind.NUMBER, text[index:end], start_line, start_column))
-            advance(end - index)
-            continue
-        if char in "'\"":
-            quote = char
-            end = index + 1
-            while end < length and text[end] != quote:
-                end += 1
-            if end >= length:
-                raise SqlError("unterminated string literal", start_line, start_column)
-            tokens.append(Token(TokenKind.STRING, text[index + 1: end], start_line, start_column))
-            advance(end - index + 1)
-            continue
-        for symbol in _OPERATORS:
-            if text.startswith(symbol, index):
-                tokens.append(Token(TokenKind.OP, symbol, start_line, start_column))
-                advance(len(symbol))
-                break
-        else:
-            raise SqlError(f"unexpected character {char!r}", start_line, start_column)
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+                tokens.append(Token(TokenKind.IDENT, value, line, column))
+        elif kind != "skip":
+            if kind == "string":
+                value = value[1:-1]  # drop the quotes
+            tokens.append(Token(TokenKind(kind), value, line, column))
+        index = match.end()
+        newlines = text.count("\n", match.start(), index)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", match.start(), index) + 1
+    tokens.append(Token(TokenKind.EOF, "", line, index - line_start + 1))
     return tokens

@@ -27,8 +27,9 @@ against the schema and canonicalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.btp.program import BTP, Choice, Loop, Opt, ProgramNode, Seq, Stmt
+from repro.btp.program import BTP, Choice, FKConstraint, Loop, Opt, ProgramNode, Seq, Stmt
 from repro.btp.statement import Statement
 from repro.errors import SqlError
 from repro.schema import Relation, Schema
@@ -228,18 +229,20 @@ def translate(
     name: str,
     first_statement: int = 1,
     name_prefix: str = "q",
+    constraints: Iterable[FKConstraint] = (),
 ) -> BTP:
     """Translate a parsed SQL program into a BTP.
 
     ``first_statement`` sets the number of the first generated statement
     name, so multi-program workloads can keep the paper's global numbering
-    (Amalgamate starts at q1, Balance at q6, ...).
+    (Amalgamate starts at q1, Balance at q6, ...).  ``constraints`` are
+    the program's foreign-key annotations, naming the generated statements.
     """
     translator = _Translator(schema, next_index=first_statement, name_prefix=name_prefix)
     root = translator.translate_body(program.body)
     if root is None:
         raise SqlError(f"program {name!r} contains no database statements")
-    return BTP(name, root)
+    return BTP(name, root, constraints)
 
 
 def parse_program(
@@ -248,6 +251,9 @@ def parse_program(
     name: str,
     first_statement: int = 1,
     name_prefix: str = "q",
+    constraints: Iterable[FKConstraint] = (),
 ) -> BTP:
-    """Parse SQL text and translate it into a BTP in one step."""
-    return translate(parse_sql(sql), schema, name, first_statement, name_prefix)
+    """Parse SQL text and translate it into an annotated BTP in one step."""
+    return translate(
+        parse_sql(sql), schema, name, first_statement, name_prefix, constraints
+    )

@@ -1,10 +1,10 @@
 """The paper's benchmarks: SmallBank, TPC-C, Auction and Auction(n).
 
-Every workload bundles a schema, a set of BTPs (hand-transcribed from the
-paper's Figures 2, 10 and 17), the foreign-key annotations, the program
-abbreviations used in Figures 6/7, and SQL source text in the Appendix A
-fragment that the SQL front-end translates back into the same BTPs
-(an integration test keeps the two in sync).
+Every workload bundles a schema, its programs' SQL text in the Appendix A
+fragment, the foreign-key annotations and the program abbreviations used
+in Figures 6/7.  The SQL is the one definition of each program: the SQL
+front-end translates it into the BTPs of the paper's Figures 2, 10 and 17,
+exactly as it translates workload files.
 """
 
 from repro.workloads.auction import auction, auction_n

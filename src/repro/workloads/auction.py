@@ -3,22 +3,25 @@
 The schema has three relations — Buyer(id, calls), Bids(buyerId, bid),
 Log(id, buyerId, bid) — with foreign keys f1: Bids(buyerId) → Buyer(id) and
 f2: Log(buyerId) → Buyer(id).  FindBids returns all bids above a threshold;
-PlaceBid raises a buyer's bid (conditionally) and logs it.  The BTPs and
-statement details are Figure 1/2 verbatim; PlaceBid carries the annotations
-q3 = f1(q4), q3 = f1(q5) and q3 = f2(q6).
+PlaceBid raises a buyer's bid (conditionally) and logs it.  The SQL below is
+the programs' one definition: the Appendix A front-end translates it into
+the BTPs of Figure 2 (statement details verbatim), and PlaceBid carries the
+annotations q3 = f1(q4), q3 = f1(q5) and q3 = f2(q6).
 
 Auction(n) stores the bids of each of n items in its own relation Bids_i and
 has per-item programs FindBids_i / PlaceBid_i, all still updating the shared
-Buyer relation; its summary graph has 3n nodes and 9n² + 8n edges (n of them
-counterflow) — the closed form reported in Table 2.
+Buyer relation.  They are the two translated programs with Bids renamed to
+Bids_i and f1 to f1_i, so the SQL is parsed once whatever n is.  The
+summary graph has 3n nodes and 9n² + 8n edges (n of them counterflow) —
+the closed form reported in Table 2.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
-from repro.btp.program import BTP, FKConstraint, optional, seq
-from repro.btp.statement import Statement
+from repro.btp.program import BTP, FKConstraint, map_statements
 from repro.schema import ForeignKey, Relation, Schema
 from repro.workloads.base import Workload
 
@@ -38,6 +41,15 @@ END IF;
 INSERT INTO Log VALUES (:logId, :B, :V);
 COMMIT;
 """
+
+#: The foreign-key annotations ``q_target = f(q_source)`` of each program.
+FK_ANNOTATIONS = {
+    "PlaceBid": [
+        FKConstraint("f1", source="q4", target="q3"),
+        FKConstraint("f1", source="q5", target="q3"),
+        FKConstraint("f2", source="q6", target="q3"),
+    ]
+}
 
 
 def _auction_schema(items: int) -> Schema:
@@ -60,44 +72,30 @@ def _auction_schema(items: int) -> Schema:
     return Schema([buyer, *bids_relations, log], [*bids_fks, log_fk])
 
 
-def _find_bids(schema: Schema, bids_name: str, suffix: str = "") -> BTP:
-    buyer = schema.relation("Buyer")
-    bids = schema.relation(bids_name)
-    q1 = Statement.key_update("q1", buyer, reads=["calls"], writes=["calls"])
-    q2 = Statement.pred_select("q2", bids, predicate=["bid"], reads=["bid"])
-    return BTP(f"FindBids{suffix}", seq(q1, q2))
-
-
-def _place_bid(schema: Schema, bids_name: str, fk_name: str, suffix: str = "") -> BTP:
-    buyer = schema.relation("Buyer")
-    bids = schema.relation(bids_name)
-    log = schema.relation("Log")
-    q3 = Statement.key_update("q3", buyer, reads=["calls"], writes=["calls"])
-    q4 = Statement.key_select("q4", bids, reads=["bid"])
-    q5 = Statement.key_update("q5", bids, reads=[], writes=["bid"])
-    q6 = Statement.insert("q6", log)
-    return BTP(
-        f"PlaceBid{suffix}",
-        seq(q3, q4, optional(q5), q6),
-        constraints=[
-            FKConstraint(fk_name, source="q4", target="q3"),
-            FKConstraint(fk_name, source="q5", target="q3"),
-            FKConstraint("f2", source="q6", target="q3"),
-        ],
-    )
-
-
 @lru_cache(maxsize=None)
 def auction() -> Workload:
     """The two-program Auction benchmark of Section 2."""
-    schema = _auction_schema(1)
-    return Workload(
-        name="Auction",
-        schema=schema,
-        programs=(_find_bids(schema, "Bids"), _place_bid(schema, "Bids", "f1")),
+    return Workload.from_sql(
+        "Auction",
+        _auction_schema(1),
+        {"FindBids": FINDBIDS_SQL, "PlaceBid": PLACEBID_SQL},
+        FK_ANNOTATIONS,
         abbreviations={"FindBids": "FB", "PlaceBid": "PB"},
-        sql={"FindBids": FINDBIDS_SQL, "PlaceBid": PLACEBID_SQL},
     )
+
+
+def _item_program(template: BTP, item: int) -> BTP:
+    """Item ``item``'s copy of an Auction program: ``Bids`` becomes
+    ``Bids{item}`` and its foreign key ``f1`` becomes ``f1_{item}``."""
+    bids = f"Bids{item}"
+    root = map_statements(
+        template.root,
+        lambda stmt: replace(stmt, relation=bids) if stmt.relation == "Bids" else stmt,
+    )
+    constraints = [
+        replace(c, fk=f"f1_{item}") if c.fk == "f1" else c for c in template.constraints
+    ]
+    return BTP(f"{template.name}{item}", root, constraints)
 
 
 #: Largest accepted Auction(n) scale: twice the largest scale the
@@ -110,27 +108,23 @@ MAX_AUCTION_ITEMS = 256
 def auction_n(items: int) -> Workload:
     """Auction(n): 2·n programs over n per-item Bids relations (Section 7.3).
 
-    ``auction_n(1)`` is the Auction benchmark up to relation naming;
-    ``n`` ranges over ``1 .. MAX_AUCTION_ITEMS``.
+    ``auction_n(1)`` is the Auction benchmark under the name
+    ``Auction(1)``; ``n`` ranges over ``1 .. MAX_AUCTION_ITEMS``.
     """
     if not 1 <= items <= MAX_AUCTION_ITEMS:
         raise ValueError(
             f"Auction(n) requires n >= 1 and n <= {MAX_AUCTION_ITEMS}, got {items}"
         )
-    schema = _auction_schema(items)
-    programs = []
-    abbreviations = {}
-    for i in range(1, items + 1):
-        bids_name = "Bids" if items == 1 else f"Bids{i}"
-        fk_name = "f1" if items == 1 else f"f1_{i}"
-        suffix = "" if items == 1 else str(i)
-        programs.append(_find_bids(schema, bids_name, suffix))
-        programs.append(_place_bid(schema, bids_name, fk_name, suffix))
-        abbreviations[f"FindBids{suffix}"] = f"FB{suffix}"
-        abbreviations[f"PlaceBid{suffix}"] = f"PB{suffix}"
+    if items == 1:
+        return replace(auction(), name="Auction(1)", sql={})
+    templates = auction().programs
+    numbered = [(template, i) for i in range(1, items + 1) for template in templates]
     return Workload(
         name=f"Auction({items})",
-        schema=schema,
-        programs=tuple(programs),
-        abbreviations=abbreviations,
+        schema=_auction_schema(items),
+        programs=tuple(_item_program(template, i) for template, i in numbered),
+        abbreviations={
+            f"{template.name}{i}": f"{auction().abbreviate(template.name)}{i}"
+            for template, i in numbered
+        },
     )

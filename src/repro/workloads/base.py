@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from repro.btp.program import BTP
+from repro.btp.program import BTP, FKConstraint
 from repro.btp.unfold import unfold
 from repro.detection.api import RobustnessReport
 from repro.errors import ProgramError
 from repro.schema import Schema
+from repro.sqlfront.translate import parse_program
 from repro.summary.construct import construct_summary_graph
 from repro.summary.graph import SummaryGraph
 from repro.summary.settings import AnalysisSettings
@@ -26,7 +27,9 @@ class Workload:
 
     ``abbreviations`` maps program names to the short labels of the paper's
     Figures 6/7 (e.g. ``"Balance" -> "Bal"``); ``sql`` holds each program's
-    source text in the Appendix A SQL fragment, when available.
+    source text in the Appendix A SQL fragment, when available.  For the
+    built-ins and workload files that text is the programs' definition:
+    ``programs`` are its translation (:meth:`from_sql`, the loader).
     """
 
     name: str
@@ -93,6 +96,32 @@ class Workload:
             f"{type(source).__name__}; pass a Workload, a built-in name, a file "
             "path, workload text, or a sequence of BTPs with schema=..."
         )
+
+    @classmethod
+    def from_sql(
+        cls,
+        name: str,
+        schema: Schema,
+        sql: Mapping[str, str],
+        constraints: Mapping[str, Sequence[FKConstraint]],
+        abbreviations: Mapping[str, str],
+    ) -> "Workload":
+        """A workload whose programs are translated from ``sql`` (Appendix A).
+
+        Statements are numbered across programs in ``sql`` order, as in the
+        paper's figures (Amalgamate has q1…q5, Balance starts at q6, ...);
+        ``constraints`` holds each program's foreign-key annotations.
+        """
+        programs = []
+        first_statement = 1
+        for program_name, text in sql.items():
+            program = parse_program(
+                text, schema, program_name, first_statement,
+                constraints=constraints.get(program_name, ()),
+            )
+            first_statement += len(program.statements())
+            programs.append(program)
+        return cls(name, schema, tuple(programs), abbreviations=abbreviations, sql=dict(sql))
 
     def with_programs(
         self, programs: Sequence[BTP], validate: Sequence[BTP] = ()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.btp.program import BTP, FKConstraint
+from repro.btp.program import FKConstraint
 from repro.errors import SqlError
 from repro.schema import ForeignKey, Relation, Schema
 from repro.sqlfront.translate import parse_program
@@ -154,15 +154,17 @@ class _Loader:
                 raise SqlError(
                     f"ANNOTATE references unknown program {program_name!r}"
                 )
-        programs = []
-        for program_name, sql in self.program_sql.items():
-            parsed = parse_program(sql, schema, program_name)
-            constraints = self.annotations.get(program_name, [])
-            programs.append(BTP(parsed.name, parsed.root, constraints=constraints))
+        programs = tuple(
+            parse_program(
+                sql, schema, program_name,
+                constraints=self.annotations.get(program_name, ()),
+            )
+            for program_name, sql in self.program_sql.items()
+        )
         return Workload(
             name=self.name,
             schema=schema,
-            programs=tuple(programs),
+            programs=programs,
             sql=dict(self.program_sql),
         )
 

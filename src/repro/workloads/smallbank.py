@@ -2,8 +2,11 @@
 
 Three relations — Account(Name, CustomerId), Savings(CustomerId, Balance),
 Checking(CustomerId, Balance) — and five linear programs: Amalgamate,
-Balance, DepositChecking, TransactSavings, WriteCheck.  Statement details
-are Figure 10 verbatim (statements q1…q16, numbered across programs).
+Balance, DepositChecking, TransactSavings, WriteCheck.  The SQL below is
+the programs' one definition: the Appendix A front-end translates it into
+the BTPs, whose statement details are Figure 10 verbatim (statements
+q1…q16, numbered across programs), and ``FK_ANNOTATIONS`` attaches the
+foreign-key annotations.
 Account(CustomerId) references both Savings(CustomerId) and
 Checking(CustomerId); the corresponding annotations never block counterflow
 edges (the referenced statements are not writes preceding the reads), which
@@ -14,8 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.btp.program import BTP, FKConstraint, seq
-from repro.btp.statement import Statement
+from repro.btp.program import FKConstraint
 from repro.schema import ForeignKey, Relation, Schema
 from repro.workloads.base import Workload
 
@@ -59,94 +61,60 @@ COMMIT;
 """
 
 
+#: Each program's SQL, in the order (and so with the q1…q16 numbering) of Figure 10.
+SQL = {
+    "Amalgamate": AMALGAMATE_SQL,
+    "Balance": BALANCE_SQL,
+    "DepositChecking": DEPOSIT_CHECKING_SQL,
+    "TransactSavings": TRANSACT_SAVINGS_SQL,
+    "WriteCheck": WRITE_CHECK_SQL,
+}
+
+#: The foreign-key annotations ``q_target = f(q_source)`` of each program.
+FK_ANNOTATIONS = {
+    "Amalgamate": [
+        FKConstraint("fS", source="q1", target="q3"),
+        FKConstraint("fC", source="q1", target="q4"),
+        FKConstraint("fC", source="q2", target="q5"),
+    ],
+    "Balance": [
+        FKConstraint("fS", source="q6", target="q7"),
+        FKConstraint("fC", source="q6", target="q8"),
+    ],
+    "DepositChecking": [FKConstraint("fC", source="q9", target="q10")],
+    "TransactSavings": [FKConstraint("fS", source="q11", target="q12")],
+    "WriteCheck": [
+        FKConstraint("fS", source="q13", target="q14"),
+        FKConstraint("fC", source="q13", target="q15"),
+        FKConstraint("fC", source="q13", target="q16"),
+    ],
+}
+
+
 @lru_cache(maxsize=None)
 def smallbank() -> Workload:
     """The five-program SmallBank workload of Figure 10."""
-    account = Relation("Account", ["Name", "CustomerId"], key=["Name"])
-    savings = Relation("Savings", ["CustomerId", "Balance"], key=["CustomerId"])
-    checking = Relation("Checking", ["CustomerId", "Balance"], key=["CustomerId"])
     schema = Schema(
-        [account, savings, checking],
+        [
+            Relation("Account", ["Name", "CustomerId"], key=["Name"]),
+            Relation("Savings", ["CustomerId", "Balance"], key=["CustomerId"]),
+            Relation("Checking", ["CustomerId", "Balance"], key=["CustomerId"]),
+        ],
         [
             ForeignKey("fS", "Account", "Savings", {"CustomerId": "CustomerId"}),
             ForeignKey("fC", "Account", "Checking", {"CustomerId": "CustomerId"}),
         ],
     )
-
-    amalgamate = BTP(
-        "Amalgamate",
-        seq(
-            Statement.key_select("q1", account, reads=["CustomerId"]),
-            Statement.key_select("q2", account, reads=["CustomerId"]),
-            Statement.key_update("q3", savings, reads=["Balance"], writes=["Balance"]),
-            Statement.key_update("q4", checking, reads=["Balance"], writes=["Balance"]),
-            Statement.key_update("q5", checking, reads=["Balance"], writes=["Balance"]),
-        ),
-        constraints=[
-            FKConstraint("fS", source="q1", target="q3"),
-            FKConstraint("fC", source="q1", target="q4"),
-            FKConstraint("fC", source="q2", target="q5"),
-        ],
-    )
-    balance = BTP(
-        "Balance",
-        seq(
-            Statement.key_select("q6", account, reads=["CustomerId"]),
-            Statement.key_select("q7", savings, reads=["Balance"]),
-            Statement.key_select("q8", checking, reads=["Balance"]),
-        ),
-        constraints=[
-            FKConstraint("fS", source="q6", target="q7"),
-            FKConstraint("fC", source="q6", target="q8"),
-        ],
-    )
-    deposit_checking = BTP(
-        "DepositChecking",
-        seq(
-            Statement.key_select("q9", account, reads=["CustomerId"]),
-            Statement.key_update("q10", checking, reads=["Balance"], writes=["Balance"]),
-        ),
-        constraints=[FKConstraint("fC", source="q9", target="q10")],
-    )
-    transact_savings = BTP(
-        "TransactSavings",
-        seq(
-            Statement.key_select("q11", account, reads=["CustomerId"]),
-            Statement.key_update("q12", savings, reads=["Balance"], writes=["Balance"]),
-        ),
-        constraints=[FKConstraint("fS", source="q11", target="q12")],
-    )
-    write_check = BTP(
-        "WriteCheck",
-        seq(
-            Statement.key_select("q13", account, reads=["CustomerId"]),
-            Statement.key_select("q14", savings, reads=["Balance"]),
-            Statement.key_select("q15", checking, reads=["Balance"]),
-            Statement.key_update("q16", checking, reads=["Balance"], writes=["Balance"]),
-        ),
-        constraints=[
-            FKConstraint("fS", source="q13", target="q14"),
-            FKConstraint("fC", source="q13", target="q15"),
-            FKConstraint("fC", source="q13", target="q16"),
-        ],
-    )
-
-    return Workload(
-        name="SmallBank",
-        schema=schema,
-        programs=(amalgamate, balance, deposit_checking, transact_savings, write_check),
+    return Workload.from_sql(
+        "SmallBank",
+        schema,
+        SQL,
+        FK_ANNOTATIONS,
         abbreviations={
             "Amalgamate": "Am",
             "Balance": "Bal",
             "DepositChecking": "DC",
             "TransactSavings": "TS",
             "WriteCheck": "WC",
-        },
-        sql={
-            "Amalgamate": AMALGAMATE_SQL,
-            "Balance": BALANCE_SQL,
-            "DepositChecking": DEPOSIT_CHECKING_SQL,
-            "TransactSavings": TRANSACT_SAVINGS_SQL,
-            "WriteCheck": WRITE_CHECK_SQL,
         },
     )

@@ -1,14 +1,17 @@
 """The TPC-C benchmark (Appendix E.2).
 
 Nine relations, twelve foreign keys, five programs (Delivery, NewOrder,
-OrderStatus, Payment, StockLevel).  Statement details q1…q29 are Figure 17
-verbatim — including its deliberate deviations from a mechanical Appendix A
-translation (insert WriteSets list only the columns the SQL supplies, and
-``ReadSet(q23)`` omits ``c_payment_cnt``); the SQL text below is phrased so
-the front-end reproduces exactly those sets.
+OrderStatus, Payment, StockLevel).  The SQL below is the programs' one
+definition: the Appendix A front-end translates it into the BTPs.  Their
+statement details q1…q29 are Figure 17 verbatim — including its deliberate
+deviations from a mechanical Appendix A translation (insert WriteSets list
+only the columns the SQL supplies, and ``ReadSet(q23)`` omits
+``c_payment_cnt``); the SQL text is phrased so the front-end reproduces
+exactly those sets.
 
-Foreign-key annotations are not spelled out in the paper; the set used here
-is derived from TPC-C semantics and documented choice by choice:
+Foreign-key annotations (``FK_ANNOTATIONS``) are not spelled out in the
+paper; the set used here is derived from TPC-C semantics and documented
+choice by choice:
 
 * NewOrder is always placed by a home customer for the home district, so its
   Customer/District/Orders/New_Order/Order_Line statements all reference the
@@ -35,8 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.btp.program import BTP, FKConstraint, choice, loop, optional, seq
-from repro.btp.statement import Statement
+from repro.btp.program import FKConstraint
 from repro.schema import ForeignKey, Relation, Schema
 from repro.workloads.base import Workload
 
@@ -140,180 +142,6 @@ def tpcc_schema() -> Schema:
         [warehouse, district, customer, history, new_order, orders, order_line, item, stock],
         foreign_keys,
     )
-
-
-def _delivery(schema: Schema) -> BTP:
-    new_order = schema.relation("New_Order")
-    orders = schema.relation("Orders")
-    order_line = schema.relation("Order_Line")
-    customer = schema.relation("Customer")
-    q1 = Statement.pred_select(
-        "q1", new_order, predicate=["no_d_id", "no_w_id"], reads=["no_o_id"]
-    )
-    q2 = Statement.key_delete("q2", new_order)
-    q3 = Statement.key_select("q3", orders, reads=["o_c_id"])
-    q4 = Statement.key_update("q4", orders, reads=[], writes=["o_carrier_id"])
-    q5 = Statement.pred_update(
-        "q5", order_line,
-        predicate=["ol_d_id", "ol_o_id", "ol_w_id"], reads=[], writes=["ol_delivery_d"],
-    )
-    q6 = Statement.pred_select(
-        "q6", order_line, predicate=["ol_d_id", "ol_o_id", "ol_w_id"], reads=["ol_amount"]
-    )
-    q7 = Statement.key_update(
-        "q7", customer,
-        reads=["c_balance", "c_delivery_cnt"], writes=["c_balance", "c_delivery_cnt"],
-    )
-    return BTP(
-        "Delivery",
-        loop(seq(q1, q2, q3, q4, q5, q6, q7)),
-        constraints=[
-            FKConstraint("f5", source="q2", target="q3"),
-            FKConstraint("f5", source="q2", target="q4"),
-            FKConstraint("f7", source="q3", target="q7"),
-            FKConstraint("f7", source="q4", target="q7"),
-            FKConstraint("f8", source="q5", target="q3"),
-            FKConstraint("f8", source="q5", target="q4"),
-            FKConstraint("f8", source="q6", target="q3"),
-            FKConstraint("f8", source="q6", target="q4"),
-        ],
-    )
-
-
-def _new_order(schema: Schema) -> BTP:
-    customer = schema.relation("Customer")
-    warehouse = schema.relation("Warehouse")
-    district = schema.relation("District")
-    orders = schema.relation("Orders")
-    new_order = schema.relation("New_Order")
-    item = schema.relation("Item")
-    stock = schema.relation("Stock")
-    order_line = schema.relation("Order_Line")
-    q8 = Statement.key_select("q8", customer, reads=["c_credit", "c_discount", "c_last"])
-    q9 = Statement.key_select("q9", warehouse, reads=["w_tax"])
-    q10 = Statement.key_update(
-        "q10", district, reads=["d_next_o_id", "d_tax"], writes=["d_next_o_id"]
-    )
-    q11 = Statement.insert(
-        "q11", orders,
-        columns=["o_all_local", "o_c_id", "o_d_id", "o_entry_id", "o_id", "o_ol_cnt", "o_w_id"],
-    )
-    q12 = Statement.insert("q12", new_order)
-    q13 = Statement.key_select("q13", item, reads=["i_data", "i_name", "i_price"])
-    q14 = Statement.key_update(
-        "q14", stock,
-        reads=["s_data", *S_DISTS, "s_order_cnt", "s_quantity", "s_remote_cnt", "s_ytd"],
-        writes=["s_order_cnt", "s_quantity", "s_remote_cnt", "s_ytd"],
-    )
-    q15 = Statement.insert(
-        "q15", order_line,
-        columns=[
-            "ol_amount", "ol_d_id", "ol_dist_info", "ol_i_id", "ol_number",
-            "ol_o_id", "ol_quantity", "ol_supply_w_id", "ol_w_id",
-        ],
-    )
-    return BTP(
-        "NewOrder",
-        seq(q8, q9, q10, q11, q12, loop(seq(q13, q14, q15))),
-        constraints=[
-            FKConstraint("f2", source="q8", target="q10"),
-            FKConstraint("f1", source="q10", target="q9"),
-            FKConstraint("f6", source="q11", target="q10"),
-            FKConstraint("f7", source="q11", target="q8"),
-            FKConstraint("f5", source="q12", target="q11"),
-            FKConstraint("f8", source="q15", target="q11"),
-            FKConstraint("f9", source="q15", target="q13"),
-            FKConstraint("f11", source="q14", target="q13"),
-        ],
-    )
-
-
-def _order_status(schema: Schema) -> BTP:
-    customer = schema.relation("Customer")
-    orders = schema.relation("Orders")
-    order_line = schema.relation("Order_Line")
-    q16 = Statement.pred_select(
-        "q16", customer,
-        predicate=["c_d_id", "c_last", "c_w_id"],
-        reads=["c_balance", "c_first", "c_id", "c_middle"],
-    )
-    q17 = Statement.key_select(
-        "q17", customer, reads=["c_balance", "c_first", "c_last", "c_middle"]
-    )
-    q18 = Statement.pred_select(
-        "q18", orders,
-        predicate=["o_c_id", "o_d_id", "o_w_id"],
-        reads=["o_carrier_id", "o_entry_id", "o_id"],
-    )
-    q19 = Statement.pred_select(
-        "q19", order_line,
-        predicate=["ol_d_id", "ol_o_id", "ol_w_id"],
-        reads=["ol_amount", "ol_delivery_d", "ol_i_id", "ol_quantity", "ol_supply_w_id"],
-    )
-    return BTP(
-        "OrderStatus",
-        seq(choice(q16, q17), q18, q19),
-        constraints=[FKConstraint("f7", source="q18", target="q17")],
-    )
-
-
-def _payment(schema: Schema) -> BTP:
-    warehouse = schema.relation("Warehouse")
-    district = schema.relation("District")
-    customer = schema.relation("Customer")
-    history = schema.relation("History")
-    q20 = Statement.key_update(
-        "q20", warehouse,
-        reads=["w_city", "w_name", "w_state", "w_street_1", "w_street_2", "w_ytd", "w_zip"],
-        writes=["w_ytd"],
-    )
-    q21 = Statement.key_update(
-        "q21", district,
-        reads=["d_city", "d_name", "d_state", "d_street_1", "d_street_2", "d_ytd", "d_zip"],
-        writes=["d_ytd"],
-    )
-    q22 = Statement.pred_select(
-        "q22", customer, predicate=["c_d_id", "c_last", "c_w_id"], reads=["c_id"]
-    )
-    q23 = Statement.key_update(
-        "q23", customer,
-        reads=[
-            "c_balance", "c_city", "c_credit", "c_credit_lim", "c_discount", "c_first",
-            "c_last", "c_middle", "c_phone", "c_since", "c_state", "c_street_1",
-            "c_street_2", "c_ytd_payment", "c_zip",
-        ],
-        writes=["c_balance", "c_payment_cnt", "c_ytd_payment"],
-    )
-    q24 = Statement.key_select("q24", customer, reads=["c_data"])
-    q25 = Statement.key_update("q25", customer, reads=[], writes=["c_data"])
-    q26 = Statement.insert("q26", history)
-    return BTP(
-        "Payment",
-        seq(q20, q21, optional(q22), q23, optional(seq(q24, q25)), q26),
-        constraints=[
-            FKConstraint("f1", source="q21", target="q20"),
-            FKConstraint("f2", source="q22", target="q21"),
-            FKConstraint("f2", source="q23", target="q21"),
-            FKConstraint("f2", source="q24", target="q21"),
-            FKConstraint("f2", source="q25", target="q21"),
-            FKConstraint("f3", source="q26", target="q23"),
-            FKConstraint("f4", source="q26", target="q21"),
-        ],
-    )
-
-
-def _stock_level(schema: Schema) -> BTP:
-    district = schema.relation("District")
-    order_line = schema.relation("Order_Line")
-    stock = schema.relation("Stock")
-    q27 = Statement.key_select("q27", district, reads=["d_next_o_id"])
-    q28 = Statement.pred_select(
-        "q28", order_line, predicate=["ol_d_id", "ol_o_id", "ol_w_id"], reads=["ol_i_id"]
-    )
-    q29 = Statement.pred_select(
-        "q29", stock, predicate=["s_quantity", "s_w_id"], reads=["s_i_id"]
-    )
-    return BTP("StockLevel", seq(q27, q28, q29))
 
 
 DELIVERY_SQL = """
@@ -430,32 +258,64 @@ COMMIT;
 """
 
 
+#: Each program's SQL, in the order (and so with the q1…q29 numbering) of Figure 17.
+SQL = {
+    "Delivery": DELIVERY_SQL,
+    "NewOrder": NEW_ORDER_SQL,
+    "OrderStatus": ORDER_STATUS_SQL,
+    "Payment": PAYMENT_SQL,
+    "StockLevel": STOCK_LEVEL_SQL,
+}
+
+#: The foreign-key annotations ``q_target = f(q_source)`` of each program;
+#: the module docstring gives the reason for each choice.
+FK_ANNOTATIONS = {
+    "Delivery": [
+        FKConstraint("f5", source="q2", target="q3"),
+        FKConstraint("f5", source="q2", target="q4"),
+        FKConstraint("f7", source="q3", target="q7"),
+        FKConstraint("f7", source="q4", target="q7"),
+        FKConstraint("f8", source="q5", target="q3"),
+        FKConstraint("f8", source="q5", target="q4"),
+        FKConstraint("f8", source="q6", target="q3"),
+        FKConstraint("f8", source="q6", target="q4"),
+    ],
+    "NewOrder": [
+        FKConstraint("f2", source="q8", target="q10"),
+        FKConstraint("f1", source="q10", target="q9"),
+        FKConstraint("f6", source="q11", target="q10"),
+        FKConstraint("f7", source="q11", target="q8"),
+        FKConstraint("f5", source="q12", target="q11"),
+        FKConstraint("f8", source="q15", target="q11"),
+        FKConstraint("f9", source="q15", target="q13"),
+        FKConstraint("f11", source="q14", target="q13"),
+    ],
+    "OrderStatus": [FKConstraint("f7", source="q18", target="q17")],
+    "Payment": [
+        FKConstraint("f1", source="q21", target="q20"),
+        FKConstraint("f2", source="q22", target="q21"),
+        FKConstraint("f2", source="q23", target="q21"),
+        FKConstraint("f2", source="q24", target="q21"),
+        FKConstraint("f2", source="q25", target="q21"),
+        FKConstraint("f3", source="q26", target="q23"),
+        FKConstraint("f4", source="q26", target="q21"),
+    ],
+}
+
+
 @lru_cache(maxsize=None)
 def tpcc() -> Workload:
     """The five-program TPC-C workload of Figure 17."""
-    schema = tpcc_schema()
-    return Workload(
-        name="TPC-C",
-        schema=schema,
-        programs=(
-            _delivery(schema),
-            _new_order(schema),
-            _order_status(schema),
-            _payment(schema),
-            _stock_level(schema),
-        ),
+    return Workload.from_sql(
+        "TPC-C",
+        tpcc_schema(),
+        SQL,
+        FK_ANNOTATIONS,
         abbreviations={
             "Delivery": "Del",
             "NewOrder": "NO",
             "OrderStatus": "OS",
             "Payment": "Pay",
             "StockLevel": "SL",
-        },
-        sql={
-            "Delivery": DELIVERY_SQL,
-            "NewOrder": NEW_ORDER_SQL,
-            "OrderStatus": ORDER_STATUS_SQL,
-            "Payment": PAYMENT_SQL,
-            "StockLevel": STOCK_LEVEL_SQL,
         },
     )

@@ -51,6 +51,12 @@ class TestTokens:
         assert (tokens[0].line, tokens[0].column) == (1, 1)
         assert (tokens[1].line, tokens[1].column) == (2, 3)
 
+    def test_positions_after_multiline_tokens(self):
+        tokens = tokenize("'a\nbc' x -- note\n\ty")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a\nbc", 1, 1), ("x", 2, 5), ("y", 3, 2), ("", 3, 3),
+        ]
+
     def test_eof_token(self):
         assert tokenize("")[-1].kind is TokenKind.EOF
 
