@@ -152,9 +152,13 @@ def loop(body: ProgramNode | Statement) -> Loop:
 
 
 def map_statements(node: ProgramNode, transform) -> ProgramNode:
-    """The AST of the same shape with every statement passed through ``transform``."""
+    """The AST of the same shape with every statement passed through ``transform``.
+
+    A leaf whose statement ``transform`` returns unchanged is kept as is.
+    """
     if isinstance(node, Stmt):
-        return Stmt(transform(node.statement))
+        new = transform(node.statement)
+        return node if new is node.statement else Stmt(new)
     if isinstance(node, Seq):
         return Seq(tuple(map_statements(part, transform) for part in node.parts))
     if isinstance(node, Choice):

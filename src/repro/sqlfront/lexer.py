@@ -25,9 +25,10 @@ KEYWORDS = frozenset(
 
 #: One alternative per token class, tried in this order at each position;
 #: the group names other than ``skip`` and ``word`` are :class:`TokenKind`
-#: values.  Words start with a word character that is not a decimal digit;
-#: operators are listed longest first so ``<=`` wins over ``<``; ``--``
-#: comments run to the end of the line.
+#: values.  Words (and parameter names) match any word character that is
+#: not a decimal digit first; :func:`tokenize` then rejects those that do
+#: not start with a letter or ``_``.  Operators are listed longest first so
+#: ``<=`` wins over ``<``; ``--`` comments run to the end of the line.
 _TOKEN_RE = re.compile(
     r"""
       (?P<skip>[ \t\r\n]+|--[^\n]*)
@@ -83,6 +84,9 @@ def tokenize(text: str) -> list[Token]:
                 raise SqlError("unterminated string literal", line, column)
             raise SqlError(f"unexpected character {char!r}", line, column)
         kind, value = match.lastgroup, match.group(match.lastgroup)
+        if kind in ("word", "param") and not (value[0].isalpha() or value[0] == "_"):
+            # e.g. ``½x``, or ``:²`` (reported at the colon)
+            raise SqlError(f"unexpected character {text[index]!r}", line, column)
         if kind == "word":
             upper = value.upper()
             if upper in KEYWORDS:

@@ -112,6 +112,9 @@ class Workload:
         paper's figures (Amalgamate has q1…q5, Balance starts at q6, ...);
         ``constraints`` holds each program's foreign-key annotations.
         """
+        unknown = sorted(set(constraints) - set(sql))
+        if unknown:
+            raise ProgramError(f"workload {name!r}: annotations for unknown programs {unknown!r}")
         programs = []
         first_statement = 1
         for program_name, text in sql.items():

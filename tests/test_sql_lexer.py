@@ -72,3 +72,11 @@ class TestTokens:
         with pytest.raises(SqlError) as info:
             tokenize("ab\n @")
         assert info.value.line == 2
+
+    def test_words_start_with_a_letter_or_underscore(self):
+        # Numeric characters may continue a word but not start one.
+        assert kinds("x½ _Ⅷ") == [(TokenKind.IDENT, "x½"), (TokenKind.IDENT, "_Ⅷ")]
+        for text, column in (("½x", 1), ("a Ⅷ", 3), ("1 ²", 3), (":½x", 1)):
+            with pytest.raises(SqlError, match="unexpected character") as info:
+                tokenize(text)
+            assert info.value.column == column

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Analyzer
+from repro.btp.program import FKConstraint
 from repro.btp.statement import StatementType
-from repro.errors import SqlError
+from repro.errors import ProgramError, SqlError
 from repro.schema import Relation, Schema
 from repro.sqlfront import parse_program
-from repro.workloads import auction, smallbank, tpcc
+from repro.workloads import Workload, auction, smallbank, tpcc
 
 SCHEMA = Schema(
     [
@@ -208,3 +209,13 @@ class TestWorkloadRoundTrip:
 @pytest.mark.parametrize("source", list(PIN["fingerprints"]))
 def test_builtin_fingerprint_matches_pin(source):
     assert Analyzer(source).fingerprint() == PIN["fingerprints"][source]
+
+
+def test_from_sql_rejects_annotations_for_unknown_programs():
+    workload = smallbank()
+    with pytest.raises(ProgramError, match="unknown programs"):
+        Workload.from_sql(
+            "typo", workload.schema, workload.sql,
+            {"Amalgamte": [FKConstraint("f1", source="q1", target="q2")]},
+            workload.abbreviations,
+        )
