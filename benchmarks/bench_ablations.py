@@ -10,14 +10,15 @@ import pytest
 
 from repro.btp.unfold import unfold
 from repro.detection.typeii import is_robust_type2, is_robust_type2_naive
-from repro.summary.construct import construct_summary_graph
+from repro.summary.construct import build_summary_graph, construct_summary_graph
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK, TPL_DEP_FK
 from repro.workloads import auction_n
 
 
 @pytest.fixture(scope="module")
 def tpcc_graph(workloads_by_name):
-    return workloads_by_name["TPC-C"].summary_graph(ATTR_DEP_FK)
+    workload = workloads_by_name["TPC-C"]
+    return build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
 
 
 @pytest.fixture(scope="module")
@@ -46,21 +47,25 @@ class TestSettingsAblation:
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
     def test_tpcc_construction_per_setting(self, benchmark, workloads_by_name, settings):
         workload = workloads_by_name["TPC-C"]
-        ltps = workload.unfolded()
+        ltps = unfold(workload.programs)
         graph = benchmark(construct_summary_graph, ltps, workload.schema, settings)
         assert len(graph) == 13
 
     def test_fk_reduces_counterflow(self, workloads_by_name):
         workload = workloads_by_name["TPC-C"]
-        with_fk = workload.summary_graph(ATTR_DEP_FK)
-        without_fk = workload.summary_graph(ATTR_DEP)
+        with_fk = build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
+        without_fk = build_summary_graph(workload.programs, workload.schema, ATTR_DEP)
         assert with_fk.counterflow_count < without_fk.counterflow_count
 
     def test_tuple_granularity_adds_edges(self, workloads_by_name):
         workload = workloads_by_name["TPC-C"]
         assert (
-            workload.summary_graph(TPL_DEP_FK).edge_count
-            > workload.summary_graph(ATTR_DEP_FK).edge_count
+            build_summary_graph(
+                workload.programs, workload.schema, TPL_DEP_FK
+            ).edge_count
+            > build_summary_graph(
+                workload.programs, workload.schema, ATTR_DEP_FK
+            ).edge_count
         )
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.btp.unfold import unfold
 from repro.engine.executor import execute
 from repro.engine.instantiate import Instantiator, TupleUniverse
 from repro.engine.interleavings import random_unit_order, serial_unit_order
@@ -18,7 +19,7 @@ def smallbank_setup(workloads_by_name):
     workload = workloads_by_name["SmallBank"]
     universe = TupleUniverse(workload.schema, {r.name: 2 for r in workload.schema})
     instantiator = Instantiator(universe)
-    by_origin = {ltp.origin: ltp for ltp in workload.unfolded()}
+    by_origin = {ltp.origin: ltp for ltp in unfold(workload.programs)}
     t0 = universe.existing("Account")[0]
     s0 = universe.existing("Savings")[0]
     c0 = universe.existing("Checking")[0]

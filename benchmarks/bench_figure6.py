@@ -7,7 +7,7 @@ figure; asserts the maximal robust subsets the paper reports.
 
 import pytest
 
-from repro.detection.subsets import maximal_robust_subsets
+from repro.analysis import Analyzer
 from repro.experiments import expected
 from repro.experiments.figure6 import run_figure6
 from repro.summary.settings import ATTR_DEP_FK
@@ -18,9 +18,7 @@ def test_subset_grid_attr_fk(benchmark, workloads_by_name, name):
     workload = workloads_by_name[name]
 
     def grid():
-        return maximal_robust_subsets(
-            workload.programs, workload.schema, ATTR_DEP_FK, "type-II"
-        )
+        return Analyzer(workload).maximal_robust_subsets(ATTR_DEP_FK, "type-II")
 
     subsets = benchmark(grid)
     abbreviated = frozenset(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.detection.subsets import maximal_robust_subsets
+from repro.analysis import Analyzer
 from repro.experiments import expected
 from repro.experiments.figure7 import run_figure7
 from repro.summary.settings import ATTR_DEP_FK
@@ -13,9 +13,7 @@ def test_type1_subset_grid_attr_fk(benchmark, workloads_by_name, name):
     workload = workloads_by_name[name]
 
     def grid():
-        return maximal_robust_subsets(
-            workload.programs, workload.schema, ATTR_DEP_FK, "type-I"
-        )
+        return Analyzer(workload).maximal_robust_subsets(ATTR_DEP_FK, "type-I")
 
     subsets = benchmark(grid)
     abbreviated = frozenset(

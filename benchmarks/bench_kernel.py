@@ -13,8 +13,9 @@ Two gates, one parity sweep:
    compiling the profiles (which packs each LTP's planes) is not — it
    happens once per program and granularity and is recorded separately
    as ``packing_seconds``.
-2. **Subset enumeration** — ``robust_subsets`` (the verdict grid read
-   off the maximal-subset search, ``maximal_robust_sets``) must beat the
+2. **Subset enumeration** — ``Analyzer.robust_subsets`` on a fresh
+   session (the verdict grid read off the maximal-subset search,
+   ``maximal_robust_sets``) must beat the
    plain block-store enumeration (PR 2's path, reproduced inline) by
    ``--subsets-threshold`` (default 1.2×) on SmallBank and Auction(5)
    under the settings where the full workload is not robust.
@@ -44,8 +45,9 @@ from pathlib import Path
 
 from conftest import record_benchmark
 
+from repro.analysis import Analyzer
 from repro.btp.unfold import unfold
-from repro.detection.subsets import enumerate_robust_subsets, robust_subsets
+from repro.detection.subsets import enumerate_robust_subsets
 from repro.detection.typeii import is_robust_type2
 from repro.summary import planes
 from repro.summary.pairwise import (
@@ -140,7 +142,7 @@ def bench_subsets(repetitions: int) -> list[dict]:
     for label, workload in (("SmallBank", smallbank()), ("Auction(5)", auction_n(5))):
         for settings in ALL_SETTINGS:
             plain = _plain_robust_subsets(workload.programs, workload.schema, settings)
-            matrix = robust_subsets(workload.programs, workload.schema, settings)
+            matrix = Analyzer(workload).robust_subsets(settings)
             assert plain == matrix, f"verdict parity violated: {label} {settings.label}"
             full_robust = plain[frozenset(workload.program_names)]
             plain_seconds = _best(
@@ -150,7 +152,7 @@ def bench_subsets(repetitions: int) -> list[dict]:
                 repetitions,
             )
             matrix_seconds = _best(
-                lambda: robust_subsets(workload.programs, workload.schema, settings),
+                lambda: Analyzer(workload).robust_subsets(settings),
                 repetitions,
             )
             results.append(

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import expected
 from repro.experiments.table2 import characterize, run_table2
+from repro.summary.construct import build_summary_graph
 from repro.summary.settings import ATTR_DEP_FK
 
 
@@ -16,7 +17,7 @@ def test_summary_graph_construction(benchmark, workloads_by_name, name):
     workload = workloads_by_name[name]
 
     def build():
-        return workload.summary_graph(ATTR_DEP_FK)
+        return build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
 
     graph = benchmark(build)
     paper = expected.TABLE2[name]

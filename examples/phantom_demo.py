@@ -16,6 +16,7 @@ instance (T3) — then:
 Run with:  python examples/phantom_demo.py
 """
 
+from repro.btp.unfold import unfold
 from repro.engine import Instantiator, TupleUniverse, execute
 from repro.mvsched import (
     allowed_under_mvrc,
@@ -26,7 +27,7 @@ from repro.mvsched import (
 from repro.workloads import auction
 
 workload = auction()
-find_bids, place_bid = workload.unfolded()[0], workload.unfolded()[1:]
+find_bids, *place_bid = unfold(workload.programs)
 place_bid_with_q5, place_bid_without_q5 = place_bid
 
 universe = TupleUniverse(workload.schema, {"Buyer": 2, "Bids": 3, "Log": 0})

@@ -20,11 +20,13 @@ Committed* while still guaranteeing serializability.  Quick start::
     matrix = session.analyze_matrix()      # all four Section 7.2 settings
     maximal = session.maximal_robust_subsets()   # reuses cached stages
 
-The :class:`Analyzer` session memoizes each pipeline stage (unfold →
-Algorithm 1 → Algorithm 2), so multi-setting comparisons and subset
-enumeration never repeat the expensive work; the one-shot
-:func:`analyze` remains for single reports.  On the command line, the same
-surface is ``repro analyze auction --json`` (see ``repro --help``).
+The :class:`Analyzer` session is the one way into an analysis.  It
+memoizes each pipeline stage (unfold → Algorithm 1 → Algorithm 2), so
+multi-setting comparisons and subset enumeration never repeat the
+expensive work.  :func:`build_summary_graph` is the executable
+specification of Algorithm 1 over BTPs that the session is tested
+against.  On the command line, the same surface is
+``repro analyze auction --json`` (see ``repro --help``).
 
 See :mod:`repro.btp` for the program formalism, :mod:`repro.summary` for
 summary-graph construction (Algorithm 1), :mod:`repro.detection` for the
@@ -36,7 +38,6 @@ and :mod:`repro.engine` for the multiversion-schedule substrate, and
 from repro import workloads
 from repro.analysis import AnalysisMatrix, Analyzer
 from repro.churn import (
-    BurstConfig,
     ChurnStep,
     ChurnTrace,
     Monitor,
@@ -61,11 +62,8 @@ from repro.detection import (
     RobustnessReport,
     SubsetsReport,
     WitnessAnchor,
-    analyze,
     is_robust_type1,
     is_robust_type2,
-    maximal_robust_subsets,
-    robust_subsets,
 )
 from repro.repair import (
     AddProtectingFK,
@@ -120,7 +118,7 @@ from repro.summary import (
 )
 from repro.workloads import Workload
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "__version__",
@@ -142,7 +140,6 @@ __all__ = [
     "Monitor",
     "MutationEngine",
     "Mutation",
-    "BurstConfig",
     "ChurnTrace",
     "ChurnStep",
     "OracleCheck",
@@ -187,13 +184,10 @@ __all__ = [
     "ALL_SETTINGS",
     "workload_fingerprint",
     # detection
-    "analyze",
     "RobustnessReport",
     "SubsetsReport",
     "is_robust_type1",
     "is_robust_type2",
-    "robust_subsets",
-    "maximal_robust_subsets",
     "CycleWitness",
     "WitnessAnchor",
     # workloads

@@ -3,7 +3,8 @@
 The paper's pipeline has three stages — unfold (``Unfold≤k``, Proposition
 6.1), summary-graph construction (Algorithm 1) and cycle detection
 (Algorithm 2 / the type-I baseline) — of which the first two dominate the
-cost and depend only on (program subset, ``max_loop_iterations``, settings).
+cost and depend only on (program subset, settings).  Every session unfolds
+at :data:`~repro.btp.unfold.MAX_LOOP_ITERATIONS`.
 :class:`Analyzer` memoizes them per stage:
 
 * each BTP is unfolded **once** per session, whatever subsets it appears in;
@@ -43,7 +44,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.btp.ltp import LTP
 from repro.btp.program import BTP
-from repro.btp.unfold import unfold_program
+from repro.btp.unfold import MAX_LOOP_ITERATIONS, unfold_program
 from repro.detection.api import RobustnessReport
 from repro.detection.blockindex import find_violations_blocks, is_robust_blocks
 from repro.detection.subsets import check_method, maximal_robust_sets, robust_grid
@@ -171,11 +172,9 @@ class Analyzer:
         *,
         schema: Schema | None = None,
         name: str | None = None,
-        max_loop_iterations: int = 2,
     ):
         with span("resolve"):
             self.workload = Workload.resolve(source, schema=schema, name=name)
-        self.max_loop_iterations = max_loop_iterations
         # Remembered for `repro cache load`: a resolvable source string
         # (built-in name or file path), when that is what we were given.
         self._source_hint: str | None = None
@@ -228,23 +227,20 @@ class Analyzer:
                 if name not in self._ltps_by_program:
                     with span("unfold"):
                         self._ltps_by_program[name] = unfold_program(
-                            self.workload.program(name), self.max_loop_iterations
+                            self.workload.program(name)
                         )
                 ltps.extend(self._ltps_by_program[name])
             return tuple(ltps)
 
     def fingerprint(self) -> str:
         """The session's workload fingerprint: schema content hash plus the
-        unfold hash of every program (under this session's
-        ``max_loop_iterations``).  Two sessions share a fingerprint exactly
-        when they can exchange :meth:`save_cache` artifacts; it is the key
-        of the :class:`repro.service.AnalysisService` warm-session pool and
-        of fingerprint-named cache files."""
+        unfold hash of every program.  Two sessions share a fingerprint
+        exactly when they can exchange :meth:`save_cache` artifacts; it is
+        the key of the :class:`repro.service.AnalysisService` warm-session
+        pool and of fingerprint-named cache files."""
         with self._lock:
             self.unfolded()
-            return workload_fingerprint(
-                self.schema, self._ltps_by_program, self.max_loop_iterations
-            )
+            return workload_fingerprint(self.schema, self._ltps_by_program)
 
     # -- stage 2: summary-graph construction --------------------------------
     def edge_block_store(
@@ -546,10 +542,7 @@ class Analyzer:
     def _fork(self, settings_rows: Iterable[AnalysisSettings]) -> "Analyzer":
         """:meth:`fork`, seeding only the stores of ``settings_rows``."""
         with self._lock:
-            other = Analyzer(
-                self.workload,
-                max_loop_iterations=self.max_loop_iterations,
-            )
+            other = Analyzer(self.workload)
             other._source_hint = self._source_hint
             other._ltps_by_program = dict(self._ltps_by_program)
             for settings in settings_rows:
@@ -600,7 +593,7 @@ class Analyzer:
         :meth:`load_cache` in any session over the same workload.
 
         The artifact is keyed by the session's workload :meth:`fingerprint`
-        (schema + program unfold hashes + ``max_loop_iterations``), which is
+        (schema + program unfold hashes + unfold depth), which is
         what :meth:`load_cache` matches against and what
         :meth:`repro.service.AnalysisService.warm_from_cache_dir` pools
         warm sessions under.
@@ -613,7 +606,7 @@ class Analyzer:
                 "source": self._source_hint,
                 "schema": schema_fingerprint(self.schema),
                 "fingerprint": self.fingerprint(),
-                "max_loop_iterations": self.max_loop_iterations,
+                "max_loop_iterations": MAX_LOOP_ITERATIONS,
                 "program_names": list(self.program_names),
                 "unfolded": {
                     name: [ltp.to_dict() for ltp in ltps]
@@ -640,8 +633,9 @@ class Analyzer:
         """Seed this session's caches from a :meth:`save_cache` file.
 
         The cache must describe the same analysis: the same schema (by
-        content fingerprint), the same ``max_loop_iterations``, and for
-        every cached program a same-named workload program whose unfolding
+        content fingerprint), the same ``max_loop_iterations`` (a file
+        recorded at any other unfold depth is refused), and for every
+        cached program a same-named workload program whose unfolding
         matches the cached one — a same-named program whose *statements*
         changed is rejected rather than silently answered with stale
         blocks.  Every persisted edge is checked against the cached
@@ -668,11 +662,11 @@ class Analyzer:
                     f"{path}: unsupported cache version {data.get('version')!r} "
                     f"(expected <= {CACHE_VERSION})"
                 )
-            if data["max_loop_iterations"] != self.max_loop_iterations:
+            if data["max_loop_iterations"] != MAX_LOOP_ITERATIONS:
                 raise ProgramError(
                     f"{path}: cache was built with max_loop_iterations="
                     f"{data['max_loop_iterations']}, session uses "
-                    f"{self.max_loop_iterations}"
+                    f"{MAX_LOOP_ITERATIONS}"
                 )
             unknown = set(data["program_names"]) - set(self.program_names)
             if unknown:
@@ -694,9 +688,7 @@ class Analyzer:
                 # to reject same-named programs that changed; a cache over a
                 # strict subset of the programs passes this and loads fine.
                 for name, cached_ltps in unfolded.items():
-                    fresh = unfold_program(
-                        self.workload.program(name), self.max_loop_iterations
-                    )
+                    fresh = unfold_program(self.workload.program(name))
                     if fresh != cached_ltps:
                         raise ProgramError(
                             f"{path}: cached program {name!r} differs from the "
@@ -753,7 +745,4 @@ class Analyzer:
             self._reports.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"Analyzer({self.workload.name!r}, programs={len(self.program_names)}, "
-            f"max_loop_iterations={self.max_loop_iterations})"
-        )
+        return f"Analyzer({self.workload.name!r}, programs={len(self.program_names)})"

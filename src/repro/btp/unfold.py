@@ -4,7 +4,9 @@ Unfolding replaces every ``loop(P)`` with zero, one, or two repetitions of
 ``P`` (each repetition may resolve inner choices differently), every
 ``(P1 | P2)`` with either branch, and every ``(P | ε)`` with the branch or
 nothing.  Proposition 6.1 shows two loop iterations suffice for robustness
-detection; ``max_loop_iterations`` is configurable for ablation experiments.
+detection, so every analysis unfolds at :data:`MAX_LOOP_ITERATIONS`; the
+``max_loop_iterations`` argument of :func:`unfold` and
+:func:`unfold_program` is there for ablation experiments.
 
 Foreign-key annotations are *bound* during unfolding: a constraint
 ``q_t = f(q_s)`` yields one :class:`~repro.btp.ltp.FKInstance` per pair of
@@ -26,6 +28,10 @@ from repro.btp.ltp import FKInstance, LTP, LoopPath, StatementOccurrence
 from repro.btp.program import BTP, Choice, Loop, Opt, ProgramNode, Seq, Stmt
 from repro.btp.statement import Statement
 from repro.errors import ProgramError
+
+#: The unfold depth k of ``Unfold≤k`` that every analysis uses
+#: (Proposition 6.1: two loop iterations suffice).
+MAX_LOOP_ITERATIONS = 2
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,9 @@ def _bind_constraints(program: BTP, occurrences: Sequence[StatementOccurrence]) 
     return instances
 
 
-def unfold_program(program: BTP, max_loop_iterations: int = 2) -> tuple[LTP, ...]:
+def unfold_program(
+    program: BTP, max_loop_iterations: int = MAX_LOOP_ITERATIONS
+) -> tuple[LTP, ...]:
     """``Unfold≤k(P)`` for a single BTP (k = ``max_loop_iterations``).
 
     Duplicate unfoldings (identical statement sequences and constraint
@@ -146,7 +154,9 @@ def _renamed(ltp: LTP, name: str) -> LTP:
     return LTP(name, ltp.occurrences, ltp.constraints, origin=ltp.origin)
 
 
-def unfold(programs: Iterable[BTP], max_loop_iterations: int = 2) -> tuple[LTP, ...]:
+def unfold(
+    programs: Iterable[BTP], max_loop_iterations: int = MAX_LOOP_ITERATIONS
+) -> tuple[LTP, ...]:
     """``Unfold≤k(𝒫)`` for a set of BTPs — the union of per-program unfoldings."""
     result: list[LTP] = []
     names_seen: set[str] = set()

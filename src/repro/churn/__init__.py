@@ -19,7 +19,7 @@ service — both routed through the same typed request, so their JSON
 outputs are byte-identical.
 """
 
-from repro.churn.engine import DEFAULT_WEIGHTS, BurstConfig, MutationEngine
+from repro.churn.engine import DEFAULT_WEIGHTS, MutationEngine
 from repro.churn.monitor import ChurnStep, ChurnTrace, Monitor, OracleCheck
 from repro.churn.mutations import (
     MUTATION_KINDS,
@@ -40,7 +40,6 @@ from repro.churn.mutations import (
 __all__ = [
     "AddFKAnnotation",
     "AddProgram",
-    "BurstConfig",
     "ChurnStep",
     "ChurnTrace",
     "CloneProgram",

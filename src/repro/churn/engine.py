@@ -20,8 +20,6 @@ state the trace recorded leading up to it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.btp.program import KEY_BASED_TARGETS, FKConstraint
 from repro.btp.statement import StatementType
@@ -60,6 +58,15 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "remove_protecting_fk": 1.5,
 }
 
+#: Burst behaviour: with this probability a step lands a uniform
+#: :data:`BURST_SIZES` run of mutations instead of a single one.
+BURST_PROBABILITY = 0.15
+BURST_SIZES = (2, 4)
+#: Drops stop at this many programs; adds and clones stop at the base
+#: workload's size plus :data:`MAX_EXTRA_PROGRAMS`.
+MIN_PROGRAMS = 2
+MAX_EXTRA_PROGRAMS = 6
+
 _PREDICATE_BASED = (
     StatementType.PRED_SELECT,
     StatementType.PRED_UPDATE,
@@ -70,89 +77,20 @@ _READS = (StatementType.KEY_SELECT, StatementType.PRED_SELECT)
 _UPDATES = (StatementType.KEY_UPDATE, StatementType.PRED_UPDATE)
 
 
-@dataclass(frozen=True)
-class BurstConfig:
-    """Burst behaviour: with ``probability``, a step lands a uniform
-    ``min_size``–``max_size`` run of mutations instead of a single one."""
-
-    probability: float = 0.15
-    min_size: int = 2
-    max_size: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ProgramError(
-                f"burst probability must be within [0, 1], got {self.probability}"
-            )
-        if not 1 <= self.min_size <= self.max_size:
-            raise ProgramError(
-                f"burst sizes must satisfy 1 <= min <= max, got "
-                f"{self.min_size}..{self.max_size}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "probability": self.probability,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BurstConfig":
-        return cls(
-            probability=float(data["probability"]),
-            min_size=int(data["min_size"]),
-            max_size=int(data["max_size"]),
-        )
-
-
 class MutationEngine:
     """Deterministic, seeded proposer of workload mutations.
 
     ``base`` is the pre-churn workload: dropped base programs stay
-    restorable (the ``add_program`` kind), and program growth is capped at
-    ``max_programs`` (default: base size + 6) while ``min_programs``
-    (default 2) keeps drops from gutting the workload.  ``weights``
-    overrides :data:`DEFAULT_WEIGHTS` per kind; a kind weighted ``0`` is
-    never proposed.
+    restorable (the ``add_program`` kind), and the program count stays
+    between :data:`MIN_PROGRAMS` and the base size plus
+    :data:`MAX_EXTRA_PROGRAMS`.  Kinds are drawn by
+    :data:`DEFAULT_WEIGHTS`.
     """
 
-    def __init__(
-        self,
-        base: WorkloadSource,
-        *,
-        seed: int,
-        weights: Mapping[str, float] | None = None,
-        burst: BurstConfig | None = None,
-        min_programs: int = 2,
-        max_programs: int | None = None,
-    ):
+    def __init__(self, base: WorkloadSource, *, seed: int):
         self.base = Workload.resolve(base)
         self.seed = int(seed)
-        unknown = set(weights or ()) - set(MUTATION_KINDS)
-        if unknown:
-            raise ProgramError(
-                f"unknown mutation kind(s) in weights: {sorted(unknown)!r}; "
-                f"expected a subset of {sorted(MUTATION_KINDS)}"
-            )
-        self.weights = {**DEFAULT_WEIGHTS, **dict(weights or {})}
-        for kind, weight in self.weights.items():
-            if weight < 0:
-                raise ProgramError(f"weight of {kind!r} must be >= 0, got {weight}")
-        self.burst = burst if burst is not None else BurstConfig()
-        if min_programs < 1:
-            raise ProgramError(f"min_programs must be >= 1, got {min_programs}")
-        self.min_programs = min_programs
-        self.max_programs = (
-            max_programs
-            if max_programs is not None
-            else len(self.base.programs) + 6
-        )
-        if self.max_programs < len(self.base.programs):
-            raise ProgramError(
-                f"max_programs ({self.max_programs}) is below the base workload "
-                f"size ({len(self.base.programs)})"
-            )
+        self.max_programs = len(self.base.programs) + MAX_EXTRA_PROGRAMS
 
     # -- determinism --------------------------------------------------------
     def step_rng(self, step: int) -> random.Random:
@@ -168,7 +106,7 @@ class MutationEngine:
     def propose(self, workload: Workload, step: int) -> tuple[Mutation, ...]:
         """The mutation(s) of one step against the given workload state.
 
-        Usually one mutation; a burst (see :class:`BurstConfig`) lands
+        Usually one mutation; a burst (see :data:`BURST_PROBABILITY`) lands
         several, each proposed against the state left by the previous one.
         Returns ``()`` only when no kind has any applicable candidate
         (practically unreachable: demotions and drops always apply to a
@@ -176,8 +114,8 @@ class MutationEngine:
         """
         rng = self.step_rng(step)
         count = 1
-        if self.burst.probability and rng.random() < self.burst.probability:
-            count = rng.randint(self.burst.min_size, self.burst.max_size)
+        if rng.random() < BURST_PROBABILITY:
+            count = rng.randint(*BURST_SIZES)
         chosen: list[Mutation] = []
         scratch = workload
         for index in range(count):
@@ -196,12 +134,9 @@ class MutationEngine:
         then a uniform candidate of that kind."""
         table: list[tuple[str, float, tuple[Mutation, ...]]] = []
         for kind in MUTATION_KINDS:
-            weight = self.weights.get(kind, 0.0)
-            if weight <= 0:
-                continue
             options = self.candidates(workload, kind, tag=tag)
             if options:
-                table.append((kind, weight, options))
+                table.append((kind, DEFAULT_WEIGHTS[kind], options))
         if not table:
             return None
         kind = rng.choices(
@@ -235,7 +170,7 @@ class MutationEngine:
                 if name not in present
             )
         if kind == "drop_program":
-            if len(workload.programs) <= self.min_programs:
+            if len(workload.programs) <= MIN_PROGRAMS:
                 return ()
             return tuple(DropProgram(name) for name in workload.program_names)
         if kind == "clone_program":

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.analysis.session import Analyzer
+from repro.btp.unfold import MAX_LOOP_ITERATIONS
 from repro.detection.api import RobustnessReport
 from repro.errors import ProgramError
 from repro.faults import check_deadline
@@ -38,7 +39,7 @@ from repro.obs.clock import monotonic
 from repro.summary.settings import ATTR_DEP_FK, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
 
-from repro.churn.engine import BurstConfig, MutationEngine
+from repro.churn.engine import MutationEngine
 from repro.churn.mutations import Mutation, mutation_from_dict
 
 
@@ -147,7 +148,6 @@ class ChurnTrace:
     source: str | None
     seed: int
     settings: AnalysisSettings
-    max_loop_iterations: int
     base_programs: tuple[str, ...]
     steps: tuple[ChurnStep, ...]
     elapsed_seconds: float = 0.0
@@ -202,7 +202,7 @@ class ChurnTrace:
             "source": self.source,
             "seed": self.seed,
             "settings": self.settings.label,
-            "max_loop_iterations": self.max_loop_iterations,
+            "max_loop_iterations": MAX_LOOP_ITERATIONS,
             "base_programs": list(self.base_programs),
             "steps": [step.to_dict(include_timings) for step in self.steps],
             "summary": self.summary(include_timings),
@@ -223,13 +223,19 @@ class ChurnTrace:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChurnTrace":
+        """Rebuild a trace from :meth:`to_dict` output; a trace recorded at
+        any unfold depth other than ``Unfold≤2`` is refused."""
+        if int(data["max_loop_iterations"]) != MAX_LOOP_ITERATIONS:
+            raise ProgramError(
+                f"churn trace was recorded with max_loop_iterations="
+                f"{data['max_loop_iterations']}, expected {MAX_LOOP_ITERATIONS}"
+            )
         summary = data.get("summary") or {}
         return cls(
             workload=data["workload"],
             source=data.get("source"),
             seed=int(data["seed"]),
             settings=AnalysisSettings.from_label(data["settings"]),
-            max_loop_iterations=int(data["max_loop_iterations"]),
             base_programs=tuple(data["base_programs"]),
             steps=tuple(ChurnStep.from_dict(item) for item in data["steps"]),
             elapsed_seconds=float(summary.get("elapsed_seconds", 0.0) or 0.0),
@@ -251,12 +257,7 @@ class ChurnTrace:
                 "churn trace records no resolvable workload source; "
                 "pass replay(source=...)"
             )
-        monitor = Monitor(
-            base,
-            setting=self.settings,
-            seed=self.seed,
-            max_loop_iterations=self.max_loop_iterations,
-        )
+        monitor = Monitor(base, setting=self.settings, seed=self.seed)
         return monitor.replay(self)
 
     # -- rendering ----------------------------------------------------------
@@ -313,21 +314,18 @@ class Monitor:
         session: Analyzer | None = None,
         setting: AnalysisSettings | str = ATTR_DEP_FK,
         seed: int = 0,
-        max_loop_iterations: int = 2,
-        weights: Mapping[str, float] | None = None,
-        burst: BurstConfig | None = None,
         source_hint: str | None = None,
     ):
         if session is None:
             if source is None:
                 raise ProgramError("Monitor needs a workload source or a session")
-            session = Analyzer(source, max_loop_iterations=max_loop_iterations)
+            session = Analyzer(source)
         self.session = session
         self.settings = (
             AnalysisSettings.from_label(setting) if isinstance(setting, str) else setting
         )
         self.base: Workload = session.workload
-        self.engine = MutationEngine(self.base, seed=seed, weights=weights, burst=burst)
+        self.engine = MutationEngine(self.base, seed=seed)
         # Captured before the first edit resets the session's hint.
         self.source: str | None = (
             source_hint if source_hint is not None else session._source_hint
@@ -391,7 +389,6 @@ class Monitor:
             source=self.source,
             seed=self.engine.seed if seed is None else seed,
             settings=self.settings,
-            max_loop_iterations=self.session.max_loop_iterations,
             base_programs=self.base.program_names,
             steps=tuple(records),
             elapsed_seconds=elapsed,
@@ -449,10 +446,7 @@ class Monitor:
         if report is None:
             report = self.session.analyze(self.settings)
         started = monotonic()
-        cold = Analyzer(
-            self.session.workload,
-            max_loop_iterations=self.session.max_loop_iterations,
-        ).analyze(self.settings)
+        cold = Analyzer(self.session.workload).analyze(self.settings)
         elapsed = monotonic() - started
         return OracleCheck(
             robust=cold.robust,

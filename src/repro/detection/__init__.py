@@ -24,19 +24,19 @@ The graph detectors (``find_type2_violation``, ``is_robust_type2``,
 triple loop) scan an assembled summary graph.  They are the executable
 specification: only tests and benchmarks run them, and this package is
 the only place in the library that imports them.
+
+The package holds detectors and report types only.  Analyses are run
+by :class:`repro.analysis.Analyzer`, the one way into an analysis; this
+package imports nothing from the layers above it.
 """
 
-from repro.detection.api import RobustnessReport, analyze
+from repro.detection.api import RobustnessReport
 from repro.detection.blockindex import (
     BLOCK_WITNESS_FINDERS,
     find_type1_violation_blocks,
     find_type2_violation_blocks,
 )
-from repro.detection.subsets import (
-    SubsetsReport,
-    maximal_robust_subsets,
-    robust_subsets,
-)
+from repro.detection.subsets import SubsetsReport
 from repro.detection.typei import find_type1_violation, is_robust_type1
 from repro.detection.typeii import find_type2_violation, is_robust_type2, is_robust_type2_naive
 from repro.detection.witness import CycleWitness, WitnessAnchor, anchor_edges
@@ -53,9 +53,6 @@ __all__ = [
     "CycleWitness",
     "WitnessAnchor",
     "anchor_edges",
-    "robust_subsets",
-    "maximal_robust_subsets",
     "SubsetsReport",
-    "analyze",
     "RobustnessReport",
 ]

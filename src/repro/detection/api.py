@@ -1,11 +1,5 @@
-"""High-level robustness analysis API.
-
-:func:`analyze` is the classic one-shot entry point: it takes a set of BTPs
-plus their schema, runs both detection methods under the chosen settings,
-and returns a :class:`RobustnessReport`.  It is a thin wrapper over the
-staged, cache-aware :class:`repro.analysis.Analyzer` session — use the
-session directly when analysing the same programs under several settings
-or enumerating subsets, so unfolding and Algorithm 1 are paid only once.
+"""The robustness report: what :meth:`repro.analysis.Analyzer.analyze`
+returns for one setting.
 
 A report carries verdicts, witnesses and the summary graph's Table 2
 counts, all read from the session's edge-block planes.  Its
@@ -17,11 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
-from repro.btp.program import BTP
 from repro.detection.witness import CycleWitness
-from repro.schema import Schema
 from repro.summary.graph import SummaryGraph, SummaryStats
 from repro.summary.settings import AnalysisSettings
 
@@ -116,15 +108,3 @@ class RobustnessReport:
     def __str__(self) -> str:
         return self.describe()
 
-
-def analyze(
-    programs: Sequence[BTP],
-    schema: Schema,
-    settings: AnalysisSettings = AnalysisSettings(),
-    max_loop_iterations: int = 2,
-) -> RobustnessReport:
-    """Run the full pipeline: validate, unfold, build ``SuG``, detect cycles."""
-    from repro.analysis.session import Analyzer  # deferred: avoids an import cycle
-
-    session = Analyzer(programs, schema=schema, max_loop_iterations=max_loop_iterations)
-    return session.analyze(settings)

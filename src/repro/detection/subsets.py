@@ -22,10 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.btp.program import BTP
 from repro.errors import ReproError
 from repro.faults.deadline import check_deadline
-from repro.schema import Schema
 from repro.summary.settings import AnalysisSettings
 
 #: The two detection methods: Algorithm 2 and the type-I baseline.
@@ -44,26 +42,6 @@ def check_method(method: str) -> str:
             f"unknown method {method!r}; expected one of {sorted(METHODS)}"
         )
     return method
-
-
-def _session(programs: Sequence[BTP], schema: Schema, max_loop_iterations: int):
-    """A throwaway :class:`repro.analysis.Analyzer` over ``programs``."""
-    from repro.analysis.session import Analyzer  # deferred: avoids an import cycle
-
-    return Analyzer(programs, schema=schema, max_loop_iterations=max_loop_iterations)
-
-
-def is_robust(
-    programs: Sequence[BTP],
-    schema: Schema,
-    settings: AnalysisSettings = AnalysisSettings(),
-    method: str = "type-II",
-    max_loop_iterations: int = 2,
-) -> bool:
-    """Unfold, build the summary graph, and run the chosen detection method."""
-    return _session(programs, schema, max_loop_iterations).is_robust(
-        settings, method=method
-    )
 
 
 def maximal_robust_sets(
@@ -211,36 +189,6 @@ def maximal_subsets(
     return tuple(sorted(maximal, key=lambda s: (-len(s), sorted(s))))
 
 
-def robust_subsets(
-    programs: Sequence[BTP],
-    schema: Schema,
-    settings: AnalysisSettings = AnalysisSettings(),
-    method: str = "type-II",
-    max_loop_iterations: int = 2,
-) -> dict[frozenset[str], bool]:
-    """Robustness verdict for every non-empty subset of the programs.
-
-    Subsets are keyed by the frozenset of program (BTP) names.  A
-    one-shot wrapper over :meth:`repro.analysis.Analyzer.robust_subsets`.
-    """
-    return _session(programs, schema, max_loop_iterations).robust_subsets(
-        settings, method
-    )
-
-
-def maximal_robust_subsets(
-    programs: Sequence[BTP],
-    schema: Schema,
-    settings: AnalysisSettings = AnalysisSettings(),
-    method: str = "type-II",
-    max_loop_iterations: int = 2,
-) -> tuple[frozenset[str], ...]:
-    """The maximal robust subsets, largest first (as listed in Figures 6/7)."""
-    return _session(programs, schema, max_loop_iterations).maximal_robust_subsets(
-        settings, method
-    )
-
-
 def format_subsets(subsets: Iterable[frozenset[str]], abbreviations: dict[str, str] | None = None) -> str:
     """Render subsets the way the paper does, e.g. ``{Am, DC, TS}, {Bal, DC}``."""
     rendered = []
@@ -254,7 +202,7 @@ def format_subsets(subsets: Iterable[frozenset[str]], abbreviations: dict[str, s
 class SubsetsReport:
     """The result of a maximal-robust-subsets query, as one report object.
 
-    The serializable counterpart of :func:`maximal_robust_subsets` /
+    The serializable counterpart of
     :meth:`repro.analysis.Analyzer.maximal_robust_subsets`: the CLI's
     ``repro subsets --json`` payload is exactly :meth:`to_dict`, and the
     service's ``/v1/subsets`` endpoint returns the same shape (which is what

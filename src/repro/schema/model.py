@@ -125,15 +125,25 @@ class Schema:
     ):
         object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "foreign_keys", tuple(foreign_keys))
+        # Name maps, built once: Auction(n) looks relations up per statement.
+        object.__setattr__(self, "_by_name", {rel.name: rel for rel in self.relations})
+        object.__setattr__(self, "_fk_by_name", {fk.name: fk for fk in self.foreign_keys})
+        # Relations by lower-cased name, for the SQL front-end's
+        # case-insensitive lookup; of names that fold alike the first wins.
+        object.__setattr__(
+            self,
+            "folded_relations",
+            {rel.name.lower(): rel for rel in reversed(self.relations)},
+        )
         self._validate()
 
     def _validate(self) -> None:
         names = [rel.name for rel in self.relations]
-        if len(set(names)) != len(names):
+        if len(self._by_name) != len(names):
             raise SchemaError(f"duplicate relation names: {names!r}")
-        by_name = {rel.name: rel for rel in self.relations}
+        by_name = self._by_name
         fk_names = [fk.name for fk in self.foreign_keys]
-        if len(set(fk_names)) != len(fk_names):
+        if len(self._fk_by_name) != len(fk_names):
             raise SchemaError(f"duplicate foreign key names: {fk_names!r}")
         for fk in self.foreign_keys:
             if fk.source not in by_name:
@@ -155,21 +165,21 @@ class Schema:
         return iter(self.relations)
 
     def __contains__(self, relation_name: str) -> bool:
-        return any(rel.name == relation_name for rel in self.relations)
+        return relation_name in self._by_name
 
     def relation(self, name: str) -> Relation:
         """Look up a relation by name, raising :class:`SchemaError` if absent."""
-        for rel in self.relations:
-            if rel.name == name:
-                return rel
-        raise SchemaError(f"unknown relation {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown relation {name!r}") from None
 
     def foreign_key(self, name: str) -> ForeignKey:
         """Look up a foreign key by name, raising :class:`SchemaError` if absent."""
-        for fk in self.foreign_keys:
-            if fk.name == name:
-                return fk
-        raise SchemaError(f"unknown foreign key {name!r}")
+        try:
+            return self._fk_by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown foreign key {name!r}") from None
 
     def attributes(self, relation_name: str) -> frozenset[str]:
         """``Attr(R)`` for the named relation."""

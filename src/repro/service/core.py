@@ -3,7 +3,7 @@
 :class:`AnalysisService` owns an LRU pool of warm
 :class:`~repro.analysis.Analyzer` sessions keyed by *workload fingerprint*
 (:func:`repro.summary.fingerprint.workload_fingerprint`: schema content
-hash + per-program unfold hashes + ``max_loop_iterations``), so any two
+hash + per-program unfold hashes + the unfold depth), so any two
 requests over the same analysis — whatever source string or object they
 arrived as — share one session and therefore one set of unfoldings and
 pairwise edge blocks.  Sessions are thread-safe (PR 4), so the pool can be
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 import os
 
 from repro.analysis.session import CACHE_FORMAT, Analyzer
+from repro.btp.unfold import MAX_LOOP_ITERATIONS
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import monotonic
@@ -70,8 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 RETRY_AFTER_SECONDS = 1
 
 #: Unexpected-exception strikes before a workload's session is evicted
-#: (the poisoned-session circuit breaker's default threshold).
-DEFAULT_POISON_THRESHOLD = 3
+#: (the poisoned-session circuit breaker's threshold).
+POISON_THRESHOLD = 3
 
 #: True while the current context is already inside :meth:`handle` —
 #: nested dispatches (batch items) must not re-acquire the in-flight gate
@@ -198,20 +199,18 @@ class AnalysisService:
     request (expiry answers the ``deadline_exceeded`` envelope, HTTP 504);
     ``max_inflight`` bounds concurrently executing requests — excess load
     is *shed* with ``overloaded`` (HTTP 503 + ``Retry-After``) instead of
-    queueing unboundedly; ``poison_threshold`` strikes out a workload
-    whose handler keeps raising unexpected exceptions and evicts its
-    session rather than re-serving possibly corrupt warm state.
+    queueing unboundedly.  A workload whose handler raises unexpected
+    exceptions :data:`POISON_THRESHOLD` times in a row is struck out: its
+    session is evicted rather than re-serving possibly corrupt warm state.
     """
 
     def __init__(
         self,
         *,
         capacity: int = 8,
-        max_loop_iterations: int = 2,
         cache_dir: str | Path | None = None,
         deadline_seconds: float | None = None,
         max_inflight: int | None = None,
-        poison_threshold: int = DEFAULT_POISON_THRESHOLD,
     ):
         if capacity < 1:
             raise ProgramError(f"service capacity must be >= 1, got {capacity}")
@@ -223,15 +222,9 @@ class AnalysisService:
             raise ProgramError(
                 f"service max_inflight must be >= 1, got {max_inflight}"
             )
-        if poison_threshold < 1:
-            raise ProgramError(
-                f"service poison_threshold must be >= 1, got {poison_threshold}"
-            )
         self.capacity = capacity
-        self.max_loop_iterations = max_loop_iterations
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
-        self.poison_threshold = poison_threshold
         self._inflight = (
             threading.Semaphore(max_inflight) if max_inflight is not None else None
         )
@@ -268,12 +261,7 @@ class AnalysisService:
         name: str | None = None,
     ) -> Analyzer:
         """A new, unpooled session with the service's configuration."""
-        return Analyzer(
-            source,
-            schema=schema,
-            name=name,
-            max_loop_iterations=self.max_loop_iterations,
-        )
+        return Analyzer(source, schema=schema, name=name)
 
     @staticmethod
     def _memo_key(source: WorkloadSource) -> str | None:
@@ -650,7 +638,7 @@ class AnalysisService:
     def _note_crash(self, workload: Any) -> None:
         """Count one unexpected-exception strike against a workload.
 
-        At ``poison_threshold`` strikes the workload's pooled session is
+        At :data:`POISON_THRESHOLD` strikes the workload's pooled session is
         evicted — dropped, not spilled: warm state a crashing handler may
         have touched must not be re-served or persisted.
         """
@@ -658,7 +646,7 @@ class AnalysisService:
             return
         with self._lock:
             count = self._poison_counts.get(workload, 0) + 1
-            if count < self.poison_threshold:
+            if count < POISON_THRESHOLD:
                 self._poison_counts[workload] = count
                 return
             self._poison_counts.pop(workload, None)
@@ -686,7 +674,7 @@ class AnalysisService:
         payload: dict[str, Any] = {
             "version": __version__,
             "capacity": self.capacity,
-            "max_loop_iterations": self.max_loop_iterations,
+            "max_loop_iterations": MAX_LOOP_ITERATIONS,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "deadline_seconds": self.deadline_seconds,
             "max_inflight": self.max_inflight,

@@ -64,10 +64,10 @@ class _Translator:
 
     # -- name resolution --------------------------------------------------------
     def resolve_relation(self, name: str) -> Relation:
-        for relation in self.schema:
-            if relation.name.lower() == name.lower():
-                return relation
-        raise SqlError(f"unknown relation {name!r}")
+        relation = self.schema.folded_relations.get(name.lower())
+        if relation is None:
+            raise SqlError(f"unknown relation {name!r}")
+        return relation
 
     def resolve_attributes(self, relation: Relation, names) -> frozenset[str]:
         canonical = {attr.lower(): attr for attr in relation.attributes}

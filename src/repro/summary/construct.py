@@ -51,8 +51,8 @@ def build_summary_graph(
     programs: Iterable[BTP],
     schema: Schema,
     settings: AnalysisSettings = AnalysisSettings(),
-    max_loop_iterations: int = 2,
 ) -> SummaryGraph:
-    """Unfold a set of BTPs (``Unfold≤2`` by default) and run Algorithm 1."""
-    ltps = unfold(programs, max_loop_iterations)
-    return construct_summary_graph(ltps, schema, settings)
+    """Unfold a set of BTPs (``Unfold≤2``) and run Algorithm 1: the
+    specification the :class:`repro.analysis.Analyzer` session's graphs
+    are tested against."""
+    return construct_summary_graph(unfold(programs), schema, settings)

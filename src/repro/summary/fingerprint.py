@@ -8,7 +8,7 @@ addressable fingerprints so higher layers can *key* things by workload:
 * :func:`program_fingerprint` — a content hash of one program's unfolded
   LTPs (``Unfold≤k`` output, so two BTPs that unfold identically share it);
 * :func:`workload_fingerprint` — schema fingerprint + every program's
-  unfold hash + ``max_loop_iterations``, combined order-independently.
+  unfold hash + the unfold depth, combined order-independently.
 
 Two sessions share a workload fingerprint exactly when they would accept
 each other's :meth:`~repro.analysis.Analyzer.save_cache` artifacts, which
@@ -23,6 +23,7 @@ import json
 from typing import Mapping, Sequence
 
 from repro.btp.ltp import LTP
+from repro.btp.unfold import MAX_LOOP_ITERATIONS
 from repro.schema import Schema
 
 
@@ -50,18 +51,18 @@ def program_fingerprint(ltps: Sequence[LTP]) -> str:
 def workload_fingerprint(
     schema: Schema,
     unfolded_by_program: Mapping[str, Sequence[LTP]],
-    max_loop_iterations: int,
 ) -> str:
     """The identity of one analysis workload: schema + unfold hashes + k.
 
-    ``unfolded_by_program`` maps each BTP name to its ``Unfold≤k`` LTPs.
+    ``unfolded_by_program`` maps each BTP name to its ``Unfold≤k`` LTPs,
+    k = :data:`~repro.btp.unfold.MAX_LOOP_ITERATIONS`.
     Program order does not matter (entries are hashed sorted by name), so
     reordering a workload file keeps its warm sessions and cache artifacts
     valid; renaming or editing any program changes the fingerprint.
     """
     digest = hashlib.sha256()
     digest.update(schema_fingerprint(schema).encode())
-    digest.update(f"|k={max_loop_iterations}".encode())
+    digest.update(f"|k={MAX_LOOP_ITERATIONS}".encode())
     for name in sorted(unfolded_by_program):
         digest.update(f"|{name}=".encode())
         digest.update(program_fingerprint(unfolded_by_program[name]).encode())

@@ -8,14 +8,9 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from repro.btp.program import BTP, FKConstraint
-from repro.btp.unfold import unfold
-from repro.detection.api import RobustnessReport
 from repro.errors import ProgramError
 from repro.schema import Schema
 from repro.sqlfront.translate import parse_program
-from repro.summary.construct import construct_summary_graph
-from repro.summary.graph import SummaryGraph
-from repro.summary.settings import AnalysisSettings
 
 #: Anything :meth:`Workload.resolve` accepts as a workload description.
 WorkloadSource = Union["Workload", str, Path, Sequence[BTP]]
@@ -182,34 +177,6 @@ class Workload:
             abbreviations=self.abbreviations,
             sql={name: text for name, text in self.sql.items() if name in set(names)},
         )
-
-    def unfolded(self, max_loop_iterations: int = 2):
-        """``Unfold≤k`` of all programs."""
-        return unfold(self.programs, max_loop_iterations)
-
-    def summary_graph(
-        self,
-        settings: AnalysisSettings = AnalysisSettings(),
-        max_loop_iterations: int = 2,
-    ) -> SummaryGraph:
-        """Algorithm 1 over the unfolded programs."""
-        return construct_summary_graph(
-            self.unfolded(max_loop_iterations), self.schema, settings
-        )
-
-    def analyze(
-        self,
-        settings: AnalysisSettings = AnalysisSettings(),
-        max_loop_iterations: int = 2,
-    ) -> RobustnessReport:
-        """Full robustness analysis (both detection methods).
-
-        One-shot convenience; for repeated analyses of the same workload,
-        hold a :class:`repro.analysis.Analyzer` session instead.
-        """
-        from repro.analysis.session import Analyzer  # deferred: import cycle
-
-        return Analyzer(self, max_loop_iterations=max_loop_iterations).analyze(settings)
 
     def abbreviate(self, program_name: str) -> str:
         """The Figure 6/7 short label for a program (name itself if none)."""

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from repro import AnalysisMatrix, Analyzer, RobustnessReport, Workload
-from repro.detection.subsets import maximal_robust_subsets, robust_subsets
+from repro.detection import is_robust_type1, is_robust_type2
+from repro.detection.subsets import enumerate_robust_subsets, maximal_subsets
 from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.errors import ProgramError, ReproError
-from repro.summary.construct import construct_summary_graph
+from repro.summary.construct import build_summary_graph, construct_summary_graph
 from repro.summary.graph import SummaryStats
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK, TPL_DEP
 
@@ -69,12 +70,15 @@ class TestWorkloadResolve:
 
 class TestAnalyzerStages:
     def test_analyze_matches_legacy_analyze(self, smallbank_workload):
+        # The specification: Algorithm 1 over BTPs, then the graph detectors.
         session = Analyzer(smallbank_workload)
         for settings in ALL_SETTINGS:
             report = session.analyze(settings)
-            legacy = smallbank_workload.analyze(settings)
-            assert report.robust == legacy.robust
-            assert report.type1_robust == legacy.type1_robust
+            legacy = build_summary_graph(
+                smallbank_workload.programs, smallbank_workload.schema, settings
+            )
+            assert report.robust == is_robust_type2(legacy)
+            assert report.type1_robust == is_robust_type1(legacy)
             assert report.stats == legacy.stats
 
     def test_matrix_agrees_with_per_setting_analyze(self, auction_workload):
@@ -115,7 +119,11 @@ class TestAnalyzerStages:
 
     def test_subset_graph_equals_cold_construction(self, smallbank_workload):
         names = ["Balance", "WriteCheck"]
-        cold = smallbank_workload.subset(names).summary_graph(ATTR_DEP_FK)
+        cold = build_summary_graph(
+            smallbank_workload.subset(names).programs,
+            smallbank_workload.schema,
+            ATTR_DEP_FK,
+        )
         # subset-first: the graph is built directly over the subset's LTPs
         direct_session = Analyzer(smallbank_workload)
         direct = direct_session.summary_graph(ATTR_DEP_FK, names)
@@ -132,18 +140,13 @@ class TestAnalyzerStages:
         session = Analyzer(smallbank_workload)
         for names in (["Balance", "DepositChecking"], ["Balance", "WriteCheck"]):
             report = session.analyze(ATTR_DEP_FK, names)
-            cold = smallbank_workload.subset(names).analyze(ATTR_DEP_FK)
+            cold = Analyzer(smallbank_workload.subset(names)).analyze(ATTR_DEP_FK)
             assert report.robust == cold.robust
             assert report.type1_robust == cold.type1_robust
 
     def test_unknown_subset_program_rejected(self, auction_workload):
         with pytest.raises(ProgramError, match="unknown programs"):
             Analyzer(auction_workload).analyze(subset=["Nope"])
-
-    def test_max_loop_iterations_forwarded(self, tpcc_workload):
-        shallow = Analyzer(tpcc_workload, max_loop_iterations=1)
-        deep = Analyzer(tpcc_workload, max_loop_iterations=2)
-        assert len(shallow.unfolded()) < len(deep.unfolded())
 
 
 class TestSubsetEnumeration:
@@ -152,14 +155,20 @@ class TestSubsetEnumeration:
     def test_matches_seed_enumeration(self, workload_name, method, request):
         workload = request.getfixturevalue(f"{workload_name}_workload")
         session = Analyzer(workload)
+        detect = {"type-II": is_robust_type2, "type-I": is_robust_type1}[method]
         for settings in (TPL_DEP, ATTR_DEP_FK):
-            assert session.robust_subsets(settings, method) == robust_subsets(
-                workload.programs, workload.schema, settings, method
+            # The power-set enumeration over cold spec graphs.
+            seed = enumerate_robust_subsets(
+                workload.program_names,
+                lambda names: detect(
+                    build_summary_graph(
+                        workload.subset(names).programs, workload.schema, settings
+                    )
+                ),
             )
-            assert session.maximal_robust_subsets(
-                settings, method
-            ) == maximal_robust_subsets(
-                workload.programs, workload.schema, settings, method
+            assert session.robust_subsets(settings, method) == seed
+            assert session.maximal_robust_subsets(settings, method) == (
+                maximal_subsets(seed)
             )
 
     def test_smallbank_paper_subsets(self, smallbank_workload):

@@ -8,18 +8,20 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.btp.unfold import unfold
 from repro.cli import main as cli_main
 from repro.detection.witness import CycleWitness, connecting_edges
 from repro.errors import ReproError
 from repro.engine.interleavings import all_unit_orders, interleaving_count
 from repro.experiments.false_negatives import run_false_negatives
+from repro.summary.construct import build_summary_graph
 from repro.summary.graph import SummaryEdge
 from repro.summary.settings import ATTR_DEP_FK
 
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -62,11 +64,15 @@ class TestWitnessStructure:
         assert "*" in text and "counterflow" in text
 
     def test_connecting_edges_empty_for_same_node(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         assert connecting_edges(graph, "FindBids", "FindBids") == []
 
     def test_connecting_edges_form_path(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         edges = connecting_edges(graph, "FindBids", "PlaceBid#2")
         assert edges
         assert edges[0].source == "FindBids"
@@ -76,14 +82,18 @@ class TestWitnessStructure:
 
     def test_connecting_edges_unreachable_raises_repro_error(self, tpcc_workload):
         # No TPC-C program reaches Delivery#1 (it has no incoming edges).
-        graph = tpcc_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        )
         with pytest.raises(ReproError, match="no path from 'NewOrder#1'"):
             connecting_edges(graph, "NewOrder#1", "Delivery#1")
 
 
 class TestSummaryGraphViews:
     def test_edges_between(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         between = graph.edges_between("FindBids", "PlaceBid#1")
         assert {(e.source_stmt, e.target_stmt, e.counterflow) for e in between} == {
             ("q1", "q3", False), ("q2", "q5", False), ("q2", "q5", True),
@@ -91,13 +101,17 @@ class TestSummaryGraphViews:
 
     def test_to_networkx_multigraph(self, auction_workload):
         pytest.importorskip("networkx")
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         nx_graph = graph.to_networkx()
         assert nx_graph.number_of_nodes() == 3
         assert nx_graph.number_of_edges() == graph.edge_count
 
     def test_program_adjacency_simple_edges(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         pairs = {
             (source, target)
             for source, targets in graph.program_adjacency.items()
@@ -107,14 +121,18 @@ class TestSummaryGraphViews:
         assert len(pairs) <= graph.edge_count
 
     def test_statement_lookup_via_edge(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         edge = graph.counterflow_edges[0]
         assert graph.source_statement(edge).name == edge.source_stmt
         assert graph.target_statement(edge).name == edge.target_stmt
 
     def test_unknown_program_rejected(self, auction_workload):
         from repro.errors import ProgramError
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         with pytest.raises(ProgramError):
             graph.program("Nope")
 
@@ -126,7 +144,7 @@ class TestInterleavingCounts:
             smallbank_workload.schema, {r.name: 1 for r in smallbank_workload.schema}
         )
         instantiator = Instantiator(universe)
-        by_origin = {l.origin: l for l in smallbank_workload.unfolded()}
+        by_origin = {l.origin: l for l in unfold(smallbank_workload.programs)}
         account = universe.existing("Account")[0]
         checking = universe.existing("Checking")[0]
         transactions = [

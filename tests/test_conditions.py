@@ -2,7 +2,7 @@
 
 from repro.btp.program import BTP, FKConstraint, seq
 from repro.btp.statement import Statement
-from repro.btp.unfold import unfold_program
+from repro.btp.unfold import unfold, unfold_program
 from repro.schema import Relation
 from repro.summary.conditions import c_dep_conds, nc_dep_conds, protecting_fks
 
@@ -159,7 +159,9 @@ class TestCDepConds:
 class TestProtectingFks:
     def test_reports_protecting_keys(self, auction_workload):
         placebid = next(
-            v for v in auction_workload.unfolded() if v.origin == "PlaceBid" and len(v) == 4
+            v
+            for v in unfold(auction_workload.programs)
+            if v.origin == "PlaceBid" and len(v) == 4
         )
         # q4 at position 1 is protected by f1 via q3 at position 0.
         assert protecting_fks(placebid, 1) == frozenset({"f1"})

@@ -7,6 +7,7 @@ against the closed form 9n² + 8n.
 
 import pytest
 
+from repro.btp.unfold import unfold
 from repro.experiments import expected
 from repro.summary.construct import build_summary_graph, construct_summary_graph
 from repro.summary.settings import (
@@ -30,7 +31,9 @@ class TestAuctionFigure4:
     """The running example's summary graph, edge by edge."""
 
     def test_exact_edge_set(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         fb, pb1, pb2 = "FindBids", "PlaceBid#1", "PlaceBid#2"
         nc = False
         cf = True
@@ -59,8 +62,12 @@ class TestAuctionFigure4:
         assert edge_tuples(graph) == expected_edges
 
     def test_fk_blocks_q4_to_q5_counterflow(self, auction_workload):
-        with_fk = edge_tuples(auction_workload.summary_graph(ATTR_DEP_FK))
-        without_fk = edge_tuples(auction_workload.summary_graph(ATTR_DEP))
+        with_fk = edge_tuples(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ))
+        without_fk = edge_tuples(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP
+        ))
         gained = without_fk - with_fk
         # Without FK annotations, q4's read of the bid can be counterflow.
         assert gained == {
@@ -69,7 +76,9 @@ class TestAuctionFigure4:
         }
 
     def test_counts_match_table2(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         paper = expected.TABLE2["Auction"]
         assert len(graph) == paper["nodes"]
         assert graph.edge_count == paper["edges"]
@@ -78,50 +87,68 @@ class TestAuctionFigure4:
 
 class TestSmallBank:
     def test_counts_match_table2(self, smallbank_workload):
-        graph = smallbank_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            smallbank_workload.programs, smallbank_workload.schema, ATTR_DEP_FK
+        )
         paper = expected.TABLE2["SmallBank"]
         assert (len(graph), graph.edge_count, graph.counterflow_count) == (
             paper["nodes"], paper["edges"], paper["counterflow"],
         )
 
     def test_account_statements_produce_no_edges(self, smallbank_workload):
-        graph = smallbank_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            smallbank_workload.programs, smallbank_workload.schema, ATTR_DEP_FK
+        )
         account_stmts = {"q1", "q2", "q6", "q9", "q11", "q13"}
         for edge in graph.edges:
             assert edge.source_stmt not in account_stmts
             assert edge.target_stmt not in account_stmts
 
     def test_all_counterflow_edges_come_from_selects(self, smallbank_workload):
-        graph = smallbank_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            smallbank_workload.programs, smallbank_workload.schema, ATTR_DEP_FK
+        )
         for edge in graph.counterflow_edges:
             statement = graph.source_statement(edge)
             assert statement.stype.value == "key sel"
 
     def test_identical_across_settings(self, smallbank_workload):
         """SmallBank's graph does not depend on granularity or FKs."""
-        baseline = edge_tuples(smallbank_workload.summary_graph(ATTR_DEP_FK))
+        baseline = edge_tuples(build_summary_graph(
+            smallbank_workload.programs, smallbank_workload.schema, ATTR_DEP_FK
+        ))
         for settings in ALL_SETTINGS:
-            assert edge_tuples(smallbank_workload.summary_graph(settings)) == baseline
+            assert edge_tuples(build_summary_graph(
+                smallbank_workload.programs, smallbank_workload.schema, settings
+            )) == baseline
 
 
 class TestTpcc:
     def test_counts_match_table2(self, tpcc_workload):
-        graph = tpcc_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        )
         paper = expected.TABLE2["TPC-C"]
         assert (len(graph), graph.edge_count, graph.counterflow_count) == (
             paper["nodes"], paper["edges"], paper["counterflow"],
         )
 
     def test_empty_delivery_unfolding_has_no_edges(self, tpcc_workload):
-        graph = tpcc_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        )
         empty = next(p.name for p in graph.programs if p.is_empty)
         for edge in graph.edges:
             assert edge.source != empty and edge.target != empty
 
     def test_payment_internal_counterflow_blocked_by_fk(self, tpcc_workload):
         """q24 -> q25 (c_data read/write) is FK-protected via the district."""
-        with_fk = tpcc_workload.summary_graph(ATTR_DEP_FK)
-        without_fk = tpcc_workload.summary_graph(ATTR_DEP)
+        with_fk = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        )
+        without_fk = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP
+        )
         def pay_cf(graph):
             return {
                 (e.source, e.source_stmt, e.target_stmt, e.target)
@@ -134,14 +161,22 @@ class TestTpcc:
 
 class TestGranularityAndScaling:
     def test_tuple_granularity_only_adds_edges(self, tpcc_workload):
-        attr = edge_tuples(tpcc_workload.summary_graph(ATTR_DEP_FK))
-        tpl = edge_tuples(tpcc_workload.summary_graph(TPL_DEP_FK))
+        attr = edge_tuples(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        ))
+        tpl = edge_tuples(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, TPL_DEP_FK
+        ))
         assert attr <= tpl
         assert len(tpl) > len(attr)
 
     def test_dropping_fk_only_adds_counterflow_edges(self, tpcc_workload):
-        with_fk = edge_tuples(tpcc_workload.summary_graph(ATTR_DEP_FK))
-        without_fk = edge_tuples(tpcc_workload.summary_graph(ATTR_DEP))
+        with_fk = edge_tuples(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        ))
+        without_fk = edge_tuples(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP
+        ))
         gained = without_fk - with_fk
         assert with_fk <= without_fk
         assert gained and all(edge[2] for edge in gained)  # all counterflow
@@ -149,14 +184,15 @@ class TestGranularityAndScaling:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_auction_n_closed_form(self, n):
         workload = auction_n(n)
-        graph = workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
         assert len(graph) == 3 * n
         assert graph.edge_count == expected.auction_n_edges(n)
         assert graph.counterflow_count == expected.auction_n_counterflow(n)
 
     def test_auction_n_is_not_disconnected(self):
         """Buyer updates connect programs of different items (Section 7.3)."""
-        graph = auction_n(2).summary_graph(ATTR_DEP_FK)
+        workload = auction_n(2)
+        graph = build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
         cross = [
             e for e in graph.edges
             if e.source.endswith("1") != e.target.endswith("1")
@@ -174,7 +210,7 @@ class TestConstructionApi:
 
     def test_duplicate_ltp_names_rejected(self, auction_workload):
         from repro.errors import ProgramError
-        ltps = auction_workload.unfolded()
+        ltps = unfold(auction_workload.programs)
         with pytest.raises(ProgramError):
             construct_summary_graph(
                 list(ltps) + [ltps[0]], auction_workload.schema, ATTR_DEP_FK

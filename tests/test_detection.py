@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import Analyzer
 from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.detection.reachability import ReachabilityIndex
@@ -11,7 +12,6 @@ from repro.detection.typeii import (
     is_robust_type2,
     is_robust_type2_naive,
 )
-from repro.detection.subsets import is_robust, maximal_robust_subsets, robust_subsets
 from repro.schema import Relation, Schema
 from repro.summary.construct import build_summary_graph
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK
@@ -50,19 +50,25 @@ def writer_reader(name="WR"):
 
 class TestReachability:
     def test_reflexive(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         reach = ReachabilityIndex(graph)
         for name in graph.program_names:
             assert reach.reaches(name, name)
 
     def test_auction_strongly_connected(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         reach = ReachabilityIndex(graph)
         names = graph.program_names
         assert all(reach.reaches(a, b) for a in names for b in names)
 
     def test_directed_reachability(self, tpcc_workload):
-        graph = tpcc_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        )
         reach = ReachabilityIndex(graph)
         empty = next(p.name for p in graph.programs if p.is_empty)
         other = next(p.name for p in graph.programs if not p.is_empty)
@@ -130,25 +136,31 @@ class TestTypeII:
     ):
         for workload in (smallbank_workload, auction_workload):
             for settings in ALL_SETTINGS:
-                graph = workload.summary_graph(settings)
+                graph = build_summary_graph(
+                    workload.programs, workload.schema, settings
+                )
                 assert is_robust_type2(graph) == is_robust_type2_naive(graph)
 
     def test_naive_and_optimized_agree_on_tpcc_subsets(self, tpcc_workload):
         import itertools
         for names in itertools.combinations(tpcc_workload.program_names, 2):
             subset = tpcc_workload.subset(list(names))
-            graph = subset.summary_graph(ATTR_DEP_FK)
+            graph = build_summary_graph(subset.programs, subset.schema, ATTR_DEP_FK)
             assert is_robust_type2(graph) == is_robust_type2_naive(graph), names
 
     def test_witness_edges_exist_in_graph(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP
+        )
         witness = find_type2_violation(graph)
         assert witness is not None
         for edge in witness.edges:
             assert edge in graph.edges
 
     def test_witness_contains_nc_and_cf(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP
+        )
         witness = find_type2_violation(graph)
         kinds = {edge.counterflow for edge in witness.edges}
         assert kinds == {True, False}
@@ -170,25 +182,22 @@ class TestHandWorkedSmallBankExamples:
         ],
     )
     def test_subset_verdicts(self, smallbank_workload, names, expected_robust):
-        subset = smallbank_workload.subset(names)
-        assert (
-            is_robust(subset.programs, subset.schema, ATTR_DEP_FK, "type-II")
-            is expected_robust
-        )
+        session = Analyzer(smallbank_workload.subset(names))
+        assert session.is_robust(ATTR_DEP_FK, method="type-II") is expected_robust
 
     def test_bal_dc_rejected_by_type1(self, smallbank_workload):
-        subset = smallbank_workload.subset(["Balance", "DepositChecking"])
-        assert not is_robust(subset.programs, subset.schema, ATTR_DEP_FK, "type-I")
+        session = Analyzer(smallbank_workload.subset(["Balance", "DepositChecking"]))
+        assert not session.is_robust(ATTR_DEP_FK, method="type-I")
 
 
 class TestSubsetEnumeration:
     def test_subset_count(self, auction_workload):
-        grid = robust_subsets(auction_workload.programs, auction_workload.schema)
+        grid = Analyzer(auction_workload).robust_subsets()
         assert len(grid) == 3  # 2^2 - 1
 
     def test_prop_5_2_antimonotonicity(self, smallbank_workload):
         """Every subset of a robust set is robust (Proposition 5.2)."""
-        grid = robust_subsets(smallbank_workload.programs, smallbank_workload.schema)
+        grid = Analyzer(smallbank_workload).robust_subsets()
         for subset, robust in grid.items():
             if robust:
                 for other, other_robust in grid.items():
@@ -196,10 +205,9 @@ class TestSubsetEnumeration:
                         assert other_robust, f"{other} ⊆ {subset}"
 
     def test_maximal_subsets_are_maximal(self, smallbank_workload):
-        grid = robust_subsets(smallbank_workload.programs, smallbank_workload.schema)
-        maximal = maximal_robust_subsets(
-            smallbank_workload.programs, smallbank_workload.schema
-        )
+        session = Analyzer(smallbank_workload)
+        grid = session.robust_subsets()
+        maximal = session.maximal_robust_subsets()
         robust = {s for s, ok in grid.items() if ok}
         for subset in maximal:
             assert subset in robust
@@ -207,32 +215,26 @@ class TestSubsetEnumeration:
 
     def test_unknown_method_rejected(self, auction_workload):
         with pytest.raises(ValueError):
-            robust_subsets(
-                auction_workload.programs, auction_workload.schema, method="nope"
-            )
+            Analyzer(auction_workload).robust_subsets(method="nope")
 
     def test_method_rejects_callable(self, auction_workload):
         with pytest.raises(ValueError, match="unknown method"):
-            robust_subsets(
-                auction_workload.programs,
-                auction_workload.schema,
-                method=lambda graph: True,
-            )
+            Analyzer(auction_workload).robust_subsets(method=lambda graph: True)
 
 
 class TestAnalyzeApi:
     def test_auction_report(self, auction_workload):
-        report = auction_workload.analyze(ATTR_DEP_FK)
+        report = Analyzer(auction_workload).analyze(ATTR_DEP_FK)
         assert report.robust and not report.type1_robust
         assert report.witness is None and report.type1_witness is not None
         text = report.describe()
         assert "True" in text and "type-I" in text
 
     def test_non_robust_report_has_witness(self, auction_workload):
-        report = auction_workload.analyze(ATTR_DEP)
+        report = Analyzer(auction_workload).analyze(ATTR_DEP)
         assert not report.robust
         assert report.witness is not None
         assert "dangerous cycle" in report.describe()
 
     def test_program_count(self, tpcc_workload):
-        assert tpcc_workload.analyze(ATTR_DEP_FK).program_count == 13
+        assert Analyzer(tpcc_workload).analyze(ATTR_DEP_FK).program_count == 13

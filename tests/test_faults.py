@@ -36,6 +36,7 @@ from repro.faults import (
 )
 from repro.faults import inject as inject_module
 from repro.service import AnalysisService, ServiceError, make_server
+from repro.service.core import POISON_THRESHOLD
 from repro.summary.settings import ATTR_DEP_FK
 
 
@@ -317,8 +318,6 @@ class TestDeadlineRequests:
             AnalysisService(deadline_seconds=0)
         with pytest.raises(ProgramError):
             AnalysisService(max_inflight=0)
-        with pytest.raises(ProgramError):
-            AnalysisService(poison_threshold=0)
 
 
 class TestLoadShedding:
@@ -377,27 +376,32 @@ class TestLoadShedding:
 
 class TestCircuitBreaker:
     def test_poisoned_session_is_evicted_after_threshold(self):
-        service = AnalysisService(poison_threshold=2)
+        assert POISON_THRESHOLD == 3
+        service = AnalysisService()
         service.handle("analyze", {"workload": "smallbank"})
         assert len(service.sessions()) == 1
-        plan = FaultPlan(rules=(FaultRule(site="handler.crash", every=1, times=2),))
+        plan = FaultPlan(rules=(FaultRule(site="handler.crash", every=1, times=3),))
         with active_plan(plan):
-            for _ in range(2):
+            for strike in range(1, 4):
                 with pytest.raises(InjectedFault):
                     service.handle("analyze", {"workload": "smallbank"})
+                # Below the threshold the warm session stays pooled.
+                assert len(service.sessions()) == (strike < 3)
         assert service.sessions() == {}  # dropped, not spilled
         assert service.stats()["faults"]["poisoned_evictions"] == 1
 
     def test_success_resets_the_strike_count(self):
-        service = AnalysisService(poison_threshold=2)
-        plan = FaultPlan(rules=(FaultRule(site="handler.crash", every=2),))
-        with active_plan(plan):
-            service.handle("analyze", {"workload": "smallbank"})  # ok (1st)
-            with pytest.raises(InjectedFault):  # strike 1 (2nd consult)
-                service.handle("analyze", {"workload": "smallbank"})
+        service = AnalysisService()
+        # Two strikes, a success, two strikes, a success: never three
+        # strikes in a row, so the session is never evicted.
+        plan = FaultPlan(rules=(FaultRule(site="handler.crash", every=1, times=2),))
+        service.handle("analyze", {"workload": "smallbank"})
+        for _ in range(2):
+            with active_plan(plan):
+                for _ in range(2):  # strikes 1 and 2
+                    with pytest.raises(InjectedFault):
+                        service.handle("analyze", {"workload": "smallbank"})
             service.handle("analyze", {"workload": "smallbank"})  # resets
-            with pytest.raises(InjectedFault):  # strike 1 again, no eviction
-                service.handle("analyze", {"workload": "smallbank"})
         assert len(service.sessions()) == 1
         assert service.stats()["faults"]["poisoned_evictions"] == 0
 

@@ -238,13 +238,18 @@ class TestPersistence:
     def test_load_rejects_wrong_max_loop_iterations(
         self, tpcc_workload, tmp_path
     ):
-        warm = Analyzer(tpcc_workload, max_loop_iterations=1)
+        warm = Analyzer(tpcc_workload)
         warm.analyze(ATTR_DEP_FK)
         path = tmp_path / "tpcc.cache"
         warm.save_cache(path)
-        fresh = Analyzer(tpcc_workload, max_loop_iterations=2)
-        with pytest.raises(ProgramError, match="max_loop_iterations"):
+        data = json.loads(path.read_text())
+        assert data["max_loop_iterations"] == 2
+        data["max_loop_iterations"] = 1
+        path.write_text(json.dumps(data))
+        fresh = Analyzer(tpcc_workload)
+        with pytest.raises(ProgramError, match="max_loop_iterations=1"):
             fresh.load_cache(path)
+        assert fresh.cache_info()["blocks_loaded"] == 0
 
     def test_load_rejects_foreign_workload(
         self, smallbank_workload, auction_workload, tmp_path
@@ -398,24 +403,3 @@ class TestCacheCli:
         assert main(["cache", "load", str(path), "--workload", "tpcc"]) == 2
         assert "error" in capsys.readouterr().err
 
-
-class TestOneShotPlumbing:
-    def test_max_loop_iterations_forwarded(self, tpcc_workload):
-        """The one-shot path no longer hard-defaults unfold to 2 (it used
-        to disagree with is_robust on k != 2)."""
-        from repro.detection.subsets import is_robust, robust_subsets
-
-        for k in (1, 2):
-            grid = robust_subsets(
-                tpcc_workload.programs,
-                tpcc_workload.schema,
-                ATTR_DEP_FK,
-                max_loop_iterations=k,
-            )
-            full = frozenset(tpcc_workload.program_names)
-            assert grid[full] == is_robust(
-                tpcc_workload.programs,
-                tpcc_workload.schema,
-                ATTR_DEP_FK,
-                max_loop_iterations=k,
-            )

@@ -24,16 +24,13 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
+from repro.analysis import Analyzer
 from repro.btp.ltp import LTP, FKInstance
 from repro.btp.statement import Statement, StatementType
 from repro.btp.unfold import unfold
 from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
-from repro.detection.subsets import (
-    enumerate_robust_subsets,
-    maximal_subsets,
-    robust_subsets,
-)
+from repro.detection.subsets import enumerate_robust_subsets, maximal_subsets
 from repro.schema import ForeignKey, Relation, Schema
 from repro.summary.conditions import (
     c_dep_conds,
@@ -248,16 +245,12 @@ class TestPairMatrix:
         plain = _plain_robust_subsets(
             workload.programs, workload.schema, settings, method
         )
-        matrix = robust_subsets(
-            workload.programs, workload.schema, settings, method=method
-        )
+        matrix = Analyzer(workload).robust_subsets(settings, method=method)
         assert matrix == plain
 
     def test_callable_method_rejected(self):
         """Detection methods are names: a graph callable is refused by
         every session entry point, and never consulted."""
-        from repro.analysis import Analyzer
-
         workload = smallbank()
         calls = []
 
@@ -274,13 +267,13 @@ class TestPairMatrix:
         assert session.cache_info()["edge_blocks"] == 0
 
     def test_session_matrix_matches_one_shot(self):
-        from repro.analysis import Analyzer
-
+        """One warm session, reused across all four settings, against a
+        cold enumeration per setting."""
         workload = auction_n(3)
         session = Analyzer(workload)
         for settings in ALL_SETTINGS:
-            assert session.robust_subsets(settings) == robust_subsets(
-                workload.programs, workload.schema, settings
+            assert session.robust_subsets(settings) == _plain_robust_subsets(
+                workload.programs, workload.schema, settings, "type-II"
             )
 
 

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import Analyzer
 from repro.engine.executor import execute
 from repro.engine.instantiate import Instantiator, TupleUniverse
 from repro.engine.interleavings import serial_unit_order
 from repro.errors import SqlError
 from repro.mvsched.mvrc import allowed_under_mvrc
 from repro.mvsched.operations import OpKind
+from repro.summary.construct import build_summary_graph
 from repro.summary.settings import ATTR_DEP_FK
 from repro.workloads import load_workload
 
@@ -68,10 +70,12 @@ class TestLoader:
     def test_file_auction_matches_builtin_verdicts(self, auction_workload):
         """The file version reproduces the paper's auction analysis."""
         workload = load_workload(AUCTION_FILE)
-        report = workload.analyze(ATTR_DEP_FK)
+        report = Analyzer(workload).analyze(ATTR_DEP_FK)
         assert report.robust and not report.type1_robust
-        graph = workload.summary_graph(ATTR_DEP_FK)
-        reference = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(workload.programs, workload.schema, ATTR_DEP_FK)
+        reference = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         assert graph.edge_count == reference.edge_count
         assert graph.counterflow_count == reference.counterflow_count
 
@@ -92,7 +96,7 @@ class TestLoader:
         assert set(workload.program_names) == {
             "BookSeats", "ListAvailability", "CancelBooking",
         }
-        workload.analyze(ATTR_DEP_FK)  # must not raise
+        Analyzer(workload).analyze(ATTR_DEP_FK)  # must not raise
 
     @pytest.mark.parametrize(
         "mutation,message",
@@ -171,5 +175,7 @@ class TestPostgresPredicateUpdates:
     def test_summary_graph_is_oblivious(self, auction_workload):
         """The paper's claim: the summary graph is unchanged — the variant
         only affects instantiation, which Algorithm 1 never sees."""
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         assert graph.edge_count == 17  # same construction path either way

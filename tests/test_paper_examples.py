@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import Analyzer
 from repro.btp.unfold import unfold
 from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
@@ -13,14 +14,14 @@ from repro.mvsched import (
     is_conflict_serializable,
 )
 from repro.mvsched.dependencies import DependencyKind
-from repro.summary.construct import construct_summary_graph
+from repro.summary.construct import build_summary_graph, construct_summary_graph
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 
 
 @pytest.fixture(scope="module")
 def figure3_schedule(auction_workload):
     """The schedule of Figure 3: two PlaceBids and one FindBids."""
-    ltps = auction_workload.unfolded()
+    ltps = unfold(auction_workload.programs)
     find_bids = next(l for l in ltps if l.origin == "FindBids")
     pb_long = next(l for l in ltps if l.origin == "PlaceBid" and len(l) == 4)
     pb_short = next(l for l in ltps if l.origin == "PlaceBid" and len(l) == 3)
@@ -80,12 +81,16 @@ class TestFigure4AndSection6:
     def test_auction_robust_via_type2_but_not_type1(self, auction_workload):
         """The paper's headline example: a type-I cycle exists, yet the set
         {FindBids, PlaceBid} is robust because no type-II cycle does."""
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         assert not is_robust_type1(graph)
         assert is_robust_type2(graph)
 
     def test_counterflow_edge_is_findbids_to_placebid(self, auction_workload):
-        graph = auction_workload.summary_graph(ATTR_DEP_FK)
+        graph = build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        )
         (edge,) = graph.counterflow_edges
         assert edge.source == "FindBids" and edge.source_stmt == "q2"
         assert edge.target == "PlaceBid#1" and edge.target_stmt == "q5"
@@ -108,7 +113,7 @@ class TestSection7Claims:
         self, smallbank_workload, tpcc_workload
     ):
         for workload in (smallbank_workload, tpcc_workload):
-            assert not workload.analyze(ATTR_DEP_FK).robust
+            assert not Analyzer(workload).analyze(ATTR_DEP_FK).robust
 
     @pytest.mark.slow
     def test_smallbank_has_no_false_negatives(self):

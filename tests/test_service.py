@@ -61,12 +61,6 @@ class TestFingerprint:
         session.remove_program(session.program_names[-1])
         assert session.fingerprint() != before
 
-    def test_max_loop_iterations_matters(self):
-        assert (
-            Analyzer("auction", max_loop_iterations=2).fingerprint()
-            != Analyzer("auction", max_loop_iterations=3).fingerprint()
-        )
-
 
 # ---------------------------------------------------------------------------
 # the session pool
@@ -99,10 +93,10 @@ class TestSessionPool:
         assert pooled == {"SmallBank", "Auction"}
 
     def test_fresh_session_is_unpooled(self):
-        service = AnalysisService(max_loop_iterations=1)
+        service = AnalysisService()
         session = service.fresh_session("auction")
-        assert session.max_loop_iterations == 1
         assert service.sessions() == {}
+        assert service.session("auction") is not session
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ProgramError):

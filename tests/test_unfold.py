@@ -147,15 +147,15 @@ class TestConstraintBinding:
 
 class TestBenchmarkUnfoldings:
     def test_smallbank_unfolds_to_five(self, smallbank_workload):
-        assert len(smallbank_workload.unfolded()) == 5
+        assert len(unfold(smallbank_workload.programs)) == 5
 
     def test_tpcc_unfolds_to_thirteen(self, tpcc_workload):
-        ltps = tpcc_workload.unfolded()
+        ltps = unfold(tpcc_workload.programs)
         assert len(ltps) == 13  # Table 2: 'nodes / unfolded tr pr'
 
     def test_tpcc_unfolding_breakdown(self, tpcc_workload):
         by_origin = {}
-        for ltp in tpcc_workload.unfolded():
+        for ltp in unfold(tpcc_workload.programs):
             by_origin.setdefault(ltp.origin, []).append(ltp)
         assert len(by_origin["Delivery"]) == 3
         assert len(by_origin["NewOrder"]) == 3
@@ -164,7 +164,7 @@ class TestBenchmarkUnfoldings:
         assert len(by_origin["StockLevel"]) == 1
 
     def test_auction_unfolds_to_three(self, auction_workload):
-        ltps = auction_workload.unfolded()
+        ltps = unfold(auction_workload.programs)
         assert len(ltps) == 3
         placebids = [l for l in ltps if l.origin == "PlaceBid"]
         assert [tuple(o.name for o in v.occurrences) for v in placebids] == [
@@ -174,7 +174,7 @@ class TestBenchmarkUnfoldings:
 
     def test_placebid_without_q5_loses_its_constraint(self, auction_workload):
         short = next(
-            v for v in auction_workload.unfolded()
+            v for v in unfold(auction_workload.programs)
             if v.origin == "PlaceBid" and len(v) == 3
         )
         fks = {(inst.fk, inst.source_pos) for inst in short.constraints}
@@ -182,7 +182,7 @@ class TestBenchmarkUnfoldings:
 
     def test_delivery_two_iterations_constraints_do_not_cross(self, tpcc_workload):
         two = next(
-            v for v in tpcc_workload.unfolded()
+            v for v in unfold(tpcc_workload.programs)
             if v.origin == "Delivery" and len(v) == 14
         )
         for inst in two.constraints:
@@ -191,7 +191,7 @@ class TestBenchmarkUnfoldings:
 
     def test_neworder_orderline_constraints_bind_across_loop(self, tpcc_workload):
         two = next(
-            v for v in tpcc_workload.unfolded()
+            v for v in unfold(tpcc_workload.programs)
             if v.origin == "NewOrder" and len(v) == 11
         )
         f8_instances = [inst for inst in two.constraints if inst.fk == "f8"]

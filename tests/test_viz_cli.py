@@ -3,45 +3,60 @@
 import pytest
 
 from repro.cli import main
+from repro.summary.construct import build_summary_graph
 from repro.summary.settings import ATTR_DEP_FK
 from repro.viz import to_dot, to_text
 
 
 class TestDot:
     def test_valid_dotish_output(self, auction_workload):
-        dot = to_dot(auction_workload.summary_graph(ATTR_DEP_FK))
+        dot = to_dot(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ))
         assert dot.startswith("digraph")
         assert dot.rstrip().endswith("}")
         assert '"FindBids"' in dot and '"PlaceBid#1"' in dot
 
     def test_counterflow_edges_dashed(self, auction_workload):
-        dot = to_dot(auction_workload.summary_graph(ATTR_DEP_FK))
+        dot = to_dot(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ))
         assert "style=dashed" in dot
 
     def test_labels_can_be_disabled(self, auction_workload):
         dot = to_dot(
-            auction_workload.summary_graph(ATTR_DEP_FK), include_labels=False
+            build_summary_graph(
+                auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+            ), include_labels=False
         )
         assert "label=" not in dot.split("];")[-1] or "q" not in dot.split("->")[1]
 
     def test_label_truncation(self, tpcc_workload):
-        dot = to_dot(tpcc_workload.summary_graph(ATTR_DEP_FK), max_label_pairs=2)
+        dot = to_dot(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        ), max_label_pairs=2)
         assert "…" in dot
 
     def test_empty_program_marked(self, tpcc_workload):
-        dot = to_dot(tpcc_workload.summary_graph(ATTR_DEP_FK))
+        dot = to_dot(build_summary_graph(
+            tpcc_workload.programs, tpcc_workload.schema, ATTR_DEP_FK
+        ))
         assert "(ε)" in dot
 
 
 class TestText:
     def test_adjacency_listing(self, auction_workload):
-        text = to_text(auction_workload.summary_graph(ATTR_DEP_FK))
+        text = to_text(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ))
         assert "FindBids" in text
         assert "-->" in text  # the counterflow edge
         assert "q2→q5" in text
 
     def test_statements_can_be_hidden(self, auction_workload):
-        text = to_text(auction_workload.summary_graph(ATTR_DEP_FK), show_statements=False)
+        text = to_text(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ), show_statements=False)
         assert "q2→q5" not in text
 
 
@@ -174,7 +189,9 @@ class TestWitnessDot:
         assert "offending statements:" in dot
 
     def test_no_witness_no_highlighting(self, auction_workload):
-        dot = to_dot(auction_workload.summary_graph(ATTR_DEP_FK))
+        dot = to_dot(build_summary_graph(
+            auction_workload.programs, auction_workload.schema, ATTR_DEP_FK
+        ))
         assert "color=red" not in dot
 
 
