@@ -16,7 +16,9 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
@@ -381,6 +383,25 @@ class TestReplayProperty:
         replayed = rebuilt.replay()
         assert replayed.canonical_json() == trace.canonical_json()
         assert replayed.converged
+
+
+# ---------------------------------------------------------------------------
+# the trace pin: engine draws and kind order are byte-stable across commits
+# ---------------------------------------------------------------------------
+
+WATCH_PIN = json.loads(
+    (Path(__file__).parent / "data" / "watch_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(WATCH_PIN["digests"]))
+def test_watch_trace_unchanged(key):
+    workload, seed = key.split("|")
+    trace = Monitor(workload, seed=int(seed)).run(
+        WATCH_PIN["steps"], oracle_every=WATCH_PIN["oracle_every"]
+    )
+    digest = hashlib.sha256(trace.canonical_json().encode()).hexdigest()
+    assert digest == WATCH_PIN["digests"][key]
 
 
 # ---------------------------------------------------------------------------
