@@ -11,7 +11,7 @@ ways on Auction(n) under the non-robust 'attr dep' setting:
 * **cold** — a fresh :class:`Analyzer` over the *repaired* workload per
   candidate (full unfold + all n² blocks + detection);
 * **incremental** — the advisor's path: fork the warm base session, apply
-  the edit set via ``replace_program``, verify.
+  the edit set via ``Analyzer.apply_edit``, verify.
 
 Candidates are the single-edit sets the advisor's first search round
 explores (one ``promote_read_to_update`` per PlaceBid_i plus one
@@ -50,9 +50,9 @@ from conftest import record_benchmark
 from repro.analysis import Analyzer
 from repro.detection.blockindex import find_type2_violation_blocks
 from repro.detection.typeii import find_type2_violation
-from repro.repair import PromotePredicateToKey, PromoteReadToUpdate, apply_repairs
 from repro.summary.settings import ATTR_DEP
 from repro.workloads import auction_n
+from repro.workloads.edits import PromotePredicateToKey, PromoteReadToUpdate, apply_edits
 
 
 def _candidate_stream(scale: int, count: int):
@@ -69,7 +69,7 @@ def _run_cold(workload, candidates) -> tuple[float, list[bool]]:
     verdicts = []
     started = time.perf_counter()
     for edits in candidates:
-        repaired = apply_repairs(workload, edits)
+        repaired = apply_edits(workload, edits)
         session = Analyzer(repaired)
         graph = session.summary_graph(ATTR_DEP)
         verdicts.append(find_type2_violation(graph) is None)
@@ -77,17 +77,14 @@ def _run_cold(workload, candidates) -> tuple[float, list[bool]]:
 
 
 def _run_incremental(base: Analyzer, candidates) -> tuple[float, list[bool], int]:
-    """The advisor's verification path: fork, replace, matrix check."""
+    """The advisor's verification path: fork, apply_edit, matrix check."""
     verdicts = []
     max_recomputed = 0
     started = time.perf_counter()
     for edits in candidates:
         scratch = base.fork()
         for edit in edits:
-            replacement = edit.apply_to(
-                scratch.workload.program(edit.program), scratch.schema
-            )
-            scratch.replace_program(replacement[0], name=edit.program)
+            scratch.apply_edit(edit)
         ltps = scratch.unfolded()
         store = scratch.edge_block_store(ATTR_DEP)
         store.register(ltps)

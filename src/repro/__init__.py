@@ -30,9 +30,12 @@ against.  On the command line, the same surface is
 
 See :mod:`repro.btp` for the program formalism, :mod:`repro.summary` for
 summary-graph construction (Algorithm 1), :mod:`repro.detection` for the
-robustness tests (Algorithm 2 and the type-I baseline), :mod:`repro.mvsched`
-and :mod:`repro.engine` for the multiversion-schedule substrate, and
-:mod:`repro.experiments` for the paper's evaluation.
+robustness tests (Algorithm 2 and the type-I baseline),
+:mod:`repro.workloads.edits` for the workload edit catalog the repair
+advisor (:mod:`repro.repair`) and the churn monitor (:mod:`repro.churn`)
+share, :mod:`repro.mvsched` and :mod:`repro.engine` for the
+multiversion-schedule substrate, and :mod:`repro.experiments` for the
+paper's evaluation.
 """
 
 from repro import workloads
@@ -41,7 +44,6 @@ from repro.churn import (
     ChurnStep,
     ChurnTrace,
     Monitor,
-    Mutation,
     MutationEngine,
     OracleCheck,
 )
@@ -65,16 +67,7 @@ from repro.detection import (
     is_robust_type1,
     is_robust_type2,
 )
-from repro.repair import (
-    AddProtectingFK,
-    PromotePredicateToKey,
-    PromoteReadToUpdate,
-    Repair,
-    RepairReport,
-    RepairSet,
-    SplitProgram,
-    apply_repairs,
-)
+from repro.repair import RepairReport, RepairSet
 from repro.errors import (
     DeadlineExceeded,
     FaultError,
@@ -117,8 +110,16 @@ from repro.summary import (
     workload_fingerprint,
 )
 from repro.workloads import Workload
+from repro.workloads.edits import (
+    AddProtectingFK,
+    Edit,
+    PromotePredicateToKey,
+    PromoteReadToUpdate,
+    SplitProgram,
+    apply_edits,
+)
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "__version__",
@@ -139,19 +140,19 @@ __all__ = [
     # churn monitoring
     "Monitor",
     "MutationEngine",
-    "Mutation",
     "ChurnTrace",
     "ChurnStep",
     "OracleCheck",
     # the repair advisor
     "RepairReport",
     "RepairSet",
-    "Repair",
+    # the workload edit catalog (advisor and churn engine)
+    "Edit",
     "PromotePredicateToKey",
     "PromoteReadToUpdate",
     "AddProtectingFK",
     "SplitProgram",
-    "apply_repairs",
+    "apply_edits",
     # schema
     "Schema",
     "Relation",

@@ -23,8 +23,9 @@ at :data:`~repro.btp.unfold.MAX_LOOP_ITERATIONS`.
 
 The pairwise blocks are also what make the session **incremental**
 (:meth:`Analyzer.add_program` / :meth:`~Analyzer.remove_program` /
-:meth:`~Analyzer.replace_program` recompute only the blocks involving the
-changed program) and **persistent** (:meth:`Analyzer.save_cache` /
+:meth:`~Analyzer.replace_program`, and :meth:`~Analyzer.apply_edit` on
+top of them, recompute only the blocks involving the changed program)
+and **persistent** (:meth:`Analyzer.save_cache` /
 :meth:`~Analyzer.load_cache` carry unfoldings and blocks across
 processes).  This turns :meth:`Analyzer.maximal_robust_subsets` into one
 pipeline run plus one bounded dualize-and-advance search, whose detector
@@ -58,6 +59,7 @@ from repro.summary.graph import SummaryEdge, SummaryGraph, SummaryStats
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
+from repro.workloads.edits import Edit
 
 
 def _settings(settings: AnalysisSettings | str) -> AnalysisSettings:
@@ -520,6 +522,21 @@ class Analyzer:
                 validate=(program,),
             )
             self._evict_program(replaced)
+
+    def apply_edit(self, edit: Edit, base: Workload | None = None) -> None:
+        """Apply one workload edit (:mod:`repro.workloads.edits`) through
+        the incremental API: each of its :meth:`~Edit.operations` maps onto
+        :meth:`add_program`, :meth:`remove_program` or
+        :meth:`replace_program`.  ``base`` is passed to the edit (the
+        pre-churn workload an ``add_program`` edit restores from)."""
+        with self._lock:
+            for operation in edit.operations(self.workload, base):
+                if operation.action == "add":
+                    self.add_program(operation.program)
+                elif operation.action == "remove":
+                    self.remove_program(operation.name)
+                else:
+                    self.replace_program(operation.program, name=operation.name)
 
     # -- forking ------------------------------------------------------------
     def fork(self) -> "Analyzer":

@@ -173,8 +173,8 @@ def map_statements(node: ProgramNode, transform) -> ProgramNode:
 def map_statement(node: ProgramNode, name: str, transform) -> ProgramNode:
     """Rewrite the single statement ``name`` inside an AST via ``transform``.
 
-    The AST-rewriting primitive shared by the repair catalog and the churn
-    mutation catalog (:mod:`repro.churn.mutations`); a name that does not
+    The AST-rewriting primitive of the workload edit catalog
+    (:mod:`repro.workloads.edits`); a name that does not
     occur leaves the tree unchanged, so callers check existence first.
     """
     return map_statements(

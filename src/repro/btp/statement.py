@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import ProgramError
 from repro.schema import Relation
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.schema import StatementMasks
 
 AttrSet = Optional[frozenset[str]]
 
@@ -264,22 +261,6 @@ class Statement:
     def writes(self) -> frozenset[str]:
         """``WriteSet(q)`` with ⊥ coerced to the empty set."""
         return self.write_set or frozenset()
-
-    def masks(self, interner) -> "StatementMasks":
-        """This statement's attribute sets as integer bitmasks.
-
-        ``interner`` is a schema's :class:`~repro.schema.AttributeInterner`
-        (``schema.interner``); the result is memoized there, so repeated
-        calls are dictionary lookups.  ⊥ stays distinguishable (``None``),
-        mirroring ``pread_set``/``read_set``/``write_set``; the coercing
-        accessors on :class:`~repro.schema.StatementMasks` mirror
-        :attr:`preads`/:attr:`reads`/:attr:`writes`.  Masks produced by the
-        same interner for statements over the same relation intersect
-        exactly when the frozensets do — the equivalence the compiled
-        kernel of :mod:`repro.summary.pairwise` relies on (property-tested
-        against the frozenset conditions).
-        """
-        return interner.statement_masks(self)
 
     def widened(self, attributes: frozenset[str]) -> "Statement":
         """Return the tuple-granularity version of this statement.

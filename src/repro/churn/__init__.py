@@ -1,14 +1,14 @@
 """``repro.churn`` — continuous robustness monitoring under workload churn.
 
-The subsystem has three layers:
+The edits themselves (program lifecycle, statement-shape promotions and
+demotions, FK-annotation churn) are the workload edit catalog of
+:mod:`repro.workloads.edits`, which the repair advisor shares.  On top
+of it the subsystem has two layers:
 
-- :mod:`repro.churn.mutations` — the typed, serializable catalog of
-  workload edits (program lifecycle, statement-shape promotions and
-  demotions, FK-annotation churn), each reducible to incremental-session
-  operations;
 - :mod:`repro.churn.engine` — :class:`MutationEngine`, the seeded
-  chaos-style proposer with weighted selection, burst support and
-  byte-identical replay from ``(seed, step)``;
+  chaos-style proposer with weighted selection over the catalog's first
+  nine kinds, burst support and byte-identical replay from
+  ``(seed, step)``;
 - :mod:`repro.churn.monitor` — :class:`Monitor`, which drives a warm
   :class:`~repro.analysis.Analyzer` through an edit sequence, records a
   :class:`ChurnTrace`, and cross-checks steps against a cold analyzer
@@ -21,40 +21,12 @@ outputs are byte-identical.
 
 from repro.churn.engine import DEFAULT_WEIGHTS, MutationEngine
 from repro.churn.monitor import ChurnStep, ChurnTrace, Monitor, OracleCheck
-from repro.churn.mutations import (
-    MUTATION_KINDS,
-    AddFKAnnotation,
-    AddProgram,
-    CloneProgram,
-    DemoteKeyToPredicate,
-    DemoteUpdateToRead,
-    DropProgram,
-    Mutation,
-    PromotePredicateRead,
-    PromoteReadToWrite,
-    RemoveFKAnnotation,
-    apply_mutation,
-    mutation_from_dict,
-)
 
 __all__ = [
-    "AddFKAnnotation",
-    "AddProgram",
     "ChurnStep",
     "ChurnTrace",
-    "CloneProgram",
     "DEFAULT_WEIGHTS",
-    "DemoteKeyToPredicate",
-    "DemoteUpdateToRead",
-    "DropProgram",
-    "MUTATION_KINDS",
     "Monitor",
-    "Mutation",
     "MutationEngine",
     "OracleCheck",
-    "PromotePredicateRead",
-    "PromoteReadToWrite",
-    "RemoveFKAnnotation",
-    "apply_mutation",
-    "mutation_from_dict",
 ]

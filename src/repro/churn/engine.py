@@ -2,9 +2,11 @@
 
 :class:`MutationEngine` proposes workload edits the way the elspeth-style
 chaos harness injects faults: a seeded :class:`random.Random` drives
-weighted selection over the applicable mutations of
-:mod:`repro.churn.mutations`, with *burst* steps that land several edits
-at once (a deploy rolling out more than one change).
+weighted selection over the applicable edits of the workload edit
+catalog (:mod:`repro.workloads.edits`; every kind but ``split_program``,
+in :data:`~repro.workloads.edits.EDIT_KINDS` order), with *burst* steps
+that land several edits at once (a deploy rolling out more than one
+change).
 
 Determinism is the whole point — every step draws from its own sub-RNG
 seeded with the string ``f"{seed}:{step}"`` (string seeding hashes via
@@ -22,30 +24,25 @@ from __future__ import annotations
 import random
 
 from repro.btp.program import KEY_BASED_TARGETS, FKConstraint
-from repro.btp.statement import StatementType
 from repro.errors import ProgramError
 from repro.workloads.base import Workload, WorkloadSource
-
-from repro.churn.mutations import (
-    MUTATION_KINDS,
-    AddFKAnnotation,
+from repro.workloads.edits import (
+    EDIT_KINDS,
     AddProgram,
+    AddProtectingFK,
     CloneProgram,
-    DemoteKeyToPredicate,
-    DemoteUpdateToRead,
     DropProgram,
-    Mutation,
-    PromotePredicateRead,
-    PromoteReadToWrite,
+    Edit,
     RemoveFKAnnotation,
-    apply_mutation,
+    apply_edits,
 )
 
-#: Default selection weight per mutation kind.  Statement-shape changes
-#: dominate (they are the edits the paper's Section 7 sensitivity analysis
-#: varies); lifecycle edits and annotation churn are rarer.  Promotions and
-#: demotions carry equal weight so long runs do not drift monotonically
-#: toward (or away from) robustness.
+#: Selection weight per proposed kind, in :data:`EDIT_KINDS` order (the
+#: order the weighted selection enumerates; splits are never proposed).
+#: Statement-shape changes dominate (they are the edits the paper's
+#: Section 7 sensitivity analysis varies); lifecycle edits and annotation
+#: churn are rarer.  Promotions and demotions carry equal weight so long
+#: runs do not drift monotonically toward (or away from) robustness.
 DEFAULT_WEIGHTS: dict[str, float] = {
     "add_program": 1.0,
     "drop_program": 1.0,
@@ -66,15 +63,6 @@ BURST_SIZES = (2, 4)
 #: workload's size plus :data:`MAX_EXTRA_PROGRAMS`.
 MIN_PROGRAMS = 2
 MAX_EXTRA_PROGRAMS = 6
-
-_PREDICATE_BASED = (
-    StatementType.PRED_SELECT,
-    StatementType.PRED_UPDATE,
-    StatementType.PRED_DELETE,
-)
-_KEY_DEMOTABLE = (StatementType.KEY_SELECT, StatementType.KEY_UPDATE)
-_READS = (StatementType.KEY_SELECT, StatementType.PRED_SELECT)
-_UPDATES = (StatementType.KEY_UPDATE, StatementType.PRED_UPDATE)
 
 
 class MutationEngine:
@@ -103,7 +91,7 @@ class MutationEngine:
         return random.Random(f"{self.seed}:{step}")
 
     # -- proposal -----------------------------------------------------------
-    def propose(self, workload: Workload, step: int) -> tuple[Mutation, ...]:
+    def propose(self, workload: Workload, step: int) -> tuple[Edit, ...]:
         """The mutation(s) of one step against the given workload state.
 
         Usually one mutation; a burst (see :data:`BURST_PROBABILITY`) lands
@@ -116,7 +104,7 @@ class MutationEngine:
         count = 1
         if rng.random() < BURST_PROBABILITY:
             count = rng.randint(*BURST_SIZES)
-        chosen: list[Mutation] = []
+        chosen: list[Edit] = []
         scratch = workload
         for index in range(count):
             mutation = self._pick(scratch, rng, f"{step}.{index}")
@@ -124,19 +112,19 @@ class MutationEngine:
                 break
             chosen.append(mutation)
             if index + 1 < count:
-                scratch = apply_mutation(scratch, mutation, self.base)
+                scratch = apply_edits(scratch, (mutation,), self.base)
         return tuple(chosen)
 
     def _pick(
         self, workload: Workload, rng: random.Random, tag: str
-    ) -> Mutation | None:
+    ) -> Edit | None:
         """One weighted draw: first the kind (among kinds with candidates),
         then a uniform candidate of that kind."""
-        table: list[tuple[str, float, tuple[Mutation, ...]]] = []
-        for kind in MUTATION_KINDS:
+        table: list[tuple[str, float, tuple[Edit, ...]]] = []
+        for kind, weight in DEFAULT_WEIGHTS.items():
             options = self.candidates(workload, kind, tag=tag)
             if options:
-                table.append((kind, DEFAULT_WEIGHTS[kind], options))
+                table.append((kind, weight, options))
         if not table:
             return None
         kind = rng.choices(
@@ -148,17 +136,17 @@ class MutationEngine:
     # -- candidate enumeration ----------------------------------------------
     def candidates(
         self, workload: Workload, kind: str, *, tag: str = "0"
-    ) -> tuple[Mutation, ...]:
+    ) -> tuple[Edit, ...]:
         """Every applicable mutation of one kind, in deterministic order
         (programs in workload order, statements in syntactic order).
 
         ``tag`` disambiguates generated clone names (the engine passes
         ``"<step>.<index in burst>"``).
         """
-        if kind not in MUTATION_KINDS:
+        if kind not in DEFAULT_WEIGHTS:
             raise ProgramError(
                 f"unknown mutation kind {kind!r}; expected one of "
-                f"{sorted(MUTATION_KINDS)}"
+                f"{sorted(DEFAULT_WEIGHTS)}"
             )
         if kind == "add_program":
             if len(workload.programs) >= self.max_programs:
@@ -182,18 +170,15 @@ class MutationEngine:
                 for name in workload.program_names
                 if f"{name}~{tag}" not in present
             )
-        if kind == "promote_predicate_to_key":
-            return self._statement_candidates(
-                workload, _PREDICATE_BASED, PromotePredicateRead
+        edit_cls = EDIT_KINDS[kind]
+        if edit_cls.retypes:
+            # A statement edit applies to the statements of its retypes.
+            return tuple(
+                edit_cls(program.name, stmt.name)
+                for program in workload.programs
+                for stmt in program.statements()
+                if stmt.stype in edit_cls.retypes
             )
-        if kind == "demote_key_to_predicate":
-            return self._statement_candidates(
-                workload, _KEY_DEMOTABLE, DemoteKeyToPredicate
-            )
-        if kind == "promote_read_to_update":
-            return self._statement_candidates(workload, _READS, PromoteReadToWrite)
-        if kind == "demote_update_to_read":
-            return self._statement_candidates(workload, _UPDATES, DemoteUpdateToRead)
         if kind == "add_protecting_fk":
             return self._fk_add_candidates(workload)
         return tuple(
@@ -204,21 +189,12 @@ class MutationEngine:
             for constraint in program.constraints
         )
 
-    @staticmethod
-    def _statement_candidates(workload, stypes, mutation_cls) -> tuple[Mutation, ...]:
-        return tuple(
-            mutation_cls(program.name, stmt.name)
-            for program in workload.programs
-            for stmt in program.statements()
-            if stmt.stype in stypes
-        )
-
-    def _fk_add_candidates(self, workload: Workload) -> tuple[Mutation, ...]:
+    def _fk_add_candidates(self, workload: Workload) -> tuple[Edit, ...]:
         """Missing ``target = fk(source)`` annotations: for each statement
         over ``dom(fk)``, the nearest *earlier* key-based statement over
         ``range(fk)`` in the same program (the shape the repair advisor
         proposes, without its write-only restriction)."""
-        result: list[Mutation] = []
+        result: list[Edit] = []
         for program in workload.programs:
             statements = program.statements()
             existing = set(program.constraints)
@@ -239,6 +215,6 @@ class MutationEngine:
                     if constraint in existing:
                         continue
                     result.append(
-                        AddFKAnnotation(program.name, fk.name, stmt.name, target)
+                        AddProtectingFK(program.name, fk.name, stmt.name, target)
                     )
         return tuple(result)

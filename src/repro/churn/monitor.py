@@ -1,13 +1,11 @@
 """Continuous robustness monitoring: the ``Monitor`` and its ``ChurnTrace``.
 
 :class:`Monitor` wraps a warm :class:`~repro.analysis.Analyzer` session and
-drives it through a seeded edit sequence: each step's mutations apply
-incrementally (:meth:`~repro.analysis.Analyzer.add_program` /
-:meth:`~repro.analysis.Analyzer.remove_program` /
-:meth:`~repro.analysis.Analyzer.replace_program` — at most ``2n − 1`` edge
-blocks recomputed per touched program), the step is re-verdicted, and the
-per-step verdict, witness anchors, blocks-recomputed count and timing are
-recorded in a :class:`ChurnTrace`.
+drives it through a seeded edit sequence: each step's edits apply
+incrementally through :meth:`~repro.analysis.Analyzer.apply_edit` (at most
+``2n − 1`` edge blocks recomputed per touched program), the step is
+re-verdicted, and the per-step verdict, witness anchors, blocks-recomputed
+count and timing are recorded in a :class:`ChurnTrace`.
 
 The **convergence oracle** is the contract that makes churn a correctness
 check rather than a demo: on demand (``oracle_every=K``) a step is
@@ -18,7 +16,7 @@ the full ``RobustnessReport.to_dict`` payload).  A mismatch means the
 incremental machinery diverged from Algorithm 1/2 ground truth.
 
 Traces serialize (:meth:`ChurnTrace.to_dict` / :meth:`~ChurnTrace.from_dict`)
-and replay (:meth:`ChurnTrace.replay`): re-applying the recorded mutations
+and replay (:meth:`ChurnTrace.replay`): re-applying the recorded edits
 from their serialized form against a fresh session reproduces the per-step
 verdicts — byte-identically under :meth:`ChurnTrace.canonical_json`, which
 strips only wall-clock fields.
@@ -38,9 +36,9 @@ from repro.faults import check_deadline
 from repro.obs.clock import monotonic
 from repro.summary.settings import ATTR_DEP_FK, AnalysisSettings
 from repro.workloads.base import Workload, WorkloadSource
+from repro.workloads.edits import Edit, edit_from_dict
 
 from repro.churn.engine import MutationEngine
-from repro.churn.mutations import Mutation, mutation_from_dict
 
 
 def _witness_anchor_labels(report: RobustnessReport) -> tuple[str, ...]:
@@ -92,7 +90,7 @@ class ChurnStep:
     """One monitored step: the mutations applied and the resulting state."""
 
     step: int
-    mutations: tuple[Mutation, ...]
+    mutations: tuple[Edit, ...]
     robust: bool
     type1_robust: bool
     witness_anchors: tuple[str, ...]
@@ -123,7 +121,7 @@ class ChurnStep:
         oracle = data.get("oracle")
         return cls(
             step=int(data["step"]),
-            mutations=tuple(mutation_from_dict(item) for item in data["mutations"]),
+            mutations=tuple(edit_from_dict(item) for item in data["mutations"]),
             robust=bool(data["robust"]),
             type1_robust=bool(data["type1_robust"]),
             witness_anchors=tuple(data["witness_anchors"]),
@@ -398,7 +396,7 @@ class Monitor:
         self,
         step: int,
         *,
-        mutations: tuple[Mutation, ...] | None = None,
+        mutations: tuple[Edit, ...] | None = None,
         want_oracle: bool = False,
     ) -> ChurnStep:
         if mutations is None:
@@ -423,15 +421,9 @@ class Monitor:
             oracle=oracle,
         )
 
-    def apply(self, mutation: Mutation) -> None:
-        """Apply one mutation to the session through the incremental API."""
-        for operation in mutation.operations(self.session.workload, self.base):
-            if operation.action == "add":
-                self.session.add_program(operation.program)
-            elif operation.action == "remove":
-                self.session.remove_program(operation.name)
-            else:
-                self.session.replace_program(operation.program, name=operation.name)
+    def apply(self, edit: Edit) -> None:
+        """Apply one edit to the session through the incremental API."""
+        self.session.apply_edit(edit, self.base)
 
     # -- the convergence oracle ---------------------------------------------
     def check(self, report: RobustnessReport | None = None) -> OracleCheck:

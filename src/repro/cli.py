@@ -136,7 +136,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _write_json(request.encoded(service))
         return 0
     payload = request.payload(service) if request.profile else None
-    result = service.analyze(request)  # after a payload: reuses the cached report
+    result = request.execute(service)  # after a payload: reuses the cached report
     if not request.all_settings:
         print(f"workload: {result.workload}")
     print(result.describe())
@@ -175,12 +175,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(request.encoded(service))
         return 0
-    name, graph = service.graph(request)
+    name, graph = request.execute(service)
     witness = None
     if args.witness:
-        report = service.analyze(
-            AnalyzeRequest(workload=request.workload, setting=request.setting)
-        )
+        report = AnalyzeRequest(
+            workload=request.workload, setting=request.setting
+        ).execute(service)
         witness = report.witness or report.type1_witness
     if args.format == "dot":
         print(to_dot(graph, name=name, witness=witness))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.engine.search import find_counterexample
 from repro.experiments.reporting import render_table
 from repro.service.core import AnalysisService
-from repro.service.grid import GridSpec
+from repro.service.grid import GridSpec, run_grid
 from repro.summary.settings import ATTR_DEP_FK, AnalysisSettings
 from repro.workloads import smallbank, tpcc
 
@@ -132,13 +132,14 @@ def run_false_negatives(
     workload = smallbank()
     service = service or AnalysisService()
     verdicts = []
-    cell = service.grid(
+    cell = run_grid(
         GridSpec(
             workloads=(workload,),
             settings=(settings,),
             task="subsets",
             include_verdicts=True,
-        )
+        ),
+        service,
     ).cells[0]
     grid = {
         frozenset(names): robust

@@ -19,7 +19,7 @@ from typing import Mapping
 from repro.experiments import expected
 from repro.experiments.reporting import check_mark, render_table
 from repro.service.core import AnalysisService
-from repro.service.grid import GridSpec
+from repro.service.grid import GridSpec, run_grid
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads import auction, smallbank, tpcc
 from repro.workloads.base import Workload
@@ -87,11 +87,12 @@ def compute_grid(
     """
     workloads = (smallbank(), tpcc(), auction())
     service = service or AnalysisService()
-    result = service.grid(
+    result = run_grid(
         GridSpec(
             workloads=workloads, settings=settings_list, task="subsets",
             method=method,
-        )
+        ),
+        service,
     )
     cells = []
     for workload in workloads:

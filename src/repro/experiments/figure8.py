@@ -27,7 +27,7 @@ from typing import Sequence
 from repro.experiments import expected
 from repro.experiments.reporting import check_mark, render_table
 from repro.service.core import AnalysisService
-from repro.service.grid import GridSpec
+from repro.service.grid import GridSpec, run_grid
 from repro.summary.settings import ATTR_DEP_FK, AnalysisSettings
 from repro.workloads import auction_n
 
@@ -107,14 +107,15 @@ def measure_point(
     """
     workload = auction_n(n)
     service = service or AnalysisService()
-    cell = service.grid(
+    cell = run_grid(
         GridSpec(
             workloads=(workload,),
             settings=(settings,),
             task="detect",  # time unfold + Algorithm 1 + the type-II check only
             repetitions=repetitions,
             warm=False,
-        )
+        ),
+        service,
     ).cells[0]
     stats = cell.value["graph"]
     return Figure8Point(

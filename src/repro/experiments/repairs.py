@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from repro.experiments.reporting import check_mark, render_table
 from repro.repair.advisor import RepairReport
-from repro.repair.edits import apply_repairs
 from repro.service.core import AnalysisService
 from repro.summary.settings import ALL_SETTINGS, AnalysisSettings
 from repro.workloads import auction, smallbank
 from repro.workloads.base import Workload
+from repro.workloads.edits import apply_edits
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def repair_cell(
             repaired_verdicts={},
         )
     best = report.repairs[0]
-    repaired = apply_repairs(workload, best.edits, name=workload.name)
+    repaired = apply_edits(workload, best.edits)
     # The repaired workload rides the same pool: its fingerprint differs
     # from the original's, so it lands on its own warm session.
     repaired_session = service.session(repaired)

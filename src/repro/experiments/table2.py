@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.experiments import expected
 from repro.experiments.reporting import check_mark, render_table
 from repro.service.core import AnalysisService
-from repro.service.grid import GridSpec
+from repro.service.grid import GridSpec, run_grid
 from repro.summary.settings import ATTR_DEP_FK
 from repro.workloads import auction, auction_n, smallbank, tpcc
 from repro.workloads.base import Workload
@@ -77,9 +77,8 @@ def characterize(
 ) -> Table2Row:
     """Compute one Table 2 row for a workload (via the service's warm pool)."""
     service = service or AnalysisService()
-    cell = service.grid(
-        GridSpec(workloads=(workload,), settings=(ATTR_DEP_FK,), task="detect")
-    ).cells[0]
+    spec = GridSpec(workloads=(workload,), settings=(ATTR_DEP_FK,), task="detect")
+    cell = run_grid(spec, service).cells[0]
     return _row_from_cell(workload, cell)
 
 
@@ -115,12 +114,13 @@ def run_table2(
     workloads = [smallbank(), tpcc(), auction()]
     if auction_scale is not None and auction_scale > 1:
         workloads.append(auction_n(auction_scale))
-    result = service.grid(
+    result = run_grid(
         GridSpec(
             workloads=tuple(workloads),
             settings=(ATTR_DEP_FK,),
             task="detect",
-        )
+        ),
+        service,
     )
     return Table2Result(
         tuple(

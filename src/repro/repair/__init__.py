@@ -1,22 +1,24 @@
 """``repro.repair`` — the witness-guided robustness repair advisor.
 
 When the pipeline answers "not robust", this package searches for
-**minimal edit sets** — small program transforms from a typed catalog —
-that make the workload robust, verifying every candidate incrementally
-against the session's cached pairwise edge blocks::
+**minimal edit sets** — small program edits from the workload edit
+catalog of :mod:`repro.workloads.edits` — that make the workload robust,
+verifying every candidate incrementally against the session's cached
+pairwise edge blocks::
 
-    from repro import Analyzer
+    from repro import Analyzer, apply_edits
 
     session = Analyzer("smallbank")
     report = session.advise(max_edits=3)       # a RepairReport
     print(report)                              # the minimal edit sets
-    repaired = apply_repairs(session.workload, report.best.edits)
+    repaired = apply_edits(session.workload, report.best.edits)
     assert Analyzer(repaired).analyze().robust
 
 The same surface is ``repro advise <workload> --json`` on the CLI and
-``POST /v1/advise`` on the service.  See :mod:`repro.repair.edits` for
-the catalog, :mod:`repro.repair.candidates` for how cycle-witness
-anchors derive candidates, and :mod:`repro.repair.advisor` for the
+``POST /v1/advise`` on the service.  The advisor proposes four of the
+catalog's kinds (predicate→key, read→U-read, a protecting FK annotation
+and a program split); see :mod:`repro.repair.candidates` for how
+cycle-witness anchors derive them and :mod:`repro.repair.advisor` for the
 lattice search.
 """
 
@@ -26,30 +28,10 @@ from repro.repair.advisor import (
     RepairSet,
 )
 from repro.repair.candidates import candidate_edits
-from repro.repair.edits import (
-    REPAIR_KINDS,
-    AddProtectingFK,
-    PromotePredicateToKey,
-    PromoteReadToUpdate,
-    Repair,
-    SplitProgram,
-    apply_repairs,
-    ordered_repairs,
-    repair_from_dict,
-)
 
 __all__ = [
     "RepairAdvisor",
     "RepairReport",
     "RepairSet",
-    "Repair",
-    "PromotePredicateToKey",
-    "PromoteReadToUpdate",
-    "AddProtectingFK",
-    "SplitProgram",
-    "REPAIR_KINDS",
-    "repair_from_dict",
-    "ordered_repairs",
-    "apply_repairs",
     "candidate_edits",
 ]

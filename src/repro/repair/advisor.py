@@ -8,19 +8,19 @@ candidate's own cycle witness derives the next round of edits (see
 handful of edits that target actual evidence instead of the full
 statement × catalog cross product.
 
-Verification rides the incremental machinery of PRs 2–4: the advisor
+Verification rides the incremental machinery: the advisor
 :meth:`forks <repro.analysis.Analyzer.fork>` the session once per
 candidate, seeds every cached pairwise edge block into the fork
-(``blocks_loaded``), applies the edit set via
-:meth:`~repro.analysis.Analyzer.replace_program` /
-:meth:`~repro.analysis.Analyzer.add_program` — which evicts only the
+(``blocks_loaded``), applies the edit set in canonical order
+(:func:`~repro.workloads.edits.ordered_edits`) one edit at a time via
+:meth:`~repro.analysis.Analyzer.apply_edit` — which evicts only the
 ``≤ 2n − 1`` blocks touching edited programs — and runs the cycle check
 through the matrix detector of :mod:`repro.detection.blockindex`, so
 no summary graph is ever assembled: the check reads the fork's aggregate
 planes, which it shares copy-on-write with the base.
 ``RepairSet.blocks_recomputed`` records exactly how many blocks each
 verification had to recompute (``benchmarks/bench_repair.py`` gates
-this path ≥5× over a fresh analyzer per candidate).
+this path over a fresh analyzer per candidate).
 """
 
 from __future__ import annotations
@@ -28,22 +28,16 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.detection.blockindex import BLOCK_WITNESS_FINDERS
 from repro.detection.witness import CycleWitness
 from repro.errors import ProgramError
 from repro.obs.spans import span
 from repro.repair.candidates import candidate_edits
-from repro.repair.edits import (
-    Repair,
-    SplitProgram,
-    apply_program_edits,
-    ordered_repairs,
-    repair_from_dict,
-)
 from repro.summary.settings import AnalysisSettings
 from repro.workloads.base import Workload
+from repro.workloads.edits import Edit, SplitProgram, edit_from_dict, ordered_edits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.session import Analyzer
@@ -58,7 +52,7 @@ class RepairSet:
     scale.
     """
 
-    edits: tuple[Repair, ...]
+    edits: tuple[Edit, ...]
     blocks_recomputed: int
     blocks_total: int
 
@@ -85,7 +79,7 @@ class RepairSet:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RepairSet":
         return cls(
-            edits=tuple(repair_from_dict(item) for item in data["edits"]),
+            edits=tuple(edit_from_dict(item) for item in data["edits"]),
             blocks_recomputed=int(data["blocks_recomputed"]),
             blocks_total=int(data["blocks_total"]),
         )
@@ -234,47 +228,26 @@ class RepairAdvisor:
         return self.finder(store, [ltp.name for ltp in ltps])
 
     def _verify(
-        self, edits: Iterable[Repair]
+        self, edits: tuple[Edit, ...]
     ) -> tuple[CycleWitness | None, int, int, Workload]:
-        """Apply one edit set on a fresh fork and run the cycle check.
+        """Apply one ordered edit set on a fresh fork and run the cycle check.
 
         Returns ``(witness, blocks_recomputed, blocks_total, repaired
         workload)`` — witness ``None`` means robust.  Only blocks touching
         edited programs are recomputed: the fork starts with every
-        baseline block loaded, the
-        :meth:`~repro.analysis.Analyzer.replace_program` eviction is
-        per-program, and detection reads the aggregate planes (no graph
-        assembly).
+        baseline block loaded, each edit's eviction is per-program, and
+        detection reads the aggregate planes (no graph assembly).
         """
         with span("repair-candidate"):
-            return self._verify_spanned(edits)
-
-    def _verify_spanned(
-        self, edits: Iterable[Repair]
-    ) -> tuple[CycleWitness | None, int, int, Workload]:
-        scratch = self._base.fork()
-        grouped: dict[str, list[Repair]] = {}
-        for edit in edits:
-            grouped.setdefault(edit.program, []).append(edit)
-        # Name order applies a split before any edit of its halves
-        # ("OrderStatus" sorts before "OrderStatus.2"), so chained edit
-        # sets discovered across search rounds replay deterministically.
-        for program in sorted(grouped):
-            program_edits = grouped[program]
-            btp = scratch.workload.program(program)
-            replacements = apply_program_edits(
-                btp, scratch.schema, program_edits
-            )
-            scratch.replace_program(replacements[0], name=program)
-            for extra in replacements[1:]:
-                scratch.add_program(extra)
-        witness = self._check(scratch)
-        info = scratch.cache_info()
-        total = len(scratch.unfolded()) ** 2
-        return witness, info["block_computations"], total, scratch.workload
+            scratch = self._base.fork()
+            for edit in edits:
+                scratch.apply_edit(edit)
+            witness = self._check(scratch)
+            recomputed = scratch.cache_info()["block_computations"]
+            return witness, recomputed, len(scratch.unfolded()) ** 2, scratch.workload
 
     @staticmethod
-    def _compatible(edits: frozenset[Repair], candidate: Repair) -> bool:
+    def _compatible(edits: frozenset[Edit], candidate: Edit) -> bool:
         """Reject combinations the canonical application order cannot
         express: two splits of one program, or statement/FK edits combined
         with a split of the same program."""
@@ -305,10 +278,10 @@ class RepairAdvisor:
         root_candidates = candidate_edits(
             self.session.workload, base_witness, self.settings
         )
-        queue: deque[tuple[frozenset[Repair], tuple[Repair, ...]]] = deque(
+        queue: deque[tuple[frozenset[Edit], tuple[Edit, ...]]] = deque(
             [(frozenset(), root_candidates)]
         )
-        seen: set[frozenset[Repair]] = {frozenset()}
+        seen: set[frozenset[Edit]] = {frozenset()}
         solutions: list[RepairSet] = []
         solution_size: int | None = None
         checked = 0
@@ -330,14 +303,15 @@ class RepairAdvisor:
                     queue.clear()
                     break
                 checked += 1
+                ordered = ordered_edits(child)
                 try:
-                    witness, recomputed, total, workload = self._verify(child)
+                    witness, recomputed, total, workload = self._verify(ordered)
                 except ProgramError:
                     continue
                 if witness is None:
                     solutions.append(
                         RepairSet(
-                            edits=ordered_repairs(child),
+                            edits=ordered,
                             blocks_recomputed=recomputed,
                             blocks_total=total,
                         )

@@ -28,15 +28,15 @@ from __future__ import annotations
 from repro.btp.program import BTP, Seq
 from repro.btp.statement import Statement, StatementType
 from repro.detection.witness import CycleWitness, WitnessAnchor
-from repro.repair.edits import (
-    AddProtectingFK,
-    PromotePredicateToKey,
-    PromoteReadToUpdate,
-    Repair,
-    SplitProgram,
-)
 from repro.summary.settings import AnalysisSettings
 from repro.workloads.base import Workload
+from repro.workloads.edits import (
+    AddProtectingFK,
+    Edit,
+    PromotePredicateToKey,
+    PromoteReadToUpdate,
+    SplitProgram,
+)
 
 #: FK-annotation targets that protect a later read (the write types of
 #: :func:`repro.summary.conditions.protecting_fks`).
@@ -59,7 +59,7 @@ def _resolve(workload: Workload, program: str, statement: str) -> Statement | No
 
 def _fk_candidates(
     workload: Workload, program: str, stmt: Statement
-) -> list[Repair]:
+) -> list[Edit]:
     """Protecting-FK annotations applicable to one key-based statement.
 
     For every schema foreign key out of the statement's relation, propose
@@ -71,7 +71,7 @@ def _fk_candidates(
     order = _statement_index(btp)
     position = order[stmt.name]
     existing = {(c.fk, c.source, c.target) for c in btp.constraints}
-    candidates: list[Repair] = []
+    candidates: list[Edit] = []
     for fk in workload.schema.foreign_keys_from(stmt.relation):
         best: str | None = None
         for other in btp.statements():
@@ -99,10 +99,10 @@ def _read_candidates(
     anchor: WitnessAnchor,
     stmt: Statement,
     written_side: tuple[str, Statement] | None,
-) -> list[Repair]:
+) -> list[Edit]:
     """Edits that can remove a counterflow edge admitted by ``stmt``."""
     program = anchor.source_program
-    candidates: list[Repair] = []
+    candidates: list[Edit] = []
     if stmt.stype.is_predicate_based:
         candidates.append(PromotePredicateToKey(program=program, statement=stmt.name))
     if stmt.stype in (StatementType.KEY_SELECT, StatementType.PRED_SELECT):
@@ -121,7 +121,7 @@ def _read_candidates(
     return candidates
 
 
-def _split_candidates(workload: Workload, witness: CycleWitness) -> list[Repair]:
+def _split_candidates(workload: Workload, witness: CycleWitness) -> list[Edit]:
     """Split the dangerous joint program between the adjacent statements.
 
     For a type-II witness the highlighted edges are ``(e1, e2, e3)`` with
@@ -166,12 +166,12 @@ def candidate_edits(
     workload: Workload,
     witness: CycleWitness,
     settings: AnalysisSettings,
-) -> tuple[Repair, ...]:
+) -> tuple[Edit, ...]:
     """All catalog edits that target this witness's evidence, deduplicated
     in deterministic walk order."""
-    seen: dict[Repair, None] = {}
+    seen: dict[Edit, None] = {}
 
-    def add(candidates: list[Repair]) -> None:
+    def add(candidates: list[Edit]) -> None:
         for candidate in candidates:
             seen.setdefault(candidate)
 

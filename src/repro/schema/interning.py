@@ -152,10 +152,12 @@ class AttributeInterner:
     def statement_masks(self, statement: "Statement") -> StatementMasks:
         """The statement's three attribute sets as bitmasks, memoized.
 
-        Statements are frozen and hashable, so the memo is exact; it is what
-        makes :meth:`repro.btp.statement.Statement.masks` effectively
-        precomputed — each distinct statement is interned once per schema,
-        however many occurrence pairs Algorithm 1 evaluates it in.
+        Statements are frozen and hashable, so the memo is exact: each
+        distinct statement is interned once per schema, however many
+        occurrence pairs Algorithm 1 evaluates it in.  ⊥ stays
+        distinguishable (``None``), mirroring ``pread_set``/``read_set``/
+        ``write_set``; the coercing accessors mirror ``preads``/``reads``/
+        ``writes``.
         """
         masks = self._stmt_masks.get(statement)
         if masks is None:

@@ -4,8 +4,9 @@ Three layers, each usable on its own:
 
 * :class:`AnalysisService` — an LRU pool of warm, thread-safe
   :class:`~repro.analysis.Analyzer` sessions keyed by workload fingerprint,
-  with typed entry points, a ``handle(kind, mapping)`` JSON dispatch
-  (``handle_bytes`` answers the encoded HTTP body),
+  with a ``handle(kind, mapping)`` JSON dispatch (``handle_bytes``
+  answers the encoded HTTP body; a typed request runs in-process as
+  ``request.execute(service)``),
   cache-directory warm start (:meth:`AnalysisService.warm_from_cache_dir`)
   and — with ``cache_dir=`` — eviction-time spill plus rehydration, so a
   bounded pool keeps its warm state across the LRU boundary;
@@ -16,7 +17,8 @@ Three layers, each usable on its own:
   exact CLI ``--json`` payloads (errors become the :class:`ServiceError`
   envelope, carrying the CLI's exit-code-2 semantics);
 * the Grid API — :class:`GridSpec` sweeps (workload × settings × scale,
-  per-cell timing) that the :mod:`repro.experiments` modules ride, so the
+  per-cell timing; ``run_grid(spec, service)``) that the
+  :mod:`repro.experiments` modules ride, so the
   paper's evaluation grids share warm block caches;
 * the stdlib HTTP frontend — ``repro serve`` /
   :func:`repro.service.http.serve`, exposing ``POST /v1/analyze`` /

@@ -47,24 +47,11 @@ from repro.errors import DeadlineExceeded, ProgramError, ReproError
 from repro.faults import inject as _faults
 from repro.faults.deadline import check_deadline, deadline_scope
 from repro.schema import Schema
-from repro.service.grid import GridResult, GridSpec, run_grid
 from repro.service.requests import ServiceError, parse_request
 from repro.workloads.base import WorkloadSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.session import AnalysisMatrix
-    from repro.detection.api import RobustnessReport
-    from repro.detection.subsets import SubsetsReport
     from repro.churn.monitor import ChurnTrace
-    from repro.service.requests import (
-        AdviseRequest,
-        AnalyzeRequest,
-        BatchRequest,
-        GraphRequest,
-        GridRequest,
-        SubsetsRequest,
-        WatchRequest,
-    )
 
 
 #: ``Retry-After`` seconds sent with shed (HTTP 503) responses.
@@ -188,7 +175,7 @@ class AnalysisService:
         from repro.service import AnalysisService, AnalyzeRequest
 
         service = AnalysisService(capacity=8)
-        report = service.analyze(AnalyzeRequest(workload="auction(5)"))
+        report = AnalyzeRequest(workload="auction(5)").execute(service)
         payload = service.handle("analyze", {"workload": "auction(5)"})
 
     ``capacity`` bounds the warm pool (least-recently-used sessions are
@@ -509,26 +496,7 @@ class AnalysisService:
             for fingerprint, session in self.sessions().items()
         ]
 
-    # -- typed entry points --------------------------------------------------
-    def analyze(self, request: "AnalyzeRequest") -> "RobustnessReport | AnalysisMatrix":
-        return request.execute(self)
-
-    def subsets(self, request: "SubsetsRequest") -> "SubsetsReport":
-        return request.execute(self)
-
-    def graph(self, request: "GraphRequest"):
-        return request.execute(self)
-
-    def advise(self, request: "AdviseRequest"):
-        """Minimal repair edit sets for a non-robust workload
-        (a :class:`repro.repair.RepairReport`)."""
-        return request.execute(self)
-
-    def watch(self, request: "WatchRequest") -> "ChurnTrace":
-        """Monitor a workload under seeded churn against a fork of its
-        pooled session (a :class:`repro.churn.ChurnTrace`)."""
-        return request.execute(self)
-
+    # -- request bookkeeping -------------------------------------------------
     def record_watch(self, trace: "ChurnTrace") -> None:
         """Fold one finished watch run into the service's counters."""
         with self._lock:
@@ -538,14 +506,6 @@ class AnalysisService:
                 "watch.oracle_checks": trace.oracle_checks,
                 "watch.oracle_mismatches": trace.oracle_mismatches,
             })
-
-    def grid(self, spec: "GridSpec | GridRequest") -> GridResult:
-        if not isinstance(spec, GridSpec):
-            spec = spec.spec()
-        return run_grid(spec, self)
-
-    def batch(self, request: "BatchRequest") -> dict[str, Any]:
-        return request.payload(self)
 
     # -- dispatch ------------------------------------------------------------
     def handle(self, kind: str, data: Mapping[str, Any] | Any) -> dict[str, Any]:

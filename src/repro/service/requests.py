@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Collection, Mapping, 
 
 from repro.detection.subsets import METHODS, SubsetsReport
 from repro.errors import ReproError
-from repro.service.grid import GridResult, GridSpec
+from repro.service.grid import GridResult, GridSpec, run_grid
 from repro.summary.graph import SummaryGraph
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, AnalysisSettings
 
@@ -394,7 +394,7 @@ class GridRequest(_Request):
             raise ServiceError(f"{self.kind} request: {error}") from None
 
     def execute(self, service: "AnalysisService") -> GridResult:
-        return service.grid(self.spec())
+        return run_grid(self.spec(), service)
 
 
 #: Hard cap on steps per watch request: a watch run holds its forked

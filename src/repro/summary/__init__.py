@@ -33,12 +33,7 @@ from repro.summary.settings import (
     Granularity,
 )
 from repro.summary.tables import C_DEP_TABLE, NC_DEP_TABLE
-from repro.summary.conditions import (
-    c_dep_conds,
-    c_dep_conds_masks,
-    nc_dep_conds,
-    nc_dep_conds_masks,
-)
+from repro.summary.conditions import c_dep_conds, nc_dep_conds
 
 __all__ = [
     "SummaryEdge",
@@ -63,8 +58,6 @@ __all__ = [
     "C_DEP_TABLE",
     "nc_dep_conds",
     "c_dep_conds",
-    "nc_dep_conds_masks",
-    "c_dep_conds_masks",
     "schema_fingerprint",
     "program_fingerprint",
     "workload_fingerprint",

@@ -8,8 +8,8 @@ can be "rescued" by foreign keys — if both programs write the referenced
 tuple *before* the conflicting statements, a counterflow dependency would
 imply a dirty write, which MVRC forbids (see the proof of Proposition 6.3).
 
-This module is the *scalar* formulation (statement-level predicates and
-their mask counterparts).  The batch kernel of
+This module is the *scalar* formulation (statement-level predicates over
+frozensets), the executable spec.  The batch kernel of
 :mod:`repro.summary.planes` evaluates algebraically collapsed forms of
 the same conditions over packed mask planes::
 
@@ -17,18 +17,14 @@ the same conditions over packed mask planes::
     cDepConds  = (rpw ∧ ¬blocked) ∨ (pw ∧ blocked),  rpw = (r|p)_i ∧ w_j
 
 for whole occurrence-pair batches at once; parity with the functions here
-is property-tested edge-for-edge.
+is property-tested edge-for-edge (``pair_edges_reference`` against the
+plane sweep).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.btp.ltp import LTP
 from repro.btp.statement import Statement, StatementType
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.schema import StatementMasks
 
 #: FK-constraint targets that count as writes for the ``cDepConds`` check.
 _WRITE_TARGETS = frozenset(
@@ -80,44 +76,6 @@ def c_dep_conds(
         if use_foreign_keys and _fk_blocks(qi, qj, program_i, program_j, source_pos, target_pos):
             return False
         return True
-    return False
-
-
-def nc_dep_conds_masks(mi: "StatementMasks", mj: "StatementMasks") -> bool:
-    """``ncDepConds`` over interned bitmasks — equivalent to
-    :func:`nc_dep_conds` when both mask triples come from the same
-    :class:`~repro.schema.AttributeInterner` (property-tested).
-
-    ⊥ masks coerce to ``0`` exactly as ⊥ frozensets coerce to ∅.
-    """
-    wi, wj = mi.writes, mj.writes
-    return bool(
-        wi & wj or wi & mj.reads or wi & mj.preads or mi.reads & wj or mi.preads & wj
-    )
-
-
-def c_dep_conds_masks(
-    mi: "StatementMasks",
-    mj: "StatementMasks",
-    protecting_i: int,
-    protecting_j: int,
-    use_foreign_keys: bool = True,
-) -> bool:
-    """``cDepConds`` over interned bitmasks — equivalent to
-    :func:`c_dep_conds` when the masks and the ``protecting_i``/
-    ``protecting_j`` foreign-key masks (interned :func:`protecting_fks`
-    of the two occurrences) come from the same interner, interned under
-    the statements' common relation.
-
-    The compiled kernel precomputes the protecting-FK mask once per
-    occurrence position at profile-compile time, where the frozenset path
-    rescans the program's constraint instances on every pair.
-    """
-    wj = mj.writes
-    if mi.preads & wj:
-        return True
-    if mi.reads & wj:
-        return not (use_foreign_keys and protecting_i & protecting_j)
     return False
 
 

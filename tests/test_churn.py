@@ -1,9 +1,9 @@
-"""Tests for ``repro.churn`` (PR 6): the mutation catalog, the seeded
-engine, the churn monitor and its convergence oracle.
+"""Tests for ``repro.churn``: the churn kinds of the workload edit
+catalog, the seeded engine, the churn monitor and its convergence oracle.
 
 The load-bearing properties:
 
-* mutations serialize/round-trip and fail loud when inapplicable;
+* edits serialize/round-trip and fail loud when inapplicable;
 * the engine is deterministic — same ``(workload, seed)``, same proposals,
   byte-for-byte, across processes (string-seeded sub-RNGs);
 * a :class:`ChurnTrace` replayed from its serialized form reproduces
@@ -26,25 +26,23 @@ from hypothesis import HealthCheck, given, settings as hyp_settings, strategies 
 from repro.analysis.session import Analyzer
 from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement, StatementType
-from repro.churn import (
-    MUTATION_KINDS,
+from repro.churn import ChurnTrace, Monitor, MutationEngine
+from repro.errors import ProgramError
+from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
+from repro.workloads import smallbank
+from repro.workloads.edits import (
+    EDIT_KINDS,
     AddProgram,
-    ChurnTrace,
     CloneProgram,
     DemoteKeyToPredicate,
     DemoteUpdateToRead,
     DropProgram,
-    Monitor,
-    MutationEngine,
-    PromotePredicateRead,
-    PromoteReadToWrite,
+    PromotePredicateToKey,
+    PromoteReadToUpdate,
     RemoveFKAnnotation,
-    apply_mutation,
-    mutation_from_dict,
+    apply_edits,
+    edit_from_dict,
 )
-from repro.errors import ProgramError
-from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
-from repro.workloads import smallbank
 
 WORKLOADS = ("smallbank", "auction(5)")
 
@@ -59,40 +57,40 @@ class TestMutationCatalog:
             AddProgram("Balance"),
             DropProgram("Balance"),
             CloneProgram("Balance", "Balance~1"),
-            PromotePredicateRead("WriteCheck", "q13"),
+            PromotePredicateToKey("WriteCheck", "q13"),
             DemoteKeyToPredicate("Balance", "q8"),
-            PromoteReadToWrite("Balance", "q8"),
+            PromoteReadToUpdate("Balance", "q8"),
             DemoteUpdateToRead("Amalgamate", "q3"),
             RemoveFKAnnotation("WriteCheck", "fS", "q13", "q14"),
         ]
-        assert {type(m).kind for m in samples} < set(MUTATION_KINDS)
+        assert {type(m).kind for m in samples} < set(EDIT_KINDS)
         for mutation in samples:
             data = json.loads(json.dumps(mutation.to_dict()))
-            assert mutation_from_dict(data) == mutation
+            assert edit_from_dict(data) == mutation
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ProgramError, match="unknown mutation kind"):
-            mutation_from_dict({"kind": "rename_program", "program": "X"})
+        with pytest.raises(ProgramError, match="unknown edit kind"):
+            edit_from_dict({"kind": "rename_program", "program": "X"})
 
     def test_malformed_fields_rejected(self):
         with pytest.raises(ProgramError, match="malformed"):
-            mutation_from_dict({"kind": "drop_program"})  # missing program
+            edit_from_dict({"kind": "drop_program"})  # missing program
         with pytest.raises(ProgramError, match="malformed"):
-            mutation_from_dict(
+            edit_from_dict(
                 {"kind": "clone_program", "program": "X", "bogus": 1}
             )
 
     def test_drop_then_restore_round_trips_the_workload(self):
         base = smallbank()
-        dropped = apply_mutation(base, DropProgram("Balance"), base)
+        dropped = apply_edits(base, [DropProgram("Balance")], base)
         assert "Balance" not in dropped.program_names
-        restored = apply_mutation(dropped, AddProgram("Balance"), base)
+        restored = apply_edits(dropped, [AddProgram("Balance")], base)
         assert set(restored.program_names) == set(base.program_names)
         assert restored.program("Balance") == base.program("Balance")
 
     def test_clone_duplicates_root_and_constraints(self):
         base = smallbank()
-        cloned = apply_mutation(base, CloneProgram("WriteCheck", "WriteCheck~0"), base)
+        cloned = apply_edits(base, [CloneProgram("WriteCheck", "WriteCheck~0")], base)
         twin = cloned.program("WriteCheck~0")
         original = base.program("WriteCheck")
         assert twin.root == original.root
@@ -100,11 +98,11 @@ class TestMutationCatalog:
 
     def test_demote_key_to_predicate_inverts_promote(self):
         base = smallbank()
-        demoted = apply_mutation(base, DemoteKeyToPredicate("Balance", "q8"), base)
+        demoted = apply_edits(base, [DemoteKeyToPredicate("Balance", "q8")], base)
         stmt = demoted.program("Balance").statements_by_name()["q8"]
         assert stmt.stype is StatementType.PRED_SELECT
-        repromoted = apply_mutation(
-            demoted, PromotePredicateRead("Balance", "q8"), base
+        repromoted = apply_edits(
+            demoted, [PromotePredicateToKey("Balance", "q8")], base
         )
         # Promotion back restores a key-based read over the same read set.
         back = repromoted.program("Balance").statements_by_name()["q8"]
@@ -114,7 +112,7 @@ class TestMutationCatalog:
 
     def test_demote_update_to_read_drops_the_write_set(self):
         base = smallbank()
-        edited = apply_mutation(base, DemoteUpdateToRead("Amalgamate", "q3"), base)
+        edited = apply_edits(base, [DemoteUpdateToRead("Amalgamate", "q3")], base)
         stmt = edited.program("Amalgamate").statements_by_name()["q3"]
         assert stmt.stype is StatementType.KEY_SELECT
         assert not stmt.write_set
@@ -125,8 +123,8 @@ class TestMutationCatalog:
             program for program in base.programs if program.constraints
         )
         constraint = target_program.constraints[0]
-        edited = apply_mutation(
-            base, DemoteKeyToPredicate(target_program.name, constraint.target), base
+        edited = apply_edits(
+            base, [DemoteKeyToPredicate(target_program.name, constraint.target)], base
         )
         remaining = edited.program(target_program.name).constraints
         assert all(item.target != constraint.target for item in remaining)
@@ -134,22 +132,22 @@ class TestMutationCatalog:
     def test_remove_fk_annotation_requires_presence(self):
         base = smallbank()
         with pytest.raises(ProgramError, match="carries no"):
-            apply_mutation(
-                base, RemoveFKAnnotation("Balance", "fS", "q1", "q2"), base
+            apply_edits(
+                base, [RemoveFKAnnotation("Balance", "fS", "q1", "q2")], base
             )
 
     def test_inapplicable_mutations_fail_loud(self):
         base = smallbank()
         with pytest.raises(ProgramError, match="no program"):
-            apply_mutation(base, DropProgram("Nope"), base)
+            apply_edits(base, [DropProgram("Nope")], base)
         with pytest.raises(ProgramError, match="already present"):
-            apply_mutation(base, AddProgram("Balance"), base)
+            apply_edits(base, [AddProgram("Balance")], base)
         with pytest.raises(ProgramError, match="already exists"):
-            apply_mutation(base, CloneProgram("Balance", "WriteCheck"), base)
+            apply_edits(base, [CloneProgram("Balance", "WriteCheck")], base)
         with pytest.raises(ProgramError, match="no statement"):
-            apply_mutation(base, DemoteUpdateToRead("Balance", "q99"), base)
+            apply_edits(base, [DemoteUpdateToRead("Balance", "q99")], base)
         with pytest.raises(ProgramError, match="not an update"):
-            apply_mutation(base, DemoteUpdateToRead("Balance", "q8"), base)
+            apply_edits(base, [DemoteUpdateToRead("Balance", "q8")], base)
         with pytest.raises(ProgramError, match="needs the base workload"):
             AddProgram("Balance").operations(base, None)
 
@@ -169,7 +167,7 @@ class TestMutationEngine:
             b = second.propose(state, step)
             assert a == b
             for mutation in a:
-                state = apply_mutation(state, mutation, base)
+                state = apply_edits(state, [mutation], base)
 
     def test_different_seeds_diverge(self):
         base = smallbank()
@@ -194,7 +192,7 @@ class TestMutationEngine:
         state = base
         for step in range(200):
             for mutation in engine.propose(state, step):
-                state = apply_mutation(state, mutation, base)
+                state = apply_edits(state, [mutation], base)
             assert 2 <= len(state.programs) <= len(base.programs) + 6
 
     def test_burst_lands_multiple_mutations(self):

@@ -8,7 +8,7 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import measure_point
 from repro.experiments.reporting import render_table
 from repro.experiments.table2 import characterize, run_table2
-from repro.service import AnalysisService, GridSpec
+from repro.service import AnalysisService, GridSpec, run_grid
 from repro.summary import planes
 from repro.summary.settings import ATTR_DEP_FK
 from repro.workloads import auction_n
@@ -107,14 +107,15 @@ class TestFigure8:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(planes, "sweep", counting_sweep)
-        AnalysisService().grid(
+        run_grid(
             GridSpec(
                 workloads=("auction(4)",),
                 settings=(ATTR_DEP_FK,),
                 task="detect",
                 repetitions=3,
                 warm=False,
-            )
+            ),
+            AnalysisService(),
         )
         assert len(calls) >= 3
 

@@ -4,12 +4,12 @@ The kernel replaces frozenset intersections with bitwise ANDs over interned
 masks and precomputes ``protecting_fks`` per occurrence position.  Every
 layer is tested for *equivalence* with the original formulation:
 
-* bitmask ``ncDepConds``/``cDepConds`` agree with the frozenset originals
-  on arbitrary Figure-5-valid statements (including ⊥ sets and foreign-key
-  constraint instances) — Hypothesis-generated;
+* interned statement masks keep ⊥ distinguishable from the empty set;
 * compiled ``pair_edges`` blocks equal ``pair_edges_reference`` blocks
-  edge-for-edge on arbitrary generated LTP pairs and on every built-in
-  workload under all four Section 7.2 settings;
+  (the frozenset ``ncDepConds``/``cDepConds``) edge-for-edge on arbitrary
+  Figure-5-valid LTP pairs (including ⊥ sets and foreign-key constraint
+  instances) — Hypothesis-generated — and on every built-in workload
+  under all four Section 7.2 settings;
 * the maximal-subset search (``maximal_robust_sets`` over the matrix
   detector) yields verdict grids identical to the plain power-set
   enumeration over assembled graphs;
@@ -32,13 +32,6 @@ from repro.detection.typei import is_robust_type1
 from repro.detection.typeii import is_robust_type2
 from repro.detection.subsets import enumerate_robust_subsets, maximal_subsets
 from repro.schema import ForeignKey, Relation, Schema
-from repro.summary.conditions import (
-    c_dep_conds,
-    c_dep_conds_masks,
-    nc_dep_conds,
-    nc_dep_conds_masks,
-    protecting_fks,
-)
 from repro.summary.pairwise import (
     EdgeBlockStore,
     compile_profile,
@@ -62,11 +55,9 @@ _RELATIONS = {rel.name: rel for rel in _SCHEMA.relations}
 
 
 @st.composite
-def statements(draw, name: str = "q", relation_name: str | None = None) -> Statement:
+def statements(draw, name: str = "q") -> Statement:
     """An arbitrary Figure-5-valid statement (⊥ patterns per type)."""
-    if relation_name is None:
-        relation_name = draw(st.sampled_from(sorted(_RELATIONS)))
-    relation = _RELATIONS[relation_name]
+    relation = _RELATIONS[draw(st.sampled_from(sorted(_RELATIONS)))]
     attrs = sorted(relation.attributes)
 
     def subset(min_size: int = 0) -> frozenset[str]:
@@ -110,54 +101,10 @@ def ltps(draw, name: str) -> LTP:
 
 
 class TestMaskConditions:
-    @hyp_settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_nc_dep_conds_masks_agree(self, data):
-        relation = data.draw(st.sampled_from(sorted(_RELATIONS)))
-        qi = data.draw(statements(name="qi", relation_name=relation))
-        qj = data.draw(statements(name="qj", relation_name=relation))
-        interner = _SCHEMA.interner
-        assert nc_dep_conds(qi, qj) == nc_dep_conds_masks(
-            qi.masks(interner), qj.masks(interner)
-        )
-
-    @hyp_settings(
-        max_examples=150,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(data=st.data())
-    def test_c_dep_conds_masks_agree(self, data):
-        program_i = data.draw(ltps("Pi"))
-        program_j = data.draw(ltps("Pj"))
-        use_fk = data.draw(st.booleans())
-        interner = _SCHEMA.interner
-        for occ_i in program_i:
-            for occ_j in program_j:
-                qi, qj = occ_i.statement, occ_j.statement
-                if qi.relation != qj.relation:
-                    continue
-                expected = c_dep_conds(
-                    qi, qj, program_i, program_j, use_fk,
-                    source_pos=occ_i.position, target_pos=occ_j.position,
-                )
-                got = c_dep_conds_masks(
-                    qi.masks(interner),
-                    qj.masks(interner),
-                    interner.fk_mask(
-                        qi.relation, protecting_fks(program_i, occ_i.position)
-                    ),
-                    interner.fk_mask(
-                        qj.relation, protecting_fks(program_j, occ_j.position)
-                    ),
-                    use_fk,
-                )
-                assert got == expected
-
     def test_masks_keep_bottom_distinguishable(self):
         interner = _SCHEMA.interner
         key_select = Statement.key_select("q", _PARENT, reads=[])
-        masks = key_select.masks(interner)
+        masks = interner.statement_masks(key_select)
         assert masks.preads_mask is None      # ⊥ stays None ...
         assert masks.reads_mask == 0          # ... empty-but-defined stays 0
         assert masks.writes_mask is None

@@ -1,12 +1,15 @@
-"""Tests for the repair advisor subsystem (PR 5).
+"""Tests for the repair advisor subsystem.
 
-Covers the edit catalog (``repro.repair.edits``), witness statement
-anchors, the block-index detectors (verdict parity with the graph-based
-detectors), ``Analyzer.fork``, and the advisor search itself.
+Covers the repair kinds of the workload edit catalog
+(``repro.workloads.edits``), witness statement anchors, the block-index
+detectors (verdict parity with the graph-based detectors),
+``Analyzer.fork``, the advisor search itself, and the one edit path
+its repairs take on the builtins.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,18 +24,18 @@ from repro.detection.typei import find_type1_violation
 from repro.detection.typeii import find_type2_violation
 from repro.detection.witness import CycleWitness, WitnessAnchor
 from repro.errors import ProgramError
-from repro.repair import (
+from repro.repair import RepairReport
+from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK, TPL_DEP
+from repro.workloads import auction, smallbank, tpcc
+from repro.workloads.edits import (
     AddProtectingFK,
     PromotePredicateToKey,
     PromoteReadToUpdate,
-    RepairReport,
     SplitProgram,
-    apply_repairs,
-    ordered_repairs,
-    repair_from_dict,
+    apply_edits,
+    edit_from_dict,
+    ordered_edits,
 )
-from repro.summary.settings import ALL_SETTINGS, ATTR_DEP, ATTR_DEP_FK, TPL_DEP
-from repro.workloads import auction, smallbank, tpcc
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +163,19 @@ class TestEdits:
             SplitProgram("WriteCheck", after_statement="q14"),
         ]
         for edit in edits:
-            assert repair_from_dict(edit.to_dict()) == edit
+            assert edit_from_dict(edit.to_dict()) == edit
 
     def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(ProgramError, match="unknown repair kind"):
-            repair_from_dict({"kind": "nope", "program": "X"})
+        with pytest.raises(ProgramError, match="unknown edit kind"):
+            edit_from_dict({"kind": "nope", "program": "X"})
         with pytest.raises(ProgramError, match="malformed"):
-            repair_from_dict({"kind": "split_program", "program": "X", "zz": 1})
+            edit_from_dict({"kind": "split_program", "program": "X", "zz": 1})
 
     def test_ordered_repairs_canonical(self):
         promote_key = PromotePredicateToKey("A", "q1")
         promote_upd = PromoteReadToUpdate("A", "q1")
         split = SplitProgram("A", after_statement="q1")
-        assert ordered_repairs([split, promote_upd, promote_key]) == (
+        assert ordered_edits([split, promote_upd, promote_key]) == (
             promote_key,
             promote_upd,
             split,
@@ -180,21 +183,25 @@ class TestEdits:
 
     def test_apply_repairs_composes_per_statement(self):
         workload = auction()
-        repaired = apply_repairs(
+        repaired = apply_edits(
             workload,
             [PromotePredicateToKey("FindBids", "q2"), PromoteReadToUpdate("FindBids", "q2")],
         )
         q2 = repaired.program("FindBids").statements_by_name()["q2"]
         assert q2.stype is StatementType.KEY_UPDATE
+        assert repaired.name == workload.name
+        assert apply_edits(workload, [], name="Renamed").name == "Renamed"
 
     def test_apply_repairs_unknown_program(self):
-        with pytest.raises(ProgramError, match="unknown program"):
-            apply_repairs(auction(), [PromoteReadToUpdate("Nope", "q1")])
+        with pytest.raises(ProgramError, match="no program 'Nope'"):
+            apply_edits(auction(), [PromoteReadToUpdate("Nope", "q1")])
 
     def test_split_after_statement_edits_rejected(self):
+        # The first split renames WriteCheck to WriteCheck.1, so the
+        # second finds no program to split.
         workload = smallbank()
-        with pytest.raises(ProgramError, match="already split"):
-            apply_repairs(
+        with pytest.raises(ProgramError, match="no program 'WriteCheck'"):
+            apply_edits(
                 workload,
                 [
                     SplitProgram("WriteCheck", after_statement="q14"),
@@ -328,11 +335,7 @@ class TestFork:
         session = Analyzer("auction(3)")
         session.summary_graph(ATTR_DEP)
         fork = session.fork()
-        workload = fork.workload
-        (replacement,) = PromoteReadToUpdate("PlaceBid1", "q4").apply_to(
-            workload.program("PlaceBid1"), workload.schema
-        )
-        fork.replace_program(replacement, name="PlaceBid1")
+        fork.apply_edit(PromoteReadToUpdate("PlaceBid1", "q4"))
         fork.summary_graph(ATTR_DEP)
         total = len(fork.unfolded()) ** 2
         recomputed = fork.cache_info()["block_computations"]
@@ -363,7 +366,7 @@ class TestAdvisor:
         best = report.best
         assert best.size == 1
         assert best.blocks_recomputed < best.blocks_total
-        repaired = apply_repairs(auction(), best.edits)
+        repaired = apply_edits(auction(), best.edits)
         assert Analyzer(repaired).is_robust(ATTR_DEP)
 
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
@@ -372,7 +375,7 @@ class TestAdvisor:
         assert report.repaired and not report.already_robust
         for repair in report.repairs:
             assert repair.size <= 3
-            repaired = apply_repairs(smallbank(), repair.edits)
+            repaired = apply_edits(smallbank(), repair.edits)
             assert Analyzer(repaired).is_robust(settings)
 
     def test_already_robust(self):
@@ -390,14 +393,14 @@ class TestAdvisor:
     def test_tpcc_repairable_with_budget(self):
         report = Analyzer("tpcc").advise(ATTR_DEP_FK, max_edits=8, max_states=1000)
         assert report.repaired
-        repaired = apply_repairs(tpcc(), report.best.edits)
+        repaired = apply_edits(tpcc(), report.best.edits)
         assert Analyzer(repaired).is_robust(ATTR_DEP_FK)
 
     def test_type1_method(self):
         report = Analyzer("auction").advise(TPL_DEP, method="type-I", max_edits=2)
         assert report.method == "type-I"
         if report.repairs:
-            repaired = apply_repairs(auction(), report.best.edits)
+            repaired = apply_edits(auction(), report.best.edits)
             assert Analyzer(repaired).is_robust(TPL_DEP, method="type-I")
 
     def test_unknown_method_rejected(self):
@@ -450,3 +453,30 @@ class TestRepairsExperiment:
         text = result.to_text()
         assert "SmallBank" in text and "Auction" in text
         assert "MISMATCH" not in text
+
+
+# ---------------------------------------------------------------------------
+# the one edit path: every advised repair is a valid, minimal repair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+@pytest.mark.parametrize("source", ["smallbank", "tpcc", "auction(12)"])
+def test_advised_repairs_are_valid_and_minimal(source, settings):
+    session = Analyzer(source)
+    workload = session.workload
+    report = session.advise(settings)
+    for repair in report.repairs:
+        repaired = apply_edits(workload, repair.edits)
+        fork = session.fork()
+        for edit in repair.edits:
+            fork.apply_edit(edit)
+        assert fork.workload.programs == repaired.programs
+        assert Analyzer(repaired).is_robust(settings, method=report.method)
+        for size in range(len(repair.edits)):
+            for subset in itertools.combinations(repair.edits, size):
+                try:
+                    partial = apply_edits(workload, subset)
+                except ProgramError:
+                    continue  # e.g. an edit of a split half without the split
+                assert not Analyzer(partial).is_robust(settings, method=report.method)

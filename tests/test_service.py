@@ -33,6 +33,7 @@ from repro.service import (
     SubsetsRequest,
     make_server,
     parse_request,
+    run_grid,
 )
 from repro.service.requests import json_bytes
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
@@ -172,7 +173,7 @@ class TestRequestValidation:
 
     def test_subsets_report_round_trips(self):
         service = AnalysisService()
-        report = service.subsets(SubsetsRequest(workload="smallbank"))
+        report = SubsetsRequest(workload="smallbank").execute(service)
         again = SubsetsReport.from_dict(report.to_dict())
         assert again.to_dict() == report.to_dict()
         assert "maximal robust subsets:" in report.describe()
@@ -231,41 +232,43 @@ class TestRequestValidation:
 class TestGrid:
     def test_cells_cover_the_cross_product(self):
         service = AnalysisService()
-        result = service.grid(GridSpec(workloads=("smallbank", "auction")))
+        result = run_grid(GridSpec(workloads=("smallbank", "auction")), service)
         assert len(result.cells) == 2 * len(ALL_SETTINGS)
         assert result.cell("Auction", ATTR_DEP_FK).value["robust"] is True
         json.dumps(result.to_dict())
 
     def test_warm_cells_share_the_pool(self):
         service = AnalysisService()
-        service.grid(GridSpec(workloads=("auction",), settings=(ATTR_DEP_FK,)))
+        run_grid(GridSpec(workloads=("auction",), settings=(ATTR_DEP_FK,)), service)
         (session,) = service.sessions().values()
         before = session.cache_info()["block_computations"]
-        service.grid(GridSpec(workloads=("auction",), settings=(ATTR_DEP_FK,)))
+        run_grid(GridSpec(workloads=("auction",), settings=(ATTR_DEP_FK,)), service)
         assert session.cache_info()["block_computations"] == before
 
     def test_cold_cells_do_not_touch_the_pool(self):
         service = AnalysisService()
-        result = service.grid(
+        result = run_grid(
             GridSpec(
                 workloads=("auction",),
                 settings=(ATTR_DEP_FK,),
                 warm=False,
                 repetitions=3,
-            )
+            ),
+            service,
         )
         assert service.sessions() == {}
         assert len(result.cells[0].seconds) == 3
 
     def test_verdict_grid_matches_the_session_api(self):
         service = AnalysisService()
-        cell = service.grid(
+        cell = run_grid(
             GridSpec(
                 workloads=("smallbank",),
                 settings=(ATTR_DEP_FK,),
                 task="subsets",
                 include_verdicts=True,
-            )
+            ),
+            service,
         ).cells[0]
         grid = {
             frozenset(names): robust
@@ -277,19 +280,20 @@ class TestGrid:
         service = AnalysisService()
         spec = GridSpec(workloads=("auction(9)",), task="subsets", include_verdicts=True)
         with pytest.raises(ReproError, match="limit is 16 programs"):
-            service.grid(spec)
-        cell = service.grid(GridSpec(workloads=("auction(9)",), task="subsets")).cells[0]
+            run_grid(spec, service)
+        cell = run_grid(GridSpec(workloads=("auction(9)",), task="subsets"), service).cells[0]
         assert len(cell.value["maximal_robust_subsets"]) == 1
 
     def test_detect_task_matches_one_method(self):
         service = AnalysisService()
-        cell = service.grid(
+        cell = run_grid(
             GridSpec(
                 workloads=("auction",),
                 settings=(ATTR_DEP_FK,),
                 task="detect",
                 method="type-I",
-            )
+            ),
+            service,
         ).cells[0]
         report = Analyzer("auction").analyze(ATTR_DEP_FK)
         assert cell.value["robust"] is report.type1_robust
@@ -297,10 +301,11 @@ class TestGrid:
 
     def test_subsets_cells_share_the_subsets_payload_shape(self):
         service = AnalysisService()
-        cell = service.grid(
+        cell = run_grid(
             GridSpec(
                 workloads=("auction",), settings=(ATTR_DEP_FK,), task="subsets"
-            )
+            ),
+            service,
         ).cells[0]
         assert cell.value == service.handle(
             "subsets", {"workload": "auction", "setting": ATTR_DEP_FK.label}
