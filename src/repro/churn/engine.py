@@ -37,8 +37,9 @@ from repro.workloads.edits import (
     apply_edits,
 )
 
-#: Selection weight per proposed kind, in :data:`EDIT_KINDS` order (the
-#: order the weighted selection enumerates; splits are never proposed).
+#: Selection weight per proposed kind (splits have none and are never
+#: proposed); the weighted selection walks the kinds in :data:`EDIT_KINDS`
+#: order.
 #: Statement-shape changes dominate (they are the edits the paper's
 #: Section 7 sensitivity analysis varies); lifecycle edits and annotation
 #: churn are rarer.  Promotions and demotions carry equal weight so long
@@ -121,7 +122,10 @@ class MutationEngine:
         """One weighted draw: first the kind (among kinds with candidates),
         then a uniform candidate of that kind."""
         table: list[tuple[str, float, tuple[Edit, ...]]] = []
-        for kind, weight in DEFAULT_WEIGHTS.items():
+        for kind in EDIT_KINDS:
+            weight = DEFAULT_WEIGHTS.get(kind)
+            if weight is None:
+                continue
             options = self.candidates(workload, kind, tag=tag)
             if options:
                 table.append((kind, weight, options))

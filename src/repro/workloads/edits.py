@@ -488,21 +488,23 @@ def ordered_edits(edits: Iterable[Edit]) -> tuple[Edit, ...]:
 
 
 def apply_edits(
-    workload: Workload,
-    edits: Iterable[Edit],
-    base: Workload | None = None,
-    name: str | None = None,
+    workload: Workload, edits: Iterable[Edit], base: Workload | None = None
 ) -> Workload:
     """The workload after every edit, applied in the given order (no
-    session involved).
+    session involved); the result keeps the workload's name.
 
     The pure twin of :meth:`repro.analysis.Analyzer.apply_edit`: the churn
     engine advances its scratch state inside a burst with it, and tests
     use it as the cold reference.  ``base`` is passed to
-    :meth:`Edit.operations`; ``name`` renames the result (default: keep
-    the workload's name).  Every new or replaced program is validated
-    against the schema, so an inapplicable edit raises
-    :class:`ProgramError` instead of producing a bogus workload.
+    :meth:`Edit.operations`.  Edits are not reordered: pass an edit set
+    that includes splits through :func:`ordered_edits` first (a
+    :class:`~repro.repair.RepairSet`'s edits already are), since an edit
+    of a split half before its split finds no such program.  A split
+    replaces the program with its first half in place and appends the
+    second, the program order :meth:`Analyzer.apply_edit` gives.  Every
+    new or replaced program is validated against the schema, so an
+    inapplicable edit raises :class:`ProgramError` instead of producing
+    a bogus workload.
     """
     for edit in edits:
         programs = list(workload.programs)
@@ -520,6 +522,4 @@ def apply_edits(
                 ]
             fresh.append(operation.program)
         workload = workload.with_programs(programs, validate=fresh)
-    if name is not None:
-        workload = dataclasses.replace(workload, name=name)
     return workload
