@@ -10,9 +10,9 @@ Two gates, one parity sweep:
    than the frozenset reference
    (:func:`~repro.summary.pairwise.pair_edges_reference` looped over every
    ordered pair).  The concatenation is inside the timed region;
-   compiling the profiles (which packs each LTP's planes) is not — it
-   happens once per program and granularity and is recorded separately
-   as ``packing_seconds``.
+   compiling the profiles (which packs each LTP's planes) is not — a
+   session compiles each program's layout once and its masks once per
+   granularity — and is recorded separately as ``packing_seconds``.
 2. **Subset enumeration** — ``Analyzer.robust_subsets`` on a fresh
    session (the verdict grid read off the maximal-subset search,
    ``maximal_robust_sets``) must beat the

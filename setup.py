@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.25.0",
+    version="1.26.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",

@@ -119,7 +119,7 @@ from repro.workloads.edits import (
     apply_edits,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "__version__",

@@ -254,9 +254,10 @@ class Analyzer:
             store = self._stores.get(settings)
             if store is None:
                 store = EdgeBlockStore(self.schema, settings)
-                for other in self._stores.values():
-                    if other.settings.granularity is settings.granularity:
-                        store._share_profiles(other)  # compile once per granularity
+                other = next(iter(self._stores.values()), None)
+                if other is not None:
+                    # One layout per LTP and one profile per granularity.
+                    store._share_profiles(other)
                 self._stores[settings] = store
             return store
 

@@ -12,17 +12,21 @@ ordered pairs — edge-for-edge identical to running the monolithic loop of
 The hot path runs on a **plane-packed batch kernel**
 (:mod:`repro.summary.planes`) instead of per-pair Python loops:
 
-* each LTP is compiled once, at :meth:`EdgeBlockStore.register` time, to
-  an immutable :class:`ProgramProfile` that is also its sweep input: per
+* each LTP is compiled, at :meth:`EdgeBlockStore.register` time, to an
+  immutable :class:`ProgramProfile` that is also its sweep input: per
   occurrence its statement name and position, and packed planes of its
   interned relation id, dense statement-type id, the three relation-local
   attribute-set bitmasks of :class:`~repro.schema.AttributeInterner` (and
   two combinations of them), and the ``protecting_fks`` foreign-key mask
   precomputed *once per position* (the frozenset path rescans the
   program's constraint instances for every occurrence pair of every
-  ordered pair).  A profile depends on the settings' granularity only, so
-  an :class:`~repro.analysis.Analyzer`'s ``+ FK`` and plain stores of one
-  granularity share it, and forks share it by reference;
+  ordered pair).  Only the attribute masks depend on the settings, and
+  only on their granularity (under tuple granularity a defined set is
+  the relation's full declared mask).  So the rest — the
+  :class:`ProgramLayout` — is compiled once per LTP and session, the
+  masks once per granularity, and all four stores of an
+  :class:`~repro.analysis.Analyzer` share both through one compile
+  cache; forks share the profiles by reference;
 * missing blocks are grouped into cross-product **sweeps**, each side
   packed by concatenating its programs' profiles
   (:func:`~repro.summary.planes.pack`), and ``ncDepConds``/``cDepConds``
@@ -39,7 +43,10 @@ the facts Algorithm 2 reads, plus ``SEG`` and ``AT``: which segment
 holds the block (−1: none) and at which cell.  One sweep or load is one
 segment and one plane write; presence, missing-pair scans and eviction
 are plane reads and writes, and a fork shares the segments by reference
-and the planes copy-on-write.
+and the planes copy-on-write.  Reads over some names and sweep writes
+over a cross product of slots take basic slices when the slots form
+ascending runs — a cold store's always do — and ``take`` or an index
+mesh otherwise; a read always returns a copy.
 :class:`~repro.summary.graph.SummaryEdge` tuples are built from a block's
 slice on every read and never cached; only witness blocks, assembled
 graphs and :meth:`EdgeBlockStore.blocks` read them.
@@ -65,7 +72,6 @@ The block structure is what enables
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -106,8 +112,9 @@ class ProgramProfile(NamedTuple):
 
     ``occurrences`` holds each occurrence's ``(statement name, position)``
     in program order.  The rest is the LTP's sweep input, packed once by
-    :func:`~repro.summary.planes.occurrence_planes`: its mask planes,
-    ``words`` 64-bit words wide, and its relation and type ids.
+    :func:`~repro.summary.planes.occurrence_planes` and
+    :func:`~repro.summary.planes.id_planes`: its mask planes, ``words``
+    64-bit words wide, and its relation and type ids.
     """
 
     name: str
@@ -117,34 +124,69 @@ class ProgramProfile(NamedTuple):
     id_bytes: bytes
 
 
-def compile_profile(
-    program: LTP, schema: Schema, settings: AnalysisSettings
-) -> ProgramProfile:
-    """Compile one LTP to its profile.
+class ProgramLayout(NamedTuple):
+    """The part of an LTP's profile that no setting changes: its
+    occurrences, its packed relation and type ids, and each occurrence's
+    protecting-FK mask."""
 
-    Masks come from the schema's intern table; ``protecting_fks`` is
-    evaluated once per occurrence position here instead of once per
-    occurrence *pair* inside ``cDepConds``.  Only the settings'
-    granularity matters, not the FK flag.
+    occurrences: tuple[tuple[str, int], ...]
+    fks: tuple[int, ...]
+    id_bytes: bytes
+
+
+def program_layout(program: LTP, schema: Schema) -> ProgramLayout:
+    """Compile the setting-independent part of one LTP's profile.
+
+    ``protecting_fks`` is evaluated once per occurrence position here
+    instead of once per occurrence *pair* inside ``cDepConds``.
     """
     interner = schema.interner
-    statements = effective_statements(program, schema, settings.granularity)
-    occurrences, rels, types, writes, reads, preads, fks = ([] for _ in range(7))
+    statements = program.statements_by_name
+    occurrences, rels, types, fks = [], [], [], []
     for occurrence in program:
         stmt = statements[occurrence.name]
-        masks = interner.statement_masks(stmt)
         occurrences.append((occurrence.name, occurrence.position))
         rels.append(interner.relation_id(stmt.relation))
         types.append(TYPE_INDEX[stmt.stype])
-        writes.append(masks.writes)
-        reads.append(masks.reads)
-        preads.append(masks.preads)
         protecting = protecting_fks(program, occurrence.position)
         fks.append(interner.fk_mask(stmt.relation, protecting))
+    return ProgramLayout(tuple(occurrences), tuple(fks), planes.id_planes(rels, types))
+
+
+def compile_profile(
+    program: LTP,
+    schema: Schema,
+    settings: AnalysisSettings,
+    layout: ProgramLayout | None = None,
+) -> ProgramProfile:
+    """Compile one LTP to its profile.
+
+    Masks come from the schema's intern table, and only the settings'
+    granularity matters, not the FK flag: under tuple granularity a
+    defined set is its relation's full declared mask — the masks of
+    :func:`effective_statements`' widened statements, without building
+    them.  ``layout`` is the LTP's :func:`program_layout`, compiled here
+    when not given.
+    """
+    if layout is None:
+        layout = program_layout(program, schema)
+    interner = schema.interner
+    masks = {}
+    for name, stmt in program.statements_by_name.items():
+        if settings.granularity is Granularity.ATTRIBUTE:
+            mask = interner.statement_masks(stmt)
+            masks[name] = mask.writes, mask.reads, mask.preads
+        else:
+            full = interner.attribute_mask(
+                stmt.relation, schema.attributes(stmt.relation)
+            )
+            sets = stmt.write_set, stmt.read_set, stmt.pread_set
+            masks[name] = tuple(0 if value is None else full for value in sets)
+    words, mask_bytes = planes.occurrence_planes(
+        [masks[name] for name, _ in layout.occurrences], layout.fks
+    )
     return ProgramProfile(
-        program.name,
-        tuple(occurrences),
-        *planes.occurrence_planes(rels, types, writes, reads, preads, fks),
+        program.name, layout.occurrences, words, mask_bytes, layout.id_bytes
     )
 
 
@@ -257,6 +299,23 @@ SEG, AT = 5, 6
 _EMPTY = np.array((0, 0, 0, -1, planes.NO_CF, -1, 0), dtype=np.int32)[:, None, None]
 
 
+def _run(slots: np.ndarray) -> slice | None:
+    """``slots`` as a basic slice when they form an ascending run (a cold
+    store's slots in registration order do), else ``None``."""
+    first = int(slots[0]) if len(slots) else 0
+    run = range(first, first + len(slots))
+    return slice(first, run.stop) if slots.tolist() == list(run) else None
+
+
+def _cross(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The plane index of the slot cross product ``rows × cols``: two
+    basic slices when both are runs, else an open mesh."""
+    row_run, col_run = _run(rows), _run(cols)
+    if row_run is None or col_run is None:
+        return np.ix_(rows, cols)
+    return row_run, col_run
+
+
 class EdgeBlockStore:
     """A cache of pairwise edge blocks for one ``(schema, settings)``.
 
@@ -281,7 +340,9 @@ class EdgeBlockStore:
     the programs' compiled profiles.  A read slices
     the block out of its segment and builds its
     :class:`~repro.summary.graph.SummaryEdge` tuples, in deterministic
-    pair order.  :meth:`discard` writes −1 into the freed slot's row and
+    pair order.  Plane reads over ``names × names`` and sweep writes are
+    basic slices where the slots form ascending runs (see :meth:`_read`).
+    :meth:`discard` writes −1 into the freed slot's row and
     column and drops every segment no cell names any more.  Forks share
     the segments by reference and the planes copy-on-write; nothing is
     copied per pair.  Stores are not thread-safe.
@@ -311,43 +372,60 @@ class EdgeBlockStore:
         self._computed = 0
         self._loaded = 0
         self._hits = 0
-        #: A weak reference to a store over the same schema and granularity
-        #: whose profiles :meth:`register` reuses (profiles do not depend
-        #: on the FK flag); weak, so the two stores form no cycle.
-        self._sibling: weakref.ref | None = None
+        #: Per LTP name: the LTP, its :func:`program_layout` and its
+        #: profile per granularity — shared by the stores of one session
+        #: (see :meth:`_share_profiles`), so each is compiled once.
+        self._compiled_by_name: dict[
+            str, tuple[LTP, ProgramLayout, dict[Granularity, ProgramProfile]]
+        ] = {}
 
     # -- program registration ----------------------------------------------
     def register(self, ltps: Iterable[LTP]) -> None:
         """Add LTPs to the store (idempotent for already-known programs).
 
         Each new program is compiled once to its kernel profile, or takes
-        the profile its sibling store (see :meth:`_share_profiles`)
-        compiled for the same LTP object.  Re-registering a name with a
-        *different* program is an error; use :meth:`discard` first (that
-        is what incremental replacement does).
+        the layout and profile a store sharing this one's compile cache
+        (see :meth:`_share_profiles`) compiled for the same LTP object.
+        Re-registering a name with a *different* program is an error; use
+        :meth:`discard` first (that is what incremental replacement does).
         """
-        for ltp in ltps:
-            known = self._ltps.get(ltp.name)
-            if known is None:
-                self._ltps[ltp.name] = ltp
-                self._profiles[ltp.name] = self._compiled(ltp)
-                self._take_slot(ltp.name)
-            elif known is not ltp and known != ltp:
-                raise ProgramError(
-                    f"edge-block store already holds a different program named "
-                    f"{ltp.name!r}; discard it before re-registering"
-                )
+        taken = len(self._slots)
+        try:
+            for ltp in ltps:
+                known = self._ltps.get(ltp.name)
+                if known is None:
+                    self._profiles[ltp.name] = self._compiled(ltp)
+                    self._ltps[ltp.name] = ltp
+                    self._take_slot(ltp.name)
+                elif known is not ltp and known != ltp:
+                    raise ProgramError(
+                        f"edge-block store already holds a different program "
+                        f"named {ltp.name!r}; discard it before re-registering"
+                    )
+        finally:
+            if len(self._slots) > taken:
+                self._writable_planes()  # grown once per batch, not per slot
 
     def _compiled(self, ltp: LTP) -> ProgramProfile:
-        sibling = self._sibling() if self._sibling else None
-        if sibling is not None and sibling._ltps.get(ltp.name) is ltp:
-            return sibling._profiles[ltp.name]
-        return compile_profile(ltp, self.schema, self.settings)
+        compiled = self._compiled_by_name
+        entry = compiled.get(ltp.name)
+        if entry is None or entry[0] is not ltp:
+            layout = program_layout(ltp, self.schema)
+            entry = compiled[ltp.name] = (ltp, layout, {})
+        _, layout, profiles = entry
+        granularity = self.settings.granularity
+        profile = profiles.get(granularity)
+        if profile is None:
+            profile = profiles[granularity] = compile_profile(
+                ltp, self.schema, self.settings, layout
+            )
+        return profile
 
     def _share_profiles(self, other: "EdgeBlockStore") -> None:
-        """Reuse ``other``'s compiled profiles and let it reuse ours; the
-        two stores share the schema and granularity, not the FK flag."""
-        self._sibling, other._sibling = weakref.ref(other), weakref.ref(self)
+        """Share ``other``'s compile cache, before registering anything:
+        the stores then compile each LTP's layout once and its profile
+        once per granularity.  Both must be over the same schema."""
+        self._compiled_by_name = other._compiled_by_name
 
     def discard(self, names: Iterable[str]) -> None:
         """Drop programs and every cached block they participate in: the
@@ -355,17 +433,20 @@ class EdgeBlockStore:
         each), never the whole cache."""
         freed = []
         for name in names:
-            if name not in self._ltps:
+            ltp = self._ltps.pop(name, None)
+            if ltp is None:
                 continue
-            del self._ltps[name]
+            entry = self._compiled_by_name.get(name)
+            if entry is not None and entry[0] is ltp:
+                del self._compiled_by_name[name]
             del self._profiles[name]
             freed.append(self._slots.pop(name))
         self._free_slots.extend(freed)
         if freed:
             seg = self._writable_planes()[SEG]
-            stale = {*seg[freed].ravel().tolist(), *seg[:, freed].ravel().tolist()}
-            for slot in freed:
-                seg[slot] = seg[:, slot] = -1
+            stale = np.concatenate((seg[freed].ravel(), seg[:, freed].ravel()))
+            seg[freed] = -1
+            seg[:, freed] = -1
             self._drop_dead_segments(stale)
 
     @property
@@ -392,24 +473,32 @@ class EdgeBlockStore:
             ) from None
 
     # -- blocks -------------------------------------------------------------
-    def _install(self, rows, cols, cells, segment: planes.Segment, aggregates):
-        """Keep one segment and point the slot pairs ``(rows, cols)``
-        (broadcast together) at its ``cells``, with their aggregates."""
+    def _install(
+        self, region: tuple, segment: planes.Segment, aggregates, cells
+    ) -> None:
+        """Keep one segment and point the slot pairs of ``region`` (an
+        index of the slot axes) at its ``cells``, with their five
+        ``aggregates`` — both shaped like the region."""
         segment_id = self._next_segment
         self._next_segment += 1
         self._segments[segment_id] = segment
-        self._writable_planes()[:, rows, cols] = np.concatenate(
-            (aggregates[:, cells], np.full((1, *cells.shape), segment_id), cells[None])
-        )
+        stack = self._writable_planes()
+        stack[(slice(SEG), *region)] = aggregates
+        stack[(SEG, *region)] = segment_id
+        stack[(AT, *region)] = cells
 
-    def _drop_dead_segments(self, stale: Iterable[int]) -> None:
-        """Forget the ``stale`` segments (those whose cells were just
-        overwritten) that no ``SEG`` cell names any more."""
-        slots = len(self._slots) + len(self._free_slots)
-        seg = self._planes[SEG, :slots, :slots]
-        for segment_id in set(stale) - {-1}:
-            if not (seg == segment_id).any():
-                del self._segments[segment_id]
+    def _drop_dead_segments(self, stale: np.ndarray) -> None:
+        """Forget the ``stale`` segments (ids whose cells were just
+        overwritten) that no ``SEG`` cell names any more, counting every
+        segment's cells in one pass."""
+        stale = set(stale.tolist()) - {-1}
+        if stale:
+            slots = len(self._slots) + len(self._free_slots)
+            seg = self._planes[SEG, :slots, :slots]
+            cells = np.bincount(seg[seg >= 0], minlength=self._next_segment)
+            for segment_id in stale:
+                if not cells[segment_id]:
+                    del self._segments[segment_id]
 
     def _edges(
         self, source: str, target: str, segment_id: int, cell: int
@@ -509,9 +598,10 @@ class EdgeBlockStore:
             planes.IS_TRIGGER[types],
         )
         stale = self._planes[SEG, rows, cols]
-        self._install(rows, cols, np.array(cells), segment, aggregates)
+        cells = np.array(cells)
+        self._install((rows, cols), segment, aggregates[:, cells], cells)
         self._loaded += int(np.count_nonzero(stale < 0))
-        self._drop_dead_segments(stale.tolist())
+        self._drop_dead_segments(stale)
 
     def seed_from(self, other: "EdgeBlockStore") -> None:
         """Adopt another store's programs, compiled profiles and blocks.
@@ -557,16 +647,15 @@ class EdgeBlockStore:
         for name in other._ltps:
             if name not in self._slots:
                 self._take_slot(name)
+        stack = self._writable_planes()
         names = other.ltp_names
-        theirs, mine = other._index(names), self._index(names)
-        adopted = other._planes[:, theirs[:, None], theirs]
+        adopted, current = other._read(names), self._read(names)
         present = adopted[SEG] >= 0
         adopted[SEG] += offset
-        stack = self._writable_planes()
-        current = stack[:, mine[:, None], mine]
-        stack[:, mine[:, None], mine] = np.where(present, adopted, current)
+        mine = self._index(names)
+        stack[(slice(None), *_cross(mine, mine))] = np.where(present, adopted, current)
         self._loaded += int(np.count_nonzero(present & (current[SEG] < 0)))
-        self._drop_dead_segments(current[SEG][present].tolist())
+        self._drop_dead_segments(current[SEG][present])
 
     def ensure_blocks(self, names: Sequence[str] | None = None) -> int:
         """Compute every missing block among ``names`` (all registered when
@@ -574,8 +663,7 @@ class EdgeBlockStore:
         blocks computed."""
         if names is None:
             names = self.ltp_names
-        index = self._index(names)
-        missing = self._planes[SEG][index[:, None], index] < 0
+        missing = self._read(names, SEG) < 0
         count = int(np.count_nonzero(missing))
         if count:
             self._sweep(names, names, missing)
@@ -609,17 +697,21 @@ class EdgeBlockStore:
         obs_log.debug("sweep.batch", pairs=count, sweeps=len(plans))
         source_slots, target_slots = self._index(sources), self._index(targets)
         for (rows, cols), (segment, aggregates) in zip(plans, swept):
-            cells = np.arange(len(rows) * len(cols)).reshape(len(rows), -1)
+            shape = len(rows), len(cols)
             self._install(
-                source_slots[rows, None], target_slots[cols], cells, segment, aggregates
+                _cross(source_slots[rows], target_slots[cols]),
+                segment,
+                aggregates.reshape(5, *shape),
+                np.arange(shape[0] * shape[1]).reshape(shape),
             )
         self._computed += count
 
     # -- aggregate planes ---------------------------------------------------
     def _take_slot(self, name: str) -> None:
+        """Give ``name`` a plane slot; the caller then grows the stack to
+        cover every allocated slot (:meth:`_writable_planes`)."""
         free = self._free_slots
         self._slots[name] = free.pop() if free else len(self._slots)
-        self._writable_planes()  # the stack covers every allocated slot
 
     def _writable_planes(self) -> np.ndarray:
         """The plane stack, grown to every allocated slot and no longer
@@ -637,12 +729,24 @@ class EdgeBlockStore:
         self._planes_shared = False
         return self._planes
 
-    def _cells(self, names: Sequence[str]) -> np.ndarray:
-        """The five aggregate planes restricted to ``names × names`` in
-        ``names`` order, computing missing blocks first."""
-        self.ensure_blocks(names)
+    def _read(self, names: Sequence[str], which=slice(None)) -> np.ndarray:
+        """The stack's planes ``which`` (an index of its first axis) over
+        ``names × names``, in ``names`` order, as a new array: a copied
+        basic slice when the names' slots form an ascending run, a
+        ``take`` along both slot axes otherwise.  Never a view, so no
+        reader aliases a stack that forks share copy-on-write."""
         index = self._index(names)
-        return self._planes[:SEG, index[:, None], index]
+        stack = self._planes[which]
+        run = _run(index)
+        if run is not None:
+            return stack[..., run, run].copy()
+        return stack.take(index, axis=-2).take(index, axis=-1)
+
+    def _cells(self, names: Sequence[str], which=slice(SEG)) -> np.ndarray:
+        """The aggregate planes ``which`` over ``names × names`` in ``names``
+        order, computing missing blocks first."""
+        self.ensure_blocks(names)
+        return self._read(names, which)
 
     def aggregate_planes(self, names: Sequence[str]) -> tuple[np.ndarray, ...]:
         """``(nc, cf, trigger, max_target, min_cf_source)`` over ``names ×
@@ -655,7 +759,7 @@ class EdgeBlockStore:
         """The Table 2 counts of ``SuG`` over ``names``, summed from the
         ``NC`` / ``CF`` planes — equal to ``graph(names).stats`` without
         building a single edge."""
-        nc, cf = self._cells(names)[:2].sum(axis=(1, 2)).tolist()
+        nc, cf = self._cells(names, slice(2)).sum(axis=(1, 2)).tolist()
         return SummaryStats(
             nodes=len(names), edges=nc + cf, counterflow=cf, program_names=tuple(names)
         )
@@ -681,8 +785,7 @@ class EdgeBlockStore:
     def _cached(self, names: Sequence[str]):
         """``(pair, edges)`` of every cached block in ``names × names``,
         in pair order."""
-        index = self._index(names)
-        seg, at = self._planes[SEG:, index[:, None], index].tolist()
+        seg, at = self._read(names, slice(SEG, None)).tolist()
         return [
             ((source, target), self._edges(source, target, seg[i][j], at[i][j]))
             for i, source in enumerate(names)
@@ -710,6 +813,7 @@ class EdgeBlockStore:
         """Drop all programs, profiles, blocks, planes, and counters."""
         self._ltps.clear()
         self._profiles.clear()
+        self._compiled_by_name.clear()
         self._segments = {}
         self._next_segment = 0
         self._slots = {}

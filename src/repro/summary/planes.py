@@ -102,36 +102,31 @@ def words_for_bits(bits: int) -> int:
     return max(1, -(-bits // 64))
 
 
-def occurrence_planes(
-    rels, types, writes, reads, preads, fks
-) -> tuple[int, bytes, bytes]:
-    """One program's sweep input, packed once from its per-occurrence
-    relation ids, type ids and integer masks (⊥ as 0), in program order.
+def id_planes(rels, types) -> bytes:
+    """One program's per-occurrence relation and type ids, in program
+    order, as the little-endian ``(occurrences, 2)`` ``int64`` bytes
+    :func:`pack` reads."""
+    return np.array((rels, types), dtype=_I64).T.tobytes()
 
-    Returns ``(words, mask_bytes, id_bytes)``: the five mask planes of
+
+def occurrence_planes(masks, fks) -> tuple[int, bytes]:
+    """One program's mask planes, packed once from its per-occurrence
+    ``(writes, reads, preads)`` integer masks (⊥ as 0) and protecting-FK
+    masks, in program order.
+
+    Returns ``(words, mask_bytes)``: the five mask planes of
     :class:`Packed` as little-endian ``(occurrences, 5, words)`` ``uint64``
     bytes, as many words wide as the widest mask needs
-    (:func:`words_for_bits`), and the ids as little-endian
-    ``(occurrences, 2)`` ``int64`` bytes.  Occurrences outermost let
-    :func:`pack` concatenate programs with one ``bytes.join``.
+    (:func:`words_for_bits`).  Occurrences outermost let :func:`pack`
+    concatenate programs with one ``bytes.join``.
     """
-    anyrw = [w | r | p for w, r, p in zip(writes, reads, preads)]
-    rp = [r | p for r, p in zip(reads, preads)]
+    rows = [(w, p, w | r | p, r | p, fk) for (w, r, p), fk in zip(masks, fks)]
     widest = 0
-    for mask in (*anyrw, *fks):
-        widest |= mask
-    words = words_for_bits(widest.bit_length())
-    masks = b"".join(
-        mask.to_bytes(8 * words, "little")
-        for row in zip(writes, preads, anyrw, rp, fks)
-        for mask in row
-    )
-    ids = b"".join(
-        value.to_bytes(8, "little", signed=True)
-        for row in zip(rels, types)
-        for value in row
-    )
-    return words, masks, ids
+    for _, _, anyrw, _, fk in rows:
+        widest |= anyrw | fk
+    width = 8 * words_for_bits(widest.bit_length())
+    packed = b"".join(mask.to_bytes(width, "little") for row in rows for mask in row)
+    return width // 8, packed
 
 
 class Packed(NamedTuple):

@@ -48,9 +48,9 @@ def compile_calls(monkeypatch) -> list[str]:
     calls: list[str] = []
     compile_profile = pairwise.compile_profile
 
-    def counting(program, schema, settings):
+    def counting(program, schema, settings, layout=None):
         calls.append(program.name)
-        return compile_profile(program, schema, settings)
+        return compile_profile(program, schema, settings, layout)
 
     monkeypatch.setattr(pairwise, "compile_profile", counting)
     return calls

@@ -21,7 +21,7 @@ from repro.summary.settings import ATTR_DEP_FK
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.25.0"
+        assert repro.__version__ == "1.26.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -11,6 +11,7 @@ from repro.btp.program import BTP, seq
 from repro.btp.statement import Statement
 from repro.cli import main
 from repro.errors import ProgramError, ReproError
+from repro.summary import pairwise
 from repro.summary.pairwise import EdgeBlockStore
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
 from repro.workloads import auction_n
@@ -125,28 +126,46 @@ class TestIncremental:
             assert (profile is before[name]) == (name not in edited)
 
     def test_profiles_compile_once_per_granularity(
-        self, smallbank_workload, compile_calls
+        self, smallbank_workload, compile_calls, monkeypatch
     ):
-        """A session's FK and non-FK stores of one granularity share each
-        LTP's compiled profile, before and after an edit; a store used on
-        its own still compiles its own."""
+        """A session's four stores share one compile cache: each LTP's
+        setting-independent layout (``protecting_fks`` once per
+        occurrence) is compiled once, and its masks once per granularity,
+        before and after an edit; a store used on its own still compiles
+        its own."""
+        fk_calls = []
+        protecting_fks = pairwise.protecting_fks
+
+        def counting(program, position):
+            fk_calls.append((program.name, position))
+            return protecting_fks(program, position)
+
+        monkeypatch.setattr(pairwise, "protecting_fks", counting)
         calls = compile_calls
         cold = Analyzer(auction_n(64))
         cold.analyze_matrix()
-        assert len(calls) == 2 * len(cold.unfolded()) == 384
+        ltps = cold.unfolded()
+        assert len(calls) == 2 * len(ltps) == 384
+        assert sorted(fk_calls) == sorted(
+            (ltp.name, occurrence.position) for ltp in ltps for occurrence in ltp
+        )
 
         session = Analyzer(smallbank_workload)
         session.analyze_matrix()
         calls.clear()
+        fk_calls.clear()
         session.replace_program(_variant_balance(smallbank_workload))
         matrix = session.analyze_matrix()
         assert calls == ["Balance", "Balance"]  # one LTP, two granularities
+        assert fk_calls == [("Balance", position) for position in range(3)]
         fresh = Analyzer(session.workload).analyze_matrix()
         assert matrix.to_dict() == fresh.to_dict()
 
         calls.clear()
+        fk_calls.clear()
         EdgeBlockStore(session.schema, ATTR_DEP_FK).register(session.unfolded())
         assert len(calls) == len(session.unfolded())
+        assert len(fk_calls) == sum(map(len, session.unfolded()))
 
     def test_replace_back_and_forth_is_stable(self, smallbank_workload):
         session = Analyzer(smallbank_workload)

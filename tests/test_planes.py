@@ -21,10 +21,12 @@ from repro.btp.statement import Statement, StatementType
 from repro.btp.unfold import unfold
 from repro.schema import Relation, Schema
 from repro.summary import planes
+from repro.summary.conditions import protecting_fks
 from repro.summary.pairwise import (
     EdgeBlockStore,
     compile_profile,
     pair_edges_reference,
+    program_layout,
 )
 from repro.summary.planes import (
     np_sweep,
@@ -34,8 +36,14 @@ from repro.summary.planes import (
     sweep,
     words_for_bits,
 )
-from repro.summary.settings import ALL_SETTINGS, Granularity
-from repro.workloads import Workload, auction_n, smallbank
+from repro.summary.settings import (
+    ALL_SETTINGS,
+    ATTR_DEP,
+    ATTR_DEP_FK,
+    TPL_DEP,
+    Granularity,
+)
+from repro.workloads import Workload, auction_n, smallbank, tpcc
 
 #: The sweep kernel under test, named in the parity tests' ids.
 KERNELS = [resolve_kernel()]
@@ -282,6 +290,66 @@ class TestPack:
                 assert store.block(source.name, target.name) == (
                     pair_edges_reference(source, target, schema, settings)
                 )
+
+
+def _profile_masks(profile):
+    """A profile's five mask planes per occurrence, as Python ints."""
+    words = np.frombuffer(profile.mask_bytes, dtype="<u8").reshape(
+        -1, 5, profile.words
+    )
+    return [
+        tuple(sum(int(word) << (64 * k) for k, word in enumerate(mask)) for mask in row)
+        for row in words
+    ]
+
+
+class TestCompiledProfiles:
+    """A profile's masks are its statements' interned masks — under tuple
+    granularity those of the widened statements — and its FK masks those
+    of ``protecting_fks``, whichever setting compiled its layout."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [smallbank, tpcc, lambda: auction_n(4), lambda: Workload.resolve(WIDE_WORKLOAD)],
+        ids=["smallbank", "tpcc", "auction4", "wide"],
+    )
+    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+    def test_masks_are_the_statements_masks(self, workload, settings):
+        workload = workload()
+        schema = workload.schema
+        interner = schema.interner
+        for ltp in _ltps(workload):
+            profile = compile_profile(ltp, schema, settings)
+            expected = []
+            for occurrence in ltp:
+                stmt = ltp.statements_by_name[occurrence.name]
+                if settings.granularity is Granularity.TUPLE:
+                    stmt = stmt.widened(schema.attributes(stmt.relation))
+                masks = interner.statement_masks(stmt)
+                w, r, p = masks.writes, masks.reads, masks.preads
+                fks = protecting_fks(ltp, occurrence.position)
+                fk = interner.fk_mask(stmt.relation, fks)
+                expected.append((w, p, w | r | p, r | p, fk))
+            assert _profile_masks(profile) == expected, ltp.name
+            layout = program_layout(ltp, schema)
+            assert compile_profile(ltp, schema, settings, layout) == profile
+            assert layout.id_bytes == profile.id_bytes
+
+    def test_attribute_granularity_never_reads_declared_attributes(
+        self, monkeypatch
+    ):
+        workload = auction_n(4)
+
+        def forbidden(self, relation_name):
+            raise AssertionError(f"Schema.attributes({relation_name!r}) called")
+
+        monkeypatch.setattr(Schema, "attributes", forbidden)
+        for settings in (ATTR_DEP, ATTR_DEP_FK):
+            store = EdgeBlockStore(workload.schema, settings)
+            store.register(_ltps(workload))
+            assert store.ensure_blocks() == len(store.ltp_names) ** 2
+        with pytest.raises(AssertionError, match="Schema.attributes"):
+            EdgeBlockStore(workload.schema, TPL_DEP).register(_ltps(workload))
 
 
 class TestSweepPlanning:

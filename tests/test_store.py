@@ -7,6 +7,9 @@
   ``load_block``, ``seed_from`` and fork-plus-edit) leave every store
   equal to a cold store over the same programs, and keep no segment that
   no presence cell names;
+* plane reads and sweep writes agree with a cold store whether the
+  slots form runs (basic slices) or not (``take`` and index meshes), and
+  a read is a copy no later write reaches;
 * a fork shares its parent's compiled profiles and compiles only the
   programs it edits, and a cache file loads as one segment per store.
 """
@@ -23,9 +26,12 @@ from hypothesis import HealthCheck, given, settings as hyp_settings, strategies 
 
 from repro import Analyzer, Monitor
 from repro.btp.program import BTP, seq
-from repro.btp.statement import Statement
+from repro.btp.ltp import LTP
+from repro.btp.statement import Statement, StatementType
+from repro.errors import SchemaError
+from repro.schema import Relation, Schema
 from repro.summary.pairwise import SEG, EdgeBlockStore, pair_edges_reference
-from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
+from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, TPL_DEP
 
 DATA = Path(__file__).parent / "data" / "store_digests.json"
 
@@ -260,6 +266,92 @@ def test_churn_walk_keeps_a_base_segment_plus_two_per_program(source):
         store = session.edge_block_store(ATTR_DEP_FK)
         assert len(store._segments) <= 2 * len(store.ltp_names) + 1
         _check(store)
+
+
+def _laid_out(layout: str, settings):
+    """An Auction(4) store and names whose slots, in names order, are an
+    ascending run, a permutation (every program discarded, then
+    re-registered in another order) or a subset in non-slot order."""
+    session = Analyzer("auction(4)")
+    ltps = {ltp.name: ltp for ltp in session.unfolded()}
+    names = list(ltps)
+    store = EdgeBlockStore(session.schema, settings)
+    store.register(ltps.values())
+    if layout == "permutation":
+        store.ensure_blocks()
+        store.discard(names)
+        store.register(ltps[name] for name in [*names[1::2], *names[::2]])
+    elif layout == "subset":
+        names = names[::-2]
+    slots = np.array([store._slots[name] for name in names])
+    assert bool((np.diff(slots) == 1).all()) == (layout == "run")
+    return store, names
+
+
+@pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
+@pytest.mark.parametrize("layout", ["run", "permutation", "subset"])
+def test_plane_reads_and_writes_match_a_cold_store(layout, settings):
+    """Slot runs are read and written as slices, other slot orders
+    through ``take`` and index meshes: both agree with a cold store."""
+    store, names = _laid_out(layout, settings)
+    cold = EdgeBlockStore(store.schema, settings)
+    cold.register(store.ltp(name) for name in names)
+    assert store.ensure_blocks(names) == cold.ensure_blocks() == len(names) ** 2
+    assert store.ensure_blocks(names) == 0
+    for got, want in zip(store.aggregate_planes(names), cold.aggregate_planes(names)):
+        assert got.tolist() == want.tolist()
+    assert store.stats(names) == cold.stats(names)
+    assert store.blocks() == cold.blocks()
+    _check(store)
+
+
+def test_plane_reads_are_copies_a_fork_or_edit_cannot_change():
+    """A slice read of a store's planes is its own array: the store's
+    later writes do not reach it, and a fork's writes leave the parent's
+    planes and report as they were."""
+    parent = Analyzer("auction(4)")
+    parent.analyze(ATTR_DEP_FK)
+    store = parent.edge_block_store(ATTR_DEP_FK)
+    names = list(store.ltp_names)
+    read = store.aggregate_planes(names)
+    kept = [plane.copy() for plane in read]
+    source, target = np.argwhere(kept[3] >= 0)[0].tolist()
+    store.load_block(names[source], names[target], [])  # written in place
+    assert store.aggregate_planes(names)[3][source, target] == -1
+    for got, want in zip(read, kept):
+        assert np.array_equal(got, want)
+
+    parent._reports.clear()
+    report = parent.analyze(ATTR_DEP_FK).to_dict()
+    stack = store._planes.copy()
+    fork = parent.fork()
+    edited = fork.program_names[0]
+    program = fork.workload.program(edited)
+    fork.remove_program(edited)
+    fork.analyze(ATTR_DEP_FK)
+    fork.add_program(program)
+    fork.analyze(ATTR_DEP_FK)
+    assert fork.edge_block_store(ATTR_DEP_FK)._planes is not store._planes
+    assert np.array_equal(store._planes, stack)
+    parent._reports.clear()
+    assert parent.analyze(ATTR_DEP_FK).to_dict() == report
+
+
+def test_a_program_that_fails_to_compile_is_not_registered():
+    """Tuple granularity reads the relation's declared attributes, so a
+    statement over an undeclared relation fails to compile there; the
+    store then holds nothing of it, and the programs before it stay."""
+    relation = Relation("R", ["k", "a"], key=["k"])
+    schema = Schema([relation], [])
+    good = LTP("Good", [Statement.key_update("q1", relation, ["a"], ["a"])])
+    update = Statement("q1", StatementType.KEY_UPDATE, "S", None, ["a"], ["a"])
+    bad = LTP("Bad", [update])
+    store = EdgeBlockStore(schema, TPL_DEP)
+    with pytest.raises(SchemaError, match="unknown relation 'S'"):
+        store.register([good, bad])
+    assert store.ltp_names == ("Good",)
+    assert store.ensure_blocks() == 1
+    _check(store)
 
 
 def test_fork_packs_only_the_programs_it_edits(compile_calls):
